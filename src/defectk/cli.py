@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import macaulay
-from .defect import AuditError, defect as compute_defect, tangent_codim
+from .defect import AuditError, defect as compute_defect
 from .families import probe_undeclared_singular_points, random_points_control
 from .ideals import (
     BaseLocus,
@@ -25,7 +25,6 @@ from .ideals import (
     PointSet,
     base_locus_dimension,
     generated_piece,
-    points_hilbert,
 )
 from .polynomials import GradedPoly
 from .scalars import validate_characteristic
@@ -189,7 +188,7 @@ def _cmd_defect(args) -> int:
     report = {
         "scenario": Scenario("defect", {**source, "degree": args.degree}).to_dict(),
         **rep.to_dict(),
-        "tangent_codim_at_degree": points_hilbert(points, args.degree, args.field),
+        "tangent_codim_at_degree": rep.eval_rank,
     }
     _emit(report, args.format, args.out)
     return 0
@@ -408,6 +407,9 @@ def main(argv=None) -> int:
     except AuditError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return FAILURE_EXIT
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -207,15 +207,19 @@ class DefectReport:
         }
 
 
+def defect_at(node_count: int, critical_degree: int, eval_rank: int) -> DefectReport:
+    """Defect report from an evaluation rank already computed."""
+    return DefectReport(
+        node_count=node_count,
+        critical_degree=critical_degree,
+        eval_rank=eval_rank,
+        defect=node_count - eval_rank,
+    )
+
+
 def defect(nodes: PointSet, critical_degree: int, char: int | None = None) -> DefectReport:
     """Defect of the declared node scheme at the critical degree."""
-    rank = points_hilbert(nodes, critical_degree, char)
-    return DefectReport(
-        node_count=len(nodes),
-        critical_degree=critical_degree,
-        eval_rank=rank,
-        defect=len(nodes) - rank,
-    )
+    return defect_at(len(nodes), critical_degree, points_hilbert(nodes, critical_degree, char))
 
 
 def tangent_codim(nodes: PointSet, d: int, char: int | None = None) -> int:
@@ -223,7 +227,11 @@ def tangent_codim(nodes: PointSet, d: int, char: int | None = None) -> int:
     return points_hilbert(nodes, d, char)
 
 
-def _certify(d, h_IH, socle, critical, floors, bound_name, bound_value) -> DefectReport:
+def _certify(h_IH, node_count, socle, critical, floors, bound_name, bound_value) -> DefectReport:
+    """Check each floor and the bound.  The floors bound the sum of h_IH up
+    to the socle, which is the node count only when the nodes impose
+    independent conditions there; a sum that differs from the declared
+    count fails the certification."""
     if len(h_IH) < socle + 1:
         raise ValueError("restricted profile must reach the socle degree")
     if h_IH[socle] == 0:
@@ -235,14 +243,14 @@ def _certify(d, h_IH, socle, critical, floors, bound_name, bound_value) -> Defec
         if h_IH[k] < floor:
             certified = False
         trace.append(TraceStep(k, floor, h_IH[k], rule))
-    node_count = sum(h_IH[k] for k in range(socle + 1))
+    total = sum(h_IH[k] for k in range(socle + 1))
     defect_val = h_IH[socle]
-    if node_count < bound_value:
+    if total < bound_value or total != node_count:
         certified = False
     return DefectReport(
-        node_count=node_count,
+        node_count=total,
         critical_degree=critical,
-        eval_rank=node_count - defect_val,
+        eval_rank=total - defect_val,
         defect=defect_val,
         bound_name=bound_name,
         bound_value=bound_value,
@@ -251,7 +259,7 @@ def _certify(d, h_IH, socle, critical, floors, bound_name, bound_value) -> Defec
     )
 
 
-def certify_min_nodes_p4(d: int, h_IH: HilbertProfile) -> DefectReport:
+def certify_min_nodes_p4(d: int, h_IH: HilbertProfile, node_count: int) -> DefectReport:
     """Replay the floor chain for defective threefolds in P^4.
 
     Degrees k <= d-2 get the duality floor k+1 (Gorenstein symmetry sends
@@ -268,11 +276,11 @@ def certify_min_nodes_p4(d: int, h_IH: HilbertProfile) -> DefectReport:
         return 2 * d - 3 - k, "strict-decrease"
 
     return _certify(
-        d, h_IH, socle, critical_degree_p4(d), floors, "p4-defect-min-nodes", (d - 1) ** 2
+        h_IH, node_count, socle, critical_degree_p4(d), floors, "p4-defect-min-nodes", (d - 1) ** 2
     )
 
 
-def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile) -> DefectReport:
+def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int) -> DefectReport:
     """Replay the floor chain for defective double solids.
 
     Duality gives k+1 up to d-1, maximal-growth descent gives d on the
@@ -291,8 +299,8 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile) -> DefectReport
         return 3 * d - 2 - k, "strict-decrease"
 
     return _certify(
-        d,
         h_IH,
+        node_count,
         socle,
         critical_degree_double_solid(d),
         floors,

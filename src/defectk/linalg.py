@@ -56,7 +56,7 @@ def rank_int_bareiss(rows: list[list[int]]) -> int:
                 for j in range(c + 1, ncols):
                     ri[j] = (piv * ri[j] - ric * rr[j]) // prev
                 ri[c] = 0
-            elif prev != 1:
+            elif piv != prev:
                 ri = rows[i]
                 for j in range(c + 1, ncols):
                     ri[j] = piv * ri[j] // prev

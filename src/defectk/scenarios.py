@@ -19,11 +19,10 @@ from .defect import (
     critical_degree_double_solid,
     critical_degree_highdim,
     critical_degree_p4,
-    defect,
-    tangent_codim,
+    defect_at,
 )
 from .families import GridParams, ci_family_highdim, double_solid_family, plane_family
-from .ideals import difference_profile, draw_missing_hyperplane, points_profile
+from .ideals import HilbertProfile, difference_profile, draw_missing_hyperplane, points_profile
 
 DEFAULT_SEED = 1
 
@@ -46,10 +45,12 @@ def run_plane(
     """Construct, audit, and certify a plane-family instance."""
     params = params or GridParams.plane_defaults(d)
     instance = plane_family(params)
-    socle = 2 * d - 4
-    h_I = points_profile(instance.nodes, socle, char)
-    ell = draw_missing_hyperplane(instance.nodes, seed)
-    h_IH = difference_profile(h_I, instance.nodes, ell)
+    nodes = instance.nodes
+    socle, critical = 2 * d - 4, critical_degree_p4(d)
+    profile = points_profile(nodes, max(socle, critical, d), char)
+    h_I = HilbertProfile(profile.values[: socle + 1])
+    ell = draw_missing_hyperplane(nodes, seed)
+    h_IH = difference_profile(h_I, nodes, ell)
     return {
         "scenario": Scenario("family", {"name": "plane", "d": d, "seed": seed,
                                         "params": params.to_dict(), "char": char}),
@@ -58,9 +59,9 @@ def run_plane(
         "h_I": h_I,
         "ell": ell,
         "h_IH": h_IH,
-        "defect_report": defect(instance.nodes, critical_degree_p4(d), char),
-        "certify_report": certify_min_nodes_p4(d, h_IH),
-        "tangent_codim": tangent_codim(instance.nodes, d, char),
+        "defect_report": defect_at(len(nodes), critical, profile[critical]),
+        "certify_report": certify_min_nodes_p4(d, h_IH, len(nodes)),
+        "tangent_codim": profile[d],
     }
 
 
@@ -72,10 +73,11 @@ def run_double_solid(
 ) -> dict:
     params = params or GridParams.double_solid_defaults(d)
     instance = double_solid_family(params)
-    socle = 3 * d - 3
-    h_I = points_profile(instance.nodes, socle, char)
-    ell = draw_missing_hyperplane(instance.nodes, seed)
-    h_IH = difference_profile(h_I, instance.nodes, ell)
+    nodes = instance.nodes
+    socle, critical = 3 * d - 3, critical_degree_double_solid(d)
+    h_I = points_profile(nodes, socle, char)
+    ell = draw_missing_hyperplane(nodes, seed)
+    h_IH = difference_profile(h_I, nodes, ell)
     return {
         "scenario": Scenario("family", {"name": "double-solid", "d": d, "seed": seed,
                                         "params": params.to_dict(), "char": char}),
@@ -84,17 +86,20 @@ def run_double_solid(
         "h_I": h_I,
         "ell": ell,
         "h_IH": h_IH,
-        "defect_report": defect(instance.nodes, critical_degree_double_solid(d), char),
-        "certify_report": certify_min_nodes_double_solid(d, h_IH),
+        "defect_report": defect_at(len(nodes), critical, h_I[critical]),
+        "certify_report": certify_min_nodes_double_solid(d, h_IH, len(nodes)),
     }
 
 
 def run_highdim(n: int, d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
     instance = ci_family_highdim(n, d)
+    nodes = instance.nodes
+    critical = critical_degree_highdim(n, d)
+    profile = points_profile(nodes, max(critical, d), char)
     return {
         "scenario": Scenario("family", {"name": "ci-highdim", "n": n, "d": d,
                                         "seed": seed, "char": char}),
         "instance": instance,
-        "defect_report": defect(instance.nodes, critical_degree_highdim(n, d), char),
-        "tangent_codim": tangent_codim(instance.nodes, d, char),
+        "defect_report": defect_at(len(nodes), critical, profile[critical]),
+        "tangent_codim": profile[d],
     }

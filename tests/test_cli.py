@@ -29,6 +29,18 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "nope")[0] == 1
 
 
+def test_value_errors_exit_one_with_one_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "expand", "--c", "-1", "--d", "3")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    points_file = tmp_path / "points.json"
+    points_file.write_text(json.dumps([[[1, 1], [2, 1]], [[2, 1], [4, 1]]]))
+    code, out, err = run_cli(capsys, "defect", "--points", str(points_file), "--degree", "2")
+    assert code == 1 and out == ""
+    assert "distinct" in err and err.count("\n") == 1
+
+
 def test_family_report_fields(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4")
     assert code == 0

@@ -127,27 +127,38 @@ def test_certify_p4_examples():
         rules = {s.rule for s in cert.trace}
         assert rules == {"duality", "strict-decrease"}
     # bound value at d=3 is 4
-    assert certify_min_nodes_p4(3, HilbertProfile((1, 1, 1))).bound_value == 4
+    assert certify_min_nodes_p4(3, HilbertProfile((1, 1, 1)), 3).bound_value == 4
 
 
 def test_certify_rejects_no_defect():
     with pytest.raises(ValueError):
-        certify_min_nodes_p4(4, HilbertProfile((1, 2, 3, 2, 0)))
+        certify_min_nodes_p4(4, HilbertProfile((1, 2, 3, 2, 0)), 8)
     with pytest.raises(ValueError):
-        certify_min_nodes_double_solid(2, HilbertProfile((1, 2, 2, 0)))
+        certify_min_nodes_double_solid(2, HilbertProfile((1, 2, 2, 0)), 5)
 
 
 def test_certify_double_solid_floors():
-    cert = certify_min_nodes_double_solid(2, HilbertProfile((1, 2, 2, 1)))
+    cert = certify_min_nodes_double_solid(2, HilbertProfile((1, 2, 2, 1)), 6)
     assert cert.bound_value == 6
     assert [s.floor for s in cert.trace] == [1, 2, 2, 1]
     assert cert.certified and cert.meets_bound_with_equality
 
 
 def test_certify_flags_profile_below_floor():
-    cert = certify_min_nodes_p4(4, HilbertProfile((1, 1, 1, 1, 1)))
+    cert = certify_min_nodes_p4(4, HilbertProfile((1, 1, 1, 1, 1)), 5)
     assert not cert.certified
     assert cert.node_count == 5 < cert.bound_value
+
+
+def test_certify_fails_when_profile_sum_differs_from_node_count():
+    profile = HilbertProfile((1, 2, 3, 2, 1))
+    assert certify_min_nodes_p4(4, profile, 9).certified
+    cert = certify_min_nodes_p4(4, profile, 10)
+    assert not cert.certified
+    assert cert.node_count == 9
+    profile = HilbertProfile((1, 2, 2, 1))
+    assert certify_min_nodes_double_solid(2, profile, 6).certified
+    assert not certify_min_nodes_double_solid(2, profile, 7).certified
 
 
 def test_tangent_codim_examples():

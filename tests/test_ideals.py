@@ -1,10 +1,13 @@
 """Ideal pieces, point Hilbert functions, restriction, apolarity, and the
 persistence-based base-locus reader."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectk.ideals import (
     BaseLocus,
@@ -23,6 +26,7 @@ from defectk.ideals import (
     gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
+    normalize_point,
     point_ideal_piece,
     points_hilbert,
     points_profile,
@@ -30,6 +34,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
+from defectk.linalg import rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
 
@@ -96,6 +101,66 @@ def test_points_hilbert_monotone_and_saturates():
     assert all(prof[k] <= prof[k + 1] for k in range(len(prof) - 1))
     for k in range(len(pts) - 1, len(pts) + 2):
         assert points_hilbert(pts, k) == len(pts)
+
+
+@st.composite
+def point_sets(draw):
+    """Small point sets in P^2 or P^3: generic, on a line, on a plane, or
+    congruent mod 3 (so that they collide over F_3)."""
+    nvars = draw(st.sampled_from((3, 4)))
+    kind = draw(st.sampled_from(("generic", "collinear", "coplanar", "mod3")))
+    small = st.integers(min_value=-3, max_value=3)
+    vector = st.lists(small, min_size=nvars, max_size=nvars)
+    count = draw(st.integers(min_value=1, max_value=9))
+    if kind == "generic":
+        coords = [draw(vector) for _ in range(count)]
+    elif kind == "mod3":
+        base = draw(vector)
+        coords = [[b + 3 * s for b, s in zip(base, draw(vector))] for _ in range(count)]
+    else:
+        span = [draw(vector) for _ in range(2 if kind == "collinear" else 3)]
+        coords = []
+        for _ in range(count):
+            weights = [draw(small) for _ in span]
+            coords.append([sum(w * v[i] for w, v in zip(weights, span)) for i in range(nvars)])
+    e0 = [1] + [0] * (nvars - 1)
+    distinct = {normalize_point(c): c for c in coords if any(c)} or {normalize_point(e0): e0}
+    return PointSet(list(distinct.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.sampled_from((None, 3, 7)))
+def test_profile_matches_full_evaluation_rank(pts, char):
+    """The order-ideal pass ranks the same space as the full evaluation matrix."""
+    up_to = 5
+    reps = pts.int_reps()
+    want = []
+    for k in range(up_to + 1):
+        rows = [[math.prod(c**e for c, e in zip(p, m)) for m in monomial_basis(pts.nvars, k)]
+                for p in reps]
+        want.append(rank(rows, char))
+    assert points_profile(pts, up_to, char).values == tuple(want)
+    assert [points_hilbert(pts, k, char) for k in range(up_to + 1)] == want
+
+
+def test_grid_profiles_match_complete_intersections():
+    """The grid node sets are complete intersections in their linear span."""
+    for d in range(3, 11):
+        nodes = PointSet([(0, 0, a, b, 1) for a in range(1, d) for b in range(1, d)])
+        socle = 2 * d - 4
+        want = tuple(ci_hilbert((d - 1, d - 1), 3, k) for k in range(socle + 1))
+        assert points_profile(nodes, socle).values == want, d
+    for d in range(2, 8):
+        nodes = PointSet([(1, a, b, 0) for a in range(1, d + 1) for b in range(1, 2 * d)])
+        socle = 3 * d - 3
+        want = tuple(ci_hilbert((d, 2 * d - 1), 3, k) for k in range(socle + 1))
+        assert points_profile(nodes, socle).values == want, d
+    d = 5
+    axis = range(1, d)
+    nodes = PointSet([(0, 0, 0, a, b, c, 1) for a in axis for b in axis for c in axis])
+    top = 3 * (d - 2) + 1
+    want = tuple(ci_hilbert((d - 1,) * 3, 4, k) for k in range(top + 1))
+    assert points_profile(nodes, top).values == want
 
 
 def test_point_ideal_piece_is_evaluation_kernel():

@@ -77,6 +77,14 @@ def test_rank_matches_naive_fraction_elimination():
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
         m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
         assert rank(m) == naive_rank(m)
+    # sparse rows: a row with a zero in an early pivot column must still be
+    # rescaled before the next exact division
+    for _ in range(200):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(cols)]
+             for _ in range(rows)]
+        assert rank(m) == naive_rank(m), m
+    assert rank([[0, 0, 0, 0, 0, 1], [0, 0, 4, 0, -2, 1], [0, 0, 1, 0, 0, 0]]) == 3
 
 
 def test_rank_rational_vs_prime_field_drop():
