@@ -17,7 +17,6 @@ from .defect import (
     critical_degree_double_solid,
     critical_degree_highdim,
     critical_degree_p4,
-    critical_degree_weighted,
     defect,
     sweep_singular_points,
     tangent_codim,
@@ -59,7 +58,7 @@ from .ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from .linalg import Echelon, ExactMatrix, rank
+from .linalg import Echelon, rank
 from .macaulay import (
     HilbertPolynomial,
     MacaulayExpansion,

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from functools import partial
 
 from . import macaulay
 from .defect import AuditError, defect as compute_defect
@@ -28,7 +29,7 @@ from .ideals import (
 )
 from .polynomials import GradedPoly
 from .scalars import validate_characteristic
-from .scenarios import DEFAULT_SEED, Scenario, run_double_solid, run_highdim, run_plane
+from .scenarios import DEFAULT_SEED, FAMILIES, Scenario
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
@@ -135,13 +136,11 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_family(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.probe_prime:
+        validate_characteristic(args.probe_prime)
+    spec = FAMILIES[args.name]
     try:
-        if args.name == "plane":
-            run = run_plane(args.d, seed=seed, char=args.field)
-        elif args.name == "double-solid":
-            run = run_double_solid(args.d, seed=seed, char=args.field)
-        else:
-            run = run_highdim(args.n, args.d, seed=seed, char=args.field)
+        run = spec.run(*(getattr(args, a) for a in spec.args), seed=seed, char=args.field)
     except (AuditError, ValueError) as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return FAILURE_EXIT
@@ -260,61 +259,23 @@ def suite_gotzmann():
     return checks
 
 
-def suite_plane():
+def suite_family(spec):
+    """Each suite case of a family against the family's closed forms."""
     checks = []
-    for d in range(3, 9):
-        run = run_plane(d)
-        rep, cert = run["defect_report"], run["certify_report"]
-        ok = (
-            len(run["instance"].nodes) == (d - 1) ** 2
-            and rep.defect == 1
-            and cert.certified
-            and cert.bound_value == (d - 1) ** 2
-            and cert.meets_bound_with_equality
-            and run["tangent_codim"] == (d * d + 3 * d - 10) // 2
-        )
-        checks.append(
-            (f"plane family d={d}", ok,
-             f"nodes={len(run['instance'].nodes)} defect={rep.defect} "
-             f"bound={cert.bound_value} tangent_codim={run['tangent_codim']}")
-        )
-    return checks
-
-
-def suite_double_solid():
-    checks = []
-    for d in range(2, 6):
-        run = run_double_solid(d)
-        rep, cert = run["defect_report"], run["certify_report"]
-        ok = (
-            len(run["instance"].nodes) == d * (2 * d - 1)
-            and rep.defect == 1
-            and cert.certified
-            and cert.bound_value == d * (2 * d - 1)
-            and cert.meets_bound_with_equality
-        )
-        checks.append(
-            (f"double solid d={d}", ok,
-             f"nodes={len(run['instance'].nodes)} defect={rep.defect} bound={cert.bound_value}")
-        )
-    return checks
-
-
-def suite_highdim():
-    checks = []
-    for d in (3, 4):
-        run = run_highdim(2, d)
-        rep = run["defect_report"]
-        ok = (
-            len(run["instance"].nodes) == (d - 1) ** 3
-            and rep.defect == 1
-            and run["tangent_codim"] == macaulay.ci_pnd(2, d)
-        )
-        checks.append(
-            (f"grid family n=2 d={d}", ok,
-             f"nodes={len(run['instance'].nodes)} defect={rep.defect} "
-             f"tangent_codim={run['tangent_codim']}")
-        )
+    for case in spec.cases:
+        run = spec.run(*case)
+        nodes, defect = len(run["instance"].nodes), run["defect_report"].defect
+        ok = nodes == spec.node_count(*case) and defect == 1
+        detail = f"nodes={nodes} defect={defect}"
+        if spec.certified:
+            cert = run["certify_report"]
+            ok = (ok and cert.certified and cert.bound_value == nodes
+                  and cert.meets_bound_with_equality)
+            detail += f" bound={cert.bound_value}"
+        if spec.tangent_codim is not None:
+            ok = ok and run["tangent_codim"] == spec.tangent_codim(*case)
+            detail += f" tangent_codim={run['tangent_codim']}"
+        checks.append((spec.label.format(**dict(zip(spec.args, case))), ok, detail))
     return checks
 
 
@@ -330,9 +291,7 @@ def suite_c0():
 SUITES = {
     "macaulay": suite_macaulay,
     "gotzmann": suite_gotzmann,
-    "plane": suite_plane,
-    "double-solid": suite_double_solid,
-    "highdim": suite_highdim,
+    **{spec.suite: partial(suite_family, spec) for spec in FAMILIES.values()},
     "c0": suite_c0,
 }
 
@@ -357,7 +316,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("family", help="construct a nodal family instance and certify it")
-    p.add_argument("--name", choices=["plane", "double-solid", "ci-highdim"], required=True)
+    p.add_argument("--name", choices=list(FAMILIES), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=2, help="only for ci-highdim")
     p.add_argument("--seed", type=int)

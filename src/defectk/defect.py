@@ -9,7 +9,6 @@ the points fail to impose independent conditions exactly there.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -137,20 +136,6 @@ def critical_degree_highdim(n: int, d: int) -> int:
     if n < 1 or d < 3:
         raise ValueError("need n >= 1 and d >= 3")
     return (n + 1) * d - (2 * n + 3)
-
-
-def critical_degree_weighted(m: int, degree: int, weights) -> int:
-    """General weighted case m*degree - sum(weights).
-
-    Accepted for completeness; only the three specializations above carry
-    verification data, so this entry point is untested and trusts the
-    caller for the quasi-smoothness hypotheses.
-    """
-    warnings.warn(
-        "weighted critical degrees are untested beyond the built-in specializations",
-        stacklevel=2,
-    )
-    return m * degree - sum(weights)
 
 
 # ---------------------------------------------------------------------------

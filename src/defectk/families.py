@@ -17,6 +17,10 @@ from .defect import DoubleSolid, NodalHypersurface
 from .ideals import PointSet, normalize_point
 from .polynomials import GradedPoly, product
 
+# Evaluation cells (nodes times degree-d monomials) a ci-highdim instance
+# may need before it is refused.
+CELL_BUDGET = 5_000_000
+
 
 @dataclass(frozen=True)
 class GridParams:
@@ -77,49 +81,32 @@ def double_solid_family(params: GridParams) -> DoubleSolid:
     return DoubleSolid.build(d, f, nodes)
 
 
-def ci_family_highdim(
-    n: int,
-    d: int,
-    values: tuple[tuple[int, ...], ...] | None = None,
-    cell_budget: int = 5_000_000,
-) -> NodalHypersurface:
+def ci_family_highdim(n: int, d: int) -> NodalHypersurface:
     """Hypersurface sum_i x_i f_i in P^{2n+2} with an (n+1)-dimensional grid
     of (d-1)^{n+1} declared nodes.
 
-    f_i is a product of d-1 linear forms in the variable x_{n+1+i} and the
-    homogenizer x_{2n+2}; the nodes are the grid points with x_0..x_n = 0
-    and x_{n+1+i} running over each axis's values.
+    f_i = prod_{c=1..d-1} (x_{n+1+i} - c x_{2n+2}); the nodes are the grid
+    points with x_0..x_n = 0 and each x_{n+1+i} in 1..d-1.
     """
     if n < 1 or d < 3:
         raise ValueError("need n >= 1 and d >= 3")
-    if values is None:
-        values = tuple(tuple(range(1, d)) for _ in range(n + 1))
-    values = tuple(tuple(v) for v in values)
-    if len(values) != n + 1 or any(len(v) != d - 1 for v in values):
-        raise ValueError("need n+1 axes of d-1 values each")
-    for axis in values:
-        if len(set(axis)) != len(axis):
-            raise ValueError("axis values must be pairwise distinct")
     nvars = 2 * n + 3
     from .macaulay import binomial
 
     cells = (d - 1) ** (n + 1) * binomial(d + nvars - 1, nvars - 1)
-    if cells > cell_budget:
+    if cells > CELL_BUDGET:
         raise ValueError(
-            f"instance needs {cells} evaluation cells, over the budget {cell_budget}"
+            f"instance needs {cells} evaluation cells, over the budget {CELL_BUDGET}"
         )
     x = [GradedPoly.variable(nvars, i) for i in range(nvars)]
     f = GradedPoly.zero(nvars, d)
     for i in range(n + 1):
-        fi = product([x[n + 1 + i] - c * x[nvars - 1] for c in values[i]])
+        fi = product([x[n + 1 + i] - c * x[nvars - 1] for c in range(1, d)])
         f = f + x[i] * fi
-    coords_list = []
     grid = [()]
-    for axis in values:
-        grid = [g + (c,) for g in grid for c in axis]
-    for combo in grid:
-        coords_list.append((0,) * (n + 1) + combo + (1,))
-    nodes = PointSet(coords_list)
+    for _ in range(n + 1):
+        grid = [g + (c,) for g in grid for c in range(1, d)]
+    nodes = PointSet([(0,) * (n + 1) + combo + (1,) for combo in grid])
     return NodalHypersurface.build(f, nodes)
 
 
@@ -127,6 +114,10 @@ def random_points_control(count: int, nvars: int, seed: int) -> PointSet:
     """Seeded, reproducible random rational points, pairwise distinct."""
     if count < 1:
         raise ValueError("need at least one point")
+    if nvars < 1:
+        raise ValueError("need at least one coordinate")
+    if nvars == 1 and count > 1:
+        raise ValueError("P^0 has only one point")
     rng = random.Random(seed)
     seen = set()
     points = []

@@ -111,19 +111,19 @@ class PointSet:
 
     @classmethod
     def from_json_list(cls, data) -> "PointSet":
-        return cls([[Fraction(num, den) for num, den in p] for p in data])
-
-
-def _power_tables(int_points, max_degree: int):
-    tables = []
-    for p in int_points:
-        tables.append([[c**e for e in range(max_degree + 1)] for c in p])
-    return tables
+        """Inverse of ``to_json_list``; malformed data raises ValueError."""
+        try:
+            coords_list = [[Fraction(num, den) for num, den in p] for p in data]
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"points must be lists of [numerator, denominator] pairs: {exc}"
+            ) from exc
+        return cls(coords_list)
 
 
 def _evaluation_columns(int_points, nvars: int, degree: int):
     """Yield, per monomial of the degree in basis order, its values at the points."""
-    tables = _power_tables(int_points, degree)
+    tables = [[[c**e for e in range(degree + 1)] for c in p] for p in int_points]
     for exp in monomial_basis(nvars, degree):
         nz = [(v, e) for v, e in enumerate(exp) if e]
         col = []
@@ -160,10 +160,6 @@ class HilbertProfile:
 
     def to_json_list(self) -> list[int]:
         return list(self.values)
-
-    @classmethod
-    def from_json_list(cls, data) -> "HilbertProfile":
-        return cls(tuple(int(v) for v in data))
 
 
 def _pick_standard(ech, char: int | None, candidates):
@@ -309,10 +305,6 @@ class IdealPiece:
             )
         return out
 
-    def contains_poly(self, f: GradedPoly) -> bool:
-        idx = monomial_index(self.nvars, self.degree)
-        return self.echelon.contains({idx[e]: c for e, c in f.coeffs.items()})
-
     def contains(self, other: "IdealPiece") -> bool:
         if (self.nvars, self.degree) != (other.nvars, other.degree):
             raise ValueError("pieces live in different graded components")
@@ -353,7 +345,11 @@ def generated_piece(generators, k: int) -> IdealPiece:
 
 
 def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
-    """Degree-k piece of the ideal of a point set (evaluation-matrix kernel)."""
+    """Degree-k piece of the ideal of a point set (evaluation-matrix kernel).
+
+    With ``restrict_to_hyperplane`` this is the independent oracle that the
+    tests check ``restricted_point_pieces`` against.
+    """
     cols = list(_evaluation_columns(points.int_reps(), points.nvars, k))
     # one row per point, columns indexed by monomials
     ech = Echelon(len(cols), char)
@@ -366,10 +362,13 @@ def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
 # hyperplane restriction
 
 
-def draw_missing_hyperplane(points: PointSet, seed: int, max_tries: int = 32) -> GradedPoly:
+_HYPERPLANE_TRIES = 32
+
+
+def draw_missing_hyperplane(points: PointSet, seed: int) -> GradedPoly:
     """Seeded linear form with coefficients in [1, 997] avoiding every point."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_HYPERPLANE_TRIES):
         coeffs = [rng.randint(1, 997) for _ in range(points.nvars)]
         ell = GradedPoly.linear_form(coeffs)
         if all(ell.evaluate(p) for p in points):
@@ -428,7 +427,9 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     """Image of (I, ell) in the quotient by the hyperplane, degree by degree.
 
     Coordinates are changed so the linear form becomes the last variable,
-    which is then set to zero.
+    which is then set to zero.  It works on full degree pieces; together
+    with ``point_ideal_piece`` it is the independent oracle that the tests
+    check ``restricted_point_pieces`` against.
     """
     if ell.degree != 1 or ell.is_zero:
         raise ValueError("need a nonzero linear form")
@@ -470,18 +471,7 @@ def shifted_points(points: PointSet, ell: GradedPoly) -> PointSet:
     return PointSet(new_pts)
 
 
-def point_colspace_echelons(points: PointSet, up_to: int) -> list[IntForwardEchelon]:
-    """Echelon bases of the evaluation column spaces in degrees 0..up_to.
-
-    Entry k spans {(m(p))_p : m a degree-k monomial}; its dimension is the
-    point set's Hilbert function value h(k).
-    """
-    return list(_standard_echelons(points, up_to))
-
-
-def restricted_point_pieces(
-    points: PointSet, ell: GradedPoly, up_to: int, colspaces=None
-) -> list[IdealPiece]:
+def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> list[IdealPiece]:
     """Degree pieces 0..up_to of the point ideal's hyperplane restriction.
 
     Works in the changed coordinates where the linear form is the last
@@ -496,8 +486,8 @@ def restricted_point_pieces(
     nq = len(q)
     reps = q.int_reps()
     d_vals = [rep[-1] for rep in reps]
-    if colspaces is None:
-        colspaces = point_colspace_echelons(q, max(up_to - 1, 0))
+    # entry k spans the evaluation columns of the degree-k monomials
+    colspaces = list(_standard_echelons(q, max(up_to - 1, 0)))
     nsmall = points.nvars - 1
     small_reps = tuple(rep[:-1] for rep in reps)
     pieces = []
@@ -713,11 +703,6 @@ class BaseLocus:
     def is_inconclusive(self) -> bool:
         return self.kind == "inconclusive"
 
-    def at_most(self, k: int) -> bool:
-        if self.is_inconclusive:
-            raise InconclusiveProbeError("no dimension verdict available")
-        return True if self.is_empty else self.dimension <= k
-
 
 def _multiply_by_variables(ech: Echelon, nvars: int, degree: int, char=None) -> Echelon:
     basis = monomial_basis(nvars, degree)
@@ -801,7 +786,6 @@ def lemdims_check(pieces, N: int, n: int, degree_cap: int = 40):
     if h[N] == 0 or any(h[t] != h[N - t] for t in range(N + 1)):
         raise ValueError("pieces are not Gorenstein-symmetric with the given socle degree")
     dims = {}
-    reached = n
     for t in range(1, N + 1):
         if pieces[t].dim == 0:
             dims[t] = n
@@ -810,8 +794,7 @@ def lemdims_check(pieces, N: int, n: int, degree_cap: int = 40):
         if verdict.is_inconclusive:
             raise InconclusiveProbeError(f"base-locus probe inconclusive at degree {t}")
         dims[t] = -1 if verdict.is_empty else verdict.dimension
-        reached = dims[t]
-        if reached == -1:
+        if dims[t] == -1:
             break
     d_values = []
     for k in range(n - 1, -2, -1):

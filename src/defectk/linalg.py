@@ -1,11 +1,13 @@
 """Exact linear algebra: fraction-free rank, determinants, reduced echelon.
 
-Ranks of rational matrices are computed by Bareiss elimination: rows are
-scaled to integers, and every cross-multiplication step divides by the
-previous pivot, which is exact (the entries stay determinants of minors of
-the original matrix) and keeps coefficient growth polynomial.  Prime-field
-matrices use ordinary Gaussian elimination, where division is cheap and
-there is no growth.
+Ranks and determinants of rational matrices come from one Bareiss
+elimination (Bareiss 1968): rows are scaled to integers, and every
+cross-multiplication step divides by the previous pivot, which is exact
+(the entries stay determinants of minors of the original matrix) and keeps
+coefficient growth polynomial.  Prime-field matrices share one ordinary
+Gaussian elimination, where division is cheap and there is no growth.
+``rank`` shares no code with the evaluation echelons of ``ideals``, so
+tests and the benchmark use it as their independent oracle.
 
 ``Echelon`` is the workhorse container for subspaces of a based vector
 space: an incrementally maintained reduced row basis with sparse dict rows,
@@ -15,30 +17,35 @@ used for ideal pieces, kernels and span computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import Fp, as_scalar
 
 
-def _integer_rows(rows) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank-preserving)."""
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Scale each row by the lcm of its denominators (rank-preserving); also
+    return the product of the scales, by which the determinant grows."""
     out = []
+    scale = 1
     for row in rows:
         denom = 1
         for x in row:
             if isinstance(x, Fraction):
                 denom = denom * x.denominator // math.gcd(denom, x.denominator)
+        scale *= denom
         out.append([int(x * denom) if isinstance(x, Fraction) else x * denom for x in row])
-    return out
+    return out, scale
 
 
-def rank_int_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination (destructive)."""
-    if not rows:
-        return 0
+def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
+    """Fraction-free elimination of an integer matrix, in place.
+
+    Returns the rank, the sign of the row swaps and the last pivot.  For a
+    square matrix of full rank, sign * last pivot is the determinant.
+    """
     nrows, ncols = len(rows), len(rows[0])
     prev = 1
+    sign = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -48,6 +55,7 @@ def rank_int_bareiss(rows: list[list[int]]) -> int:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
         piv = rows[r][c]
         for i in range(r + 1, nrows):
             ric = rows[i][c]
@@ -62,33 +70,46 @@ def rank_int_bareiss(rows: list[list[int]]) -> int:
                     ri[j] = piv * ri[j] // prev
         prev = piv
         r += 1
-    return r
+    return r, sign, prev
 
 
-def _rank_fp(rows, p: int) -> int:
-    m = [[x.val if isinstance(x, Fp) else x % p for x in row] for row in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
+def _eliminate_mod_p(rows, p: int) -> tuple[int, int, int]:
+    """Gaussian elimination of the matrix's reduction mod p.
+
+    Returns the rank, the sign of the row swaps and the product of the
+    pivots mod p.
+    """
+    rows = [[as_scalar(x, p).val for x in row] for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    sign = 1
+    product = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pivot_row = next((i for i in range(r, nrows) if m[i][c]), None)
+        pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = pow(m[r][c], -1, p)
-        row_r = m[r]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            sign = -sign
+        row_r = rows[r]
+        product = product * row_r[c] % p
+        inv = pow(row_r[c], -1, p)
         for i in range(r + 1, nrows):
-            f = m[i][c]
+            f = rows[i][c]
             if f:
                 f = f * inv % p
-                row_i = m[i]
+                row_i = rows[i]
                 for j in range(c, ncols):
                     row_i[j] = (row_i[j] - f * row_r[j]) % p
         r += 1
-    return r
+    return r, sign, product
+
+
+def rank_int_bareiss(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination (destructive)."""
+    return _bareiss(rows)[0] if rows else 0
 
 
 def rank(rows, char: int | None = None) -> int:
@@ -97,8 +118,8 @@ def rank(rows, char: int | None = None) -> int:
     if not rows or not rows[0]:
         return 0
     if char is not None:
-        return _rank_fp(rows, char)
-    return rank_int_bareiss(_integer_rows(rows))
+        return _eliminate_mod_p(rows, char)[0]
+    return rank_int_bareiss(_integer_rows(rows)[0])
 
 
 def det(rows, char: int | None = None):
@@ -110,85 +131,11 @@ def det(rows, char: int | None = None):
     if n == 0:
         return as_scalar(1, char)
     if char is not None:
-        m = [[as_scalar(x, char).val for x in row] for row in rows]
-        sign = 1
-        acc = 1
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                return Fp(0, char)
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            piv = m[c][c]
-            acc = acc * piv % char
-            inv = pow(piv, -1, char)
-            for i in range(c + 1, n):
-                f = m[i][c] * inv % char
-                if f:
-                    for j in range(c, n):
-                        m[i][j] = (m[i][j] - f * m[c][j]) % char
-        return Fp(sign * acc, char)
-    scaled = []
-    scale = Fraction(1)
-    for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        scale /= denom
-        scaled.append([int(x * denom) if isinstance(x, Fraction) else x * denom for x in row])
-    sign = 1
-    prev = 1
-    m = scaled
-    for c in range(n - 1):
-        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            ric = m[i][c]
-            for j in range(c + 1, n):
-                m[i][j] = (piv * m[i][j] - ric * m[c][j]) // prev
-            m[i][c] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1] * scale
-
-
-@dataclass
-class ExactMatrix:
-    """Dense exact matrix; rank is pivot-order independent."""
-
-    rows: int
-    cols: int
-    entries: list
-    char: int | None = None
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match the declared shape")
-
-    @classmethod
-    def from_rows(cls, entries, char: int | None = None) -> "ExactMatrix":
-        entries = [list(r) for r in entries]
-        return cls(len(entries), len(entries[0]) if entries else 0, entries, char)
-
-    def rank(self) -> int:
-        return rank(self.entries, self.char)
-
-    def det(self):
-        return det(self.entries, self.char)
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.char,
-        )
+        r, sign, product = _eliminate_mod_p(rows, char)
+        return Fp(sign * product if r == n else 0, char)
+    int_rows, scale = _integer_rows(rows)
+    r, sign, last = _bareiss(int_rows)
+    return Fraction(sign * last, scale) if r == n else Fraction(0)
 
 
 class Echelon:
@@ -256,9 +203,6 @@ class Echelon:
                         r.pop(cc, None)
         self.rows[p] = row
         return True
-
-    def pivots(self) -> list[int]:
-        return sorted(self.rows)
 
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.rows]

@@ -267,16 +267,6 @@ class GradedPoly:
             raise ValueError("already over a prime field")
         return GradedPoly(self.nvars, self.degree, dict(self.coeffs), p)
 
-    def coefficient_vector(self):
-        basis = monomial_basis(self.nvars, self.degree)
-        zero = scalar_zero(self.char)
-        return [self.coeffs.get(e, zero) for e in basis]
-
-    @classmethod
-    def from_vector(cls, nvars: int, degree: int, vec, char: int | None = None) -> "GradedPoly":
-        basis = monomial_basis(nvars, degree)
-        return cls(nvars, degree, {e: c for e, c in zip(basis, vec) if c}, char)
-
     def __repr__(self):
         if self.is_zero:
             return f"GradedPoly(0; nvars={self.nvars}, degree={self.degree})"

@@ -129,7 +129,3 @@ def as_scalar(x, char: int | None = None):
 
 def scalar_zero(char: int | None = None):
     return Fraction(0) if char is None else Fp(0, char)
-
-
-def scalar_one(char: int | None = None):
-    return Fraction(1) if char is None else Fp(1, char)

@@ -1,8 +1,20 @@
-"""End-to-end pipelines shared by the CLI and the verification suites.
+"""End-to-end pipelines shared by the CLI, the verification suites and the
+acceptance tests.
 
 A scenario bundles a command name with its fully serializable parameters;
 every emitted report embeds its scenario, and re-running the scenario
 reproduces the report byte for byte (seeded draws, fixed monomial order).
+
+Every family runs one pipeline: construct and audit the nodes, take the
+Hilbert profile h_I once, read the defect at the critical degree and, where
+the family reports it, the tangent codimension h_I(d); a certified family
+then restricts to a seeded hyperplane and replays its floor chain up to the
+socle.  ``run_plane``, ``run_double_solid`` and ``run_highdim`` only supply
+each family's constructor, critical degree, socle and certifier.
+
+``FAMILIES`` holds, per ``family --name``, what the family promises in
+closed form: node count, certification, tangent codimension, and the cases
+its verify suite checks.  A new family is one entry point and one entry.
 
 The optional characteristic switches the rank computations to a prime
 field; constructions and node audits stay over the rationals, where the
@@ -12,6 +24,7 @@ grid coordinates live.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .defect import (
     certify_min_nodes_double_solid,
@@ -23,6 +36,7 @@ from .defect import (
 )
 from .families import GridParams, ci_family_highdim, double_solid_family, plane_family
 from .ideals import HilbertProfile, difference_profile, draw_missing_hyperplane, points_profile
+from .macaulay import ci_pnd
 
 DEFAULT_SEED = 1
 
@@ -36,70 +50,83 @@ class Scenario:
         return {"command": self.command, "params": dict(self.params)}
 
 
-def run_plane(
-    d: int,
-    params: GridParams | None = None,
-    seed: int = DEFAULT_SEED,
-    char: int | None = None,
-) -> dict:
-    """Construct, audit, and certify a plane-family instance."""
-    params = params or GridParams.plane_defaults(d)
-    instance = plane_family(params)
+def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: int | None,
+                socle: int = 0, certify=None, tangent: bool = False) -> dict:
+    """The pipeline of the module docstring; certified families pass a socle
+    and a certifier, and ``tangent`` reports h_I(d)."""
     nodes = instance.nodes
-    socle, critical = 2 * d - 4, critical_degree_p4(d)
     profile = points_profile(nodes, max(socle, critical, d), char)
-    h_I = HilbertProfile(profile.values[: socle + 1])
-    ell = draw_missing_hyperplane(nodes, seed)
-    h_IH = difference_profile(h_I, nodes, ell)
-    return {
-        "scenario": Scenario("family", {"name": "plane", "d": d, "seed": seed,
-                                        "params": params.to_dict(), "char": char}),
+    run = {
+        "scenario": Scenario("family", {**params, "seed": seed, "char": char}),
         "instance": instance,
-        "params": params,
-        "h_I": h_I,
-        "ell": ell,
-        "h_IH": h_IH,
         "defect_report": defect_at(len(nodes), critical, profile[critical]),
-        "certify_report": certify_min_nodes_p4(d, h_IH, len(nodes)),
-        "tangent_codim": profile[d],
     }
+    if tangent:
+        run["tangent_codim"] = profile[d]
+    if certify is not None:
+        h_I = HilbertProfile(profile.values[: socle + 1])
+        ell = draw_missing_hyperplane(nodes, seed)
+        h_IH = difference_profile(h_I, nodes, ell)
+        run.update(h_I=h_I, ell=ell, h_IH=h_IH, certify_report=certify(d, h_IH, len(nodes)))
+    return run
 
 
-def run_double_solid(
-    d: int,
-    params: GridParams | None = None,
-    seed: int = DEFAULT_SEED,
-    char: int | None = None,
-) -> dict:
-    params = params or GridParams.double_solid_defaults(d)
-    instance = double_solid_family(params)
-    nodes = instance.nodes
-    socle, critical = 3 * d - 3, critical_degree_double_solid(d)
-    h_I = points_profile(nodes, socle, char)
-    ell = draw_missing_hyperplane(nodes, seed)
-    h_IH = difference_profile(h_I, nodes, ell)
-    return {
-        "scenario": Scenario("family", {"name": "double-solid", "d": d, "seed": seed,
-                                        "params": params.to_dict(), "char": char}),
-        "instance": instance,
-        "params": params,
-        "h_I": h_I,
-        "ell": ell,
-        "h_IH": h_IH,
-        "defect_report": defect_at(len(nodes), critical, h_I[critical]),
-        "certify_report": certify_min_nodes_double_solid(d, h_IH, len(nodes)),
-    }
+def run_plane(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
+    """Construct, audit, and certify a plane-family instance."""
+    params = GridParams.plane_defaults(d)
+    return _run_family({"name": "plane", "d": d, "params": params.to_dict()},
+                       plane_family(params), d, critical_degree_p4(d), seed, char,
+                       socle=2 * d - 4, certify=certify_min_nodes_p4, tangent=True)
+
+
+def run_double_solid(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
+    """Construct, audit, and certify a double-solid instance."""
+    params = GridParams.double_solid_defaults(d)
+    return _run_family({"name": "double-solid", "d": d, "params": params.to_dict()},
+                       double_solid_family(params), d, critical_degree_double_solid(d),
+                       seed, char, socle=3 * d - 3, certify=certify_min_nodes_double_solid)
 
 
 def run_highdim(n: int, d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
-    instance = ci_family_highdim(n, d)
-    nodes = instance.nodes
-    critical = critical_degree_highdim(n, d)
-    profile = points_profile(nodes, max(critical, d), char)
-    return {
-        "scenario": Scenario("family", {"name": "ci-highdim", "n": n, "d": d,
-                                        "seed": seed, "char": char}),
-        "instance": instance,
-        "defect_report": defect_at(len(nodes), critical, profile[critical]),
-        "tangent_codim": profile[d],
-    }
+    """Construct and audit a grid-family instance in P^{2n+2}."""
+    return _run_family({"name": "ci-highdim", "n": n, "d": d}, ci_family_highdim(n, d), d,
+                       critical_degree_highdim(n, d), seed, char, tangent=True)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """What a family promises, checked by its verify suite and the tests.
+
+    ``runner`` is the name of the family's entry point in this module.  It
+    is looked up on every call, never stored as a function, so that a
+    wrapper put on the module binding (the benchmark's tracer) sees the call.
+    """
+
+    runner: str
+    args: tuple[str, ...]  # the runner's positional arguments, as CLI options
+    suite: str
+    label: str  # check label, formatted with the arguments
+    cases: tuple[tuple[int, ...], ...]  # runner arguments the suite checks
+    node_count: Callable[..., int]
+    certified: bool
+    tangent_codim: Callable[..., int] | None = None
+
+    def run(self, *args: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
+        return globals()[self.runner](*args, seed=seed, char=char)
+
+
+FAMILIES = {
+    "plane": FamilySpec(
+        "run_plane", ("d",), "plane", "plane family d={d}",
+        tuple((d,) for d in range(3, 9)), lambda d: (d - 1) ** 2, True,
+        lambda d: (d * d + 3 * d - 10) // 2,
+    ),
+    "double-solid": FamilySpec(
+        "run_double_solid", ("d",), "double-solid", "double solid d={d}",
+        tuple((d,) for d in range(2, 6)), lambda d: d * (2 * d - 1), True,
+    ),
+    "ci-highdim": FamilySpec(
+        "run_highdim", ("n", "d"), "highdim", "grid family n={n} d={d}",
+        ((2, 3), (2, 4)), lambda n, d: (d - 1) ** (n + 1), False, ci_pnd,
+    ),
+}

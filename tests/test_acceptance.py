@@ -26,7 +26,7 @@ from defectk.ideals import (
 from defectk.macaulay import c0_expansion_identity, ci_pnd, expand, upper_growth
 from defectk.defect import critical_degree_highdim, defect
 from defectk.polynomials import GradedPoly
-from defectk.scenarios import run_double_solid, run_highdim, run_plane
+from defectk.scenarios import FAMILIES
 from test_macaulay import all_expansions
 
 
@@ -34,37 +34,31 @@ def _ok(criterion: int, detail: str) -> None:
     print(f"ACCEPTANCE PASS criterion {criterion}: {detail}")
 
 
+def _family_runs(name):
+    """The family's suite cases, keyed by d, each with its wall time."""
+    spec = FAMILIES[name]
+    out = {}
+    for case in spec.cases:
+        t0 = time.perf_counter()
+        run = spec.run(*case)
+        run["elapsed"] = time.perf_counter() - t0
+        out[case[-1]] = run
+    return out
+
+
 @pytest.fixture(scope="module")
 def plane_data():
-    out = {}
-    for d in range(3, 9):
-        t0 = time.perf_counter()
-        run = run_plane(d)
-        run["elapsed"] = time.perf_counter() - t0
-        out[d] = run
-    return out
+    return _family_runs("plane")
 
 
 @pytest.fixture(scope="module")
 def double_solid_data():
-    out = {}
-    for d in range(2, 6):
-        t0 = time.perf_counter()
-        run = run_double_solid(d)
-        run["elapsed"] = time.perf_counter() - t0
-        out[d] = run
-    return out
+    return _family_runs("double-solid")
 
 
 @pytest.fixture(scope="module")
 def highdim_data():
-    out = {}
-    for d in (3, 4):
-        t0 = time.perf_counter()
-        run = run_highdim(2, d)
-        run["elapsed"] = time.perf_counter() - t0
-        out[d] = run
-    return out
+    return _family_runs("ci-highdim")
 
 
 @pytest.fixture(scope="module")

@@ -146,3 +146,29 @@ def test_family_probe_prime_warns(capsys):
     report = json.loads(out)
     assert report["undeclared_singular_mod_p"]["count"] == 12
     assert "warning" in err
+
+
+def _assert_one_line_error(code, out, err):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_random_control_without_enough_points_exits_one(capsys):
+    # P^0 has one point and no point has zero coordinates: both used to hang
+    for count, nvars in (("2", "1"), ("3", "0")):
+        _assert_one_line_error(*run_cli(capsys, "defect", "--random", count,
+                                        "--nvars", nvars, "--degree", "1"))
+
+
+def test_malformed_points_files_exit_one(tmp_path, capsys):
+    points_file = tmp_path / "points.json"
+    for data in ([[1, 2]], [[[1, 0], [1, 1]]], 5):
+        points_file.write_text(json.dumps(data))
+        _assert_one_line_error(*run_cli(capsys, "defect", "--points", str(points_file),
+                                        "--degree", "1"))
+
+
+def test_probe_prime_must_be_an_odd_prime(capsys):
+    for bad in ("1", "-3", "4"):
+        _assert_one_line_error(*run_cli(capsys, "family", "--name", "plane", "--d", "3",
+                                        "--probe-prime", bad))

@@ -11,7 +11,6 @@ from defectk.defect import (
     critical_degree_double_solid,
     critical_degree_highdim,
     critical_degree_p4,
-    critical_degree_weighted,
     defect,
     tangent_codim,
     verify_node,
@@ -110,11 +109,6 @@ def test_critical_degrees():
     assert critical_degree_highdim(1, 4) == critical_degree_p4(4)
     with pytest.raises(ValueError):
         critical_degree_p4(2)
-    with pytest.warns(UserWarning):
-        got = critical_degree_weighted(2, 4, (1, 1, 1, 1, 1))
-    assert got == critical_degree_p4(4)
-    with pytest.warns(UserWarning):
-        assert critical_degree_weighted(2, 2 * 3, (3, 1, 1, 1, 1)) == 3 * 3 - 4
 
 
 def test_certify_p4_examples():

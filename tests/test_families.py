@@ -52,7 +52,7 @@ def test_ci_family_highdim_examples():
     assert defect(inst.nodes, 3 * 4 - 7).defect == 1
 
     with pytest.raises(ValueError):
-        ci_family_highdim(2, 4, cell_budget=100)
+        ci_family_highdim(2, 12)  # 24,708,684 evaluation cells
 
 
 def test_ci_family_matches_plane_shape_at_n1():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from defectk.linalg import Echelon, ExactMatrix, IntForwardEchelon, det, rank
+from defectk.linalg import Echelon, IntForwardEchelon, det, rank
 from defectk.scalars import Fp, as_scalar, is_prime, validate_characteristic
 
 
@@ -57,33 +57,48 @@ def test_rank_transpose_on_random_shapes():
 
 
 def test_rank_matches_naive_fraction_elimination():
-    def naive_rank(mat):
+    def naive_rank_det(mat):
+        """Rank, and for a square matrix the determinant: the product of
+        the pivots times the sign of the row swaps (0 below full rank)."""
         mat = [[Fraction(x) for x in row] for row in mat]
-        r = 0
+        r, det_val = 0, Fraction(1)
         for c in range(len(mat[0])):
             piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
             if piv is None:
                 continue
-            mat[r], mat[piv] = mat[piv], mat[r]
+            if piv != r:
+                mat[r], mat[piv] = mat[piv], mat[r]
+                det_val = -det_val
+            det_val *= mat[r][c]
             for i in range(len(mat)):
                 if i != r and mat[i][c]:
                     f = mat[i][c] / mat[r][c]
                     mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
             r += 1
-        return r
+        return r, det_val if r == len(mat) else Fraction(0)
+
+    def check(m):
+        want_rank, want_det = naive_rank_det(m)
+        assert rank(m) == want_rank, m
+        if len(m) == len(m[0]):
+            assert det(m) == want_det, m
+            for p in (3, 7):
+                assert det(m, char=p) == as_scalar(want_det, p), (m, p)
 
     rng = random.Random(21)
+    squares = 0
     for _ in range(25):
         rows, cols = rng.randint(1, 12), rng.randint(1, 12)
-        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        assert rank(m) == naive_rank(m)
+        check([[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)])
+        squares += rows == cols
     # sparse rows: a row with a zero in an early pivot column must still be
     # rescaled before the next exact division
     for _ in range(200):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
-        m = [[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(cols)]
-             for _ in range(rows)]
-        assert rank(m) == naive_rank(m), m
+        check([[rng.choice((0, 0, 0, rng.randint(-4, 4))) for _ in range(cols)]
+               for _ in range(rows)])
+        squares += rows == cols
+    assert squares >= 20
     assert rank([[0, 0, 0, 0, 0, 1], [0, 0, 4, 0, -2, 1], [0, 0, 1, 0, 0, 0]]) == 3
 
 
@@ -112,13 +127,13 @@ def test_det_values():
     assert det([[1, 1], [1, 1]], char=7) == Fp(0, 7)
 
 
-def test_exact_matrix_rank_independent_of_row_order():
+def test_rank_independent_of_row_order_and_transpose():
     rng = random.Random(5)
-    entries = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
-    m = ExactMatrix.from_rows(entries)
-    shuffled = entries[:]
+    m = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(6)]
+    shuffled = m[:]
     rng.shuffle(shuffled)
-    assert m.rank() == ExactMatrix.from_rows(shuffled).rank() == m.transpose().rank()
+    transpose = [list(col) for col in zip(*m)]
+    assert rank(m) == rank(shuffled) == rank(transpose)
 
 
 def test_echelon_reduced_invariants():
