@@ -19,7 +19,7 @@ from functools import partial
 
 from . import macaulay
 from .defect import AuditError, defect as compute_defect
-from .families import probe_undeclared_singular_points, random_points_control
+from .families import InstanceError, probe_undeclared_singular_points, random_points_control
 from .ideals import (
     BaseLocus,
     IdealPiece,
@@ -141,6 +141,9 @@ def _cmd_family(args) -> int:
     spec = FAMILIES[args.name]
     try:
         run = spec.run(*(getattr(args, a) for a in spec.args), seed=seed, char=args.field)
+    except InstanceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (AuditError, ValueError) as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return FAILURE_EXIT

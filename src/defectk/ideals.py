@@ -17,11 +17,16 @@ Conventions used throughout:
   Robbiano 2000).  Evaluation columns are picked greedily in the fixed
   monomial order; the picked (standard) monomials form an order ideal,
   because the order is multiplicative and the column of x_v * m is the
-  column of m scaled pointwise by x_v.  Degree k therefore only offers
-  x_v * b for b standard in degree k-1 with every degree-(k-1) divisor
-  standard, and computes each column from b's.  The ranks stay exact
-  (integers, or F_p), no degree is ranked twice, and about n * nvars
-  columns are offered per degree instead of binom(k + nvars - 1, k).
+  column of m scaled pointwise by x_v.  So only the products x_v * b with
+  every divisor standard are offered, each column computed from b's.
+  When some coordinate x_j is nonzero at every point (mod p over F_p), one
+  echelon serves every degree: col(x_j * m) = diag(x_j(p)) col(m), so the
+  degree-k column space contains x_j times the degree-(k-1) one.  Each
+  degree rescales the stored vectors by x_j(p) and offers only x_v * b
+  with v != j and b new in degree k-1, the affine pass in the chart
+  x_j = 1, and every point is inserted once.  Without such a coordinate,
+  each degree builds its own echelon from the products over all variables.
+  The ranks stay exact (integers, or F_p) either way.
 """
 
 from __future__ import annotations
@@ -184,8 +189,31 @@ def _evaluation_echelon(n: int, char: int | None):
     return IntForwardEchelon(n) if char is None else Echelon(n, char)
 
 
+def _offers(standard, variables):
+    """The products m = x_v * b (v in variables, b in standard) whose every
+    divisor m / x_u is standard, as (m, (b, v)) in the fixed monomial order.
+
+    The standard monomials form an order ideal, so these include every
+    standard monomial of the next degree; no other product can be one.
+    """
+    offers = {}
+    for b in standard:
+        for v in variables:
+            m = b[:v] + (b[v] + 1,) + b[v + 1 :]
+            if m not in offers and all(
+                m[:u] + (m[u] - 1,) + m[u + 1 :] in standard for u in range(len(m)) if m[u]
+            ):
+                offers[m] = (b, v)
+    return sorted(offers.items(), key=lambda t: t[0][::-1])
+
+
+def _scaled_columns(offers, columns, reps):
+    """Evaluation column of each offered x_v * b: b's column times x_v."""
+    return ((m, [x * rep[v] for x, rep in zip(columns[b], reps)]) for m, (b, v) in offers)
+
+
 def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
-    """Yield the evaluation echelon of each degree 0..up_to in one pass.
+    """Yield the evaluation echelon of each degree 0..up_to, each built anew.
 
     Degree-k candidates are the products x_v * b with b standard in degree
     k-1 whose every degree-(k-1) divisor is standard, visited in the fixed
@@ -200,25 +228,45 @@ def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
     standard = {(0,) * nvars: [1] * n}
     for k in range(up_to + 1):
         if k:
-            offers = {}
-            for b in standard:
-                for v in range(nvars):
-                    m = b[:v] + (b[v] + 1,) + b[v + 1 :]
-                    if m not in offers and all(
-                        m[:u] + (m[u] - 1,) + m[u + 1 :] in standard
-                        for u in range(nvars)
-                        if m[u]
-                    ):
-                        offers[m] = (b, v)
-            candidates = (
-                (m, [x * rep[v] for x, rep in zip(standard[b], reps)])
-                for m, (b, v) in sorted(offers.items(), key=lambda t: t[0][::-1])
-            )
+            candidates = _scaled_columns(_offers(standard, range(nvars)), standard, reps)
         else:
             candidates = standard.items()
         ech = _evaluation_echelon(n, char)
         standard = dict(_pick_standard(ech, char, candidates))
         yield ech
+
+
+def _chart(points: PointSet, char: int | None) -> int | None:
+    """A coordinate that is nonzero (mod char) at every point: the one with
+    the smallest largest entry, lowest index on ties; None if there is none."""
+    reps = points.int_reps()
+    charts = [j for j in range(points.nvars)
+              if all((rep[j] % char if char else rep[j]) for rep in reps)]
+    return min(charts, key=lambda j: (max(abs(rep[j]) for rep in reps), j), default=None)
+
+
+def _nested_profile(points: PointSet, up_to: int, char: int | None, j: int):
+    """Yield h(0..up_to) from one echelon that grows with the degree.
+
+    In the chart of x_j, col(x_j * m) = diag(x_j(p)) col(m), so the degree-k
+    column space contains the degree-(k-1) one scaled by x_j, of the same
+    dimension.  Each degree rescales the stored vectors, which keeps their
+    pivots, and then offers only x_v * b for v != j and b new in degree
+    k-1: these are the standard monomials of an affine order ideal in the
+    other variables, and every point is inserted once.
+    """
+    n, nvars = len(points), points.nvars
+    reps = points.int_reps()
+    scales = [rep[j] for rep in reps]
+    others = [v for v in range(nvars) if v != j]
+    ech = _evaluation_echelon(n, char)
+    new = dict(_pick_standard(ech, char, [((0,) * nvars, [1] * n)]))
+    yield ech.dim
+    for _ in range(up_to):
+        if new and ech.dim < n:
+            ech.scale_columns(scales)
+            new = dict(_pick_standard(ech, char, _scaled_columns(_offers(new, others), new, reps)))
+        yield ech.dim
 
 
 def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
@@ -232,8 +280,14 @@ def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
 
 
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
-    """h(0..up_to) for the ideal of the point set, in one order-ideal pass."""
-    return HilbertProfile(tuple(ech.dim for ech in _standard_echelons(points, up_to, char)))
+    """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
+    one nested echelon in a chart, or one echelon per degree without one."""
+    j = _chart(points, char)
+    if j is None:
+        values = (ech.dim for ech in _standard_echelons(points, up_to, char))
+    else:
+        values = _nested_profile(points, up_to, char, j)
+    return HilbertProfile(tuple(values))
 
 
 # ---------------------------------------------------------------------------

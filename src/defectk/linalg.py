@@ -204,6 +204,18 @@ class Echelon:
         self.rows[p] = row
         return True
 
+    def scale_columns(self, scales) -> None:
+        """Multiply column c of the subspace by the nonzero scales[c].
+
+        Zeros stay zeros, so every pivot and every pivot-free column stays
+        put; each row is divided by its scaled pivot to keep the pivot one.
+        """
+        scales = [as_scalar(s, self.char) for s in scales]
+        for p, row in self.rows.items():
+            inv = scales[p] ** -1
+            for c, x in row.items():
+                row[c] = x * scales[c] * inv
+
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.rows]
 
@@ -256,11 +268,19 @@ class IntForwardEchelon:
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        g = 0
-        for x in v:
-            g = math.gcd(g, x)
-        if g > 1:
-            v = [x // g for x in v]
-        self.vectors.append((pivot, v))
+        self.vectors.append((pivot, _primitive(v)))
         self.vectors.sort(key=lambda t: t[0])
         return True
+
+    def scale_columns(self, scales: list[int]) -> None:
+        """Multiply entry c of every vector by the nonzero scales[c]; zeros
+        stay zeros, so the pivots and the echelon form are kept."""
+        self.vectors = [
+            (pivot, _primitive([x * s for x, s in zip(u, scales)])) for pivot, u in self.vectors
+        ]
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """The vector divided by the gcd of its entries (its content)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v

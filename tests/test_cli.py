@@ -55,7 +55,7 @@ def test_family_report_fields(capsys):
 
 def test_family_rejects_low_degree(capsys):
     code, _, err = run_cli(capsys, "family", "--name", "plane", "--d", "2")
-    assert code == 2 and "d >= 3" in err
+    assert code == 1 and "d >= 3" in err
 
 
 def test_family_double_solid_and_formats(tmp_path, capsys):
@@ -172,3 +172,25 @@ def test_probe_prime_must_be_an_odd_prime(capsys):
     for bad in ("1", "-3", "4"):
         _assert_one_line_error(*run_cli(capsys, "family", "--name", "plane", "--d", "3",
                                         "--probe-prime", bad))
+
+
+def test_family_usage_and_budget_errors_exit_one(capsys):
+    for argv in (("--name", "double-solid", "--d", "1"),
+                 ("--name", "ci-highdim", "--n", "0", "--d", "3"),
+                 ("--name", "ci-highdim", "--d", "12")):  # over families.CELL_BUDGET
+        _assert_one_line_error(*run_cli(capsys, "family", *argv))
+
+
+def test_family_certification_failure_exits_two(capsys):
+    # the grid values 1 and 4 collide mod 3, so there is no defect to certify
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "5", "--field", "fp=3")
+    assert code == 2 and out == ""
+    assert err.startswith("audit failure: no defect to certify") and err.count("\n") == 1
+
+
+def test_probe_prime_over_the_sweep_budget_exits_one(capsys):
+    # P^4(F_31) has 954,305 points, over defect.SWEEP_BUDGET
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "3",
+                             "--probe-prime", "31")
+    _assert_one_line_error(code, out, err)
+    assert "954305 points" in err

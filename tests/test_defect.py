@@ -5,6 +5,7 @@ import pytest
 from defectk.defect import (
     AuditError,
     DefectReport,
+    NodeAudit,
     audit_nodes,
     certify_min_nodes_double_solid,
     certify_min_nodes_p4,
@@ -70,6 +71,29 @@ def test_audit_error_on_non_node():
     )
     with pytest.raises(AuditError):
         audit_nodes(g, PointSet([(0, 0, 0, 0, 1)]))
+
+
+def test_audit_matches_pointwise_checks():
+    """audit_nodes reads the partials of f once, at integer representatives;
+    each record is the one the pointwise checks give at the normalized point."""
+    f = plane_family(GridParams(4, (2, 3, 5), (7, 11, 13))).f
+    cases = (
+        ((0, 0, 3, 11, 1), True, True),  # a node, normalized to (0, 0, 1, 11/3, 1/3)
+        ((2, 3, 0, 0, 0), True, False),  # on the singular line x2 = x3 = x4 = 0
+        ((0, 0, 7, 2, 3), False, False),  # a smooth point of the hypersurface
+    )
+    for coords, singular, hessian_nonzero in cases:
+        (p,) = PointSet([coords])
+        assert verify_singular(f, p) == singular
+        if singular:
+            assert verify_node(f, p) == hessian_nonzero
+        record = NodeAudit(p, singular, hessian_nonzero)
+        if record.is_node:
+            assert audit_nodes(f, PointSet([coords])) == (record,)
+        else:
+            with pytest.raises(AuditError) as exc:
+                audit_nodes(f, PointSet([coords]))
+            assert str(exc.value) == f"1 declared node(s) failed the audit, first: {record}"
 
 
 def test_verify_node_prime_field_fallback():

@@ -34,6 +34,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
+from defectk.ideals import _chart
 from defectk.linalg import rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -103,6 +104,15 @@ def test_points_hilbert_monotone_and_saturates():
         assert points_hilbert(pts, k) == len(pts)
 
 
+def full_evaluation_ranks(pts, up_to, char):
+    """Ranks of the evaluation matrices at every monomial, by linalg.rank."""
+    return tuple(
+        rank([[math.prod(c**e for c, e in zip(p, m)) for m in monomial_basis(pts.nvars, k)]
+              for p in pts.int_reps()], char)
+        for k in range(up_to + 1)
+    )
+
+
 @st.composite
 def point_sets(draw):
     """Small point sets in P^2 or P^3: generic, on a line, on a plane, or
@@ -132,25 +142,19 @@ def point_sets(draw):
 @given(point_sets(), st.sampled_from((None, 3, 7)))
 def test_profile_matches_full_evaluation_rank(pts, char):
     """The order-ideal pass ranks the same space as the full evaluation matrix."""
-    up_to = 5
-    reps = pts.int_reps()
-    want = []
-    for k in range(up_to + 1):
-        rows = [[math.prod(c**e for c, e in zip(p, m)) for m in monomial_basis(pts.nvars, k)]
-                for p in reps]
-        want.append(rank(rows, char))
-    assert points_profile(pts, up_to, char).values == tuple(want)
-    assert [points_hilbert(pts, k, char) for k in range(up_to + 1)] == want
+    want = full_evaluation_ranks(pts, 5, char)
+    assert points_profile(pts, 5, char).values == want
+    assert tuple(points_hilbert(pts, k, char) for k in range(6)) == want
 
 
 def test_grid_profiles_match_complete_intersections():
     """The grid node sets are complete intersections in their linear span."""
-    for d in range(3, 11):
+    for d in range(3, 17):
         nodes = PointSet([(0, 0, a, b, 1) for a in range(1, d) for b in range(1, d)])
         socle = 2 * d - 4
         want = tuple(ci_hilbert((d - 1, d - 1), 3, k) for k in range(socle + 1))
         assert points_profile(nodes, socle).values == want, d
-    for d in range(2, 8):
+    for d in range(2, 11):
         nodes = PointSet([(1, a, b, 0) for a in range(1, d + 1) for b in range(1, 2 * d)])
         socle = 3 * d - 3
         want = tuple(ci_hilbert((d, 2 * d - 1), 3, k) for k in range(socle + 1))
@@ -161,6 +165,26 @@ def test_grid_profiles_match_complete_intersections():
     top = 3 * (d - 2) + 1
     want = tuple(ci_hilbert((d - 1,) * 3, 4, k) for k in range(top + 1))
     assert points_profile(nodes, top).values == want
+
+
+def test_profile_without_a_chart_matches_rank():
+    """Sets with no coordinate nonzero at every point take the per-degree pass."""
+    no_chart = PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    # x_0 is the only coordinate nonzero at every point, and it is 3 at one
+    chart_vanishes_mod_3 = PointSet([(1, 0, 0), (3, 1, 0), (1, 1, 1), (2, 0, 1)])
+    assert [_chart(no_chart, c) for c in (None, 3, 7)] == [None, None, None]
+    assert [_chart(chart_vanishes_mod_3, c) for c in (None, 3, 7)] == [0, None, 0]
+    for pts in (no_chart, chart_vanishes_mod_3):
+        for char in (None, 3, 7):
+            assert points_profile(pts, 5, char).values == full_evaluation_ranks(pts, 5, char)
+
+
+def test_chart_has_the_smallest_entries():
+    pts = PointSet([(0, 5, 3, 4), (0, 1, 3, -1), (0, 7, 1, 2)])
+    assert _chart(pts, None) == 2  # max |x_j| = 7, 3, 4
+    assert _chart(pts, 7) == 2
+    assert _chart(pts, 3) == 3  # x_2 vanishes mod 3
+    assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]), None) == 0  # lowest index on ties
 
 
 def test_point_ideal_piece_is_evaluation_kernel():

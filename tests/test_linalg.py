@@ -1,5 +1,6 @@
 """Scalar backends and exact rank/determinant machinery."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -182,6 +183,31 @@ def test_int_forward_echelon_matches_rank():
         for row in m:
             ech.add(row)
         assert ech.dim == rank(m)
+
+
+def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
+    rng = random.Random(23)
+    for char in (None, 7):
+        for _ in range(20):
+            ncols = rng.randint(1, 7)
+            vecs = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
+            scales = [rng.choice((-3, -1, 1, 2, 5)) for _ in range(ncols)]
+            scaled = [[x * s for x, s in zip(v, scales)] for v in vecs]
+            ech, want = Echelon(ncols, char), Echelon(ncols, char)
+            for v, w in zip(vecs, scaled):
+                ech.add(dict(enumerate(v)))
+                want.add(dict(enumerate(w)))
+            ech.scale_columns(scales)
+            assert ech == want  # the reduced echelon form of a subspace is unique
+            if char is None:
+                fwd = IntForwardEchelon(ncols)
+                for v in vecs:
+                    fwd.add(v)
+                pivots = [p for p, _ in fwd.vectors]
+                fwd.scale_columns(scales)
+                assert [p for p, _ in fwd.vectors] == pivots
+                assert not any(fwd.add(w) for w in scaled)
+                assert all(math.gcd(*u) == 1 for _, u in fwd.vectors)
 
 
 def test_echelon_membership_fuzz_against_rank():
