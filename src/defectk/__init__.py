@@ -33,6 +33,7 @@ from .families import (
     random_points_control,
 )
 from .ideals import (
+    BadReductionError,
     BaseLocus,
     Functional,
     GrowthViolation,

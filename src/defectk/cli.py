@@ -18,9 +18,10 @@ import sys
 from functools import partial
 
 from . import macaulay
-from .defect import AuditError, defect as compute_defect
+from .defect import AuditError, check_sweep_budget, defect as compute_defect
 from .families import InstanceError, probe_undeclared_singular_points, random_points_control
 from .ideals import (
+    BadReductionError,
     BaseLocus,
     IdealPiece,
     PointSet,
@@ -136,12 +137,14 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_family(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    spec = FAMILIES[args.name]
+    family_args = [getattr(args, a) for a in spec.args]
     if args.probe_prime:
         validate_characteristic(args.probe_prime)
-    spec = FAMILIES[args.name]
+        check_sweep_budget(spec.nvars(*family_args), args.probe_prime)
     try:
-        run = spec.run(*(getattr(args, a) for a in spec.args), seed=seed, char=args.field)
-    except InstanceError as exc:
+        run = spec.run(*family_args, seed=seed, char=args.field)
+    except (InstanceError, BadReductionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (AuditError, ValueError) as exc:

@@ -9,10 +9,11 @@ the points fail to impose independent conditions exactly there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ideals import HilbertProfile, PointSet, points_hilbert
+from .ideals import HilbertProfile, PointSet, points_hilbert, primitive_point
 from .linalg import det
 from .polynomials import GradedPoly
 from .scalars import Fp, as_scalar
@@ -27,29 +28,67 @@ def verify_singular(f: GradedPoly, point) -> bool:
     return all(f.partial_derivative(i).evaluate(point) == 0 for i in range(f.nvars))
 
 
-def _chart_hessian_det(partials, second: dict, point, char):
-    """Determinant of the affine Hessian in the chart of the point's first
-    coordinate that is nonzero in the field.
+class _IntegerPartials:
+    """The first and second partials of f as integer term lists, each taken
+    and converted once, for evaluation at integer points.
 
-    ``partials`` are the first partials of f; the second partials it needs
-    are taken from, or added to, ``second`` under (a, b) with a <= b, so a
-    caller auditing many points differentiates each pair once.
+    Over Q the terms are those of f times the lcm of its denominators, which
+    scales every value by one nonzero constant; over F_p they are the
+    residues, and values are reduced mod p.  Either way a value is zero
+    exactly when the partial of f vanishes at the point.
     """
-    chart = next(i for i, c in enumerate(point) if as_scalar(c, char))
+
+    def __init__(self, f: GradedPoly):
+        self.char = f.char
+        self.scale = 1 if f.char else math.lcm(*(c.denominator for c in f.coeffs.values()))
+        self.first = [f.partial_derivative(i) for i in range(f.nvars)]
+        self.terms = {}
+
+    def value(self, point, *index) -> int:
+        """d f / d x_index (one variable index, or two for a second partial)
+        at an integer point, up to the scale."""
+        terms = self.terms.get(index)
+        if terms is None:
+            g = self.first[index[0]]
+            if len(index) == 2:
+                g = g.partial_derivative(index[1])
+            terms = self.terms[index] = [
+                (c.val if self.char else int(c * self.scale),
+                 [(v, e) for v, e in enumerate(exp) if e])
+                for exp, c in g.coeffs.items()
+            ]
+        acc = 0
+        for c, factors in terms:
+            for v, e in factors:
+                c *= point[v] ** e
+            acc += c
+        return acc % self.char if self.char else acc
+
+
+def _chart_hessian_det(partials: _IntegerPartials, point):
+    """Determinant of the affine Hessian at an integer point, in the chart
+    of its first coordinate that is nonzero in the field, up to a nonzero
+    constant.  The second partials (a, b) with a <= b come from ``partials``,
+    so a caller auditing many points differentiates each pair once."""
+    char = partials.char
+    chart = next(i for i, c in enumerate(point) if (c % char if char else c))
     idxs = [i for i in range(len(point)) if i != chart]
     values = {}
     for pos, a in enumerate(idxs):
         for b in idxs[pos:]:
-            if (a, b) not in second:
-                second[a, b] = partials[a].partial_derivative(b)
-            values[a, b] = values[b, a] = second[a, b].evaluate(point)
+            values[a, b] = values[b, a] = partials.value(point, a, b)
     return det([[values[a, b] for b in idxs] for a in idxs], char)
 
 
 def _hessian_det(f: GradedPoly, point):
-    """Determinant of the affine Hessian in the normalization chart."""
-    partials = [f.partial_derivative(i) for i in range(f.nvars)]
-    return _chart_hessian_det(partials, {}, point, f.char)
+    """Determinant of the affine Hessian in the normalization chart, up to a
+    nonzero constant: it is taken at an integer representative (over Q) or
+    at the residues (over F_p) of the point."""
+    if f.char:
+        rep = tuple(as_scalar(c, f.char).val for c in point)
+    else:
+        rep = primitive_point(point)
+    return _chart_hessian_det(_IntegerPartials(f), rep)
 
 
 def verify_node(f: GradedPoly, point, rational_shadow: GradedPoly | None = None) -> bool:
@@ -82,17 +121,17 @@ class NodeAudit:
 def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[NodeAudit, ...]:
     """Verify every declared node; raise AuditError on the first failure.
 
-    The partials of f are taken once for all nodes and evaluated at each
-    node's primitive integer representative.  Scaling a point by lambda
-    scales a degree-e form by lambda^e there, so a zero stays zero and the
-    chart Hessian determinant changes by lambda^((deg-2)(nvars-1)) != 0.
+    The partials of f are taken once for all nodes, as integer term lists
+    (``_IntegerPartials``), and evaluated at each node's primitive integer
+    representative.  Scaling a point by lambda scales a degree-e form by
+    lambda^e there, so a zero stays zero and the chart Hessian determinant
+    changes by lambda^((deg-2)(nvars-1)) != 0.
     """
-    partials = [f.partial_derivative(i) for i in range(f.nvars)]
-    second = {}
+    partials = _IntegerPartials(f)
     records = []
     for p, rep in zip(points, points.int_reps()):
-        singular = not any(g.evaluate(rep) for g in partials)
-        hess = bool(_chart_hessian_det(partials, second, rep, f.char)) if singular else False
+        singular = not any(partials.value(rep, i) for i in range(f.nvars))
+        hess = bool(_chart_hessian_det(partials, rep)) if singular else False
         records.append(NodeAudit(p, singular, hess))
     bad = [r for r in records if not r.is_node]
     if bad:
@@ -324,6 +363,15 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
 SWEEP_BUDGET = 200_000
 
 
+def check_sweep_budget(nvars: int, p: int) -> None:
+    """Refuse (ValueError) a sweep of P^{nvars-1}(F_p) over SWEEP_BUDGET points."""
+    size = (p**nvars - 1) // (p - 1)
+    if size > SWEEP_BUDGET:
+        raise ValueError(
+            f"sweep of P^{nvars - 1}(F_{p}) visits {size} points, over the budget {SWEEP_BUDGET}"
+        )
+
+
 def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
     """All F_p-rational singular points of the reduction of f mod p.
 
@@ -331,11 +379,7 @@ def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
     clean sweep is evidence, not proof, of node-only singularities.
     """
     n = f.nvars
-    size = (p**n - 1) // (p - 1)
-    if size > SWEEP_BUDGET:
-        raise ValueError(
-            f"sweep of P^{n - 1}(F_{p}) visits {size} points, over the budget {SWEEP_BUDGET}"
-        )
+    check_sweep_budget(n, p)
     fp = f.reduce_mod(p) if f.char is None else f
     partials = [fp.partial_derivative(i) for i in range(fp.nvars)]
     found = []

@@ -26,7 +26,10 @@ Conventions used throughout:
   with v != j and b new in degree k-1, the affine pass in the chart
   x_j = 1, and every point is inserted once.  Without such a coordinate,
   each degree builds its own echelon from the products over all variables.
-  The ranks stay exact (integers, or F_p) either way.
+  The ranks stay exact (integers, or F_p) either way, on plain ints.
+* ``points_hilbert`` over Q first ranks mod CERTIFY_PRIME: a rank that
+  reaches min(#points, #monomials) is certified exact, because a modular
+  rank never exceeds the rational one; any other falls back to Z.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ from .scalars import as_scalar, scalar_zero
 
 class NonGenericHyperplaneError(ValueError):
     """A drawn hyperplane passes through one of the points."""
+
+
+class BadReductionError(ValueError):
+    """Points that coincide mod p, or that every drawn hyperplane meets mod p."""
 
 
 class InconclusiveProbeError(RuntimeError):
@@ -167,26 +174,20 @@ class HilbertProfile:
         return list(self.values)
 
 
-def _pick_standard(ech, char: int | None, candidates):
+def _pick_standard(ech: IntForwardEchelon, candidates):
     """Insert (monomial, evaluation column) pairs into a point-indexed
     echelon in the given order, and yield the pairs whose column enlarges
     its span: the standard monomials among the candidates.  Over F_char the
     yielded columns are reduced mod char.
     """
+    char = ech.char
     for mono, col in candidates:
-        if char is None:
-            grew = ech.add(col)
-        else:
+        if char is not None:
             col = [v % char for v in col]
-            grew = ech.add({i: v for i, v in enumerate(col) if v})
-        if grew:
+        if ech.add(col):
             yield mono, col
             if ech.dim == ech.ncols:
                 return
-
-
-def _evaluation_echelon(n: int, char: int | None):
-    return IntForwardEchelon(n) if char is None else Echelon(n, char)
 
 
 def _offers(standard, variables):
@@ -231,8 +232,8 @@ def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
             candidates = _scaled_columns(_offers(standard, range(nvars)), standard, reps)
         else:
             candidates = standard.items()
-        ech = _evaluation_echelon(n, char)
-        standard = dict(_pick_standard(ech, char, candidates))
+        ech = IntForwardEchelon(n, char)
+        standard = dict(_pick_standard(ech, candidates))
         yield ech
 
 
@@ -259,24 +260,45 @@ def _nested_profile(points: PointSet, up_to: int, char: int | None, j: int):
     reps = points.int_reps()
     scales = [rep[j] for rep in reps]
     others = [v for v in range(nvars) if v != j]
-    ech = _evaluation_echelon(n, char)
-    new = dict(_pick_standard(ech, char, [((0,) * nvars, [1] * n)]))
+    ech = IntForwardEchelon(n, char)
+    new = dict(_pick_standard(ech, [((0,) * nvars, [1] * n)]))
     yield ech.dim
     for _ in range(up_to):
         if new and ech.dim < n:
             ech.scale_columns(scales)
-            new = dict(_pick_standard(ech, char, _scaled_columns(_offers(new, others), new, reps)))
+            new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
         yield ech.dim
+
+
+# The prime of the modular rank that certifies a full-rank evaluation matrix
+# over Q in ``points_hilbert``: the Mersenne prime 2^31 - 1, so residues stay
+# one-word ints and their products two-word ones.
+CERTIFY_PRIME = 2**31 - 1
+
+
+def _full_degree_rank(points: PointSet, k: int, char: int | None) -> int:
+    """Rank of the degree-k evaluation matrix from every monomial's column."""
+    columns = _evaluation_columns(points.int_reps(), points.nvars, k)
+    candidates = zip(monomial_basis(points.nvars, k), columns)
+    return sum(1 for _ in _pick_standard(IntForwardEchelon(len(points), char), candidates))
 
 
 def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
     """dim(S/I(points))_k: the rank of the degree-k evaluation matrix, from
-    every degree-k monomial's column (no lower degree is ranked)."""
+    every degree-k monomial's column (no lower degree is ranked).
+
+    Over Q the matrix is first ranked mod CERTIFY_PRIME.  That rank is a
+    lower bound on the rational one, and min(#points, #monomials) is an
+    upper bound, so when the two meet the rank is exact; otherwise the
+    exact pass over Z decides.
+    """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    columns = _evaluation_columns(points.int_reps(), points.nvars, k)
-    candidates = zip(monomial_basis(points.nvars, k), columns)
-    return sum(1 for _ in _pick_standard(_evaluation_echelon(len(points), char), char, candidates))
+    if char is not None:
+        return _full_degree_rank(points, k, char)
+    full = min(len(points), binomial(k + points.nvars - 1, points.nvars - 1))
+    modular = _full_degree_rank(points, k, CERTIFY_PRIME)
+    return modular if modular == full else _full_degree_rank(points, k, None)
 
 
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
@@ -419,15 +441,41 @@ def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
 _HYPERPLANE_TRIES = 32
 
 
-def draw_missing_hyperplane(points: PointSet, seed: int) -> GradedPoly:
-    """Seeded linear form with coefficients in [1, 997] avoiding every point."""
+def draw_missing_hyperplane(points: PointSet, seed: int, char: int | None = None) -> GradedPoly:
+    """Seeded linear form with coefficients in [1, 997] avoiding every point,
+    and every point mod char when a characteristic is given."""
     rng = random.Random(seed)
     for _ in range(_HYPERPLANE_TRIES):
-        coeffs = [rng.randint(1, 997) for _ in range(points.nvars)]
-        ell = GradedPoly.linear_form(coeffs)
-        if all(ell.evaluate(p) for p in points):
+        ell = GradedPoly.linear_form([rng.randint(1, 997) for _ in range(points.nvars)])
+        values = (ell.evaluate(rep) for rep in points.int_reps())
+        if all(v % char if char else v for v in values):
             return ell
+    if char:
+        raise BadReductionError(
+            f"bad reduction mod {char}: none of {_HYPERPLANE_TRIES} drawn hyperplanes "
+            f"misses every point mod {char}"
+        )
     raise NonGenericHyperplaneError("no hyperplane missing all points after retries")
+
+
+def check_reduction(points: PointSet, p: int) -> None:
+    """Raise BadReductionError when two points coincide mod p.
+
+    Primitive representatives have coprime entries, so no point vanishes
+    mod p; distinct points mod p are what the F_p ranks of a point set
+    need to stand for the set at all.
+    """
+    seen = {}
+    for rep in points.int_reps():
+        red = [c % p for c in rep]
+        inv = pow(next(c for c in red if c), -1, p)
+        key = tuple(c * inv % p for c in red)
+        if key in seen:
+            first, second = (":".join(map(str, r)) for r in (seen[key], rep))
+            raise BadReductionError(
+                f"bad reduction mod {p}: the points ({first}) and ({second}) coincide mod {p}"
+            )
+        seen[key] = rep
 
 
 def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -> HilbertProfile:

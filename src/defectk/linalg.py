@@ -9,9 +9,13 @@ Gaussian elimination, where division is cheap and there is no growth.
 ``rank`` shares no code with the evaluation echelons of ``ideals``, so
 tests and the benchmark use it as their independent oracle.
 
-``Echelon`` is the workhorse container for subspaces of a based vector
-space: an incrementally maintained reduced row basis with sparse dict rows,
-used for ideal pieces, kernels and span computations.
+``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
+echelon on plain Python ints, over Z (cross-multiplied, content stripped)
+or over F_p (residues, monic pivots), that serves every point-set rank
+and the rational catalecticant ranks of ``ideals.ancestor_profile``.
+``Echelon`` holds ideal pieces: an incrementally maintained reduced row
+basis with sparse dict rows of field scalars, used for pieces, kernels and
+span computations.
 """
 
 from __future__ import annotations
@@ -204,18 +208,6 @@ class Echelon:
         self.rows[p] = row
         return True
 
-    def scale_columns(self, scales) -> None:
-        """Multiply column c of the subspace by the nonzero scales[c].
-
-        Zeros stay zeros, so every pivot and every pivot-free column stays
-        put; each row is divided by its scaled pivot to keep the pivot one.
-        """
-        scales = [as_scalar(s, self.char) for s in scales]
-        for p, row in self.rows.items():
-            inv = scales[p] ** -1
-            for c, x in row.items():
-                row[c] = x * scales[c] * inv
-
     def free_columns(self) -> list[int]:
         return [c for c in range(self.ncols) if c not in self.rows]
 
@@ -244,15 +236,18 @@ class Echelon:
 
 
 class IntForwardEchelon:
-    """Forward (non-reduced) echelon over the integers with gcd control.
+    """Forward (non-reduced) echelon on plain ints, over Z or over F_char.
 
-    Used for fast ranks of large integer matrices where only the dimension
-    matters: each insertion cross-multiplies against the pivots in ascending
-    order and strips the content of the result.
+    Used for ranks of evaluation matrices, where only the dimension and a
+    basis of the span matter.  Over Z each insertion cross-multiplies
+    against the pivots in ascending order, without division, and strips
+    the content of the result.  Over F_char every entry is a residue in
+    [0, char) and each stored vector has pivot entry 1.
     """
 
-    def __init__(self, ncols: int):
+    def __init__(self, ncols: int, char: int | None = None):
         self.ncols = ncols
+        self.char = char
         self.vectors: list[tuple[int, list[int]]] = []  # sorted by pivot index
 
     @property
@@ -260,27 +255,44 @@ class IntForwardEchelon:
         return len(self.vectors)
 
     def add(self, vec: list[int]) -> bool:
-        v = list(vec)
-        for pivot, u in self.vectors:
-            if v[pivot]:
-                a, b = u[pivot], v[pivot]
-                v = [a * x - b * y for x, y in zip(v, u)]
+        """Insert a vector; returns True when it enlarges the span."""
+        p = self.char
+        if p is None:
+            v = list(vec)
+            for pivot, u in self.vectors:
+                if v[pivot]:
+                    a, b = u[pivot], v[pivot]
+                    v = [a * x - b * y for x, y in zip(v, u)]
+        else:
+            # entries are reduced once at the end: each step adds less than
+            # char^2 in absolute value, so they stay a few words long
+            v = [x % p for x in vec]
+            for pivot, u in self.vectors:
+                b = v[pivot] % p
+                if b:
+                    v[pivot:] = [x - b * y for x, y in zip(v[pivot:], u[pivot:])]
+            v = [x % p for x in v]
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        self.vectors.append((pivot, _primitive(v)))
+        self.vectors.append((pivot, self._normalized(pivot, v)))
         self.vectors.sort(key=lambda t: t[0])
         return True
 
     def scale_columns(self, scales: list[int]) -> None:
-        """Multiply entry c of every vector by the nonzero scales[c]; zeros
-        stay zeros, so the pivots and the echelon form are kept."""
+        """Multiply entry c of every vector by scales[c], nonzero (mod char);
+        zeros stay zeros, so the pivots and the echelon form are kept."""
         self.vectors = [
-            (pivot, _primitive([x * s for x, s in zip(u, scales)])) for pivot, u in self.vectors
+            (pivot, self._normalized(pivot, [x * s for x, s in zip(u, scales)]))
+            for pivot, u in self.vectors
         ]
 
-
-def _primitive(v: list[int]) -> list[int]:
-    """The vector divided by the gcd of its entries (its content)."""
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
+    def _normalized(self, pivot: int, v: list[int]) -> list[int]:
+        """Over Z the vector divided by its content; over F_char the vector
+        mod char divided by its pivot entry."""
+        p = self.char
+        if p is None:
+            g = math.gcd(*v)
+            return [x // g for x in v] if g > 1 else v
+        inv = pow(v[pivot], -1, p)
+        return [x * inv % p for x in v]

@@ -18,7 +18,9 @@ its verify suite checks.  A new family is one entry point and one entry.
 
 The optional characteristic switches the rank computations to a prime
 field; constructions and node audits stay over the rationals, where the
-grid coordinates live.
+grid coordinates live.  Before any rank is taken the nodes must stay
+distinct mod p, and the hyperplane is drawn to miss every node mod p, or
+the run stops with ``BadReductionError``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from .defect import (
     defect_at,
 )
 from .families import GridParams, ci_family_highdim, double_solid_family, plane_family
-from .ideals import HilbertProfile, difference_profile, draw_missing_hyperplane, points_profile
+from .ideals import (
+    HilbertProfile,
+    check_reduction,
+    difference_profile,
+    draw_missing_hyperplane,
+    points_profile,
+)
 from .macaulay import ci_pnd
 
 DEFAULT_SEED = 1
@@ -55,6 +63,9 @@ def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: 
     """The pipeline of the module docstring; certified families pass a socle
     and a certifier, and ``tangent`` reports h_I(d)."""
     nodes = instance.nodes
+    if char is not None:
+        check_reduction(nodes, char)
+    ell = draw_missing_hyperplane(nodes, seed, char) if certify is not None else None
     profile = points_profile(nodes, max(socle, critical, d), char)
     run = {
         "scenario": Scenario("family", {**params, "seed": seed, "char": char}),
@@ -65,7 +76,6 @@ def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: 
         run["tangent_codim"] = profile[d]
     if certify is not None:
         h_I = HilbertProfile(profile.values[: socle + 1])
-        ell = draw_missing_hyperplane(nodes, seed)
         h_IH = difference_profile(h_I, nodes, ell)
         run.update(h_I=h_I, ell=ell, h_IH=h_IH, certify_report=certify(d, h_IH, len(nodes)))
     return run
@@ -107,6 +117,7 @@ class FamilySpec:
     suite: str
     label: str  # check label, formatted with the arguments
     cases: tuple[tuple[int, ...], ...]  # runner arguments the suite checks
+    nvars: Callable[..., int]  # variables of the family's ring
     node_count: Callable[..., int]
     certified: bool
     tangent_codim: Callable[..., int] | None = None
@@ -118,15 +129,16 @@ class FamilySpec:
 FAMILIES = {
     "plane": FamilySpec(
         "run_plane", ("d",), "plane", "plane family d={d}",
-        tuple((d,) for d in range(3, 9)), lambda d: (d - 1) ** 2, True,
+        tuple((d,) for d in range(3, 9)), lambda d: 5, lambda d: (d - 1) ** 2, True,
         lambda d: (d * d + 3 * d - 10) // 2,
     ),
     "double-solid": FamilySpec(
         "run_double_solid", ("d",), "double-solid", "double solid d={d}",
-        tuple((d,) for d in range(2, 6)), lambda d: d * (2 * d - 1), True,
+        tuple((d,) for d in range(2, 6)), lambda d: 4, lambda d: d * (2 * d - 1), True,
     ),
     "ci-highdim": FamilySpec(
         "run_highdim", ("n", "d"), "highdim", "grid family n={n} d={d}",
-        ((2, 3), (2, 4)), lambda n, d: (d - 1) ** (n + 1), False, ci_pnd,
+        ((2, 3), (2, 4)), lambda n, d: 2 * n + 3, lambda n, d: (d - 1) ** (n + 1), False,
+        ci_pnd,
     ),
 }

@@ -2,8 +2,11 @@
 
 import json
 
+from defectk import scenarios
 from defectk.cli import main
+from defectk.defect import NodalHypersurface
 from defectk.families import GridParams, plane_family
+from defectk.ideals import PointSet
 from defectk.polynomials import GradedPoly
 
 
@@ -181,11 +184,24 @@ def test_family_usage_and_budget_errors_exit_one(capsys):
         _assert_one_line_error(*run_cli(capsys, "family", *argv))
 
 
-def test_family_certification_failure_exits_two(capsys):
-    # the grid values 1 and 4 collide mod 3, so there is no defect to certify
-    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "5", "--field", "fp=3")
+def test_family_certification_failure_exits_two(capsys, monkeypatch):
+    # eight of the nine plane d=4 nodes impose independent conditions on
+    # cubics, so the restricted profile vanishes at the socle
+    def eight_nodes(params):
+        inst = plane_family(params)
+        return NodalHypersurface.build(inst.f, PointSet(list(inst.nodes)[:-1]))
+
+    monkeypatch.setattr(scenarios, "plane_family", eight_nodes)
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "4")
     assert code == 2 and out == ""
     assert err.startswith("audit failure: no defect to certify") and err.count("\n") == 1
+
+
+def test_family_bad_reduction_exits_one(capsys):
+    # the grid values 1 and 4 collide mod 3, so the F_3 ranks would drop
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "5", "--field", "fp=3")
+    _assert_one_line_error(code, out, err)
+    assert err.startswith("error: bad reduction mod 3: the points (0:0:1:1:1) and (0:0:1:4:1)")
 
 
 def test_probe_prime_over_the_sweep_budget_exits_one(capsys):
@@ -194,3 +210,18 @@ def test_probe_prime_over_the_sweep_budget_exits_one(capsys):
                              "--probe-prime", "31")
     _assert_one_line_error(code, out, err)
     assert "954305 points" in err
+
+
+def test_probe_prime_is_refused_before_the_run(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(scenarios, "run_plane", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(scenarios, "run_highdim", lambda *a, **k: calls.append(a))
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "3",
+                             "--probe-prime", "31")
+    _assert_one_line_error(code, out, err)
+    # ci-highdim n=3 lives in P^8, and P^8(F_13) has 883,708,281 points
+    code, out, err = run_cli(capsys, "family", "--name", "ci-highdim", "--n", "3", "--d", "3",
+                             "--probe-prime", "13")
+    _assert_one_line_error(code, out, err)
+    assert "P^8(F_13)" in err
+    assert calls == []

@@ -76,7 +76,8 @@ def test_audit_error_on_non_node():
 def test_audit_matches_pointwise_checks():
     """audit_nodes reads the partials of f once, at integer representatives;
     each record is the one the pointwise checks give at the normalized point."""
-    f = plane_family(GridParams(4, (2, 3, 5), (7, 11, 13))).f
+    inst = plane_family(GridParams(4, (2, 3, 5), (7, 11, 13)))
+    f = inst.f
     cases = (
         ((0, 0, 3, 11, 1), True, True),  # a node, normalized to (0, 0, 1, 11/3, 1/3)
         ((2, 3, 0, 0, 0), True, False),  # on the singular line x2 = x3 = x4 = 0
@@ -94,6 +95,11 @@ def test_audit_matches_pointwise_checks():
             with pytest.raises(AuditError) as exc:
                 audit_nodes(f, PointSet([coords]))
             assert str(exc.value) == f"1 declared node(s) failed the audit, first: {record}"
+    # the same integer path over F_p, against the pointwise checks there
+    f101 = f.reduce_mod(101)
+    assert audit_nodes(f101, inst.nodes) == tuple(
+        NodeAudit(p, verify_singular(f101, p), verify_node(f101, p)) for p in inst.nodes
+    )
 
 
 def test_verify_node_prime_field_fallback():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defectk.ideals import (
+    BadReductionError,
     BaseLocus,
     Functional,
     HilbertProfile,
@@ -18,6 +19,7 @@ from defectk.ideals import (
     PointSet,
     ancestor_profile,
     base_locus_dimension,
+    check_reduction,
     corgreen_check,
     difference_profile,
     draw_missing_hyperplane,
@@ -34,7 +36,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from defectk.ideals import _chart
+from defectk.ideals import CERTIFY_PRIME, _chart, _full_degree_rank
 from defectk.linalg import rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -147,6 +149,48 @@ def test_profile_matches_full_evaluation_rank(pts, char):
     assert tuple(points_hilbert(pts, k, char) for k in range(6)) == want
 
 
+@st.composite
+def lifted_point_sets(draw):
+    """Point sets shifted by multiples of CERTIFY_PRIME in each coordinate:
+    mod that prime they reduce to a smaller or degenerate set, so the
+    modular rank can fall short and points_hilbert must rank over Z."""
+    pts = draw(point_sets())
+    shift = st.lists(st.sampled_from((-1, 1)), min_size=pts.nvars, max_size=pts.nvars)
+    coords = [[c + CERTIFY_PRIME * s for c, s in zip(rep, draw(shift))] for rep in pts.int_reps()]
+    return PointSet(list({normalize_point(c): c for c in coords}.values()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.sampled_from((None, 3, 7, CERTIFY_PRIME)),
+       st.integers(min_value=0, max_value=5))
+def test_points_hilbert_matches_rank(pts, char, k):
+    """The certified modular rank over Q and the F_p ranks equal linalg.rank
+    of the full evaluation matrix."""
+    assert points_hilbert(pts, k, char) == full_evaluation_ranks(pts, k, char)[k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_point_sets(), st.integers(min_value=1, max_value=4))
+def test_points_hilbert_over_q_when_the_modular_rank_falls_short(pts, k):
+    """Sets that collapse mod CERTIFY_PRIME: the exact fallback over Z."""
+    assert points_hilbert(pts, k) == full_evaluation_ranks(pts, k, None)[k]
+
+
+def test_points_colliding_mod_the_certify_prime_take_the_exact_pass():
+    p = CERTIFY_PRIME
+    sets = (
+        PointSet([(1, 0, 0), (1, p, 0), (1, 0, p), (1, 1, 1)]),
+        PointSet([(1, 0, 0, 0), (1, p, 0, 0), (1, 0, p, 0), (1, 0, 0, p), (1, 1, 1, 1),
+                  (1, 2, 3, 5 + p)]),
+    )
+    for pts in sets:
+        want = full_evaluation_ranks(pts, 5, None)
+        assert tuple(points_hilbert(pts, k) for k in range(6)) == want
+        for k in range(1, 6):
+            # the modular rank is short of the full rank, so it certifies nothing
+            assert _full_degree_rank(pts, k, p) < min(len(pts), len(monomial_basis(pts.nvars, k)))
+
+
 def test_grid_profiles_match_complete_intersections():
     """The grid node sets are complete intersections in their linear span."""
     for d in range(3, 17):
@@ -229,6 +273,27 @@ def test_draw_missing_hyperplane_deterministic():
     g = grid9()
     assert draw_missing_hyperplane(g, seed=5) == draw_missing_hyperplane(g, seed=5)
     assert all(draw_missing_hyperplane(g, seed=9).evaluate(p) != 0 for p in g)
+
+
+def test_draw_missing_hyperplane_mod_p():
+    # the first draw for seed 1 vanishes mod 101 at a node of the plane d=8 grid
+    nodes = PointSet([(0, 0, a, b, 1) for a in range(1, 8) for b in range(1, 8)])
+    over_q, mod_101 = draw_missing_hyperplane(nodes, 1), draw_missing_hyperplane(nodes, 1, 101)
+    assert over_q != mod_101
+    assert not all(over_q.reduce_mod(101).evaluate(p) for p in nodes)
+    assert all(mod_101.reduce_mod(101).evaluate(p) for p in nodes)
+    # every linear form vanishes at some point of P^1(F_3)
+    with pytest.raises(BadReductionError, match="bad reduction mod 3: none of 32"):
+        draw_missing_hyperplane(PointSet([(1, 0), (0, 1), (1, 1), (1, 2)]), 1, 3)
+
+
+def test_check_reduction():
+    check_reduction(grid9(), 5)
+    with pytest.raises(BadReductionError, match=r"\(0:0:1:1:1\) and \(0:0:1:4:1\) coincide mod 3"):
+        check_reduction(PointSet([(0, 0, 1, 1, 1), (0, 0, 1, 4, 1)]), 3)
+    # (3:6:4) is 3 * (1:2:5) mod 11
+    with pytest.raises(BadReductionError):
+        check_reduction(PointSet([(1, 2, 5), (3, 6, 4)]), 11)
 
 
 def test_restrict_to_hyperplane_examples():
