@@ -26,6 +26,7 @@ from .ideals import (
     IdealPiece,
     PointSet,
     base_locus_dimension,
+    check_reduction,
     generated_piece,
 )
 from .polynomials import GradedPoly
@@ -189,6 +190,8 @@ def _cmd_defect(args) -> int:
         seed = args.seed if args.seed is not None else _default_seed()
         points = random_points_control(args.random, args.nvars, seed)
         source = {"random": args.random, "nvars": args.nvars, "seed": seed}
+    if args.field:
+        check_reduction(points, args.field)
     rep = compute_defect(points, args.degree, args.field)
     report = {
         "scenario": Scenario("defect", {**source, "degree": args.degree}).to_dict(),

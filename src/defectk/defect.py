@@ -358,8 +358,9 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
 
 
 # Points of P^{nvars-1}(F_p) a sweep may visit before it is refused.  Each
-# point evaluates every first partial of f: 18 to 56 microseconds for the
-# plane family d = 3..8 on a 2-vCPU Xeon, so the budget is a few seconds.
+# point evaluates the first partials of f as integer term lists until one is
+# nonzero: 2 to 7 microseconds for the plane family d = 3..8 at p = 11 on a
+# 2-vCPU Xeon, so a sweep at the budget takes about a second.
 SWEEP_BUDGET = 200_000
 
 
@@ -376,12 +377,13 @@ def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
     """All F_p-rational singular points of the reduction of f mod p.
 
     Probe only: finds undeclared singular points over the prime field; a
-    clean sweep is evidence, not proof, of node-only singularities.
+    clean sweep is evidence, not proof, of node-only singularities.  The
+    first partials are integer term lists of residues (``_IntegerPartials``),
+    evaluated at each point's residues.
     """
     n = f.nvars
     check_sweep_budget(n, p)
-    fp = f.reduce_mod(p) if f.char is None else f
-    partials = [fp.partial_derivative(i) for i in range(fp.nvars)]
+    partials = _IntegerPartials(f.reduce_mod(p) if f.char is None else f)
     found = []
     for pivot in range(n):
         tail = n - pivot - 1
@@ -391,7 +393,6 @@ def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
             for _ in range(tail):
                 coords.append(rest % p)
                 rest //= p
-            point = tuple(Fp(c, p) for c in coords)
-            if all(not g.evaluate(point) for g in partials):
+            if not any(partials.value(coords, i) for i in range(n)):
                 found.append(tuple(coords))
     return found

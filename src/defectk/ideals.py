@@ -30,11 +30,24 @@ Conventions used throughout:
 * ``points_hilbert`` over Q first ranks mod CERTIFY_PRIME: a rank that
   reaches min(#points, #monomials) is certified exact, because a modular
   rank never exceeds the rational one; any other falls back to Z.
+* The Gorenstein chain (restricted pieces, socle functional, ancestor
+  profile, kill checks) runs on matrices indexed by the points.  The dual
+  of a restricted piece (I_H)_e is spanned by point-evaluation functionals,
+  and its codim is h_I(e) - h_I(e-1) from the profile pass.  The socle
+  functional is a point sum phi = sum_i c_i ev_{q'_i}, and by the apolarity
+  lemma (Iarrobino-Kanev 1999, Lemma 1.15) its catalecticant is
+  Cat_e(phi) = E_{N-e}^T diag(c) E_e for the evaluation matrices E at the
+  q'_i, so every rank and kill check has the size of the point set.  The
+  monomial-indexed computations stay as the tests' independent oracles:
+  ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces, and
+  ``gorenstein_ancestor`` and the monomial paths of ``ancestor_profile`` and
+  ``functional_kills_products`` for a functional given by coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -213,8 +226,10 @@ def _scaled_columns(offers, columns, reps):
     return ((m, [x * rep[v] for x, rep in zip(columns[b], reps)]) for m, (b, v) in offers)
 
 
-def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
-    """Yield the evaluation echelon of each degree 0..up_to, each built anew.
+def _standard_echelons(reps, up_to: int, char: int | None = None):
+    """Yield (echelon, standard columns) of each degree 0..up_to, each echelon
+    built anew from integer vectors ``reps``; the columns map each standard
+    monomial of the degree to its evaluation column.
 
     Degree-k candidates are the products x_v * b with b standard in degree
     k-1 whose every degree-(k-1) divisor is standard, visited in the fixed
@@ -224,8 +239,7 @@ def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
     span the whole column space and the pick is exactly the one over every
     degree-k monomial.  The full monomial basis is never built.
     """
-    n, nvars = len(points), points.nvars
-    reps = points.int_reps()
+    n, nvars = len(reps), len(reps[0])
     standard = {(0,) * nvars: [1] * n}
     for k in range(up_to + 1):
         if k:
@@ -234,40 +248,84 @@ def _standard_echelons(points: PointSet, up_to: int, char: int | None = None):
             candidates = standard.items()
         ech = IntForwardEchelon(n, char)
         standard = dict(_pick_standard(ech, candidates))
-        yield ech
+        yield ech, standard
 
 
-def _chart(points: PointSet, char: int | None) -> int | None:
-    """A coordinate that is nonzero (mod char) at every point: the one with
-    the smallest largest entry, lowest index on ties; None if there is none."""
-    reps = points.int_reps()
-    charts = [j for j in range(points.nvars)
+def _chart(reps, char: int | None) -> int | None:
+    """A coordinate that is nonzero (mod char) in every integer vector of
+    ``reps``: the one with the smallest largest entry, lowest index on ties;
+    None if there is none."""
+    charts = [j for j in range(len(reps[0]))
               if all((rep[j] % char if char else rep[j]) for rep in reps)]
     return min(charts, key=lambda j: (max(abs(rep[j]) for rep in reps), j), default=None)
 
 
-def _nested_profile(points: PointSet, up_to: int, char: int | None, j: int):
-    """Yield h(0..up_to) from one echelon that grows with the degree.
+def _nested_echelons(reps, up_to: int, char: int | None, j: int):
+    """Yield (echelon, new standard columns) of each degree 0..up_to from one
+    echelon that grows with the degree; the columns are those of the
+    standard monomials new in the degree.
 
     In the chart of x_j, col(x_j * m) = diag(x_j(p)) col(m), so the degree-k
     column space contains the degree-(k-1) one scaled by x_j, of the same
     dimension.  Each degree rescales the stored vectors, which keeps their
     pivots, and then offers only x_v * b for v != j and b new in degree
     k-1: these are the standard monomials of an affine order ideal in the
-    other variables, and every point is inserted once.
+    other variables, and every point is inserted once.  The other standard
+    monomials of degree k are x_j times those of degree k-1.
     """
-    n, nvars = len(points), points.nvars
-    reps = points.int_reps()
+    n, nvars = len(reps), len(reps[0])
     scales = [rep[j] for rep in reps]
     others = [v for v in range(nvars) if v != j]
     ech = IntForwardEchelon(n, char)
     new = dict(_pick_standard(ech, [((0,) * nvars, [1] * n)]))
-    yield ech.dim
+    yield ech, new
     for _ in range(up_to):
         if new and ech.dim < n:
             ech.scale_columns(scales)
             new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
-        yield ech.dim
+        else:
+            new = {}
+        yield ech, new
+
+
+def _profile_pass(reps, up_to: int, char: int | None = None):
+    """(echelon, columns) per degree 0..up_to: the nested pass in a chart,
+    or one echelon per degree without one.  Returns the chart (or None) and
+    the generator."""
+    j = _chart(reps, char)
+    if j is None:
+        return None, _standard_echelons(reps, up_to, char)
+    return j, _nested_echelons(reps, up_to, char, j)
+
+
+class _ColumnBases:
+    """Evaluation columns of the standard monomials at integer vectors, per
+    degree 0..up_to: a basis of each evaluation matrix's column space, with
+    the small entries of monomial values (never echelon combinations), and
+    the profile h(0..up_to) of their ranks over Q.
+
+    In a chart only the columns new in each degree are stored; degree k
+    gets the others by scaling with powers of the chart coordinate.
+    """
+
+    def __init__(self, reps, up_to: int):
+        j, passes = _profile_pass(reps, up_to)
+        self.h = []
+        self._columns = []  # per degree: all standard columns, or in a chart the new ones
+        for ech, columns in passes:
+            self.h.append(ech.dim)
+            self._columns.append(list(columns.values()))
+        self._scales = None if j is None else [rep[j] for rep in reps]
+
+    def __getitem__(self, k: int) -> list[list[int]]:
+        if self._scales is None:
+            return self._columns[k]
+        out = []
+        for b in range(k + 1):
+            if self._columns[b]:
+                powers = [s ** (k - b) for s in self._scales]
+                out += [[x * s for x, s in zip(col, powers)] for col in self._columns[b]]
+        return out
 
 
 # The prime of the modular rank that certifies a full-rank evaluation matrix
@@ -304,12 +362,8 @@ def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
     """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
     one nested echelon in a chart, or one echelon per degree without one."""
-    j = _chart(points, char)
-    if j is None:
-        values = (ech.dim for ech in _standard_echelons(points, up_to, char))
-    else:
-        values = _nested_profile(points, up_to, char, j)
-    return HilbertProfile(tuple(values))
+    _, passes = _profile_pass(points.int_reps(), up_to, char)
+    return HilbertProfile(tuple(ech.dim for ech, _ in passes))
 
 
 # ---------------------------------------------------------------------------
@@ -552,77 +606,145 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     return out
 
 
-def shifted_points(points: PointSet, ell: GradedPoly) -> PointSet:
-    """Point coordinates after the change that turns ell into the last variable."""
-    n = points.nvars
-    coeffs = [Fraction(0)] * n
-    for exp, c in ell.coeffs.items():
-        coeffs[exp.index(1)] = c
-    j = max(i for i, c in enumerate(coeffs) if c)
-    last = n - 1
-    new_pts = []
-    for p in points:
-        val = sum(c * x for c, x in zip(coeffs, p))
-        if not val:
-            raise NonGenericHyperplaneError(f"hyperplane contains the point {p}")
-        q = list(p)
-        if j != last:
-            q[j] = p[last]
-        q[last] = val
-        new_pts.append(q)
-    return PointSet(new_pts)
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _scaled_to_integers(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm."""
+    values = list(values)
+    denom = math.lcm(*(v.denominator for v in values))
+    return [int(v * denom) for v in values], denom
+
+
+class _Restriction:
+    """The dual data that the pieces 0..top of a point ideal's hyperplane
+    restriction I_H share, every matrix indexed by the points.
+
+    The coordinate change of ``restrict_to_hyperplane`` swaps x_j, the last
+    variable with a nonzero coefficient in ell, with the last variable and
+    makes ell the last coordinate.  The small coordinates q'_i of a point
+    are the others, taken at its primitive representative p_i.  A point
+    functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
+    ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
+    degree-(e-1) evaluation columns at the p_i.  Those functionals are the
+    dual of S_e / (I, ell)_e, which the change turns into the dual of
+    S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
+    common kernel of point functionals at the q'_i, and its codim is
+    h_I(e) - h_I(e-1), read from the profile pass at the p_i.
+    """
+
+    def __init__(self, points: PointSet, ell: GradedPoly, top: int):
+        if ell.degree != 1 or ell.is_zero:
+            raise ValueError("need a nonzero linear form")
+        reps = points.int_reps()
+        self.ells = [ell.evaluate(rep) for rep in reps]
+        for p, value in zip(points, self.ells):
+            if not value:
+                raise NonGenericHyperplaneError(f"hyperplane contains the point {p}")
+        j = max(exp.index(1) for exp in ell.coeffs)
+        small = []
+        for rep in reps:
+            q = list(rep[:-1])
+            if j < len(q):
+                q[j] = rep[-1]
+            small.append(tuple(q))
+        self.small = tuple(small)
+        self.nvars = points.nvars - 1
+        self.columns = _ColumnBases(reps, top)
+        h = self.columns.h
+        self.codims = [h[0]] + [h[e] - h[e - 1] for e in range(1, top + 1)]
+
+    def dual_weights(self, e: int) -> list[dict]:
+        """A basis of the weights whose functionals span the dual of
+        (I_H)_e: the kernel of the ell-scaled degree-(e-1) columns."""
+        span = Echelon(len(self.small))
+        if e:
+            for col in self.columns[e - 1]:
+                span.add({i: v * x for i, (v, x) in enumerate(zip(self.ells, col)) if x})
+        return span.kernel_of_rows()
+
+    def kernel_echelon(self, e: int) -> Echelon:
+        """(I_H)_e over the monomial basis: the forms every dual weight kills."""
+        cols = list(_evaluation_columns(self.small, self.nvars, e))
+        cond = Echelon(len(cols))
+        for psi in self.dual_weights(e):
+            weights = dict(zip(psi, _scaled_to_integers(psi.values())[0]))
+            row = {}
+            for m, col in enumerate(cols):
+                value = sum(c * col[i] for i, c in weights.items())
+                if value:
+                    row[m] = value
+            cond.add(row)
+        return IdealPiece.from_vectors(self.nvars, e, cond.kernel_of_rows()).echelon
+
+    def socle_functional(self, e: int) -> "Functional":
+        """The functional vanishing on (I_H)_e, for e >= 1 and codim 1, at the
+        points: chi orthogonal to the degree-(e-1) columns at the p_i gives
+        the weights chi_i / ell(p_i), scaled to 1 at the last monomial where
+        the functional is nonzero."""
+        ech = IntForwardEchelon(len(self.small))
+        for col in self.columns[e - 1]:
+            ech.add(col)
+        basis = monomial_basis(self.nvars, e)
+        for chi in ech.kernel():
+            weights = [Fraction(x) / v for x, v in zip(chi, self.ells)]
+            ints, denom = _scaled_to_integers(weights)
+            for m in reversed(basis):
+                value = _dot(ints, (math.prod(map(pow, q, m)) for q in self.small))
+                if value:
+                    scale = Fraction(denom, value)
+                    return Functional.at_points(self.nvars, e, self.small,
+                                                [w * scale for w in weights])
+        raise ValueError("piece spans everything; no nonzero functional vanishes on it")
+
+
+class RestrictedPiece(IdealPiece):
+    """Degree-e piece of a point ideal's hyperplane restriction, held by its
+    dual: the point weights of a shared ``_Restriction``.  Its codim comes
+    from the point-set profile; its kernel over the monomial basis is built
+    only when ``echelon`` is read (``basis_polys``, ``contains``, ``==``,
+    ``base_locus_dimension``, ``lemdims_check``).
+    """
+
+    # ``echelon`` is a lazy property here, in place of IdealPiece's slot
+    __slots__ = ("restriction", "_echelon")
+
+    def __init__(self, restriction: _Restriction, degree: int):
+        self.nvars = restriction.nvars
+        self.degree = degree
+        self.restriction = restriction
+        self._echelon = None
+
+    @property
+    def echelon(self) -> Echelon:
+        if self._echelon is None:
+            self._echelon = self.restriction.kernel_echelon(self.degree)
+        return self._echelon
+
+    @property
+    def codim(self) -> int:
+        return self.restriction.codims[self.degree]
+
+    @property
+    def dim(self) -> int:
+        return binomial(self.degree + self.nvars - 1, self.nvars - 1) - self.codim
+
+    @property
+    def char(self):
+        return None
 
 
 def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> list[IdealPiece]:
     """Degree pieces 0..up_to of the point ideal's hyperplane restriction.
 
-    Works in the changed coordinates where the linear form is the last
-    variable.  A form g of degree e in the remaining variables lies in the
-    restricted ideal exactly when its evaluation vector at the points falls
-    in the span of the evaluations of last-variable-divisible monomials,
-    i.e. when every functional annihilating (q_last * column space of
-    degree e-1) kills it.  Only point-indexed matrices appear, so this
-    stays cheap even when the ambient degree pieces are huge.
+    Each piece is held by its dual, point weights (see ``_Restriction``), so
+    only point-indexed matrices appear, and this stays cheap even when the
+    ambient degree pieces are huge.  ``restrict_to_hyperplane`` applied to
+    ``point_ideal_piece`` is the independent oracle of the tests.
     """
-    q = shifted_points(points, ell)
-    nq = len(q)
-    reps = q.int_reps()
-    d_vals = [rep[-1] for rep in reps]
-    # entry k spans the evaluation columns of the degree-k monomials
-    colspaces = list(_standard_echelons(q, max(up_to - 1, 0)))
-    nsmall = points.nvars - 1
-    small_reps = tuple(rep[:-1] for rep in reps)
-    pieces = []
-    for e in range(up_to + 1):
-        if e == 0:
-            span_vectors = []
-        else:
-            span_vectors = [v for _, v in colspaces[e - 1].vectors]
-        # annihilators of the scaled span, from a small dense reduction
-        span_ech = Echelon(nq)
-        for v in span_vectors:
-            span_ech.add({i: d_vals[i] * x for i, x in enumerate(v) if x})
-        psis = span_ech.kernel_of_rows()
-        if not psis:
-            pieces.append(IdealPiece.full(nsmall, e))
-            continue
-        int_psis = []
-        for psi in psis:
-            denom = 1
-            for x in psi.values():
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-            int_psis.append({i: int(x * denom) for i, x in psi.items()})
-        cols = list(_evaluation_columns(small_reps, nsmall, e))
-        cond = Echelon(len(cols))
-        for psi in int_psis:
-            row = {}
-            for jcol, col in enumerate(cols):
-                val = sum(c * col[i] for i, c in psi.items())
-                if val:
-                    row[jcol] = val
-            cond.add(row)
-        pieces.append(IdealPiece.from_vectors(nsmall, e, cond.kernel_of_rows()))
-    return pieces
+    restriction = _Restriction(points, ell, up_to)
+    return [RestrictedPiece(restriction, e) for e in range(up_to + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -630,9 +752,16 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 
 
 class Functional:
-    """Linear functional on the degree-N graded piece, given by dual coefficients."""
+    """Linear functional on the degree-N graded piece.
 
-    __slots__ = ("nvars", "degree", "coeffs", "char")
+    It is given by dual coefficients phi(m) on the monomials, or, over Q, by
+    weights at points, phi = sum_i w_i ev_{points_i}.  A functional at points
+    computes its coefficients only when they are read, and the apolarity
+    lemma (Iarrobino-Kanev 1999, Lemma 1.15) runs its ranks and kill checks
+    on point-indexed matrices.
+    """
+
+    __slots__ = ("nvars", "degree", "char", "points", "weights", "_coeffs", "_columns")
 
     def __init__(self, nvars: int, degree: int, coeffs, char=None):
         self.nvars = nvars
@@ -646,7 +775,30 @@ class Functional:
             c = as_scalar(c, char)
             if c:
                 clean[exp] = c
-        self.coeffs = clean
+        self._coeffs = clean
+        self.points = self.weights = self._columns = None
+
+    @classmethod
+    def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
+        """sum_i weights[i] * ev_{points[i]} over Q, at integer points."""
+        points = tuple(tuple(int(c) for c in p) for p in points)
+        weights = tuple(Fraction(w) for w in weights)
+        if len(points) != len(weights) or any(len(p) != nvars for p in points):
+            raise ValueError("need one weight per point of the ring's dimension")
+        phi = cls(nvars, degree, {})
+        phi.points, phi.weights, phi._coeffs = points, weights, None
+        return phi
+
+    @property
+    def coeffs(self) -> dict:
+        if self._coeffs is None:
+            ints, denom = _scaled_to_integers(self.weights)
+            columns = _evaluation_columns(self.points, self.nvars, self.degree)
+            values = (Fraction(_dot(ints, col), denom) for col in columns)
+            self._coeffs = {
+                m: v for m, v in zip(monomial_basis(self.nvars, self.degree), values) if v
+            }
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
@@ -663,14 +815,28 @@ class Functional:
         return acc
 
     def scaled_integer_coeffs(self) -> dict:
-        denom = 1
-        for c in self.coeffs.values():
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        return {e: int(c * denom) for e, c in self.coeffs.items()}
+        """The coefficients as ints: over Q times the lcm of their
+        denominators, over F_p their residues."""
+        if self.char is not None:
+            return {e: c.val for e, c in self.coeffs.items()}
+        return dict(zip(self.coeffs, _scaled_to_integers(self.coeffs.values())[0]))
+
+    def _point_columns(self) -> _ColumnBases:
+        """Column bases of the evaluation matrices at the points, degrees 0..N."""
+        if self._columns is None:
+            self._columns = _ColumnBases(self.points, self.degree)
+        return self._columns
 
 
 def socle_functional(piece: IdealPiece) -> Functional:
-    """First dual basis vector vanishing on the piece, in the monomial order."""
+    """First dual basis vector vanishing on the piece, in the monomial order.
+
+    For a restricted piece of codim 1 this is the unique functional that
+    vanishes on it, normalised to 1 at the last monomial where it is
+    nonzero; it is computed at the points, without the piece's kernel.
+    """
+    if isinstance(piece, RestrictedPiece) and piece.codim == 1 and piece.degree:
+        return piece.restriction.socle_functional(piece.degree)
     free = piece.echelon.free_columns()
     if not free:
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
@@ -685,8 +851,9 @@ def socle_functional(piece: IdealPiece) -> Functional:
 
 
 def _catalecticant_rows(phi: Functional, e: int):
-    """Rows of the pairing matrix S_e x S_{N-e}: row per complementary monomial."""
-    coeffs = phi.scaled_integer_coeffs() if phi.char is None else phi.coeffs
+    """Rows of the pairing matrix S_e x S_{N-e}, with int entries: row per
+    complementary monomial."""
+    coeffs = phi.scaled_integer_coeffs()
     basis_e = monomial_basis(phi.nvars, e)
     for mono in monomial_basis(phi.nvars, phi.degree - e):
         row = {}
@@ -699,7 +866,12 @@ def _catalecticant_rows(phi: Functional, e: int):
 
 def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     """Degree-e piece of the largest ideal whose degree-N products the
-    functional kills: the kernel of the pairing g |-> (m |-> phi(g*m))."""
+    functional kills: the kernel of the pairing g |-> (m |-> phi(g*m)).
+
+    It works on the monomial catalecticant, and is the oracle the tests
+    check the point form of ``ancestor_profile`` and
+    ``functional_kills_products`` against.
+    """
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
     if e < 0:
@@ -713,35 +885,91 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     return IdealPiece.from_vectors(phi.nvars, e, ech.kernel_of_rows(), phi.char)
 
 
+def _ancestor_profile_at_points(phi: Functional) -> HilbertProfile:
+    """Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
+    matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
+    on column bases S.  Cat_{N-e} is its transpose, of the same rank."""
+    columns = phi._point_columns()
+    w = _scaled_to_integers(phi.weights)[0]
+    N = phi.degree
+    vals = [0] * (N + 1)
+    for e in range(N // 2 + 1):
+        right = columns[e]
+        ech = IntForwardEchelon(len(right))
+        for a in columns[N - e]:
+            wa = [x * y for x, y in zip(w, a)]
+            ech.add([_dot(wa, b) for b in right])
+            if ech.dim == len(right):
+                break
+        vals[e] = vals[N - e] = ech.dim
+    if not vals[0]:
+        raise ValueError("functional must be nonzero")
+    return HilbertProfile(tuple(vals))
+
+
 def ancestor_profile(phi: Functional) -> HilbertProfile:
-    """h(0..N) of the quotient by the ancestor ideal: ranks of the pairings."""
+    """h(0..N) of the quotient by the ancestor ideal: ranks of the pairings,
+    on point-indexed matrices for a functional at points, else on the
+    monomial catalecticants."""
+    if phi.points is not None:
+        return _ancestor_profile_at_points(phi)
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
     vals = []
     for e in range(phi.degree + 1):
         ncols = binomial(e + phi.nvars - 1, phi.nvars - 1)
-        if phi.char is None:
-            ech = IntForwardEchelon(ncols)
-            for row in _catalecticant_rows(phi, e):
-                dense = [0] * ncols
-                for j, c in row.items():
-                    dense[j] = c
-                ech.add(dense)
-            vals.append(ech.dim)
-        else:
-            ech = Echelon(ncols, phi.char)
-            for row in _catalecticant_rows(phi, e):
-                ech.add(row)
-            vals.append(ech.dim)
+        ech = IntForwardEchelon(ncols, phi.char)
+        for row in _catalecticant_rows(phi, e):
+            dense = [0] * ncols
+            for j, c in row.items():
+                dense[j] = c
+            ech.add(dense)
+        vals.append(ech.dim)
     return HilbertProfile(tuple(vals))
+
+
+def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
+    """phi kills (I_H)_e * S_{N-e}, for phi at the restriction's points.
+
+    A row of Cat_e(phi) is the functional of the weights w * m(q') (m of
+    degree N-e).  It vanishes on (I_H)_e when those weights are dual
+    weights, i.e. when w * ell(p) * m(q') is orthogonal to the
+    degree-(e-1) columns at the p_i: checked exactly, that suffices.
+    Otherwise the weights must lie in the span of the dual weights and of
+    those that kill every degree-e form.
+    """
+    restriction, e = piece.restriction, piece.degree
+    columns = phi._point_columns()
+    omega = _scaled_to_integers([w * v for w, v in zip(phi.weights, restriction.ells)])[0]
+    lower = restriction.columns[e - 1] if e else []
+    for m in columns[phi.degree - e]:
+        om = [x * y for x, y in zip(omega, m)]
+        if any(_dot(om, u) for u in lower):
+            break
+    else:
+        return True
+    n = len(phi.points)
+    dual = Echelon(n)
+    for psi in restriction.dual_weights(e):
+        dual.add(psi)
+    forms = Echelon(n)
+    for col in columns[e]:
+        forms.add(dict(enumerate(col)))
+    for z in forms.kernel_of_rows():
+        dual.add(z)
+    return all(dual.contains({i: x * y for i, (x, y) in enumerate(zip(phi.weights, m)) if y})
+               for m in columns[phi.degree - e])
 
 
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
-    membership test for the ancestor ideal."""
+    membership test for the ancestor ideal: at the points for a functional
+    at a restricted piece's points, else over the monomial basis."""
     e = piece.degree
     if e > phi.degree:
         return False
+    if isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small:
+        return _kills_at_points(phi, piece)
     basis_e = monomial_basis(piece.nvars, e)
     coeffs = phi.coeffs
     for row in piece.echelon.rows.values():

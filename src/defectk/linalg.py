@@ -11,16 +11,21 @@ tests and the benchmark use it as their independent oracle.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
 echelon on plain Python ints, over Z (cross-multiplied, content stripped)
-or over F_p (residues, monic pivots), that serves every point-set rank
-and the rational catalecticant ranks of ``ideals.ancestor_profile``.
-``Echelon`` holds ideal pieces: an incrementally maintained reduced row
-basis with sparse dict rows of field scalars, used for pieces, kernels and
-span computations.
+or over F_p (residues, monic pivots).  It serves every point-set rank, the
+catalecticant ranks of ``ideals.ancestor_profile`` over both fields, and,
+through its kernel, the socle functional of a restricted ideal.
+``Echelon`` holds ideal pieces over the monomial basis: an incrementally
+maintained reduced row basis with sparse dict rows of field scalars.  It
+serves generated pieces, base loci, the monomial-indexed oracles of
+``ideals`` and the kernels a restricted piece builds only on demand; the
+Gorenstein chain itself does not reach it unless a kill check at the
+points fails.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .scalars import Fp, as_scalar
@@ -286,6 +291,29 @@ class IntForwardEchelon:
             (pivot, self._normalized(pivot, [x * s for x, s in zip(u, scales)]))
             for pivot, u in self.vectors
         ]
+
+    def kernel(self) -> list[list[int]]:
+        """Basis of the vectors orthogonal to every stored vector, one per
+        non-pivot column c: nonzero at c, 0 at the other non-pivot columns,
+        and the pivot entries by back substitution, scaled so that they stay
+        integers (over F_char the pivot entries are 1, so nothing is scaled).
+        Each vector is then normalized like a stored one."""
+        pivots = {pivot for pivot, _ in self.vectors}
+        out = []
+        for free in range(self.ncols):
+            if free in pivots:
+                continue
+            x = [0] * self.ncols
+            x[free] = 1
+            for pivot, u in reversed(self.vectors):
+                s = sum(map(operator.mul, u[pivot + 1:], x[pivot + 1:]))
+                if s:
+                    g = math.gcd(s, u[pivot])
+                    if u[pivot] // g != 1:
+                        x = [y * (u[pivot] // g) for y in x]
+                    x[pivot] = -(s // g)
+            out.append(self._normalized(free, x))
+        return out
 
     def _normalized(self, pivot: int, v: list[int]) -> list[int]:
         """Over Z the vector divided by its content; over F_char the vector

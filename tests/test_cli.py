@@ -204,6 +204,21 @@ def test_family_bad_reduction_exits_one(capsys):
     assert err.startswith("error: bad reduction mod 3: the points (0:0:1:1:1) and (0:0:1:4:1)")
 
 
+def test_defect_bad_reduction_exits_one(tmp_path, capsys):
+    # (1:p:0) and (1:0:p) reduce to (1:0:0) mod p, so the F_p rank would be 3, not 5
+    p = 2**31 - 1
+    coords = [(1, 0, 0), (1, p, 0), (1, 0, p), (1, 1, 1)]
+    data = [[[c, 1] for c in pt] for pt in coords] + [[[1, 2], [1, 3], [p, 7]]]
+    points_file = tmp_path / "points.json"
+    points_file.write_text(json.dumps(data))
+    argv = ["defect", "--points", str(points_file), "--degree", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["eval_rank"] == 5
+    code, out, err = run_cli(capsys, *argv, "--field", f"fp={p}")
+    _assert_one_line_error(code, out, err)
+    assert err.startswith(f"error: bad reduction mod {p}: the points (1:0:0) and (1:{p}:0)")
+
+
 def test_probe_prime_over_the_sweep_budget_exits_one(capsys):
     # P^4(F_31) has 954,305 points, over defect.SWEEP_BUDGET
     code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "3",

@@ -1,5 +1,7 @@
 """Node verification, defect values, and bound certification."""
 
+from fractions import Fraction
+
 import pytest
 
 from defectk.defect import (
@@ -13,6 +15,7 @@ from defectk.defect import (
     critical_degree_highdim,
     critical_degree_p4,
     defect,
+    sweep_singular_points,
     tangent_codim,
     verify_node,
     verify_singular,
@@ -20,6 +23,7 @@ from defectk.defect import (
 from defectk.families import GridParams, plane_family, random_points_control
 from defectk.ideals import HilbertProfile, PointSet
 from defectk.polynomials import GradedPoly
+from defectk.scalars import Fp
 from defectk.scenarios import run_plane
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -192,3 +196,29 @@ def test_tangent_codim_examples():
     single = PointSet([(1, 2, 3, 4, 5)])
     for d in (1, 2, 5):
         assert tangent_codim(single, d) == 1
+
+
+def _sweep_at_field_elements(f, p):
+    """Every F_p-point of P^{n-1}, normalised at its first nonzero coordinate,
+    where each first partial of f mod p evaluates to zero as an Fp element."""
+    fp = f.reduce_mod(p)
+    partials = [fp.partial_derivative(i) for i in range(f.nvars)]
+    found = []
+    for pivot in range(f.nvars):
+        tail = f.nvars - pivot - 1
+        for code in range(p**tail):
+            coords = [0] * pivot + [1] + [code // p**i % p for i in range(tail)]
+            point = tuple(Fp(c, p) for c in coords)
+            if all(not g.evaluate(point) for g in partials):
+                found.append(tuple(coords))
+    return found
+
+
+def test_sweep_matches_evaluation_at_field_elements():
+    x3 = [GradedPoly.variable(3, i) for i in range(3)]
+    # a cuspidal cubic with a rational coefficient, singular at (0:0:1)
+    cusp = x3[1] * x3[1] * x3[2] - x3[0] * x3[0] * x3[0] + (x3[0] * x3[0] * x3[1]).scale(Fraction(2, 3))
+    plane = plane_family(GridParams.plane_defaults(3)).f
+    for f, p in ((plane, 5), (plane, 7), (cusp, 5), (cusp, 7)):
+        assert sweep_singular_points(f, p) == _sweep_at_field_elements(f, p)
+    assert sweep_singular_points(cusp, 7) == [(0, 0, 1)]

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from defectk.ideals import (
@@ -216,8 +216,8 @@ def test_profile_without_a_chart_matches_rank():
     no_chart = PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     # x_0 is the only coordinate nonzero at every point, and it is 3 at one
     chart_vanishes_mod_3 = PointSet([(1, 0, 0), (3, 1, 0), (1, 1, 1), (2, 0, 1)])
-    assert [_chart(no_chart, c) for c in (None, 3, 7)] == [None, None, None]
-    assert [_chart(chart_vanishes_mod_3, c) for c in (None, 3, 7)] == [0, None, 0]
+    assert [_chart(no_chart.int_reps(), c) for c in (None, 3, 7)] == [None, None, None]
+    assert [_chart(chart_vanishes_mod_3.int_reps(), c) for c in (None, 3, 7)] == [0, None, 0]
     for pts in (no_chart, chart_vanishes_mod_3):
         for char in (None, 3, 7):
             assert points_profile(pts, 5, char).values == full_evaluation_ranks(pts, 5, char)
@@ -225,10 +225,10 @@ def test_profile_without_a_chart_matches_rank():
 
 def test_chart_has_the_smallest_entries():
     pts = PointSet([(0, 5, 3, 4), (0, 1, 3, -1), (0, 7, 1, 2)])
-    assert _chart(pts, None) == 2  # max |x_j| = 7, 3, 4
-    assert _chart(pts, 7) == 2
-    assert _chart(pts, 3) == 3  # x_2 vanishes mod 3
-    assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]), None) == 0  # lowest index on ties
+    assert _chart(pts.int_reps(), None) == 2  # max |x_j| = 7, 3, 4
+    assert _chart(pts.int_reps(), 7) == 2
+    assert _chart(pts.int_reps(), 3) == 3  # x_2 vanishes mod 3
+    assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]).int_reps(), None) == 0  # lowest index on ties
 
 
 def test_point_ideal_piece_is_evaluation_kernel():
@@ -375,6 +375,100 @@ def test_ancestor_contains_restriction_small():
     for e in range(5):
         assert gorenstein_ancestor(phi, e).contains(pieces[e])
         assert functional_kills_products(phi, pieces[e])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((None, 3, 7)), st.integers(min_value=0, max_value=2**32))
+def test_ancestor_profile_matches_rank_of_catalecticants(char, seed):
+    """The monomial path ranks each catalecticant as linalg.rank does."""
+    rng = random.Random(seed)
+    nvars, degree = rng.choice(((2, 4), (3, 3), (3, 4), (4, 3)))
+    basis = monomial_basis(nvars, degree)
+    coeffs = {m: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+              for m in rng.sample(basis, rng.randint(1, len(basis)))}
+    phi = Functional(nvars, degree, coeffs, char)
+    if phi.is_zero:
+        return
+    want = []
+    for e in range(degree + 1):
+        rows = [[phi.coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
+                 for g in monomial_basis(nvars, e)] for m in monomial_basis(nvars, degree - e)]
+        want.append(rank(rows, char))
+    assert ancestor_profile(phi).values == tuple(want)
+
+
+@st.composite
+def restrictions(draw):
+    """A point set in P^2..P^4 (generic, on a line or on a plane), a
+    hyperplane missing it (drawn by draw_missing_hyperplane, or with a zero
+    last coefficient, so that it is not the last variable after the change),
+    and a degree N <= the socle degree, where the codim may exceed 1."""
+    nvars = draw(st.sampled_from((3, 4, 5)))
+    kind = draw(st.sampled_from(("generic", "collinear", "coplanar")))
+    small = st.integers(min_value=-3, max_value=3)
+    vector = st.lists(small, min_size=nvars, max_size=nvars)
+    count = draw(st.integers(min_value=2, max_value=7))
+    if kind == "generic":
+        coords = [draw(vector) for _ in range(count)]
+    else:
+        span = [draw(vector) for _ in range(2 if kind == "collinear" else 3)]
+        coords = [[sum(draw(small) * v[i] for v in span) for i in range(nvars)]
+                  for _ in range(count)]
+    distinct = list({normalize_point(c): c for c in coords if any(c)}.values())
+    assume(len(distinct) >= 2)
+    pts = PointSet(distinct)
+    if draw(st.booleans()):
+        ell = draw_missing_hyperplane(pts, draw(st.integers(min_value=0, max_value=99)))
+    else:
+        ell = GradedPoly.linear_form(draw(st.lists(small, min_size=nvars - 1,
+                                                   max_size=nvars - 1)) + [0])
+        assume(not ell.is_zero and all(ell.evaluate(rep) for rep in pts.int_reps()))
+    h = points_profile(pts, len(pts))
+    socle = next(k for k in range(len(pts) + 1) if h[k] == len(pts))
+    N = draw(st.integers(min_value=1, max_value=min(socle, 4)))
+    weights = draw(st.lists(small, min_size=len(pts), max_size=len(pts)))
+    return pts, ell, N, weights
+
+
+@settings(max_examples=50, deadline=None)
+@given(restrictions())
+def test_point_form_chain_matches_monomial_oracles(data):
+    """Restricted pieces, socle functional, ancestor profile and kill checks
+    at the points against the monomial-indexed oracles."""
+    pts, ell, N, weights = data
+    pieces = restricted_point_pieces(pts, ell, N)
+    h_IH = difference_profile(points_profile(pts, N), pts, ell)
+    assert tuple(piece.codim for piece in pieces) == h_IH.values
+    explicit = restrict_to_hyperplane([point_ideal_piece(pts, k) for k in range(N + 1)], ell)
+    for piece, oracle in zip(pieces, explicit):
+        assert piece.dim == oracle.dim
+        assert piece == oracle
+    phi = socle_functional(pieces[N])
+    assert phi.coeffs == socle_functional(explicit[N]).coeffs
+    # weights that need not be orthogonal to the degree-(N-1) columns
+    other = Functional.at_points(phi.nvars, N, pieces[0].restriction.small, weights)
+    for psi in (phi, other):
+        if psi.is_zero:
+            continue
+        rebuilt = Functional(psi.nvars, N, psi.coeffs)
+        assert ancestor_profile(psi) == ancestor_profile(rebuilt)
+        for piece, oracle in zip(pieces, explicit):
+            assert functional_kills_products(psi, piece) == functional_kills_products(rebuilt, oracle)
+
+
+def test_kill_check_at_points_can_fail():
+    """The evaluation at one point kills no nonzero piece's products."""
+    g = grid9()
+    ell = draw_missing_hyperplane(g, seed=1)
+    pieces = restricted_point_pieces(g, ell, 4)
+    small = pieces[0].restriction.small
+    single = Functional.at_points(4, 4, small, [1] + [0] * (len(small) - 1))
+    rebuilt = Functional(4, 4, single.coeffs)
+    verdicts = [functional_kills_products(single, piece) for piece in pieces]
+    assert verdicts == [functional_kills_products(rebuilt, IdealPiece(4, e, piece.echelon))
+                        for e, piece in enumerate(pieces)]
+    assert verdicts[0] and not all(verdicts)
+    assert ancestor_profile(single).values == (1, 1, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,27 @@ def test_int_forward_echelon_matches_rank():
             assert ech.dim == rank(m, char)
 
 
+def test_int_forward_echelon_kernel_is_the_orthogonal_complement():
+    rng = random.Random(29)
+    for char in (None, 3, 7, 2**31 - 1):
+        for _ in range(20):
+            rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+            m = [[rng.randint(-8, 8) for _ in range(cols)] for _ in range(rows)]
+            ech = IntForwardEchelon(cols, char)
+            for row in m:
+                ech.add(row)
+            kernel = ech.kernel()
+            assert len(kernel) == cols - rank(m, char)
+            for x in kernel:
+                for row in m:
+                    dot = sum(a * b for a, b in zip(row, x))
+                    assert (dot % char if char else dot) == 0
+            if kernel:
+                assert rank(kernel, char) == len(kernel)
+            if char is None:
+                assert all(math.gcd(*x) == 1 for x in kernel)
+
+
 def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
     rng = random.Random(23)
     for char in (None, 7):
