@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .defect import DoubleSolid, NodalHypersurface
-from .ideals import PointSet, normalize_point
+from .ideals import PointSet, normalize_point, reduce_point
 from .polynomials import GradedPoly, product
 
 # Evaluation cells (nodes times degree-d monomials) a ci-highdim instance
@@ -163,12 +163,5 @@ def probe_undeclared_singular_points(f: GradedPoly, nodes: PointSet, p: int = 11
     """
     from .defect import sweep_singular_points
 
-    declared = set()
-    for rep in nodes.int_reps():
-        coords = [c % p for c in rep]
-        lead = next((i for i, c in enumerate(coords) if c), None)
-        if lead is None:
-            continue  # node reduces badly mod p; cannot account for it
-        inv = pow(coords[lead], -1, p)
-        declared.add(tuple(c * inv % p for c in coords))
+    declared = {reduce_point(rep, p) for rep in nodes.int_reps()}
     return [pt for pt in sweep_singular_points(f, p) if pt not in declared]

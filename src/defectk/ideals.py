@@ -27,9 +27,10 @@ Conventions used throughout:
   x_j = 1, and every point is inserted once.  Without such a coordinate,
   each degree builds its own echelon from the products over all variables.
   The ranks stay exact (integers, or F_p) either way, on plain ints.
-* ``points_hilbert`` over Q first ranks mod CERTIFY_PRIME: a rank that
-  reaches min(#points, #monomials) is certified exact, because a modular
-  rank never exceeds the rational one; any other falls back to Z.
+* ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
+  Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
+  min(#points, #monomials) is certified exact, because a modular rank
+  never exceeds the rational one; any other falls back to the pass over Z.
 * The Gorenstein chain (restricted pieces, socle functional, ancestor
   profile, kill checks) runs on matrices indexed by the points.  The dual
   of a restricted piece (I_H)_e is spanned by point-evaluation functionals,
@@ -328,42 +329,37 @@ class _ColumnBases:
         return out
 
 
+def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
+    """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
+    one nested echelon in a chart, or one echelon per degree without one."""
+    _, passes = _profile_pass(points.int_reps(), up_to, char)
+    return HilbertProfile(tuple(ech.dim for ech, _ in passes))
+
+
 # The prime of the modular rank that certifies a full-rank evaluation matrix
 # over Q in ``points_hilbert``: the Mersenne prime 2^31 - 1, so residues stay
 # one-word ints and their products two-word ones.
 CERTIFY_PRIME = 2**31 - 1
 
 
-def _full_degree_rank(points: PointSet, k: int, char: int | None) -> int:
-    """Rank of the degree-k evaluation matrix from every monomial's column."""
-    columns = _evaluation_columns(points.int_reps(), points.nvars, k)
-    candidates = zip(monomial_basis(points.nvars, k), columns)
-    return sum(1 for _ in _pick_standard(IntForwardEchelon(len(points), char), candidates))
-
-
 def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
-    """dim(S/I(points))_k: the rank of the degree-k evaluation matrix, from
-    every degree-k monomial's column (no lower degree is ranked).
+    """dim(S/I(points))_k, read from the profile pass at top = min(k, n - 1):
+    the Hilbert function of n points is constant from degree n - 1 on (mod p
+    too, where colliding points only make the set smaller).
 
-    Over Q the matrix is first ranked mod CERTIFY_PRIME.  That rank is a
-    lower bound on the rational one, and min(#points, #monomials) is an
-    upper bound, so when the two meet the rank is exact; otherwise the
-    exact pass over Z decides.
+    Over Q the pass first runs mod CERTIFY_PRIME.  That rank is a lower bound
+    on the rational one, and min(#points, #monomials) is an upper bound, so
+    when the two meet the rank is exact; otherwise the exact pass over Z
+    decides.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
+    top = min(k, len(points) - 1)
     if char is not None:
-        return _full_degree_rank(points, k, char)
+        return points_profile(points, top, char)[top]
     full = min(len(points), binomial(k + points.nvars - 1, points.nvars - 1))
-    modular = _full_degree_rank(points, k, CERTIFY_PRIME)
-    return modular if modular == full else _full_degree_rank(points, k, None)
-
-
-def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
-    """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
-    one nested echelon in a chart, or one echelon per degree without one."""
-    _, passes = _profile_pass(points.int_reps(), up_to, char)
-    return HilbertProfile(tuple(ech.dim for ech, _ in passes))
+    modular = points_profile(points, top, CERTIFY_PRIME)[top]
+    return modular if modular == full else points_profile(points, top)[top]
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +508,23 @@ def draw_missing_hyperplane(points: PointSet, seed: int, char: int | None = None
     raise NonGenericHyperplaneError("no hyperplane missing all points after retries")
 
 
+def reduce_point(rep, p: int) -> tuple[int, ...]:
+    """The class mod p of a primitive integer representative, normalized at
+    its first nonzero residue (coprime entries never all vanish mod p)."""
+    red = [c % p for c in rep]
+    inv = pow(next(c for c in red if c), -1, p)
+    return tuple(c * inv % p for c in red)
+
+
 def check_reduction(points: PointSet, p: int) -> None:
     """Raise BadReductionError when two points coincide mod p.
 
-    Primitive representatives have coprime entries, so no point vanishes
-    mod p; distinct points mod p are what the F_p ranks of a point set
-    need to stand for the set at all.
+    Distinct points mod p are what the F_p ranks of a point set need to
+    stand for the set at all.
     """
     seen = {}
     for rep in points.int_reps():
-        red = [c % p for c in rep]
-        inv = pow(next(c for c in red if c), -1, p)
-        key = tuple(c * inv % p for c in red)
+        key = reduce_point(rep, p)
         if key in seen:
             first, second = (":".join(map(str, r)) for r in (seen[key], rep))
             raise BadReductionError(

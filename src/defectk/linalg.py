@@ -116,11 +116,6 @@ def _eliminate_mod_p(rows, p: int) -> tuple[int, int, int]:
     return r, sign, product
 
 
-def rank_int_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination (destructive)."""
-    return _bareiss(rows)[0] if rows else 0
-
-
 def rank(rows, char: int | None = None) -> int:
     """Exact rank over the rationals (default) or over F_char."""
     rows = [list(r) for r in rows]
@@ -128,7 +123,7 @@ def rank(rows, char: int | None = None) -> int:
         return 0
     if char is not None:
         return _eliminate_mod_p(rows, char)[0]
-    return rank_int_bareiss(_integer_rows(rows)[0])
+    return _bareiss(_integer_rows(rows)[0])[0]
 
 
 def det(rows, char: int | None = None):

@@ -123,6 +123,17 @@ def test_defect_command_with_points_file(tmp_path, capsys):
     assert code == 0 and json.loads(out)["defect"] == 0
 
 
+def test_defect_command_at_large_degrees_and_many_variables(capsys):
+    # C(41, 29) and C(404, 4) monomials of the degree: the rank is read at
+    # degree #points - 1, past which the Hilbert function of points is constant
+    for count, nvars, degree in (("10", "30", "12"), ("20", "5", "400")):
+        code, out, _ = run_cli(capsys, "defect", "--random", count, "--nvars", nvars,
+                               "--seed", "1", "--degree", degree)
+        assert code == 0
+        report = json.loads(out)
+        assert report["eval_rank"] == int(count) and report["defect"] == 0
+
+
 def test_base_locus_command(tmp_path, capsys):
     gens = [GradedPoly.variable(5, 0), GradedPoly.variable(5, 1)]
     gens_file = tmp_path / "gens.json"

@@ -36,7 +36,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from defectk.ideals import CERTIFY_PRIME, _chart, _full_degree_rank
+from defectk.ideals import CERTIFY_PRIME, _chart
 from defectk.linalg import rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -162,10 +162,11 @@ def lifted_point_sets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(point_sets(), st.sampled_from((None, 3, 7, CERTIFY_PRIME)),
-       st.integers(min_value=0, max_value=5))
+       st.integers(min_value=0, max_value=10))
 def test_points_hilbert_matches_rank(pts, char, k):
     """The certified modular rank over Q and the F_p ranks equal linalg.rank
-    of the full evaluation matrix."""
+    of the full evaluation matrix, also past degree #points - 1, where the
+    profile is read at that degree."""
     assert points_hilbert(pts, k, char) == full_evaluation_ranks(pts, k, char)[k]
 
 
@@ -188,7 +189,7 @@ def test_points_colliding_mod_the_certify_prime_take_the_exact_pass():
         assert tuple(points_hilbert(pts, k) for k in range(6)) == want
         for k in range(1, 6):
             # the modular rank is short of the full rank, so it certifies nothing
-            assert _full_degree_rank(pts, k, p) < min(len(pts), len(monomial_basis(pts.nvars, k)))
+            assert points_profile(pts, k, p)[k] < min(len(pts), len(monomial_basis(pts.nvars, k)))
 
 
 def test_grid_profiles_match_complete_intersections():
