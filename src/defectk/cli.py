@@ -120,17 +120,21 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    print(f"c={args.c}, d={args.d}")
-    print(f"  upper_growth     {macaulay.upper_growth(args.c, args.d)}")
-    print(f"  hyperplane_bound {macaulay.hyperplane_bound(args.c, args.d)}")
+    # every value is computed before the first line is printed, so invalid
+    # arguments leave stdout empty
+    lines = [
+        f"c={args.c}, d={args.d}",
+        f"  upper_growth     {macaulay.upper_growth(args.c, args.d)}",
+        f"  hyperplane_bound {macaulay.hyperplane_bound(args.c, args.d)}",
+    ]
     if args.d >= 2:
         val, strict = macaulay.lower_shift(args.c, args.d)
-        print(f"  lower_shift      {val} strict={strict}")
+        lines.append(f"  lower_shift      {val} strict={strict}")
     if args.c <= 2 * args.d + 1:
         ks = [args.k] if args.k is not None else range(args.d + 1)
-        for k in ks:
-            print(f"  floor h({k}) >= {macaulay.low_degree_floor(args.c, args.d, k)}")
-    elif args.k is not None:
+        lines += [f"  floor h({k}) >= {macaulay.low_degree_floor(args.c, args.d, k)}" for k in ks]
+    print(*lines, sep="\n")
+    if args.c > 2 * args.d + 1 and args.k is not None:
         print("  low-degree floor undefined for c > 2d+1", file=sys.stderr)
         return USAGE_EXIT
     return 0
@@ -206,7 +210,8 @@ def _cmd_base_locus(args) -> int:
     with open(args.generators, encoding="utf-8") as fh:
         data = json.load(fh)
     gens = [GradedPoly.from_json_dict(g) for g in data]
-    degree = args.degree if args.degree is not None else max(g.degree for g in gens)
+    # with no generators, generated_piece reports the error
+    degree = args.degree if args.degree is not None else max((g.degree for g in gens), default=0)
     piece = generated_piece(gens, degree)
     verdict = base_locus_dimension(piece, args.degree_cap)
     if verdict.is_inconclusive:
@@ -369,7 +374,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except AuditError as exc:

@@ -38,8 +38,11 @@ Conventions used throughout:
   functional is a point sum phi = sum_i c_i ev_{q'_i}, and by the apolarity
   lemma (Iarrobino-Kanev 1999, Lemma 1.15) its catalecticant is
   Cat_e(phi) = E_{N-e}^T diag(c) E_e for the evaluation matrices E at the
-  q'_i, so every rank and kill check has the size of the point set.  The
-  monomial-indexed computations stay as the tests' independent oracles:
+  q'_i, so every rank and kernel has the size of the point set, and runs
+  on ``IntForwardEchelon``.  A kill check at the points is a sufficient
+  orthogonality test, which the socle functional always passes; when it
+  fails, the monomial path decides.  The monomial-indexed computations
+  stay as the tests' independent oracles:
   ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces, and
   ``gorenstein_ancestor`` and the monomial paths of ``ancestor_profile`` and
   ``functional_kills_products`` for a functional given by coefficients.
@@ -83,21 +86,24 @@ def normalize_point(coords) -> tuple[Fraction, ...]:
     return tuple(c / lead for c in coords)
 
 
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _scaled_to_integers(values) -> tuple[list[int], int]:
+    """Rationals times the lcm of their denominators, and that lcm."""
+    values = list(values)
+    denom = math.lcm(*(v.denominator for v in values))
+    return [int(v * denom) for v in values], denom
+
+
 def primitive_point(coords) -> tuple[int, ...]:
     """Integer representative with coprime entries, first nonzero positive."""
-    coords = tuple(Fraction(c) for c in coords)
-    denom = 1
-    for c in coords:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coords]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    lead = next(x for x in ints if x)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+    ints = _scaled_to_integers(Fraction(c) for c in coords)[0]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 class PointSet:
@@ -607,17 +613,6 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     return out
 
 
-def _dot(u, v):
-    return sum(map(operator.mul, u, v))
-
-
-def _scaled_to_integers(values) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, and that lcm."""
-    values = list(values)
-    denom = math.lcm(*(v.denominator for v in values))
-    return [int(v * denom) for v in values], denom
-
-
 class _Restriction:
     """The dual data that the pieces 0..top of a point ideal's hyperplane
     restriction I_H share, every matrix indexed by the points.
@@ -632,17 +627,15 @@ class _Restriction:
     dual of S_e / (I, ell)_e, which the change turns into the dual of
     S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
     common kernel of point functionals at the q'_i, and its codim is
-    h_I(e) - h_I(e-1), read from the profile pass at the p_i.
+    h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
+    p_i).  Every kernel here comes from ``IntForwardEchelon.kernel``.
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
-        if ell.degree != 1 or ell.is_zero:
-            raise ValueError("need a nonzero linear form")
         reps = points.int_reps()
+        self.columns = _ColumnBases(reps, top)
+        self.codims = difference_profile(HilbertProfile(tuple(self.columns.h)), points, ell)
         self.ells = [ell.evaluate(rep) for rep in reps]
-        for p, value in zip(points, self.ells):
-            if not value:
-                raise NonGenericHyperplaneError(f"hyperplane contains the point {p}")
         j = max(exp.index(1) for exp in ell.coeffs)
         small = []
         for rep in reps:
@@ -652,44 +645,31 @@ class _Restriction:
             small.append(tuple(q))
         self.small = tuple(small)
         self.nvars = points.nvars - 1
-        self.columns = _ColumnBases(reps, top)
-        h = self.columns.h
-        self.codims = [h[0]] + [h[e] - h[e - 1] for e in range(1, top + 1)]
 
-    def dual_weights(self, e: int) -> list[dict]:
+    def dual_weights(self, e: int) -> list[list[Fraction]]:
         """A basis of the weights whose functionals span the dual of
-        (I_H)_e: the kernel of the ell-scaled degree-(e-1) columns."""
-        span = Echelon(len(self.small))
-        if e:
-            for col in self.columns[e - 1]:
-                span.add({i: v * x for i, (v, x) in enumerate(zip(self.ells, col)) if x})
-        return span.kernel_of_rows()
+        (I_H)_e: chi / ell(p) for chi in the integer kernel of the
+        degree-(e-1) columns (none at e = 0)."""
+        ech = IntForwardEchelon(len(self.small))
+        for col in self.columns[e - 1] if e else []:
+            ech.add(col)
+        return [[Fraction(x, v) for x, v in zip(chi, self.ells)] for chi in ech.kernel()]
 
     def kernel_echelon(self, e: int) -> Echelon:
         """(I_H)_e over the monomial basis: the forms every dual weight kills."""
         cols = list(_evaluation_columns(self.small, self.nvars, e))
         cond = Echelon(len(cols))
         for psi in self.dual_weights(e):
-            weights = dict(zip(psi, _scaled_to_integers(psi.values())[0]))
-            row = {}
-            for m, col in enumerate(cols):
-                value = sum(c * col[i] for i, c in weights.items())
-                if value:
-                    row[m] = value
-            cond.add(row)
+            ints = _scaled_to_integers(psi)[0]
+            cond.add({m: v for m, v in enumerate(_dot(ints, col) for col in cols) if v})
         return IdealPiece.from_vectors(self.nvars, e, cond.kernel_of_rows()).echelon
 
     def socle_functional(self, e: int) -> "Functional":
         """The functional vanishing on (I_H)_e, for e >= 1 and codim 1, at the
-        points: chi orthogonal to the degree-(e-1) columns at the p_i gives
-        the weights chi_i / ell(p_i), scaled to 1 at the last monomial where
-        the functional is nonzero."""
-        ech = IntForwardEchelon(len(self.small))
-        for col in self.columns[e - 1]:
-            ech.add(col)
+        points: the dual weight scaled to 1 at the last monomial where its
+        functional is nonzero."""
         basis = monomial_basis(self.nvars, e)
-        for chi in ech.kernel():
-            weights = [Fraction(x) / v for x, v in zip(chi, self.ells)]
+        for weights in self.dual_weights(e):
             ints, denom = _scaled_to_integers(weights)
             for m in reversed(basis):
                 value = _dot(ints, (math.prod(map(pow, q, m)) for q in self.small))
@@ -930,47 +910,37 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
 
 
 def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
-    """phi kills (I_H)_e * S_{N-e}, for phi at the restriction's points.
+    """A sufficient test that phi kills (I_H)_e * S_{N-e}, for phi at the
+    restriction's points.
 
     A row of Cat_e(phi) is the functional of the weights w * m(q') (m of
     degree N-e).  It vanishes on (I_H)_e when those weights are dual
     weights, i.e. when w * ell(p) * m(q') is orthogonal to the
-    degree-(e-1) columns at the p_i: checked exactly, that suffices.
-    Otherwise the weights must lie in the span of the dual weights and of
-    those that kill every degree-e form.
+    degree-(e-1) columns at the p_i, which is checked exactly.  The socle
+    functional always passes: its chi is orthogonal to every degree-(N-1)
+    column, and m(q') times a degree-(e-1) column is one.
     """
     restriction, e = piece.restriction, piece.degree
-    columns = phi._point_columns()
     omega = _scaled_to_integers([w * v for w, v in zip(phi.weights, restriction.ells)])[0]
     lower = restriction.columns[e - 1] if e else []
-    for m in columns[phi.degree - e]:
+    for m in phi._point_columns()[phi.degree - e]:
         om = [x * y for x, y in zip(omega, m)]
         if any(_dot(om, u) for u in lower):
-            break
-    else:
-        return True
-    n = len(phi.points)
-    dual = Echelon(n)
-    for psi in restriction.dual_weights(e):
-        dual.add(psi)
-    forms = Echelon(n)
-    for col in columns[e]:
-        forms.add(dict(enumerate(col)))
-    for z in forms.kernel_of_rows():
-        dual.add(z)
-    return all(dual.contains({i: x * y for i, (x, y) in enumerate(zip(phi.weights, m)) if y})
-               for m in columns[phi.degree - e])
+            return False
+    return True
 
 
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
     membership test for the ancestor ideal: at the points for a functional
-    at a restricted piece's points, else over the monomial basis."""
+    at a restricted piece's points when that test passes, else over the
+    monomial basis."""
     e = piece.degree
     if e > phi.degree:
         return False
-    if isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small:
-        return _kills_at_points(phi, piece)
+    if (isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small
+            and _kills_at_points(phi, piece)):
+        return True
     basis_e = monomial_basis(piece.nvars, e)
     coeffs = phi.coeffs
     for row in piece.echelon.rows.values():

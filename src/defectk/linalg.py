@@ -13,13 +13,13 @@ tests and the benchmark use it as their independent oracle.
 echelon on plain Python ints, over Z (cross-multiplied, content stripped)
 or over F_p (residues, monic pivots).  It serves every point-set rank, the
 catalecticant ranks of ``ideals.ancestor_profile`` over both fields, and,
-through its kernel, the socle functional of a restricted ideal.
+through its kernel, the dual weights and socle functional of a restricted
+ideal: every matrix indexed by points.
 ``Echelon`` holds ideal pieces over the monomial basis: an incrementally
 maintained reduced row basis with sparse dict rows of field scalars.  It
 serves generated pieces, base loci, the monomial-indexed oracles of
 ``ideals`` and the kernels a restricted piece builds only on demand; the
-Gorenstein chain itself does not reach it unless a kill check at the
-points fails.
+point side never uses it.
 """
 
 from __future__ import annotations

@@ -257,10 +257,15 @@ class GradedPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict, char: int | None = None) -> "GradedPoly":
-        coeffs = {
-            tuple(exp): Fraction(num, den) for exp, num, den in data["terms"]
-        }
-        return cls(data["nvars"], data["degree"], coeffs, char)
+        """Inverse of ``to_json_dict``; malformed data raises ValueError."""
+        try:
+            coeffs = {tuple(exp): Fraction(num, den) for exp, num, den in data["terms"]}
+            return cls(data["nvars"], data["degree"], coeffs, char)
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(
+                "a form must be a dict of nvars, degree and terms "
+                f"[exponents, numerator, denominator]: {exc}"
+            ) from exc
 
     def reduce_mod(self, p: int) -> "GradedPoly":
         if self.char is not None:

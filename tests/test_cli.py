@@ -43,6 +43,11 @@ def test_value_errors_exit_one_with_one_line(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "distinct" in err and err.count("\n") == 1
 
+    for c, d in (("5", "0"), ("-2", "3")):
+        code, out, err = run_cli(capsys, "bounds", "--c", c, "--d", d)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_family_report_fields(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4")
@@ -180,6 +185,24 @@ def test_malformed_points_files_exit_one(tmp_path, capsys):
         points_file.write_text(json.dumps(data))
         _assert_one_line_error(*run_cli(capsys, "defect", "--points", str(points_file),
                                         "--degree", "1"))
+    # a directory where a file is read or written
+    _assert_one_line_error(*run_cli(capsys, "defect", "--points", str(tmp_path),
+                                    "--degree", "1"))
+    _assert_one_line_error(*run_cli(capsys, "family", "--name", "plane", "--d", "3",
+                                    "--out", str(tmp_path)))
+
+
+def test_malformed_generator_files_exit_one(tmp_path, capsys):
+    gens_file = tmp_path / "gens.json"
+    for data in ([{"nvars": 3}], {"a": 1}, [5],
+                 [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], 1, 0]]}]):
+        gens_file.write_text(json.dumps(data))
+        _assert_one_line_error(*run_cli(capsys, "base-locus", "--generators", str(gens_file)))
+    gens_file.write_text("[]")
+    code, out, err = run_cli(capsys, "base-locus", "--generators", str(gens_file))
+    _assert_one_line_error(code, out, err)
+    assert "need at least one generator" in err
+    _assert_one_line_error(*run_cli(capsys, "base-locus", "--generators", str(tmp_path)))
 
 
 def test_probe_prime_must_be_an_odd_prime(capsys):

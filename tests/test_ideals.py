@@ -36,7 +36,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from defectk.ideals import CERTIFY_PRIME, _chart
+from defectk.ideals import CERTIFY_PRIME, _chart, _kills_at_points
 from defectk.linalg import rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -446,6 +446,10 @@ def test_point_form_chain_matches_monomial_oracles(data):
         assert piece == oracle
     phi = socle_functional(pieces[N])
     assert phi.coeffs == socle_functional(explicit[N]).coeffs
+    if pieces[N].codim == 1:
+        # the socle functional at the points never needs the monomial kill check
+        assert phi.points == pieces[0].restriction.small
+        assert all(_kills_at_points(phi, piece) for piece in pieces)
     # weights that need not be orthogonal to the degree-(N-1) columns
     other = Functional.at_points(phi.nvars, N, pieces[0].restriction.small, weights)
     for psi in (phi, other):
