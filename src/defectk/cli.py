@@ -130,13 +130,11 @@ def _cmd_bounds(args) -> int:
     if args.d >= 2:
         val, strict = macaulay.lower_shift(args.c, args.d)
         lines.append(f"  lower_shift      {val} strict={strict}")
-    if args.c <= 2 * args.d + 1:
+    # a given --k asks for its floor, which raises when c > 2d+1
+    if args.k is not None or args.c <= 2 * args.d + 1:
         ks = [args.k] if args.k is not None else range(args.d + 1)
         lines += [f"  floor h({k}) >= {macaulay.low_degree_floor(args.c, args.d, k)}" for k in ks]
     print(*lines, sep="\n")
-    if args.c > 2 * args.d + 1 and args.k is not None:
-        print("  low-degree floor undefined for c > 2d+1", file=sys.stderr)
-        return USAGE_EXIT
     return 0
 
 

@@ -19,14 +19,15 @@ Conventions used throughout:
   because the order is multiplicative and the column of x_v * m is the
   column of m scaled pointwise by x_v.  So only the products x_v * b with
   every divisor standard are offered, each column computed from b's.
-  When some coordinate x_j is nonzero at every point (mod p over F_p), one
-  echelon serves every degree: col(x_j * m) = diag(x_j(p)) col(m), so the
-  degree-k column space contains x_j times the degree-(k-1) one.  Each
-  degree rescales the stored vectors by x_j(p) and offers only x_v * b
-  with v != j and b new in degree k-1, the affine pass in the chart
-  x_j = 1, and every point is inserted once.  Without such a coordinate,
-  each degree builds its own echelon from the products over all variables.
-  The ranks stay exact (integers, or F_p) either way, on plain ints.
+  The pass runs one echelon through every degree when some coordinate x_j
+  is nonzero at every point (mod p over F_p): col(x_j * m) =
+  diag(x_j(p)) col(m), so the degree-k column space contains x_j times the
+  degree-(k-1) one.  Each degree rescales the stored vectors by x_j(p) and
+  offers only x_v * b with v != j and b new in degree k-1, the affine pass
+  in the chart x_j = 1, and every point is inserted once.  Without such a
+  chart each degree restarts its echelon and offers the products over all
+  variables.  The ranks stay exact (integers, or F_p) either way, on plain
+  ints, and the pass stops offering once the rank reaches #points.
 * ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
   Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
   min(#points, #monomials) is certified exact, because a modular rank
@@ -42,10 +43,12 @@ Conventions used throughout:
   on ``IntForwardEchelon``.  A kill check at the points is a sufficient
   orthogonality test, which the socle functional always passes; when it
   fails, the monomial path decides.  The monomial-indexed computations
-  stay as the tests' independent oracles:
+  stay as the tests' independent oracles, on ``Echelon``:
   ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces, and
-  ``gorenstein_ancestor`` and the monomial paths of ``ancestor_profile`` and
-  ``functional_kills_products`` for a functional given by coefficients.
+  the monomial catalecticant of ``gorenstein_ancestor`` for a functional
+  given by coefficients, whose kernel is the ancestor piece, whose ranks
+  are the monomial ``ancestor_profile`` and which the monomial path of
+  ``functional_kills_products`` tests membership in.
 """
 
 from __future__ import annotations
@@ -233,31 +236,6 @@ def _scaled_columns(offers, columns, reps):
     return ((m, [x * rep[v] for x, rep in zip(columns[b], reps)]) for m, (b, v) in offers)
 
 
-def _standard_echelons(reps, up_to: int, char: int | None = None):
-    """Yield (echelon, standard columns) of each degree 0..up_to, each echelon
-    built anew from integer vectors ``reps``; the columns map each standard
-    monomial of the degree to its evaluation column.
-
-    Degree-k candidates are the products x_v * b with b standard in degree
-    k-1 whose every degree-(k-1) divisor is standard, visited in the fixed
-    monomial order.  The order is multiplicative, so the standard monomials
-    form an order ideal and the candidates include all of them; every
-    degree-k column is diag(x_v(p)) times a degree-(k-1) column, so they also
-    span the whole column space and the pick is exactly the one over every
-    degree-k monomial.  The full monomial basis is never built.
-    """
-    n, nvars = len(reps), len(reps[0])
-    standard = {(0,) * nvars: [1] * n}
-    for k in range(up_to + 1):
-        if k:
-            candidates = _scaled_columns(_offers(standard, range(nvars)), standard, reps)
-        else:
-            candidates = standard.items()
-        ech = IntForwardEchelon(n, char)
-        standard = dict(_pick_standard(ech, candidates))
-        yield ech, standard
-
-
 def _chart(reps, char: int | None) -> int | None:
     """A coordinate that is nonzero (mod char) in every integer vector of
     ``reps``: the one with the smallest largest entry, lowest index on ties;
@@ -267,42 +245,40 @@ def _chart(reps, char: int | None) -> int | None:
     return min(charts, key=lambda j: (max(abs(rep[j]) for rep in reps), j), default=None)
 
 
-def _nested_echelons(reps, up_to: int, char: int | None, j: int):
-    """Yield (echelon, new standard columns) of each degree 0..up_to from one
-    echelon that grows with the degree; the columns are those of the
-    standard monomials new in the degree.
+def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
+    """Yield (echelon, new standard columns) of each degree 0..up_to for the
+    integer vectors ``reps``; the columns map each standard monomial new in
+    the degree to its evaluation column.
 
-    In the chart of x_j, col(x_j * m) = diag(x_j(p)) col(m), so the degree-k
-    column space contains the degree-(k-1) one scaled by x_j, of the same
-    dimension.  Each degree rescales the stored vectors, which keeps their
-    pivots, and then offers only x_v * b for v != j and b new in degree
-    k-1: these are the standard monomials of an affine order ideal in the
-    other variables, and every point is inserted once.  The other standard
-    monomials of degree k are x_j times those of degree k-1.
+    Degree-k offers are the products x_v * b with b new in degree k-1 whose
+    every degree-(k-1) divisor is standard, visited in the fixed monomial
+    order (see ``_offers``).  Without a chart (``j`` None) each degree starts
+    a fresh echelon and offers every variable, so "new" means every standard
+    monomial of the degree: the pick is exactly the one over every degree-k
+    monomial, and the full monomial basis is never built.  In the chart of
+    x_j, col(x_j * m) = diag(x_j(p)) col(m), so the degree-k column space
+    contains the degree-(k-1) one scaled by x_j, of the same dimension: the
+    one echelon is rescaled, which keeps its pivots, and only v != j is
+    offered, the affine pass in the chart x_j = 1, in which every point is
+    inserted once.  Offers stop once a degree adds nothing or the rank
+    reaches #points, as the rank then stays put.
     """
     n, nvars = len(reps), len(reps[0])
-    scales = [rep[j] for rep in reps]
+    scales = None if j is None else [rep[j] for rep in reps]
     others = [v for v in range(nvars) if v != j]
     ech = IntForwardEchelon(n, char)
     new = dict(_pick_standard(ech, [((0,) * nvars, [1] * n)]))
     yield ech, new
     for _ in range(up_to):
         if new and ech.dim < n:
-            ech.scale_columns(scales)
+            if scales is None:
+                ech = IntForwardEchelon(n, char)
+            else:
+                ech.scale_columns(scales)
             new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
         else:
             new = {}
         yield ech, new
-
-
-def _profile_pass(reps, up_to: int, char: int | None = None):
-    """(echelon, columns) per degree 0..up_to: the nested pass in a chart,
-    or one echelon per degree without one.  Returns the chart (or None) and
-    the generator."""
-    j = _chart(reps, char)
-    if j is None:
-        return None, _standard_echelons(reps, up_to, char)
-    return j, _nested_echelons(reps, up_to, char, j)
 
 
 class _ColumnBases:
@@ -311,22 +287,24 @@ class _ColumnBases:
     the small entries of monomial values (never echelon combinations), and
     the profile h(0..up_to) of their ranks over Q.
 
-    In a chart only the columns new in each degree are stored; degree k
-    gets the others by scaling with powers of the chart coordinate.
+    Only the columns new in each degree are stored.  In a chart degree k
+    gets the others by scaling with powers of the chart coordinate; without
+    one a degree's new columns are all of them, and once the rank reaches
+    #points the last ones span every later degree too.
     """
 
     def __init__(self, reps, up_to: int):
-        j, passes = _profile_pass(reps, up_to)
+        j = _chart(reps, None)
         self.h = []
-        self._columns = []  # per degree: all standard columns, or in a chart the new ones
-        for ech, columns in passes:
+        self._columns = []
+        for ech, columns in _profile_pass(reps, j, up_to):
             self.h.append(ech.dim)
             self._columns.append(list(columns.values()))
         self._scales = None if j is None else [rep[j] for rep in reps]
 
     def __getitem__(self, k: int) -> list[list[int]]:
         if self._scales is None:
-            return self._columns[k]
+            return next(cols for cols in reversed(self._columns[: k + 1]) if cols)
         out = []
         for b in range(k + 1):
             if self._columns[b]:
@@ -338,7 +316,8 @@ class _ColumnBases:
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
     """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
     one nested echelon in a chart, or one echelon per degree without one."""
-    _, passes = _profile_pass(points.int_reps(), up_to, char)
+    reps = points.int_reps()
+    passes = _profile_pass(reps, _chart(reps, char), up_to, char)
     return HilbertProfile(tuple(ech.dim for ech, _ in passes))
 
 
@@ -795,13 +774,6 @@ class Functional:
                 acc = acc + phi * c
         return acc
 
-    def scaled_integer_coeffs(self) -> dict:
-        """The coefficients as ints: over Q times the lcm of their
-        denominators, over F_p their residues."""
-        if self.char is not None:
-            return {e: c.val for e, c in self.coeffs.items()}
-        return dict(zip(self.coeffs, _scaled_to_integers(self.coeffs.values())[0]))
-
     def _point_columns(self) -> _ColumnBases:
         """Column bases of the evaluation matrices at the points, degrees 0..N."""
         if self._columns is None:
@@ -818,40 +790,33 @@ def socle_functional(piece: IdealPiece) -> Functional:
     """
     if isinstance(piece, RestrictedPiece) and piece.codim == 1 and piece.degree:
         return piece.restriction.socle_functional(piece.degree)
-    free = piece.echelon.free_columns()
-    if not free:
+    kernel = piece.echelon.kernel_of_rows()
+    if not kernel:
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
     basis = monomial_basis(piece.nvars, piece.degree)
-    np1 = free[0]
-    coeffs = {basis[np1]: as_scalar(1, piece.char)}
-    for p, row in piece.echelon.rows.items():
-        c = row.get(np1)
-        if c:
-            coeffs[basis[p]] = -c
-    return Functional(piece.nvars, piece.degree, coeffs, piece.char)
+    return Functional(piece.nvars, piece.degree,
+                      {basis[c]: v for c, v in kernel[0].items()}, piece.char)
 
 
-def _catalecticant_rows(phi: Functional, e: int):
-    """Rows of the pairing matrix S_e x S_{N-e}, with int entries: row per
-    complementary monomial."""
-    coeffs = phi.scaled_integer_coeffs()
+def _catalecticant(phi: Functional, e: int) -> Echelon:
+    """Cat_e(phi) in phi's field, 0 <= e <= N: one row per monomial m of
+    degree N - e, over the degree-e monomial basis, with phi(g * m) at g."""
+    coeffs = phi.coeffs
     basis_e = monomial_basis(phi.nvars, e)
+    ech = Echelon(len(basis_e), phi.char)
     for mono in monomial_basis(phi.nvars, phi.degree - e):
-        row = {}
-        for j, g in enumerate(basis_e):
-            c = coeffs.get(tuple(a + b for a, b in zip(g, mono)))
-            if c:
-                row[j] = c
-        yield row
+        products = (coeffs.get(tuple(map(operator.add, g, mono))) for g in basis_e)
+        ech.add({j: c for j, c in enumerate(products) if c})
+    return ech
 
 
 def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     """Degree-e piece of the largest ideal whose degree-N products the
-    functional kills: the kernel of the pairing g |-> (m |-> phi(g*m)).
+    functional kills: the kernel of the catalecticant g |-> (m |-> phi(g*m)).
 
-    It works on the monomial catalecticant, and is the oracle the tests
-    check the point form of ``ancestor_profile`` and
-    ``functional_kills_products`` against.
+    It works over the monomial basis, and is the oracle the tests check the
+    point form of ``ancestor_profile`` and ``functional_kills_products``
+    against.
     """
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
@@ -859,11 +824,7 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
         raise ValueError("degree must be nonnegative")
     if e > phi.degree:
         return IdealPiece.full(phi.nvars, e, phi.char)
-    ncols = binomial(e + phi.nvars - 1, phi.nvars - 1)
-    ech = Echelon(ncols, phi.char)
-    for row in _catalecticant_rows(phi, e):
-        ech.add(row)
-    return IdealPiece.from_vectors(phi.nvars, e, ech.kernel_of_rows(), phi.char)
+    return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows(), phi.char)
 
 
 def _ancestor_profile_at_points(phi: Functional) -> HilbertProfile:
@@ -889,24 +850,14 @@ def _ancestor_profile_at_points(phi: Functional) -> HilbertProfile:
 
 
 def ancestor_profile(phi: Functional) -> HilbertProfile:
-    """h(0..N) of the quotient by the ancestor ideal: ranks of the pairings,
-    on point-indexed matrices for a functional at points, else on the
-    monomial catalecticants."""
+    """h(0..N) of the quotient by the ancestor ideal: ranks of the
+    catalecticants, on point-indexed matrices for a functional at points,
+    else over the monomial basis."""
     if phi.points is not None:
         return _ancestor_profile_at_points(phi)
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
-    vals = []
-    for e in range(phi.degree + 1):
-        ncols = binomial(e + phi.nvars - 1, phi.nvars - 1)
-        ech = IntForwardEchelon(ncols, phi.char)
-        for row in _catalecticant_rows(phi, e):
-            dense = [0] * ncols
-            for j, c in row.items():
-                dense[j] = c
-            ech.add(dense)
-        vals.append(ech.dim)
-    return HilbertProfile(tuple(vals))
+    return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
 
 
 def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
@@ -933,26 +884,16 @@ def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
     membership test for the ancestor ideal: at the points for a functional
-    at a restricted piece's points when that test passes, else over the
-    monomial basis."""
+    at a restricted piece's points when that test passes, else by
+    containment in ``gorenstein_ancestor``.  A zero functional kills
+    everything."""
     e = piece.degree
     if e > phi.degree:
         return False
     if (isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small
             and _kills_at_points(phi, piece)):
         return True
-    basis_e = monomial_basis(piece.nvars, e)
-    coeffs = phi.coeffs
-    for row in piece.echelon.rows.values():
-        for mono in monomial_basis(piece.nvars, phi.degree - e):
-            acc = scalar_zero(phi.char)
-            for j, c in row.items():
-                v = coeffs.get(tuple(a + b for a, b in zip(basis_e[j], mono)))
-                if v is not None:
-                    acc = acc + v * c
-            if acc:
-                return False
-    return True
+    return phi.is_zero or gorenstein_ancestor(phi, e).contains(piece)
 
 
 # ---------------------------------------------------------------------------
@@ -1026,11 +967,13 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> Ba
     Walks degrees upward; once the codimension attains the maximal-growth
     bound it stays maximal forever, the Hilbert polynomial is pinned, and
     the top exponent of the current expansion is the dimension.  A zero
-    codimension means the locus is empty.  Past the cap the verdict is
-    Inconclusive rather than a guess.
+    codimension means the locus is empty.  Past the cap, a nonnegative
+    degree, the verdict is Inconclusive rather than a guess.
     """
     if piece.dim == 0:
         raise ValueError("piece must be nonzero")
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError("degree cap must be nonnegative")
     cap = degree_cap if degree_cap is not None else 4 * piece.degree + 10
     ech = piece.echelon
     k = piece.degree

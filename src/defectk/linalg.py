@@ -11,15 +11,16 @@ tests and the benchmark use it as their independent oracle.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
 echelon on plain Python ints, over Z (cross-multiplied, content stripped)
-or over F_p (residues, monic pivots).  It serves every point-set rank, the
-catalecticant ranks of ``ideals.ancestor_profile`` over both fields, and,
-through its kernel, the dual weights and socle functional of a restricted
-ideal: every matrix indexed by points.
-``Echelon`` holds ideal pieces over the monomial basis: an incrementally
-maintained reduced row basis with sparse dict rows of field scalars.  It
-serves generated pieces, base loci, the monomial-indexed oracles of
-``ideals`` and the kernels a restricted piece builds only on demand; the
-point side never uses it.
+or over F_p (residues, monic pivots).  It serves only matrices indexed by
+points: every point-set rank, the catalecticant ranks of a functional at
+points, and, through its kernel, the dual weights and socle functional of
+a restricted ideal.
+``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
+an incrementally maintained reduced row basis with sparse dict rows of
+field scalars.  It serves generated pieces, base loci, the monomial
+catalecticant of ``ideals.gorenstein_ancestor`` that the monomial oracles
+read, and the kernels a restricted piece builds only on demand; the point
+side never uses it.
 """
 
 from __future__ import annotations

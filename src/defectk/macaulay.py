@@ -71,11 +71,16 @@ def expand(c: int, d: int) -> MacaulayExpansion:
     eps = []
     rem = c
     for i in range(d, 0, -1):
-        e = -1
-        while binomial(i + e + 1, i) <= rem:
-            e += 1
-        eps.append(e)
-        rem -= binomial(i + e, i)
+        # the largest e >= -1 with binom(i + e, i) <= rem, by doubling and then
+        # bisection (binom(i + e, i) rises from 0 at e = -1): O(log rem) steps
+        lo, hi = -1, 0
+        while binomial(i + hi, i) <= rem:
+            lo, hi = hi, 2 * hi + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if binomial(i + mid, i) <= rem else (lo, mid)
+        eps.append(lo)
+        rem -= binomial(i + lo, i)
     assert rem == 0
     return MacaulayExpansion(c, d, tuple(eps))
 

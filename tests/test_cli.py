@@ -43,8 +43,9 @@ def test_value_errors_exit_one_with_one_line(tmp_path, capsys):
     assert code == 1 and out == ""
     assert "distinct" in err and err.count("\n") == 1
 
-    for c, d in (("5", "0"), ("-2", "3")):
-        code, out, err = run_cli(capsys, "bounds", "--c", c, "--d", d)
+    for args in (("--c", "5", "--d", "0"), ("--c", "-2", "--d", "3"),
+                 ("--c", "9", "--d", "3", "--k", "1")):  # no floor for c > 2d+1
+        code, out, err = run_cli(capsys, "bounds", *args)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -149,6 +150,11 @@ def test_base_locus_command(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "base-locus", "--generators", str(gens_file),
                            "--degree-cap", "0")
     assert code == 2 and "inconclusive" in out
+
+    code, out, err = run_cli(capsys, "base-locus", "--generators", str(gens_file),
+                             "--degree-cap", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_suites_exit_zero(capsys):

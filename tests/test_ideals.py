@@ -213,13 +213,19 @@ def test_grid_profiles_match_complete_intersections():
 
 
 def test_profile_without_a_chart_matches_rank():
-    """Sets with no coordinate nonzero at every point take the per-degree pass."""
+    """Sets with no coordinate nonzero at every point restart the echelon in
+    each degree; a set in a chart whose points collide mod 7 stops offering
+    in that chart once a degree adds nothing, short of #points."""
     no_chart = PointSet([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
     # x_0 is the only coordinate nonzero at every point, and it is 3 at one
     chart_vanishes_mod_3 = PointSet([(1, 0, 0), (3, 1, 0), (1, 1, 1), (2, 0, 1)])
+    # chart x_0 everywhere; mod 7 three points coincide, so the rank stalls at 2
+    stalls_mod_7 = PointSet([(1, 0, 0), (1, 7, 0), (1, 0, 7), (1, 1, 1)])
     assert [_chart(no_chart.int_reps(), c) for c in (None, 3, 7)] == [None, None, None]
     assert [_chart(chart_vanishes_mod_3.int_reps(), c) for c in (None, 3, 7)] == [0, None, 0]
-    for pts in (no_chart, chart_vanishes_mod_3):
+    assert [_chart(stalls_mod_7.int_reps(), c) for c in (None, 3, 7)] == [0, 0, 0]
+    assert points_profile(stalls_mod_7, 5, 7).values == (1, 2, 2, 2, 2, 2)
+    for pts in (no_chart, chart_vanishes_mod_3, stalls_mod_7):
         for char in (None, 3, 7):
             assert points_profile(pts, 5, char).values == full_evaluation_ranks(pts, 5, char)
 

@@ -63,6 +63,9 @@ def test_expand_known_values():
     assert expand(3, 5).eps == (0, 0, 0, -1, -1)
     assert expand(0, 3).eps == (-1, -1, -1)
     assert expand(5, 2).eps == (1, 1)  # 5 = binom(3,2) + binom(2,1)
+    # found by doubling and bisection; a linear scan would not finish
+    assert expand(10**12, 1).eps == (10**12 - 1,)
+    assert expand(10**30, 3).value() == 10**30
 
 
 def test_expand_matches_bruteforce_uniqueness():
