@@ -48,7 +48,11 @@ def _parse_field(text: str) -> int | None:
     if text in ("qp", "qq"):
         return None
     if text.startswith("fp="):
-        return validate_characteristic(int(text[3:]))
+        p = int(text[3:])
+        try:
+            return validate_characteristic(p)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError("expected qp or fp=<prime>")
 
 

@@ -26,8 +26,10 @@ Conventions used throughout:
   offers only x_v * b with v != j and b new in degree k-1, the affine pass
   in the chart x_j = 1, and every point is inserted once.  Without such a
   chart each degree restarts its echelon and offers the products over all
-  variables.  The ranks stay exact (integers, or F_p) either way, on plain
-  ints, and the pass stops offering once the rank reaches #points.
+  variables.  Over F_p the chart pass runs on the dehomogenised residues
+  rep * rep[j]^-1, so its echelon is never rescaled.  The ranks stay exact
+  (integers, or F_p) either way, on plain ints, and the pass stops offering
+  once the rank reaches #points.
 * ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
   Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
   min(#points, #monomials) is certified exact, because a modular rank
@@ -40,15 +42,18 @@ Conventions used throughout:
   lemma (Iarrobino-Kanev 1999, Lemma 1.15) its catalecticant is
   Cat_e(phi) = E_{N-e}^T diag(c) E_e for the evaluation matrices E at the
   q'_i, so every rank and kernel has the size of the point set, and runs
-  on ``IntForwardEchelon``.  A kill check at the points is a sufficient
-  orthogonality test, which the socle functional always passes; when it
-  fails, the monomial path decides.  The monomial-indexed computations
-  stay as the tests' independent oracles, on ``Echelon``:
+  on ``IntForwardEchelon``.  The kill checks at the points are one
+  sufficient test at degree N, by the ideal property: (I_H)_e * S_{N-e} lies
+  in (I_H)_N, so phi kills every such product once its weights are dual
+  weights of (I_H)_N, an exact orthogonality to the degree-(N-1) columns,
+  checked once per functional and restriction.  The socle functional always
+  passes it; when it fails, the monomial path decides, pairing the rows of
+  the monomial catalecticant with the piece's basis.  The monomial-indexed
+  computations stay as the tests' independent oracles, on ``Echelon``:
   ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces, and
-  the monomial catalecticant of ``gorenstein_ancestor`` for a functional
-  given by coefficients, whose kernel is the ancestor piece, whose ranks
-  are the monomial ``ancestor_profile`` and which the monomial path of
-  ``functional_kills_products`` tests membership in.
+  the monomial catalecticant for a functional given by coefficients, whose
+  kernel is ``gorenstein_ancestor`` and whose ranks are the monomial
+  ``ancestor_profile``.
 """
 
 from __future__ import annotations
@@ -260,21 +265,26 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
     contains the degree-(k-1) one scaled by x_j, of the same dimension: the
     one echelon is rescaled, which keeps its pivots, and only v != j is
     offered, the affine pass in the chart x_j = 1, in which every point is
-    inserted once.  Offers stop once a degree adds nothing or the rank
-    reaches #points, as the rank then stays put.
+    inserted once.  Over F_char the pass runs on that chart itself, on the
+    residues rep * rep[j]^-1: scaling a point multiplies its row of every
+    evaluation matrix by a unit, which keeps every rank and every pick, and
+    the echelon is never rescaled.  Offers stop once a degree adds nothing
+    or the rank reaches #points, as the rank then stays put.
     """
     n, nvars = len(reps), len(reps[0])
-    scales = None if j is None else [rep[j] for rep in reps]
+    if j is not None and char is not None:
+        units = [pow(rep[j], -1, char) for rep in reps]
+        reps = [[x * u % char for x in rep] for rep, u in zip(reps, units)]
     others = [v for v in range(nvars) if v != j]
     ech = IntForwardEchelon(n, char)
     new = dict(_pick_standard(ech, [((0,) * nvars, [1] * n)]))
     yield ech, new
     for _ in range(up_to):
         if new and ech.dim < n:
-            if scales is None:
+            if j is None:
                 ech = IntForwardEchelon(n, char)
-            else:
-                ech.scale_columns(scales)
+            elif char is None:
+                ech.scale_columns([rep[j] for rep in reps])
             new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
         else:
             new = {}
@@ -721,7 +731,8 @@ class Functional:
     on point-indexed matrices.
     """
 
-    __slots__ = ("nvars", "degree", "char", "points", "weights", "_coeffs", "_columns")
+    __slots__ = ("nvars", "degree", "char", "points", "weights", "_coeffs", "_columns",
+                 "_kills")
 
     def __init__(self, nvars: int, degree: int, coeffs, char=None):
         self.nvars = nvars
@@ -736,7 +747,7 @@ class Functional:
             if c:
                 clean[exp] = c
         self._coeffs = clean
-        self.points = self.weights = self._columns = None
+        self.points = self.weights = self._columns = self._kills = None
 
     @classmethod
     def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
@@ -798,15 +809,22 @@ def socle_functional(piece: IdealPiece) -> Functional:
                       {basis[c]: v for c, v in kernel[0].items()}, piece.char)
 
 
-def _catalecticant(phi: Functional, e: int) -> Echelon:
-    """Cat_e(phi) in phi's field, 0 <= e <= N: one row per monomial m of
-    degree N - e, over the degree-e monomial basis, with phi(g * m) at g."""
+def _catalecticant_rows(phi: Functional, e: int):
+    """Yield the rows of Cat_e(phi) in phi's field, 0 <= e <= N, as sparse
+    dicts: one row per monomial m of degree N - e, over the degree-e
+    monomial basis, with phi(g * m) at g."""
     coeffs = phi.coeffs
     basis_e = monomial_basis(phi.nvars, e)
-    ech = Echelon(len(basis_e), phi.char)
     for mono in monomial_basis(phi.nvars, phi.degree - e):
         products = (coeffs.get(tuple(map(operator.add, g, mono))) for g in basis_e)
-        ech.add({j: c for j, c in enumerate(products) if c})
+        yield {j: c for j, c in enumerate(products) if c}
+
+
+def _catalecticant(phi: Functional, e: int) -> Echelon:
+    """The row space of Cat_e(phi), in reduced echelon form."""
+    ech = Echelon(binomial(e + phi.nvars - 1, phi.nvars - 1), phi.char)
+    for row in _catalecticant_rows(phi, e):
+        ech.add(row)
     return ech
 
 
@@ -814,9 +832,8 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     """Degree-e piece of the largest ideal whose degree-N products the
     functional kills: the kernel of the catalecticant g |-> (m |-> phi(g*m)).
 
-    It works over the monomial basis, and is the oracle the tests check the
-    point form of ``ancestor_profile`` and ``functional_kills_products``
-    against.
+    It works over the monomial basis, and is the oracle the tests check
+    ``ancestor_profile`` and ``functional_kills_products`` against.
     """
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
@@ -864,28 +881,36 @@ def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
     """A sufficient test that phi kills (I_H)_e * S_{N-e}, for phi at the
     restriction's points.
 
-    A row of Cat_e(phi) is the functional of the weights w * m(q') (m of
-    degree N-e).  It vanishes on (I_H)_e when those weights are dual
-    weights, i.e. when w * ell(p) * m(q') is orthogonal to the
-    degree-(e-1) columns at the p_i, which is checked exactly.  The socle
-    functional always passes: its chi is orthogonal to every degree-(N-1)
-    column, and m(q') times a degree-(e-1) column is one.
+    Those products lie in (I_H)_N, so one test serves every e >= 1: phi
+    vanishes on (I_H)_N when its weights w are dual weights there, i.e. when
+    w * ell(p) is orthogonal to the degree-(N-1) columns at the p_i, which is
+    checked exactly, once per restriction.  That implies the test at e, w *
+    ell(p) * m(q') orthogonal to the degree-(e-1) columns for m of degree
+    N - e: q' is linear in p, so m(q') times such a column lies in the
+    degree-(N-1) column space.  The socle functional always passes: its
+    chi is orthogonal to every degree-(N-1) column.  The test
+    fails, and the monomial path decides, when the restriction has no
+    degree-(N-1) columns.
     """
-    restriction, e = piece.restriction, piece.degree
-    omega = _scaled_to_integers([w * v for w, v in zip(phi.weights, restriction.ells)])[0]
-    lower = restriction.columns[e - 1] if e else []
-    for m in phi._point_columns()[phi.degree - e]:
-        om = [x * y for x, y in zip(omega, m)]
-        if any(_dot(om, u) for u in lower):
-            return False
-    return True
+    restriction = piece.restriction
+    if not piece.degree:
+        return True
+    if phi._kills is None or phi._kills[0] is not restriction:
+        N = phi.degree
+        passes = N <= len(restriction.codims)
+        if passes:
+            omega = _scaled_to_integers([w * v for w, v in zip(phi.weights, restriction.ells)])[0]
+            passes = not any(_dot(omega, u) for u in restriction.columns[N - 1])
+        phi._kills = (restriction, passes)
+    return phi._kills[1]
 
 
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
     membership test for the ancestor ideal: at the points for a functional
-    at a restricted piece's points when that test passes, else by
-    containment in ``gorenstein_ancestor``.  A zero functional kills
+    at a restricted piece's points when that test passes, else by pairing
+    each row of Cat_e(phi), phi(- * m), with each form of the piece's basis,
+    which stops at the first nonzero pairing.  A zero functional kills
     everything."""
     e = piece.degree
     if e > phi.degree:
@@ -893,7 +918,9 @@ def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     if (isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small
             and _kills_at_points(phi, piece)):
         return True
-    return phi.is_zero or gorenstein_ancestor(phi, e).contains(piece)
+    basis = piece.echelon.rows.values()
+    return not any(sum(c * f[j] for j, c in row.items() if j in f)
+                   for row in _catalecticant_rows(phi, e) for f in basis)
 
 
 # ---------------------------------------------------------------------------

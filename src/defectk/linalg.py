@@ -10,16 +10,18 @@ Gaussian elimination, where division is cheap and there is no growth.
 tests and the benchmark use it as their independent oracle.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
-echelon on plain Python ints, over Z (cross-multiplied, content stripped)
-or over F_p (residues, monic pivots).  It serves only matrices indexed by
-points: every point-set rank, the catalecticant ranks of a functional at
-points, and, through its kernel, the dual weights and socle functional of
-a restricted ideal.
+echelon on plain Python ints, over Z (lists, cross-multiplied, content
+stripped) or over F_p (monic residue vectors, each packed into one int of
+byte-aligned slots, so that a reduction step is one big-int multiply-add
+and residues are taken once per insertion).  It serves only matrices
+indexed by points: every point-set rank, the catalecticant ranks of a
+functional at points, and, through its kernel, the dual weights and socle
+functional of a restricted ideal.
 ``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
 an incrementally maintained reduced row basis with sparse dict rows of
 field scalars.  It serves generated pieces, base loci, the monomial
-catalecticant of ``ideals.gorenstein_ancestor`` that the monomial oracles
-read, and the kernels a restricted piece builds only on demand; the point
+catalecticant of ``ideals.gorenstein_ancestor`` and of the monomial kill
+check, and the kernels a restricted piece builds only on demand; the point
 side never uses it.
 """
 
@@ -27,9 +29,15 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from fractions import Fraction
 
 from .scalars import Fp, as_scalar
+
+# Slot sizes in bytes of a packed F_p vector, with the struct codes that
+# read a slot (little-endian, standard sizes, no padding): one unsigned
+# field up to 8 bytes, above that a 64-bit low word and a high field.
+_SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q", 9: "QB", 10: "QH", 12: "QI", 16: "QQ"}
 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
@@ -242,49 +250,69 @@ class IntForwardEchelon:
     Used for ranks of evaluation matrices, where only the dimension and a
     basis of the span matter.  Over Z each insertion cross-multiplies
     against the pivots in ascending order, without division, and strips
-    the content of the result.  Over F_char every entry is a residue in
-    [0, char) and each stored vector has pivot entry 1.
+    the content of the result.  Over F_char each stored vector is monic
+    (pivot entry 1) and packed into one int, entry c in the W-bit slot c
+    (Kronecker substitution; Dumas-Fousse-Salvy, JSC 2011).  A vector is
+    reduced by V += (char - b) * U, one big-int step per pivot, with b the
+    pivot slot of V mod char.  Entries start below char and each step adds
+    at most (char - 1)^2, so W with char + ncols * (char - 1)^2 < 2^W keeps
+    every slot nonnegative and carry-free: the smallest slot of
+    ``_SLOT_CODES`` that fits.  Residues are taken once per insertion, on
+    unpacking.
     """
 
     def __init__(self, ncols: int, char: int | None = None):
         self.ncols = ncols
         self.char = char
-        self.vectors: list[tuple[int, list[int]]] = []  # sorted by pivot index
+        self._rows: list[tuple[int, object]] = []  # sorted by pivot index
+        if char is not None:
+            bits = (char + ncols * (char - 1) ** 2).bit_length()
+            self._slot = next((size for size in _SLOT_CODES if 8 * size >= bits), None)
+            if self._slot is None:
+                raise ValueError(f"characteristic {char} too large for {ncols} packed columns")
+            self._struct = struct.Struct("<" + _SLOT_CODES[self._slot] * ncols)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self._rows)
+
+    @property
+    def vectors(self) -> list[tuple[int, list[int]]]:
+        """The stored vectors as (pivot, entries), sorted by pivot."""
+        if self.char is None:
+            return self._rows
+        return [(pivot, self._unpack(u)) for pivot, u in self._rows]
 
     def add(self, vec: list[int]) -> bool:
         """Insert a vector; returns True when it enlarges the span."""
         p = self.char
         if p is None:
             v = list(vec)
-            for pivot, u in self.vectors:
+            for pivot, u in self._rows:
                 if v[pivot]:
                     a, b = u[pivot], v[pivot]
                     v = [a * x - b * y for x, y in zip(v, u)]
         else:
-            # entries are reduced once at the end: each step adds less than
-            # char^2 in absolute value, so they stay a few words long
-            v = [x % p for x in vec]
-            for pivot, u in self.vectors:
-                b = v[pivot] % p
+            width = 8 * self._slot
+            mask = (1 << width) - 1
+            packed = self._pack([x % p for x in vec])
+            for pivot, u in self._rows:
+                b = (packed >> width * pivot & mask) % p
                 if b:
-                    v[pivot:] = [x - b * y for x, y in zip(v[pivot:], u[pivot:])]
-            v = [x % p for x in v]
+                    packed += (p - b) * u
+            v = self._unpack(packed)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
             return False
-        self.vectors.append((pivot, self._normalized(pivot, v)))
-        self.vectors.sort(key=lambda t: t[0])
+        self._rows.append((pivot, self._stored(pivot, v)))
+        self._rows.sort(key=lambda t: t[0])
         return True
 
     def scale_columns(self, scales: list[int]) -> None:
         """Multiply entry c of every vector by scales[c], nonzero (mod char);
         zeros stay zeros, so the pivots and the echelon form are kept."""
-        self.vectors = [
-            (pivot, self._normalized(pivot, [x * s for x, s in zip(u, scales)]))
+        self._rows = [
+            (pivot, self._stored(pivot, [x * s for x, s in zip(u, scales)]))
             for pivot, u in self.vectors
         ]
 
@@ -294,14 +322,15 @@ class IntForwardEchelon:
         and the pivot entries by back substitution, scaled so that they stay
         integers (over F_char the pivot entries are 1, so nothing is scaled).
         Each vector is then normalized like a stored one."""
-        pivots = {pivot for pivot, _ in self.vectors}
+        vectors = self.vectors
+        pivots = {pivot for pivot, _ in vectors}
         out = []
         for free in range(self.ncols):
             if free in pivots:
                 continue
             x = [0] * self.ncols
             x[free] = 1
-            for pivot, u in reversed(self.vectors):
+            for pivot, u in reversed(vectors):
                 s = sum(map(operator.mul, u[pivot + 1:], x[pivot + 1:]))
                 if s:
                     g = math.gcd(s, u[pivot])
@@ -320,3 +349,24 @@ class IntForwardEchelon:
             return [x // g for x in v] if g > 1 else v
         inv = pow(v[pivot], -1, p)
         return [x * inv % p for x in v]
+
+    def _stored(self, pivot: int, v: list[int]):
+        """The normalized vector as it is stored: packed over F_char."""
+        v = self._normalized(pivot, v)
+        return v if self.char is None else self._pack(v)
+
+    def _pack(self, v: list[int]) -> int:
+        """Residues (below 2^64) as one int, entry c in slot c."""
+        if self._slot > 8:
+            flat = [0] * (2 * self.ncols)
+            flat[::2] = v
+            v = flat
+        return int.from_bytes(self._struct.pack(*v), "little")
+
+    def _unpack(self, packed: int) -> list[int]:
+        """The residues mod char of the slots of a packed vector."""
+        p = self.char
+        fields = self._struct.unpack(packed.to_bytes(self._struct.size, "little"))
+        if self._slot > 8:
+            return [(low | high << 64) % p for low, high in zip(fields[::2], fields[1::2])]
+        return [x % p for x in fields]

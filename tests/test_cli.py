@@ -110,7 +110,10 @@ def test_field_flag(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4",
                            "--field", "fp=1000003")
     assert code == 0 and json.loads(out)["defect"]["defect"] == 1
-    assert run_cli(capsys, "family", "--name", "plane", "--d", "4", "--field", "fp=4")[0] == 1
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "4", "--field", "fp=4")
+    assert code == 1 and out == ""
+    assert err.splitlines()[-1] == (
+        "error: argument --field: characteristic must be an odd prime <= 2^31, got 4")
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4", "--field", "qp")
     assert code == 0
 

@@ -230,6 +230,30 @@ def test_profile_without_a_chart_matches_rank():
             assert points_profile(pts, 5, char).values == full_evaluation_ranks(pts, 5, char)
 
 
+def test_affine_profile_mod_p_matches_rank():
+    """Mod p the chart pass runs on the residues rep * rep[j]^-1, at x_j = 1:
+    its profile equals linalg.rank of the evaluation matrices at the
+    integer points, in a chart whose coordinate is no unit over Z, without
+    a chart, and on sets that collide mod p."""
+    rng = random.Random(31)
+    for char in (3, 7, CERTIFY_PRIME):
+        units = [v for v in range(2, 40) if v % char]
+        for kind in ("chart", "no chart", "collide") * 10:
+            nvars = rng.choice((3, 4))
+            coords = [[rng.choice(units)] + [rng.randint(-9, 9) for _ in range(nvars - 1)]
+                      for _ in range(rng.randint(2, 8))]
+            if kind == "no chart":  # every coordinate vanishes at a unit vector
+                coords += [[int(u == v) for u in range(nvars)] for v in range(nvars)]
+            elif kind == "collide":  # points congruent to the first one mod p
+                coords += [[c + char * rng.choice((-1, 1)) for c in coords[0]] for _ in range(2)]
+            pts = PointSet(list({normalize_point(c): c for c in coords}.values()))
+            assert (_chart(pts.int_reps(), char) is None) == (kind == "no chart")
+            if kind == "collide":
+                with pytest.raises(BadReductionError):
+                    check_reduction(pts, char)
+            assert points_profile(pts, 5, char).values == full_evaluation_ranks(pts, 5, char)
+
+
 def test_chart_has_the_smallest_entries():
     pts = PointSet([(0, 5, 3, 4), (0, 1, 3, -1), (0, 7, 1, 2)])
     assert _chart(pts.int_reps(), None) == 2  # max |x_j| = 7, 3, 4
@@ -465,6 +489,62 @@ def test_point_form_chain_matches_monomial_oracles(data):
         assert ancestor_profile(psi) == ancestor_profile(rebuilt)
         for piece, oracle in zip(pieces, explicit):
             assert functional_kills_products(psi, piece) == functional_kills_products(rebuilt, oracle)
+
+
+def test_degree_n_kill_check_matches_ancestor_containment():
+    """The one degree-N test at the points against containment in the
+    monomial ancestor piece, on socle functionals (which pass it at every
+    degree) and on socle functionals with one weight perturbed (which fail
+    it, so the catalecticant pairing decides), and on a functional whose
+    degree N - 1 lies above the restriction's top degree."""
+    grids = (
+        (grid9(), 4),
+        (PointSet([(0, 0, a, b, 1) for a in range(1, 5) for b in range(1, 5)]), 6),
+        (PointSet([(1, a, b, 0) for a in range(1, 4) for b in range(1, 6)]), 6),
+    )
+    for pts, N in grids:
+        pieces = restricted_point_pieces(pts, draw_missing_hyperplane(pts, 1), N)
+        oracles = [IdealPiece(piece.nvars, e, piece.echelon) for e, piece in enumerate(pieces)]
+        phi = socle_functional(pieces[N])
+        perturbed = Functional.at_points(phi.nvars, N, phi.points,
+                                         [phi.weights[0] + 1, *phi.weights[1:]])
+        assert all(_kills_at_points(phi, piece) for piece in pieces)
+        assert not any(_kills_at_points(perturbed, piece) for piece in pieces[1:])
+        for psi in (phi, perturbed):
+            rebuilt = Functional(psi.nvars, N, psi.coeffs)
+            want = [gorenstein_ancestor(rebuilt, e).contains(oracle)
+                    for e, oracle in enumerate(oracles)]
+            assert [functional_kills_products(psi, piece) for piece in pieces] == want
+            assert [functional_kills_products(rebuilt, oracle) for oracle in oracles] == want
+        assert not all(functional_kills_products(perturbed, piece) for piece in pieces)
+        # degree N + 2: no degree-(N + 1) columns, so the monomial path decides
+        high = Functional.at_points(phi.nvars, N + 2, phi.points, phi.weights)
+        rebuilt = Functional(high.nvars, N + 2, high.coeffs)
+        assert not any(_kills_at_points(high, piece) for piece in pieces[1:])
+        assert [functional_kills_products(high, piece) for piece in pieces] == [
+            gorenstein_ancestor(rebuilt, e).contains(oracle) for e, oracle in enumerate(oracles)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((None, 7)), st.integers(min_value=0, max_value=2**32))
+def test_monomial_kill_check_matches_products(char, seed):
+    """The catalecticant pairing of the monomial path against phi(f * m)
+    for every basis form f of the piece and every monomial m of degree
+    N - e, on sparse functionals and pieces of one to three sparse forms."""
+    rng = random.Random(seed)
+    nvars, N = rng.choice(((2, 4), (3, 3), (3, 4)))
+    phi = Functional(nvars, N, {m: rng.randint(-2, 2)
+                                for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))},
+                     char)
+    e = rng.randint(0, N)
+    basis = monomial_basis(nvars, e)
+    forms = [GradedPoly(nvars, e, {m: rng.randint(-2, 2) for m in
+                                   rng.sample(basis, min(len(basis), rng.randint(1, 2)))}, char)
+             for _ in range(rng.randint(1, 3))]
+    piece = IdealPiece.from_polys(nvars, e, [f for f in forms if not f.is_zero], char)
+    want = all(not phi.of(f * GradedPoly.monomial(nvars, m, 1, char))
+               for f in piece.basis_polys() for m in monomial_basis(nvars, N - e))
+    assert functional_kills_products(phi, piece) == want
 
 
 def test_kill_check_at_points_can_fail():

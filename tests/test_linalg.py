@@ -43,6 +43,22 @@ def test_validate_characteristic():
     assert is_prime(1_000_003) and not is_prime(1_000_001)
 
 
+def test_is_prime_matches_trial_division():
+    """Miller-Rabin on the bases 2, 3, 5, 7 against trial division below
+    10^5, on strong pseudoprimes to base 2 (2047) and to bases 2, 3
+    (1373653), on the largest allowed characteristic, and refused at its
+    bound."""
+
+    def trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+    assert all(is_prime(n) == trial_division(n) for n in range(10**5))
+    for n in (2047, 3277, 4033, 1_373_653, 25_326_001, 2**31 - 1, 2**31 + 11):
+        assert is_prime(n) == trial_division(n)
+    with pytest.raises(ValueError):
+        is_prime(3_215_031_751)
+
+
 def test_rank_examples():
     assert rank([[1 if i == j else 0 for j in range(5)] for i in range(5)]) == 5
     assert rank([[0] * 4 for _ in range(3)]) == 0
@@ -205,6 +221,62 @@ def test_int_forward_echelon_kernel_is_the_orthogonal_complement():
                 assert rank(kernel, char) == len(kernel)
             if char is None:
                 assert all(math.gcd(*x) == 1 for x in kernel)
+
+
+P31 = 2**31 - 1
+
+
+def _check_against_rank(rows, ncols, char):
+    """dim equals linalg.rank, and the kernel is a basis of the complement."""
+    ech = IntForwardEchelon(ncols, char)
+    for row in rows:
+        ech.add(row)
+    r = rank(rows, char) if rows else 0
+    assert ech.dim == r
+    kernel = ech.kernel()
+    assert len(kernel) == ncols - r
+    for x in kernel:
+        assert all(sum(a * b for a, b in zip(row, x)) % char == 0 for row in rows)
+    # independent: each kernel vector is the only one nonzero at its free column
+    pivots = {p for p, _ in ech.vectors}
+    free = [c for c in range(ncols) if c not in pivots]
+    assert [[bool(x[c]) for c in free] for x in kernel] == [
+        [i == j for j in range(len(free))] for i in range(len(free))]
+    assert all(u[p] == 1 and all(0 <= x < char for x in u) for p, u in ech.vectors)
+
+
+def test_packed_echelon_matches_rank_at_wide_widths():
+    """F_p vectors packed into one int, against linalg.rank: random and
+    low-rank rows up to width 300, with entries that are negative or at
+    least p."""
+    rng = random.Random(41)
+    for char in (3, 7, P31):
+        for ncols in (1, 2, 5, 17, 64, 130, 300):
+            nrows = rng.randint(1, min(ncols, 24) + 4)
+            rows = [[rng.randint(-3 * char, 3 * char) for _ in range(ncols)]
+                    for _ in range(nrows)]
+            inner = rng.randint(1, 4)
+            left = [[rng.randint(-char, char) for _ in range(inner)] for _ in range(nrows)]
+            right = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(inner)]
+            low_rank = [[sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)]
+                        for lrow in left]
+            _check_against_rank(rows, ncols, char)
+            _check_against_rank(low_rank, ncols, char)
+
+
+def test_packed_echelon_at_the_slot_bound():
+    """Rows whose entries are all p - 1, and a vector that every pivot
+    reduces with the largest multiplier p - 1: its last slot reaches
+    p - 1 + (ncols - 1)(p - 1)^2, next to the bound that sets the slot
+    width.  Widths cross the byte boundaries of the slots for each p."""
+    for char in (3, 7, P31):
+        for ncols in (1, 2, 3, 4, 5, 8, 9, 16, 63, 64, 65, 200, 300):
+            # pivot i, then p - 1 everywhere after it; the vector has v_k = 1 - k
+            # mod p, so that each pivot slot reads 1 when it is reached
+            rows = [[0] * i + [1] + [char - 1] * (ncols - i - 1) for i in range(ncols - 1)]
+            vector = [(1 - k) % char for k in range(ncols - 1)] + [char - 1]
+            _check_against_rank(rows + [vector], ncols, char)
+            _check_against_rank([[char - 1] * ncols] * 3 + rows[:3], ncols, char)
 
 
 def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
