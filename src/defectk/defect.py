@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .ideals import HilbertProfile, PointSet, points_hilbert, primitive_point
+from .ideals import HilbertProfile, PointSet, format_point, points_hilbert, primitive_point
 from .linalg import det
 from .polynomials import GradedPoly
 from .scalars import Fp, as_scalar
@@ -102,14 +101,14 @@ def verify_node(f: GradedPoly, point, rational_shadow: GradedPoly | None = None)
         raise ValueError("point is not singular on the hypersurface")
     d = _hessian_det(f, point)
     if isinstance(d, Fp) and not d and rational_shadow is not None:
-        lifted = tuple(Fraction(c.val if isinstance(c, Fp) else c) for c in point)
+        lifted = tuple(c.val if isinstance(c, Fp) else c for c in point)
         return bool(_hessian_det(rational_shadow, lifted))
     return bool(d)
 
 
 @dataclass(frozen=True)
 class NodeAudit:
-    point: tuple
+    point: tuple[int, ...]  # the primitive integer representative
     singular: bool
     hessian_nonzero: bool
 
@@ -129,15 +128,15 @@ def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[NodeAudit, ...]:
     """
     partials = _IntegerPartials(f)
     records = []
-    for p, rep in zip(points, points.int_reps()):
+    for rep in points:
         singular = not any(partials.value(rep, i) for i in range(f.nvars))
         hess = bool(_chart_hessian_det(partials, rep)) if singular else False
-        records.append(NodeAudit(p, singular, hess))
+        records.append(NodeAudit(rep, singular, hess))
     bad = [r for r in records if not r.is_node]
     if bad:
-        raise AuditError(
-            f"{len(bad)} declared node(s) failed the audit, first: {bad[0]}"
-        )
+        why = "has a degenerate Hessian" if bad[0].singular else "is not singular"
+        raise AuditError(f"{len(bad)} declared node(s) failed the audit, "
+                         f"first: {format_point(bad[0].point)} {why}")
     return tuple(records)
 
 
@@ -267,7 +266,8 @@ def defect(nodes: PointSet, critical_degree: int, char: int | None = None) -> De
 
 
 def tangent_codim(nodes: PointSet, d: int, char: int | None = None) -> int:
-    """Codimension of the equisingular tangent space inside the degree-d forms."""
+    """The paper's equisingular tangent codimension, ``points_hilbert`` at d;
+    kept because the benchmark tracer wraps it by this name."""
     return points_hilbert(nodes, d, char)
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .defect import DoubleSolid, NodalHypersurface
-from .ideals import PointSet, normalize_point, reduce_point
+from .defect import DoubleSolid, NodalHypersurface, sweep_singular_points
+from .ideals import PointSet, primitive_point, reduce_point
+from .macaulay import binomial
 from .polynomials import GradedPoly, product
 
 # Evaluation cells (nodes times degree-d monomials) a ci-highdim instance
@@ -97,8 +98,6 @@ def ci_family_highdim(n: int, d: int) -> NodalHypersurface:
     if n < 1 or d < 3:
         raise InstanceError("need n >= 1 and d >= 3")
     nvars = 2 * n + 3
-    from .macaulay import binomial
-
     cells = (d - 1) ** (n + 1) * binomial(d + nvars - 1, nvars - 1)
     if cells > CELL_BUDGET:
         raise InstanceError(
@@ -125,17 +124,11 @@ def random_points_control(count: int, nvars: int, seed: int) -> PointSet:
     if nvars == 1 and count > 1:
         raise ValueError("P^0 has only one point")
     rng = random.Random(seed)
-    seen = set()
-    points = []
+    points = {}  # primitive representatives, in order of first draw
     while len(points) < count:
         coords = tuple(rng.randint(-997, 997) for _ in range(nvars))
-        if not any(coords):
-            continue
-        key = normalize_point(coords)
-        if key in seen:
-            continue
-        seen.add(key)
-        points.append(coords)
+        if any(coords):
+            points[primitive_point(coords)] = None
     return PointSet(points)
 
 
@@ -161,7 +154,5 @@ def probe_undeclared_singular_points(f: GradedPoly, nodes: PointSet, p: int = 11
     Warn-only evidence: reports F_p-rational singular points of f mod p
     whose classes differ from every declared node's reduction.
     """
-    from .defect import sweep_singular_points
-
-    declared = {reduce_point(rep, p) for rep in nodes.int_reps()}
+    declared = {reduce_point(rep, p) for rep in nodes}
     return [pt for pt in sweep_singular_points(f, p) if pt not in declared]

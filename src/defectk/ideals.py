@@ -4,11 +4,12 @@ base-locus dimension through persistence of maximal growth.
 
 Conventions used throughout:
 
-* A projective point is stored normalized at its first nonzero coordinate.
-  Rank computations internally switch to the primitive integer
-  representative of each point (scaling a point multiplies its whole
-  degree-k evaluation row by a nonzero constant, so ranks are unaffected)
-  and run fraction-free.
+* A projective point is stored as its primitive integer representative:
+  coprime entries, the first nonzero one positive.  Scaling a point
+  multiplies its whole degree-k evaluation row by a nonzero constant, so
+  ranks do not depend on the representative, and every computation at the
+  points runs fraction-free on these ints.  Only the JSON form is rational,
+  normalized at the first nonzero coordinate.
 * A degree piece of an ideal is a subspace of the degree-k coefficient
   space, held in reduced row-echelon form over the fixed monomial order,
   so piece equality and containment are plain matrix comparisons.
@@ -86,41 +87,42 @@ class InconclusiveProbeError(RuntimeError):
 # points
 
 
-def normalize_point(coords) -> tuple[Fraction, ...]:
-    coords = tuple(Fraction(c) for c in coords)
-    lead = next((c for c in coords if c), None)
-    if lead is None:
-        raise ValueError("zero vector is not a projective point")
-    return tuple(c / lead for c in coords)
-
-
 def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
 def _scaled_to_integers(values) -> tuple[list[int], int]:
-    """Rationals times the lcm of their denominators, and that lcm."""
+    """Ints or rationals times the lcm of their denominators, and that lcm."""
     values = list(values)
     denom = math.lcm(*(v.denominator for v in values))
-    return [int(v * denom) for v in values], denom
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def primitive_point(coords) -> tuple[int, ...]:
-    """Integer representative with coprime entries, first nonzero positive."""
-    ints = _scaled_to_integers(Fraction(c) for c in coords)[0]
+    """Integer representative of a point given by ints or rationals: coprime
+    entries, the first nonzero one positive."""
+    ints = _scaled_to_integers(coords)[0]
     g = math.gcd(*ints)
+    if not g:
+        raise ValueError("zero vector is not a projective point")
     if next(x for x in ints if x) < 0:
         g = -g
     return tuple(x // g for x in ints)
 
 
-class PointSet:
-    """Finite set of distinct projective points with normalized coordinates."""
+def format_point(rep) -> str:
+    """A point as (x0:...:xn), the form of every error message."""
+    return f"({':'.join(map(str, rep))})"
 
-    __slots__ = ("nvars", "points", "_int_reps")
+
+class PointSet:
+    """Finite set of distinct projective points, each stored as its
+    ``primitive_point``, so any nonzero multiple of a point stands for it."""
+
+    __slots__ = ("nvars", "points")
 
     def __init__(self, coords_list):
-        pts = [normalize_point(c) for c in coords_list]
+        pts = tuple(primitive_point(c) for c in coords_list)
         if not pts:
             raise ValueError("point set must be nonempty")
         nvars = len(pts[0])
@@ -129,8 +131,7 @@ class PointSet:
         if len(set(pts)) != len(pts):
             raise ValueError("points must be pairwise distinct")
         self.nvars = nvars
-        self.points = tuple(pts)
-        self._int_reps = None
+        self.points = pts
 
     def __len__(self) -> int:
         return len(self.points)
@@ -142,19 +143,29 @@ class PointSet:
         return isinstance(other, PointSet) and self.points == other.points
 
     def int_reps(self) -> tuple[tuple[int, ...], ...]:
-        if self._int_reps is None:
-            self._int_reps = tuple(primitive_point(p) for p in self.points)
-        return self._int_reps
+        """The stored points, under the name ``perfbench/tracing.py`` calls."""
+        return self.points
 
     def to_json_list(self) -> list:
-        return [[[c.numerator, c.denominator] for c in p] for p in self.points]
+        """Each point as [numerator, denominator] pairs of c / lead, for lead
+        its first nonzero coordinate."""
+        out = []
+        for p in self.points:
+            lead = next(c for c in p if c)
+            out.append([[q.numerator, q.denominator] for q in (Fraction(c, lead) for c in p)])
+        return out
 
     @classmethod
     def from_json_list(cls, data) -> "PointSet":
-        """Inverse of ``to_json_list``; malformed data raises ValueError."""
+        """Points given as lists of [numerator, denominator] pairs, any nonzero
+        representative of each; malformed data raises ValueError."""
         try:
-            coords_list = [[Fraction(num, den) for num, den in p] for p in data]
-        except (TypeError, ZeroDivisionError) as exc:
+            pairs = [[(operator.index(num), operator.index(den)) for num, den in p] for p in data]
+            if any(den == 0 for p in pairs for _, den in p):
+                raise ZeroDivisionError("zero denominator")
+            lcms = [math.lcm(*(den for _, den in p)) for p in pairs]
+            coords_list = [[num * (lcm // den) for num, den in p] for p, lcm in zip(pairs, lcms)]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"points must be lists of [numerator, denominator] pairs: {exc}"
             ) from exc
@@ -326,7 +337,7 @@ class _ColumnBases:
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
     """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
     one nested echelon in a chart, or one echelon per degree without one."""
-    reps = points.int_reps()
+    reps = points.points
     passes = _profile_pass(reps, _chart(reps, char), up_to, char)
     return HilbertProfile(tuple(ech.dim for ech, _ in passes))
 
@@ -471,7 +482,7 @@ def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
     With ``restrict_to_hyperplane`` this is the independent oracle that the
     tests check ``restricted_point_pieces`` against.
     """
-    cols = list(_evaluation_columns(points.int_reps(), points.nvars, k))
+    cols = list(_evaluation_columns(points.points, points.nvars, k))
     # one row per point, columns indexed by monomials
     ech = Echelon(len(cols), char)
     for i in range(len(points)):
@@ -492,7 +503,7 @@ def draw_missing_hyperplane(points: PointSet, seed: int, char: int | None = None
     rng = random.Random(seed)
     for _ in range(_HYPERPLANE_TRIES):
         ell = GradedPoly.linear_form([rng.randint(1, 997) for _ in range(points.nvars)])
-        values = (ell.evaluate(rep) for rep in points.int_reps())
+        values = (ell.evaluate(rep) for rep in points.points)
         if all(v % char if char else v for v in values):
             return ell
     if char:
@@ -518,12 +529,12 @@ def check_reduction(points: PointSet, p: int) -> None:
     stand for the set at all.
     """
     seen = {}
-    for rep in points.int_reps():
+    for rep in points.points:
         key = reduce_point(rep, p)
         if key in seen:
-            first, second = (":".join(map(str, r)) for r in (seen[key], rep))
+            first, second = map(format_point, (seen[key], rep))
             raise BadReductionError(
-                f"bad reduction mod {p}: the points ({first}) and ({second}) coincide mod {p}"
+                f"bad reduction mod {p}: the points {first} and {second} coincide mod {p}"
             )
         seen[key] = rep
 
@@ -538,7 +549,7 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
         raise ValueError("need a nonzero linear form")
     for p in points:
         if not ell.evaluate(p):
-            raise NonGenericHyperplaneError(f"hyperplane contains the point {p}")
+            raise NonGenericHyperplaneError(f"hyperplane contains the point {format_point(p)}")
     vals = [1]
     for k in range(1, len(h_I)):
         step = h_I[k] - h_I[k - 1]
@@ -621,36 +632,35 @@ class _Restriction:
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
-        reps = points.int_reps()
+        reps = points.points
         self.columns = _ColumnBases(reps, top)
         self.codims = difference_profile(HilbertProfile(tuple(self.columns.h)), points, ell)
-        self.ells = [ell.evaluate(rep) for rep in reps]
-        j = max(exp.index(1) for exp in ell.coeffs)
-        small = []
-        for rep in reps:
-            q = list(rep[:-1])
-            if j < len(q):
-                q[j] = rep[-1]
-            small.append(tuple(q))
-        self.small = tuple(small)
+        # ell(p_i) and 1 / ell(p_i) as ints, each up to one common factor
+        self.ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
+        lcm = math.lcm(*self.ells)
+        self.inverse_ells = [lcm // v for v in self.ells]
         self.nvars = points.nvars - 1
+        j = max(exp.index(1) for exp in ell.coeffs)
+        order = [self.nvars if v == j else v for v in range(self.nvars)]
+        self.small = tuple(tuple(rep[v] for v in order) for rep in reps)
 
-    def dual_weights(self, e: int) -> list[list[Fraction]]:
+    def dual_weights(self, e: int) -> list[tuple[int, ...]]:
         """A basis of the weights whose functionals span the dual of
         (I_H)_e: chi / ell(p) for chi in the integer kernel of the
-        degree-(e-1) columns (none at e = 0)."""
+        degree-(e-1) columns (none at e = 0), each as a primitive integer
+        vector."""
         ech = IntForwardEchelon(len(self.small))
         for col in self.columns[e - 1] if e else []:
             ech.add(col)
-        return [[Fraction(x, v) for x, v in zip(chi, self.ells)] for chi in ech.kernel()]
+        return [primitive_point(map(operator.mul, chi, self.inverse_ells))
+                for chi in ech.kernel()]
 
     def kernel_echelon(self, e: int) -> Echelon:
         """(I_H)_e over the monomial basis: the forms every dual weight kills."""
         cols = list(_evaluation_columns(self.small, self.nvars, e))
         cond = Echelon(len(cols))
         for psi in self.dual_weights(e):
-            ints = _scaled_to_integers(psi)[0]
-            cond.add({m: v for m, v in enumerate(_dot(ints, col) for col in cols) if v})
+            cond.add({m: v for m, v in enumerate(_dot(psi, col) for col in cols) if v})
         return IdealPiece.from_vectors(self.nvars, e, cond.kernel_of_rows()).echelon
 
     def socle_functional(self, e: int) -> "Functional":
@@ -659,13 +669,11 @@ class _Restriction:
         functional is nonzero."""
         basis = monomial_basis(self.nvars, e)
         for weights in self.dual_weights(e):
-            ints, denom = _scaled_to_integers(weights)
             for m in reversed(basis):
-                value = _dot(ints, (math.prod(map(pow, q, m)) for q in self.small))
+                value = _dot(weights, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:
-                    scale = Fraction(denom, value)
                     return Functional.at_points(self.nvars, e, self.small,
-                                                [w * scale for w in weights])
+                                                [Fraction(w, value) for w in weights])
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
 
 
@@ -899,7 +907,7 @@ def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
         N = phi.degree
         passes = N <= len(restriction.codims)
         if passes:
-            omega = _scaled_to_integers([w * v for w, v in zip(phi.weights, restriction.ells)])[0]
+            omega = [x * v for x, v in zip(_scaled_to_integers(phi.weights)[0], restriction.ells)]
             passes = not any(_dot(omega, u) for u in restriction.columns[N - 1])
         phi._kills = (restriction, passes)
     return phi._kills[1]

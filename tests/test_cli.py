@@ -190,10 +190,11 @@ def test_random_control_without_enough_points_exits_one(capsys):
 
 def test_malformed_points_files_exit_one(tmp_path, capsys):
     points_file = tmp_path / "points.json"
-    for data in ([[1, 2]], [[[1, 0], [1, 1]]], 5):
+    for data in ([[1, 2]], [[[1, 0], [1, 1]]], 5, [[[1, 1, 1]]], {"a": [[1, 1]]}):
         points_file.write_text(json.dumps(data))
-        _assert_one_line_error(*run_cli(capsys, "defect", "--points", str(points_file),
-                                        "--degree", "1"))
+        code, out, err = run_cli(capsys, "defect", "--points", str(points_file), "--degree", "1")
+        _assert_one_line_error(code, out, err)
+        assert err.startswith("error: points must be lists of [numerator, denominator] pairs: ")
     # a directory where a file is read or written
     _assert_one_line_error(*run_cli(capsys, "defect", "--points", str(tmp_path),
                                     "--degree", "1"))

@@ -79,15 +79,19 @@ def test_audit_error_on_non_node():
 
 def test_audit_matches_pointwise_checks():
     """audit_nodes reads the partials of f once, at integer representatives;
-    each record is the one the pointwise checks give at the normalized point."""
+    each record is the one the pointwise checks give at the stored point."""
     inst = plane_family(GridParams(4, (2, 3, 5), (7, 11, 13)))
     f = inst.f
     cases = (
-        ((0, 0, 3, 11, 1), True, True),  # a node, normalized to (0, 0, 1, 11/3, 1/3)
-        ((2, 3, 0, 0, 0), True, False),  # on the singular line x2 = x3 = x4 = 0
-        ((0, 0, 7, 2, 3), False, False),  # a smooth point of the hypersurface
+        ((0, 0, 3, 11, 1), True, True, None),  # a node, at (0:0:1:11/3:1/3)
+        # on the singular line x2 = x3 = x4 = 0
+        ((-2, -3, 0, 0, 0), True, False,
+         "1 declared node(s) failed the audit, first: (2:3:0:0:0) has a degenerate Hessian"),
+        # a smooth point of the hypersurface
+        ((0, 0, Fraction(7, 3), Fraction(2, 3), 1), False, False,
+         "1 declared node(s) failed the audit, first: (0:0:7:2:3) is not singular"),
     )
-    for coords, singular, hessian_nonzero in cases:
+    for coords, singular, hessian_nonzero, message in cases:
         (p,) = PointSet([coords])
         assert verify_singular(f, p) == singular
         if singular:
@@ -98,7 +102,7 @@ def test_audit_matches_pointwise_checks():
         else:
             with pytest.raises(AuditError) as exc:
                 audit_nodes(f, PointSet([coords]))
-            assert str(exc.value) == f"1 declared node(s) failed the audit, first: {record}"
+            assert str(exc.value) == message
     # the same integer path over F_p, against the pointwise checks there
     f101 = f.reduce_mod(101)
     assert audit_nodes(f101, inst.nodes) == tuple(

@@ -1,5 +1,6 @@
 """Family constructors: audited nodes, determinism, and the mod-p probe."""
 
+import hashlib
 import json
 
 import pytest
@@ -77,6 +78,22 @@ def test_random_points_control():
     assert random_points_control(8, 5, seed=2) != pts
     with pytest.raises(ValueError):
         random_points_control(0, 5, seed=1)
+
+
+def test_random_points_control_files_are_stable():
+    """The written sets of 20 points in P^4, as sha256 of their JSON."""
+    want = {
+        1: "b6ce3bab9270822be2332d078a411c7ad874128e12cba140ea2c015ca4f4e553",
+        2: "3670254e902544179976725ae4d34d134460bcadf2e1a07f3659d798890524db",
+        3: "7fe94a151aee89fea808348251b38a6be371657dabecc2ab2cc121dfc5554752",
+    }
+    for seed, digest in want.items():
+        text = json.dumps(random_points_control(20, 5, seed).to_json_list())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert random_points_control(20, 5, 1).to_json_list()[:2] == [
+        [[1, 1], [-84, 361], [-369, 361], [-17, 19], [-567, 722]],
+        [[1, 1], [475, 868], [27, 31], [-17, 868], [-561, 868]],
+    ]
 
 
 def test_random_nine_points_have_no_defect():

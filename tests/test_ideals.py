@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from defectk import ideals
 from defectk.ideals import (
     BadReductionError,
     BaseLocus,
@@ -28,8 +29,8 @@ from defectk.ideals import (
     gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
-    normalize_point,
     point_ideal_piece,
+    primitive_point,
     points_hilbert,
     points_profile,
     restrict_to_hyperplane,
@@ -88,6 +89,57 @@ def test_point_set_serialization_roundtrip():
     assert PointSet.from_json_list(ps.to_json_list()) == ps
 
 
+def reference_normalization(coords) -> list:
+    """[num, den] of each c / lead, lead the first nonzero coordinate, in
+    Fractions: the rational form point files are written in."""
+    coords = [Fraction(c) for c in coords]
+    lead = next(c for c in coords if c)
+    return [[(c / lead).numerator, (c / lead).denominator] for c in coords]
+
+
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+           lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n).filter(any),
+                              min_size=1, max_size=6)),
+       rationals.filter(bool))
+def test_point_set_is_scale_invariant(coords_list, lam):
+    """Any nonzero multiple of a point, given as numbers or as [num, den]
+    pairs with a denominator of either sign, is the same point, and the
+    written form is the normalization at the first nonzero coordinate."""
+    distinct = list({str(reference_normalization(c)): c for c in coords_list}.values())
+    ps = PointSet(distinct)
+    scaled = [[lam * c for c in p] for p in distinct]
+    assert PointSet(scaled) == ps
+    pairs = [[[c.numerator, c.denominator] if i % 2 else [-c.numerator, -c.denominator]
+              for i, c in enumerate(p)] for p in scaled]
+    assert PointSet.from_json_list(pairs) == ps
+    assert ps.to_json_list() == [reference_normalization(c) for c in distinct]
+    assert all(math.gcd(*p) == 1 and next(c for c in p if c) > 0 for p in ps.points)
+
+
+def test_point_set_json_form():
+    ps = PointSet([(0, -3, 2, Fraction(1, 2)), (-2, 4, 0, 7), (0, 0, 5, -10)])
+    assert ps.points == ((0, 6, -4, -1), (2, -4, 0, -7), (0, 0, 1, -2))
+    assert ps.to_json_list() == [
+        [[0, 1], [1, 1], [-2, 3], [-1, 6]],
+        [[1, 1], [-2, 1], [0, 1], [-7, 2]],
+        [[0, 1], [0, 1], [1, 1], [-2, 1]],
+    ]
+
+
+def test_integer_points_build_no_fractions(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(ideals, "Fraction", no_fraction)
+    ps = PointSet.from_json_list([[[2, 1], [-4, 1], [6, 1]], [[0, 1], [3, 1], [-1, 1]]])
+    assert ps.points == ((1, -2, 3), (0, 3, -1))
+    assert PointSet([(4, 2, 0)]).points == ((2, 1, 0),)
+
+
 def test_points_hilbert_examples():
     single = PointSet([(1, 2, 3, 4, 5)])
     for k in range(4):
@@ -110,7 +162,7 @@ def full_evaluation_ranks(pts, up_to, char):
     """Ranks of the evaluation matrices at every monomial, by linalg.rank."""
     return tuple(
         rank([[math.prod(c**e for c, e in zip(p, m)) for m in monomial_basis(pts.nvars, k)]
-              for p in pts.int_reps()], char)
+              for p in pts.points], char)
         for k in range(up_to + 1)
     )
 
@@ -136,7 +188,7 @@ def point_sets(draw):
             weights = [draw(small) for _ in span]
             coords.append([sum(w * v[i] for w, v in zip(weights, span)) for i in range(nvars)])
     e0 = [1] + [0] * (nvars - 1)
-    distinct = {normalize_point(c): c for c in coords if any(c)} or {normalize_point(e0): e0}
+    distinct = {primitive_point(c): c for c in coords if any(c)} or {primitive_point(e0): e0}
     return PointSet(list(distinct.values()))
 
 
@@ -156,8 +208,8 @@ def lifted_point_sets(draw):
     modular rank can fall short and points_hilbert must rank over Z."""
     pts = draw(point_sets())
     shift = st.lists(st.sampled_from((-1, 1)), min_size=pts.nvars, max_size=pts.nvars)
-    coords = [[c + CERTIFY_PRIME * s for c, s in zip(rep, draw(shift))] for rep in pts.int_reps()]
-    return PointSet(list({normalize_point(c): c for c in coords}.values()))
+    coords = [[c + CERTIFY_PRIME * s for c, s in zip(rep, draw(shift))] for rep in pts.points]
+    return PointSet(list({primitive_point(c): c for c in coords}.values()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,9 +273,9 @@ def test_profile_without_a_chart_matches_rank():
     chart_vanishes_mod_3 = PointSet([(1, 0, 0), (3, 1, 0), (1, 1, 1), (2, 0, 1)])
     # chart x_0 everywhere; mod 7 three points coincide, so the rank stalls at 2
     stalls_mod_7 = PointSet([(1, 0, 0), (1, 7, 0), (1, 0, 7), (1, 1, 1)])
-    assert [_chart(no_chart.int_reps(), c) for c in (None, 3, 7)] == [None, None, None]
-    assert [_chart(chart_vanishes_mod_3.int_reps(), c) for c in (None, 3, 7)] == [0, None, 0]
-    assert [_chart(stalls_mod_7.int_reps(), c) for c in (None, 3, 7)] == [0, 0, 0]
+    assert [_chart(no_chart.points, c) for c in (None, 3, 7)] == [None, None, None]
+    assert [_chart(chart_vanishes_mod_3.points, c) for c in (None, 3, 7)] == [0, None, 0]
+    assert [_chart(stalls_mod_7.points, c) for c in (None, 3, 7)] == [0, 0, 0]
     assert points_profile(stalls_mod_7, 5, 7).values == (1, 2, 2, 2, 2, 2)
     for pts in (no_chart, chart_vanishes_mod_3, stalls_mod_7):
         for char in (None, 3, 7):
@@ -246,8 +298,8 @@ def test_affine_profile_mod_p_matches_rank():
                 coords += [[int(u == v) for u in range(nvars)] for v in range(nvars)]
             elif kind == "collide":  # points congruent to the first one mod p
                 coords += [[c + char * rng.choice((-1, 1)) for c in coords[0]] for _ in range(2)]
-            pts = PointSet(list({normalize_point(c): c for c in coords}.values()))
-            assert (_chart(pts.int_reps(), char) is None) == (kind == "no chart")
+            pts = PointSet(list({primitive_point(c): c for c in coords}.values()))
+            assert (_chart(pts.points, char) is None) == (kind == "no chart")
             if kind == "collide":
                 with pytest.raises(BadReductionError):
                     check_reduction(pts, char)
@@ -256,10 +308,10 @@ def test_affine_profile_mod_p_matches_rank():
 
 def test_chart_has_the_smallest_entries():
     pts = PointSet([(0, 5, 3, 4), (0, 1, 3, -1), (0, 7, 1, 2)])
-    assert _chart(pts.int_reps(), None) == 2  # max |x_j| = 7, 3, 4
-    assert _chart(pts.int_reps(), 7) == 2
-    assert _chart(pts.int_reps(), 3) == 3  # x_2 vanishes mod 3
-    assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]).int_reps(), None) == 0  # lowest index on ties
+    assert _chart(pts.points, None) == 2  # max |x_j| = 7, 3, 4
+    assert _chart(pts.points, 7) == 2
+    assert _chart(pts.points, 3) == 3  # x_2 vanishes mod 3
+    assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]).points, None) == 0  # lowest index on ties
 
 
 def test_point_ideal_piece_is_evaluation_kernel():
@@ -287,8 +339,9 @@ def test_difference_profile_examples():
     assert prof.values == (1, 0, 0, 0)
 
     bad = GradedPoly.linear_form((0, 0, 1, 0, -1))  # x2 - x4 hits (0:0:1:b:1) at b rows
-    with pytest.raises(NonGenericHyperplaneError):
+    with pytest.raises(NonGenericHyperplaneError) as exc:
         difference_profile(h_I, g, bad)
+    assert str(exc.value) == "hyperplane contains the point (0:0:1:1:1)"
 
 
 def test_difference_profile_telescopes():
@@ -445,7 +498,7 @@ def restrictions(draw):
         span = [draw(vector) for _ in range(2 if kind == "collinear" else 3)]
         coords = [[sum(draw(small) * v[i] for v in span) for i in range(nvars)]
                   for _ in range(count)]
-    distinct = list({normalize_point(c): c for c in coords if any(c)}.values())
+    distinct = list({primitive_point(c): c for c in coords if any(c)}.values())
     assume(len(distinct) >= 2)
     pts = PointSet(distinct)
     if draw(st.booleans()):
@@ -453,7 +506,7 @@ def restrictions(draw):
     else:
         ell = GradedPoly.linear_form(draw(st.lists(small, min_size=nvars - 1,
                                                    max_size=nvars - 1)) + [0])
-        assume(not ell.is_zero and all(ell.evaluate(rep) for rep in pts.int_reps()))
+        assume(not ell.is_zero and all(ell.evaluate(rep) for rep in pts.points))
     h = points_profile(pts, len(pts))
     socle = next(k for k in range(len(pts) + 1) if h[k] == len(pts))
     N = draw(st.integers(min_value=1, max_value=min(socle, 4)))
