@@ -38,22 +38,27 @@ Conventions used throughout:
 * The Gorenstein chain (restricted pieces, socle functional, ancestor
   profile, kill checks) runs on matrices indexed by the points.  The dual
   of a restricted piece (I_H)_e is spanned by point-evaluation functionals,
-  and its codim is h_I(e) - h_I(e-1) from the profile pass.  The socle
-  functional is a point sum phi = sum_i c_i ev_{q'_i}, and by the apolarity
-  lemma (Iarrobino-Kanev 1999, Lemma 1.15) its catalecticant is
-  Cat_e(phi) = E_{N-e}^T diag(c) E_e for the evaluation matrices E at the
-  q'_i, so every rank and kernel has the size of the point set, and runs
-  on ``IntForwardEchelon``.  The kill checks at the points are one
-  sufficient test at degree N, by the ideal property: (I_H)_e * S_{N-e} lies
-  in (I_H)_N, so phi kills every such product once its weights are dual
-  weights of (I_H)_N, an exact orthogonality to the degree-(N-1) columns,
-  checked once per functional and restriction.  The socle functional always
-  passes it; when it fails, the monomial path decides, pairing the rows of
-  the monomial catalecticant with the piece's basis.  The monomial-indexed
-  computations stay as the tests' independent oracles, on ``Echelon``:
-  ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces, and
-  the monomial catalecticant for a functional given by coefficients, whose
-  kernel is ``gorenstein_ancestor`` and whose ranks are the monomial
+  and its codim is h_I(e) - h_I(e-1) from the profile pass, whose own
+  degree-(N-1) echelon also gives the kernel that the socle functional's
+  weights come from.  That functional is a point sum phi = sum_i c_i
+  ev_{q'_i}, and by the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
+  its catalecticant is Cat_e(phi) = E_{N-e}^T diag(c) E_e for the
+  evaluation matrices E at the q'_i, so every rank and kernel has the size
+  of the point set, and runs on ``IntForwardEchelon``.  The kill checks at
+  the points are one sufficient test at degree N, by the ideal property:
+  (I_H)_e * S_{N-e} lies in (I_H)_N, so phi kills every such product once
+  its weights are dual weights of (I_H)_N, an exact orthogonality to the
+  degree-(N-1) columns, checked once per functional and restriction.  The
+  socle functional always passes it; when it fails, the monomial path
+  decides, pairing the rows of the monomial catalecticant with the piece's
+  basis.  A passed check proves Ann(phi) contains I_H, so rank Cat_e <=
+  codim (I_H)_e: each ancestor rank is taken mod CERTIFY_PRIME, kept when
+  it meets that cap (without the check, the matrix size) and rerun over Z
+  otherwise.  The monomial-indexed computations stay as the tests'
+  independent oracles, on ``Echelon``: ``point_ideal_piece`` with
+  ``restrict_to_hyperplane`` for the pieces, and the monomial
+  catalecticant for a functional given by coefficients, whose kernel is
+  ``gorenstein_ancestor`` and whose ranks are the monomial
   ``ancestor_profile``.
 """
 
@@ -311,27 +316,31 @@ class _ColumnBases:
     Only the columns new in each degree are stored.  In a chart degree k
     gets the others by scaling with powers of the chart coordinate; without
     one a degree's new columns are all of them, and once the rank reaches
-    #points the last ones span every later degree too.
+    #points the last ones span every later degree too.  With ``kernel_at``
+    the pass's own echelon of that degree also gives ``kernel``, its kernel.
     """
 
-    def __init__(self, reps, up_to: int):
+    def __init__(self, reps, up_to: int, kernel_at: int | None = None):
         j = _chart(reps, None)
         self.h = []
         self._columns = []
-        for ech, columns in _profile_pass(reps, j, up_to):
+        self.kernel = None
+        for k, (ech, columns) in enumerate(_profile_pass(reps, j, up_to)):
             self.h.append(ech.dim)
             self._columns.append(list(columns.values()))
-        self._scales = None if j is None else [rep[j] for rep in reps]
+            if k == kernel_at:
+                self.kernel = ech.kernel()
+        self._in_chart = j is not None
+        self._scales = [rep[j] if self._in_chart else 1 for rep in reps]
 
-    def __getitem__(self, k: int) -> list[list[int]]:
-        if self._scales is None:
-            return next(cols for cols in reversed(self._columns[: k + 1]) if cols)
-        out = []
-        for b in range(k + 1):
-            if self._columns[b]:
-                powers = [s ** (k - b) for s in self._scales]
-                out += [[x * s for x, s in zip(col, powers)] for col in self._columns[b]]
-        return out
+    def degree(self, k: int, char: int | None = None):
+        """Yield the columns of degree k, their entries reduced mod char if given."""
+        last = max(b for b in range(k + 1) if self._columns[b])
+        for b in range(k + 1) if self._in_chart else (last,):
+            powers = [pow(s, k - b, char) for s in self._scales]
+            for col in self._columns[b]:
+                col = [x * s for x, s in zip(col, powers)]
+                yield col if char is None else [x % char for x in col]
 
 
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
@@ -628,12 +637,14 @@ class _Restriction:
     S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
     common kernel of point functionals at the q'_i, and its codim is
     h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
-    p_i).  Every kernel here comes from ``IntForwardEchelon.kernel``.
+    p_i).  Every kernel here comes from ``IntForwardEchelon.kernel``, the
+    one at degree top - 1 from the profile pass's own echelon.
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
         reps = points.points
-        self.columns = _ColumnBases(reps, top)
+        self.top = top
+        self.columns = _ColumnBases(reps, top, top - 1 if top else None)
         self.codims = difference_profile(HilbertProfile(tuple(self.columns.h)), points, ell)
         # ell(p_i) and 1 / ell(p_i) as ints, each up to one common factor
         self.ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
@@ -649,11 +660,14 @@ class _Restriction:
         (I_H)_e: chi / ell(p) for chi in the integer kernel of the
         degree-(e-1) columns (none at e = 0), each as a primitive integer
         vector."""
-        ech = IntForwardEchelon(len(self.small))
-        for col in self.columns[e - 1] if e else []:
-            ech.add(col)
-        return [primitive_point(map(operator.mul, chi, self.inverse_ells))
-                for chi in ech.kernel()]
+        if e and e == self.top:
+            kernel = self.columns.kernel
+        else:
+            ech = IntForwardEchelon(len(self.small))
+            for col in self.columns.degree(e - 1) if e else []:
+                ech.add(col)
+            kernel = ech.kernel()
+        return [primitive_point(map(operator.mul, chi, self.inverse_ells)) for chi in kernel]
 
     def kernel_echelon(self, e: int) -> Echelon:
         """(I_H)_e over the monomial basis: the forms every dual weight kills."""
@@ -759,8 +773,12 @@ class Functional:
 
     @classmethod
     def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
-        """sum_i weights[i] * ev_{points[i]} over Q, at integer points."""
-        points = tuple(tuple(int(c) for c in p) for p in points)
+        """sum_i weights[i] * ev_{points[i]} over Q, at integer points: the
+        functional is not scale-invariant, so a rational point is refused."""
+        given = tuple(map(tuple, points))
+        points = tuple(tuple(map(int, p)) for p in given)
+        if points != given:
+            raise ValueError("points of a functional must have integer coordinates")
         weights = tuple(Fraction(w) for w in weights)
         if len(points) != len(weights) or any(len(p) != nvars for p in points):
             raise ValueError("need one weight per point of the ring's dimension")
@@ -808,7 +826,9 @@ def socle_functional(piece: IdealPiece) -> Functional:
     nonzero; it is computed at the points, without the piece's kernel.
     """
     if isinstance(piece, RestrictedPiece) and piece.codim == 1 and piece.degree:
-        return piece.restriction.socle_functional(piece.degree)
+        phi = piece.restriction.socle_functional(piece.degree)
+        _kills_at_points(phi, piece)  # its verdict caps the ancestor ranks
+        return phi
     kernel = piece.echelon.kernel_of_rows()
     if not kernel:
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
@@ -852,23 +872,40 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows(), phi.char)
 
 
+def _catalecticant_rank(phi: Functional, e: int, cap: int, char: int | None) -> int:
+    """Rank of S_{N-e}^T diag(w) S_e over Z or F_char, adding rows only until
+    it reaches ``cap``."""
+    columns = phi._point_columns()
+    w = [x % char if char else x for x in _scaled_to_integers(phi.weights)[0]]
+    right = list(columns.degree(e, char))
+    ech = IntForwardEchelon(len(right), char)
+    for a in columns.degree(phi.degree - e, char):
+        if ech.dim == cap:
+            break
+        wa = [x * y for x, y in zip(w, a)]
+        ech.add([_dot(wa, b) for b in right])
+    return ech.dim
+
+
 def _ancestor_profile_at_points(phi: Functional) -> HilbertProfile:
     """Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
-    on column bases S.  Cat_{N-e} is its transpose, of the same rank."""
-    columns = phi._point_columns()
-    w = _scaled_to_integers(phi.weights)[0]
+    on column bases S.  Cat_{N-e} is its transpose, of the same rank.  Each
+    rank is capped by the matrix size and, once phi has passed the kill
+    check at a restriction, by codim (I_H)_e and codim (I_H)_{N-e}; a rank
+    mod CERTIFY_PRIME that meets its cap is exact, any other is rerun over Z.
+    """
     N = phi.degree
+    restriction, certified = phi._kills or (None, False)
     vals = [0] * (N + 1)
     for e in range(N // 2 + 1):
-        right = columns[e]
-        ech = IntForwardEchelon(len(right))
-        for a in columns[N - e]:
-            wa = [x * y for x, y in zip(w, a)]
-            ech.add([_dot(wa, b) for b in right])
-            if ech.dim == len(right):
-                break
-        vals[e] = vals[N - e] = ech.dim
+        cap = phi._point_columns().h[e]
+        if certified:
+            cap = min([cap] + [restriction.codims[k] for k in (e, N - e) if k <= restriction.top])
+        rank = _catalecticant_rank(phi, e, cap, CERTIFY_PRIME)
+        if rank < cap:
+            rank = _catalecticant_rank(phi, e, cap, None)
+        vals[e] = vals[N - e] = rank
     if not vals[0]:
         raise ValueError("functional must be nonzero")
     return HilbertProfile(tuple(vals))
@@ -892,11 +929,11 @@ def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
     Those products lie in (I_H)_N, so one test serves every e >= 1: phi
     vanishes on (I_H)_N when its weights w are dual weights there, i.e. when
     w * ell(p) is orthogonal to the degree-(N-1) columns at the p_i, which is
-    checked exactly, once per restriction.  That implies the test at e, w *
-    ell(p) * m(q') orthogonal to the degree-(e-1) columns for m of degree
-    N - e: q' is linear in p, so m(q') times such a column lies in the
-    degree-(N-1) column space.  The socle functional always passes: its
-    chi is orthogonal to every degree-(N-1) column.  The test
+    checked exactly, once per restriction, and memoised on phi.  That implies
+    the test at e, w * ell(p) * m(q') orthogonal to the degree-(e-1) columns
+    for m of degree N - e: q' is linear in p, so m(q') times such a column
+    lies in the degree-(N-1) column space.  The socle functional always
+    passes: its chi is orthogonal to every degree-(N-1) column.  The test
     fails, and the monomial path decides, when the restriction has no
     degree-(N-1) columns.
     """
@@ -905,10 +942,10 @@ def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
         return True
     if phi._kills is None or phi._kills[0] is not restriction:
         N = phi.degree
-        passes = N <= len(restriction.codims)
+        passes = phi.points == restriction.small and N <= restriction.top + 1
         if passes:
             omega = [x * v for x, v in zip(_scaled_to_integers(phi.weights)[0], restriction.ells)]
-            passes = not any(_dot(omega, u) for u in restriction.columns[N - 1])
+            passes = not any(_dot(omega, u) for u in restriction.columns.degree(N - 1))
         phi._kills = (restriction, passes)
     return phi._kills[1]
 
@@ -923,8 +960,7 @@ def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     e = piece.degree
     if e > phi.degree:
         return False
-    if (isinstance(piece, RestrictedPiece) and phi.points == piece.restriction.small
-            and _kills_at_points(phi, piece)):
+    if isinstance(piece, RestrictedPiece) and _kills_at_points(phi, piece):
         return True
     basis = piece.echelon.rows.values()
     return not any(sum(c * f[j] for j, c in row.items() if j in f)

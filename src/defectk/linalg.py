@@ -15,7 +15,8 @@ stripped) or over F_p (monic residue vectors, each packed into one int of
 byte-aligned slots, so that a reduction step is one big-int multiply-add
 and residues are taken once per insertion).  It serves only matrices
 indexed by points: every point-set rank, the catalecticant ranks of a
-functional at points, and, through its kernel, the dual weights and socle
+functional at points (mod p first, kept only when they meet a proven upper
+bound, else over Z), and, through its kernel, the dual weights and socle
 functional of a restricted ideal.
 ``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
 an incrementally maintained reduced row basis with sparse dict rows of

@@ -527,6 +527,8 @@ def test_point_form_chain_matches_monomial_oracles(data):
     for piece, oracle in zip(pieces, explicit):
         assert piece.dim == oracle.dim
         assert piece == oracle
+    restriction = pieces[0].restriction
+    assert restriction.dual_weights(N) == reeliminated_dual_weights(restriction, N)
     phi = socle_functional(pieces[N])
     assert phi.coeffs == socle_functional(explicit[N]).coeffs
     if pieces[N].codim == 1:
@@ -613,6 +615,106 @@ def test_kill_check_at_points_can_fail():
                         for e, piece in enumerate(pieces)]
     assert verdicts[0] and not all(verdicts)
     assert ancestor_profile(single).values == (1, 1, 1, 1, 1)
+
+
+def grid_points(name, d):
+    """A family's default grid nodes and its socle degree N."""
+    if name == "plane":
+        return PointSet([(0, 0, a, b, 1) for a in range(1, d) for b in range(1, d)]), 2 * d - 4
+    return PointSet([(1, a, b, 0) for a in range(1, d + 1) for b in range(1, 2 * d)]), 3 * d - 3
+
+
+def socle_chain(name, d, seed=1):
+    """Restricted pieces 0..N and socle functional of a family's grid nodes,
+    as the benchmark's gorenstein-chain builds them."""
+    pts, N = grid_points(name, d)
+    pieces = restricted_point_pieces(pts, draw_missing_hyperplane(pts, seed), N)
+    return pieces, socle_functional(pieces[N])
+
+
+SMALL_CHAINS = [("plane", d) for d in range(3, 9)] + [("double-solid", d) for d in range(2, 6)]
+
+
+def spy_catalecticant_ranks(monkeypatch):
+    """Record the field (None for Z) of every catalecticant rank taken."""
+    fields = []
+    original = ideals._catalecticant_rank
+
+    def spy(phi, e, cap, char):
+        fields.append(char)
+        return original(phi, e, cap, char)
+
+    monkeypatch.setattr(ideals, "_catalecticant_rank", spy)
+    return fields
+
+
+def test_functional_at_points_refuses_rational_coordinates():
+    with pytest.raises(ValueError, match="integer coordinates"):
+        Functional.at_points(2, 1, [(Fraction(1, 2), 1)], [1])
+    phi = Functional.at_points(2, 1, [(Fraction(2, 1), 1)], [1])
+    assert phi.points == ((2, 1),) and phi.coeffs == {(1, 0): 2, (0, 1): 1}
+
+
+def test_certified_ancestor_profile_matches_monomial_oracle():
+    """Socle functionals, whose kill check caps every rank by the restricted
+    codims, and the same functionals with one weight perturbed, which have
+    no such cap, against the monomial catalecticant ranks."""
+    for name, d in SMALL_CHAINS:
+        _, phi = socle_chain(name, d)
+        N = phi.degree
+        perturbed = Functional.at_points(phi.nvars, N, phi.points,
+                                         [phi.weights[0] + 1, *phi.weights[1:]])
+        for psi in (phi, perturbed):
+            oracle = ancestor_profile(Functional(psi.nvars, N, psi.coeffs))
+            assert ancestor_profile(psi) == oracle, (name, d)
+        assert phi._kills[1] and perturbed._kills is None
+
+
+def test_ancestor_ranks_fall_back_over_z_when_the_prime_collapses_the_grid(monkeypatch):
+    """Mod 3 the grids' coordinates collide, so modular ranks fall short of
+    their caps and the reruns over Z decide, with the same profiles."""
+    want = {chain: ancestor_profile(socle_chain(*chain)[1]) for chain in SMALL_CHAINS}
+    monkeypatch.setattr(ideals, "CERTIFY_PRIME", 3)
+    fields = spy_catalecticant_ranks(monkeypatch)
+    for chain in SMALL_CHAINS:
+        assert ancestor_profile(socle_chain(*chain)[1]) == want[chain], chain
+    assert None in fields and 3 in fields
+
+
+def test_benchmark_chains_take_no_rank_over_z(monkeypatch):
+    """On the benchmark's gorenstein-chain instances every ancestor rank is a
+    modular rank that meets its certified cap."""
+    fields = spy_catalecticant_ranks(monkeypatch)
+    for name, d in (("plane", 8), ("double-solid", 5), ("double-solid", 6)):
+        _, phi = socle_chain(name, d)
+        degrees = (d - 1, d - 1) if name == "plane" else (d, 2 * d - 1)
+        want = tuple(ci_hilbert(degrees, 2, e) for e in range(phi.degree + 1))
+        assert ancestor_profile(phi).values == want
+    assert set(fields) == {CERTIFY_PRIME}
+
+
+def reeliminated_dual_weights(restriction, e):
+    """Dual weights of degree e >= 1 from a fresh echelon of the degree-(e-1)
+    columns."""
+    ech = ideals.IntForwardEchelon(len(restriction.small))
+    for col in restriction.columns.degree(e - 1):
+        ech.add(col)
+    return [primitive_point(x * y for x, y in zip(chi, restriction.inverse_ells))
+            for chi in ech.kernel()]
+
+
+def test_top_dual_weights_reuse_the_profile_pass(monkeypatch):
+    """dual_weights(top) reads the kernel that the profile pass kept, which
+    equals the re-eliminated one at every top, and builds no echelon."""
+    for name, d in (("plane", 6), ("double-solid", 3)):
+        pts, N = grid_points(name, d)
+        ell = draw_missing_hyperplane(pts, 1)
+        for top in range(1, N + 1):
+            restriction = restricted_point_pieces(pts, ell, top)[0].restriction
+            want = reeliminated_dual_weights(restriction, top)
+            with monkeypatch.context() as patch:
+                patch.setattr(ideals, "IntForwardEchelon", None)
+                assert restriction.dual_weights(top) == want, (name, d, top)
 
 
 # ---------------------------------------------------------------------------
