@@ -75,7 +75,6 @@ from .macaulay import (
     upper_growth,
 )
 from .polynomials import GradedPoly, monomial_basis, monomial_index, product
-from .scalars import Fp
 from .scenarios import Scenario, run_double_solid, run_highdim, run_plane
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .ideals import HilbertProfile, PointSet, format_point, points_hilbert, primitive_point
 from .linalg import det
 from .polynomials import GradedPoly
-from .scalars import Fp, as_scalar
 
 
 class AuditError(ValueError):
@@ -31,15 +30,18 @@ class _IntegerPartials:
     """The first and second partials of f as integer term lists, each taken
     and converted once, for evaluation at integer points.
 
-    Over Q the terms are those of f times the lcm of its denominators, which
-    scales every value by one nonzero constant; over F_p they are the
-    residues, and values are reduced mod p.  Either way a value is zero
-    exactly when the partial of f vanishes at the point.
+    The terms are those of f times the lcm of its denominators, which scales
+    every value by one nonzero constant.  With a prime p the terms are their
+    residues and values are reduced mod p, where that constant is a unit
+    unless p divides a denominator of f (ValueError).  Either way a value is
+    zero exactly when the partial of f vanishes at the point (mod p).
     """
 
-    def __init__(self, f: GradedPoly):
-        self.char = f.char
-        self.scale = 1 if f.char else math.lcm(*(c.denominator for c in f.coeffs.values()))
+    def __init__(self, f: GradedPoly, p: int | None = None):
+        self.p = p
+        self.scale = math.lcm(*(c.denominator for c in f.coeffs.values()))
+        if p is not None and self.scale % p == 0:
+            raise ValueError(f"a coefficient of the form has a denominator divisible by {p}")
         self.first = [f.partial_derivative(i) for i in range(f.nvars)]
         self.terms = {}
 
@@ -51,8 +53,9 @@ class _IntegerPartials:
             g = self.first[index[0]]
             if len(index) == 2:
                 g = g.partial_derivative(index[1])
+            p = self.p
             terms = self.terms[index] = [
-                (c.val if self.char else int(c * self.scale),
+                (int(c * self.scale) % p if p else int(c * self.scale),
                  [(v, e) for v, e in enumerate(exp) if e])
                 for exp, c in g.coeffs.items()
             ]
@@ -61,49 +64,29 @@ class _IntegerPartials:
             for v, e in factors:
                 c *= point[v] ** e
             acc += c
-        return acc % self.char if self.char else acc
+        return acc % self.p if self.p else acc
 
 
 def _chart_hessian_det(partials: _IntegerPartials, point):
     """Determinant of the affine Hessian at an integer point, in the chart
-    of its first coordinate that is nonzero in the field, up to a nonzero
-    constant.  The second partials (a, b) with a <= b come from ``partials``,
-    so a caller auditing many points differentiates each pair once."""
-    char = partials.char
-    chart = next(i for i, c in enumerate(point) if (c % char if char else c))
+    of its first nonzero coordinate, up to a nonzero constant.  The second
+    partials (a, b) with a <= b come from ``partials``, so a caller auditing
+    many points differentiates each pair once."""
+    chart = next(i for i, c in enumerate(point) if c)
     idxs = [i for i in range(len(point)) if i != chart]
     values = {}
     for pos, a in enumerate(idxs):
         for b in idxs[pos:]:
             values[a, b] = values[b, a] = partials.value(point, a, b)
-    return det([[values[a, b] for b in idxs] for a in idxs], char)
+    return det([[values[a, b] for b in idxs] for a in idxs])
 
 
-def _hessian_det(f: GradedPoly, point):
-    """Determinant of the affine Hessian in the normalization chart, up to a
-    nonzero constant: it is taken at an integer representative (over Q) or
-    at the residues (over F_p) of the point."""
-    if f.char:
-        rep = tuple(as_scalar(c, f.char).val for c in point)
-    else:
-        rep = primitive_point(point)
-    return _chart_hessian_det(_IntegerPartials(f), rep)
-
-
-def verify_node(f: GradedPoly, point, rational_shadow: GradedPoly | None = None) -> bool:
-    """A_1 test: nonsingular affine Hessian at a singular point.
-
-    Over a prime field a nonzero determinant certifies the node; a zero
-    determinant may be a characteristic artifact, so when a rational lift
-    of f is supplied the check is repeated exactly over the rationals.
-    """
+def verify_node(f: GradedPoly, point) -> bool:
+    """A_1 test: nonsingular affine Hessian at a singular point, taken
+    exactly at the point's primitive integer representative."""
     if not verify_singular(f, point):
         raise ValueError("point is not singular on the hypersurface")
-    d = _hessian_det(f, point)
-    if isinstance(d, Fp) and not d and rational_shadow is not None:
-        lifted = tuple(c.val if isinstance(c, Fp) else c for c in point)
-        return bool(_hessian_det(rational_shadow, lifted))
-    return bool(d)
+    return bool(_chart_hessian_det(_IntegerPartials(f), primitive_point(point)))
 
 
 @dataclass(frozen=True)
@@ -359,8 +342,9 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
 
 # Points of P^{nvars-1}(F_p) a sweep may visit before it is refused.  Each
 # point evaluates the first partials of f as integer term lists until one is
-# nonzero: 2 to 7 microseconds for the plane family d = 3..8 at p = 11 on a
-# 2-vCPU Xeon, so a sweep at the budget takes about a second.
+# nonzero: 2.4 to 9.7 microseconds for the plane family d = 3..8 at p = 11
+# and p = 13 on a 2-vCPU Xeon, so a sweep at the budget takes up to about
+# two seconds.
 SWEEP_BUDGET = 200_000
 
 
@@ -379,11 +363,12 @@ def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
     Probe only: finds undeclared singular points over the prime field; a
     clean sweep is evidence, not proof, of node-only singularities.  The
     first partials are integer term lists of residues (``_IntegerPartials``),
-    evaluated at each point's residues.
+    evaluated at each point's residues; a form with a denominator divisible
+    by p has no reduction mod p (ValueError).
     """
     n = f.nvars
     check_sweep_budget(n, p)
-    partials = _IntegerPartials(f.reduce_mod(p) if f.char is None else f)
+    partials = _IntegerPartials(f, p)
     found = []
     for pivot in range(n):
         tail = n - pivot - 1

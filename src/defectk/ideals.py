@@ -23,14 +23,14 @@ Conventions used throughout:
   The pass runs one echelon through every degree when some coordinate x_j
   is nonzero at every point (mod p over F_p): col(x_j * m) =
   diag(x_j(p)) col(m), so the degree-k column space contains x_j times the
-  degree-(k-1) one.  Each degree rescales the stored vectors by x_j(p) and
-  offers only x_v * b with v != j and b new in degree k-1, the affine pass
-  in the chart x_j = 1, and every point is inserted once.  Without such a
-  chart each degree restarts its echelon and offers the products over all
-  variables.  Over F_p the chart pass runs on the dehomogenised residues
-  rep * rep[j]^-1, so its echelon is never rescaled.  The ranks stay exact
-  (integers, or F_p) either way, on plain ints, and the pass stops offering
-  once the rank reaches #points.
+  degree-(k-1) one.  Each degree rescales the stored vectors by x_j(p)
+  (unless x_j is 1 at every point) and offers only x_v * b with v != j and
+  b new in degree k-1, the affine pass in the chart x_j = 1, and every
+  point is inserted once.  Without such a chart each degree restarts its
+  echelon and offers the products over all variables.  Over F_p the chart
+  pass runs on the dehomogenised residues rep * rep[j]^-1, so its echelon
+  is never rescaled.  The ranks stay exact (integers, or F_p) either way,
+  on plain ints, and the pass stops offering once the rank reaches #points.
 * ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
   Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
   min(#points, #monomials) is certified exact, because a modular rank
@@ -73,7 +73,6 @@ from fractions import Fraction
 from .linalg import Echelon, IntForwardEchelon
 from .macaulay import binomial, expand, upper_growth
 from .polynomials import GradedPoly, monomial_basis, monomial_index
-from .scalars import as_scalar, scalar_zero
 
 
 class NonGenericHyperplaneError(ValueError):
@@ -279,13 +278,14 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
     monomial, and the full monomial basis is never built.  In the chart of
     x_j, col(x_j * m) = diag(x_j(p)) col(m), so the degree-k column space
     contains the degree-(k-1) one scaled by x_j, of the same dimension: the
-    one echelon is rescaled, which keeps its pivots, and only v != j is
-    offered, the affine pass in the chart x_j = 1, in which every point is
-    inserted once.  Over F_char the pass runs on that chart itself, on the
-    residues rep * rep[j]^-1: scaling a point multiplies its row of every
-    evaluation matrix by a unit, which keeps every rank and every pick, and
-    the echelon is never rescaled.  Offers stop once a degree adds nothing
-    or the rank reaches #points, as the rank then stays put.
+    one echelon is rescaled (unless x_j is 1 at every point), which keeps
+    its pivots, and only v != j is offered, the affine pass in the chart
+    x_j = 1, in which every point is inserted once.  Over F_char the pass
+    runs on that chart itself, on the residues rep * rep[j]^-1: scaling a
+    point multiplies its row of every evaluation matrix by a unit, which
+    keeps every rank and every pick, and the echelon is never rescaled.
+    Offers stop once a degree adds nothing or the rank reaches #points, as
+    the rank then stays put.
     """
     n, nvars = len(reps), len(reps[0])
     if j is not None and char is not None:
@@ -299,7 +299,7 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
         if new and ech.dim < n:
             if j is None:
                 ech = IntForwardEchelon(n, char)
-            elif char is None:
+            elif char is None and any(rep[j] != 1 for rep in reps):
                 ech.scale_columns([rep[j] for rep in reps])
             new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
         else:
@@ -402,13 +402,9 @@ class IdealPiece:
     def codim(self) -> int:
         return self.echelon.codim()
 
-    @property
-    def char(self):
-        return self.echelon.char
-
     @classmethod
-    def from_polys(cls, nvars: int, degree: int, polys, char=None) -> "IdealPiece":
-        ech = Echelon(binomial(degree + nvars - 1, nvars - 1), char)
+    def from_polys(cls, nvars: int, degree: int, polys) -> "IdealPiece":
+        ech = Echelon(binomial(degree + nvars - 1, nvars - 1))
         idx = monomial_index(nvars, degree)
         for f in polys:
             if f.nvars != nvars or f.degree != degree:
@@ -417,20 +413,20 @@ class IdealPiece:
         return cls(nvars, degree, ech)
 
     @classmethod
-    def from_vectors(cls, nvars: int, degree: int, vectors, char=None) -> "IdealPiece":
-        ech = Echelon(binomial(degree + nvars - 1, nvars - 1), char)
+    def from_vectors(cls, nvars: int, degree: int, vectors) -> "IdealPiece":
+        ech = Echelon(binomial(degree + nvars - 1, nvars - 1))
         for v in vectors:
             ech.add(v)
         return cls(nvars, degree, ech)
 
     @classmethod
-    def zero_piece(cls, nvars: int, degree: int, char=None) -> "IdealPiece":
-        return cls(nvars, degree, Echelon(binomial(degree + nvars - 1, nvars - 1), char))
+    def zero_piece(cls, nvars: int, degree: int) -> "IdealPiece":
+        return cls(nvars, degree, Echelon(binomial(degree + nvars - 1, nvars - 1)))
 
     @classmethod
-    def full(cls, nvars: int, degree: int, char=None) -> "IdealPiece":
+    def full(cls, nvars: int, degree: int) -> "IdealPiece":
         ncols = binomial(degree + nvars - 1, nvars - 1)
-        ech = Echelon(ncols, char)
+        ech = Echelon(ncols)
         for i in range(ncols):
             ech.add({i: 1})
         return cls(nvars, degree, ech)
@@ -439,11 +435,7 @@ class IdealPiece:
         basis = monomial_basis(self.nvars, self.degree)
         out = []
         for _, row in sorted(self.echelon.rows.items()):
-            out.append(
-                GradedPoly(
-                    self.nvars, self.degree, {basis[c]: v for c, v in row.items()}, self.char
-                )
-            )
+            out.append(GradedPoly(self.nvars, self.degree, {basis[c]: v for c, v in row.items()}))
         return out
 
     def contains(self, other: "IdealPiece") -> bool:
@@ -466,12 +458,11 @@ def generated_piece(generators, k: int) -> IdealPiece:
     if not generators:
         raise ValueError("need at least one generator")
     nvars = generators[0].nvars
-    char = generators[0].char
-    if any(g.nvars != nvars or g.char != char for g in generators):
+    if any(g.nvars != nvars for g in generators):
         raise ValueError("generators live in different rings")
     if any(g.degree > k for g in generators):
         raise ValueError("generator degree exceeds the requested piece degree")
-    ech = Echelon(binomial(k + nvars - 1, nvars - 1), char)
+    ech = Echelon(binomial(k + nvars - 1, nvars - 1))
     idx = monomial_index(nvars, k)
     for g in generators:
         if g.is_zero:
@@ -485,7 +476,7 @@ def generated_piece(generators, k: int) -> IdealPiece:
     return IdealPiece(nvars, k, ech)
 
 
-def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
+def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
     """Degree-k piece of the ideal of a point set (evaluation-matrix kernel).
 
     With ``restrict_to_hyperplane`` this is the independent oracle that the
@@ -493,10 +484,10 @@ def point_ideal_piece(points: PointSet, k: int, char=None) -> IdealPiece:
     """
     cols = list(_evaluation_columns(points.points, points.nvars, k))
     # one row per point, columns indexed by monomials
-    ech = Echelon(len(cols), char)
+    ech = Echelon(len(cols))
     for i in range(len(points)):
         ech.add({j: cols[j][i] for j in range(len(cols)) if cols[j][i]})
-    return IdealPiece.from_vectors(points.nvars, k, ech.kernel_of_rows(), char)
+    return IdealPiece.from_vectors(points.nvars, k, ech.kernel_of_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -571,19 +562,17 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
 def _hyperplane_change_matrix(ell: GradedPoly):
     """Invertible M with ell(M y) = y_last, as rows of x_i in terms of y."""
     n = ell.nvars
-    coeffs = [scalar_zero(ell.char)] * n
+    coeffs = [Fraction(0)] * n
     for exp, c in ell.coeffs.items():
         coeffs[exp.index(1)] = c
     j = max(i for i, c in enumerate(coeffs) if c)
     last = n - 1
-    rows = []
-    for i in range(n):
-        rows.append([as_scalar(0, ell.char)] * n)
+    rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         if i == j:
             continue
         target = j if i == last else i
-        rows[i][target] = as_scalar(1, ell.char)
+        rows[i][target] = Fraction(1)
     inv = coeffs[j] ** -1
     rows[j][last] = inv
     for i in range(n):
@@ -614,11 +603,8 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
             f.linear_change(matrix).substitute_zero(piece.nvars - 1)
             for f in piece.basis_polys()
         ]
-        out.append(
-            IdealPiece.from_polys(
-                piece.nvars - 1, piece.degree, [f for f in polys if not f.is_zero], piece.char
-            )
-        )
+        polys = [f for f in polys if not f.is_zero]
+        out.append(IdealPiece.from_polys(piece.nvars - 1, piece.degree, polys))
     return out
 
 
@@ -722,10 +708,6 @@ class RestrictedPiece(IdealPiece):
     def dim(self) -> int:
         return binomial(self.degree + self.nvars - 1, self.nvars - 1) - self.codim
 
-    @property
-    def char(self):
-        return None
-
 
 def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> list[IdealPiece]:
     """Degree pieces 0..up_to of the point ideal's hyperplane restriction.
@@ -746,34 +728,31 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 class Functional:
     """Linear functional on the degree-N graded piece.
 
-    It is given by dual coefficients phi(m) on the monomials, or, over Q, by
-    weights at points, phi = sum_i w_i ev_{points_i}.  A functional at points
+    It is given by dual coefficients phi(m) on the monomials, or by weights
+    at points, phi = sum_i w_i ev_{points_i}.  A functional at points
     computes its coefficients only when they are read, and the apolarity
     lemma (Iarrobino-Kanev 1999, Lemma 1.15) runs its ranks and kill checks
     on point-indexed matrices.
     """
 
-    __slots__ = ("nvars", "degree", "char", "points", "weights", "_coeffs", "_columns",
-                 "_kills")
+    __slots__ = ("nvars", "degree", "points", "weights", "_coeffs", "_columns", "_kills")
 
-    def __init__(self, nvars: int, degree: int, coeffs, char=None):
+    def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
-        self.char = char
         clean = {}
         for exp, c in coeffs.items():
             exp = tuple(exp)
             if sum(exp) != degree or len(exp) != nvars:
                 raise ValueError("functional coefficient at a wrong monomial")
-            c = as_scalar(c, char)
             if c:
-                clean[exp] = c
+                clean[exp] = c if isinstance(c, Fraction) else Fraction(c)
         self._coeffs = clean
         self.points = self.weights = self._columns = self._kills = None
 
     @classmethod
     def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
-        """sum_i weights[i] * ev_{points[i]} over Q, at integer points: the
+        """sum_i weights[i] * ev_{points[i]}, at integer points: the
         functional is not scale-invariant, so a rational point is refused."""
         given = tuple(map(tuple, points))
         points = tuple(tuple(map(int, p)) for p in given)
@@ -804,7 +783,7 @@ class Functional:
     def of(self, f: GradedPoly):
         if f.nvars != self.nvars or f.degree != self.degree:
             raise ValueError("functional applied outside its graded piece")
-        acc = scalar_zero(self.char)
+        acc = Fraction(0)
         for exp, c in f.coeffs.items():
             phi = self.coeffs.get(exp)
             if phi is not None:
@@ -833,14 +812,13 @@ def socle_functional(piece: IdealPiece) -> Functional:
     if not kernel:
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
     basis = monomial_basis(piece.nvars, piece.degree)
-    return Functional(piece.nvars, piece.degree,
-                      {basis[c]: v for c, v in kernel[0].items()}, piece.char)
+    return Functional(piece.nvars, piece.degree, {basis[c]: v for c, v in kernel[0].items()})
 
 
 def _catalecticant_rows(phi: Functional, e: int):
-    """Yield the rows of Cat_e(phi) in phi's field, 0 <= e <= N, as sparse
-    dicts: one row per monomial m of degree N - e, over the degree-e
-    monomial basis, with phi(g * m) at g."""
+    """Yield the rows of Cat_e(phi), 0 <= e <= N, as sparse dicts: one row
+    per monomial m of degree N - e, over the degree-e monomial basis, with
+    phi(g * m) at g."""
     coeffs = phi.coeffs
     basis_e = monomial_basis(phi.nvars, e)
     for mono in monomial_basis(phi.nvars, phi.degree - e):
@@ -850,7 +828,7 @@ def _catalecticant_rows(phi: Functional, e: int):
 
 def _catalecticant(phi: Functional, e: int) -> Echelon:
     """The row space of Cat_e(phi), in reduced echelon form."""
-    ech = Echelon(binomial(e + phi.nvars - 1, phi.nvars - 1), phi.char)
+    ech = Echelon(binomial(e + phi.nvars - 1, phi.nvars - 1))
     for row in _catalecticant_rows(phi, e):
         ech.add(row)
     return ech
@@ -868,8 +846,8 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     if e < 0:
         raise ValueError("degree must be nonnegative")
     if e > phi.degree:
-        return IdealPiece.full(phi.nvars, e, phi.char)
-    return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows(), phi.char)
+        return IdealPiece.full(phi.nvars, e)
+    return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows())
 
 
 def _catalecticant_rank(phi: Functional, e: int, cap: int, char: int | None) -> int:
@@ -1017,10 +995,10 @@ class BaseLocus:
         return self.kind == "inconclusive"
 
 
-def _multiply_by_variables(ech: Echelon, nvars: int, degree: int, char=None) -> Echelon:
+def _multiply_by_variables(ech: Echelon, nvars: int, degree: int) -> Echelon:
     basis = monomial_basis(nvars, degree)
     idx = monomial_index(nvars, degree + 1)
-    out = Echelon(binomial(degree + nvars, nvars - 1), char)
+    out = Echelon(binomial(degree + nvars, nvars - 1))
     for row in ech.rows.values():
         for var in range(nvars):
             vec = {}
@@ -1054,7 +1032,7 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> Ba
             return BaseLocus.empty()
         if k + 1 > cap:
             return BaseLocus.inconclusive()
-        ech = _multiply_by_variables(ech, piece.nvars, k, piece.char)
+        ech = _multiply_by_variables(ech, piece.nvars, k)
         h_next = binomial(k + piece.nvars, piece.nvars - 1) - ech.dim
         if h_next == 0:
             return BaseLocus.empty()

@@ -4,10 +4,11 @@ Ranks and determinants of rational matrices come from one Bareiss
 elimination (Bareiss 1968): rows are scaled to integers, and every
 cross-multiplication step divides by the previous pivot, which is exact
 (the entries stay determinants of minors of the original matrix) and keeps
-coefficient growth polynomial.  Prime-field matrices share one ordinary
-Gaussian elimination, where division is cheap and there is no growth.
-``rank`` shares no code with the evaluation echelons of ``ideals``, so
-tests and the benchmark use it as their independent oracle.
+coefficient growth polynomial.  A rank over F_p reduces the entries to
+residues and runs an ordinary Gaussian elimination, where division is
+cheap and there is no growth.  ``rank`` shares no code with the evaluation
+echelons of ``ideals``, so tests and the benchmark use it as their
+independent oracle.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
 echelon on plain Python ints, over Z (lists, cross-multiplied, content
@@ -20,7 +21,7 @@ bound, else over Z), and, through its kernel, the dual weights and socle
 functional of a restricted ideal.
 ``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
 an incrementally maintained reduced row basis with sparse dict rows of
-field scalars.  It serves generated pieces, base loci, the monomial
+``Fraction``s.  It serves generated pieces, base loci, the monomial
 catalecticant of ``ideals.gorenstein_ancestor`` and of the monomial kill
 check, and the kernels a restricted piece builds only on demand; the point
 side never uses it.
@@ -32,8 +33,6 @@ import math
 import operator
 import struct
 from fractions import Fraction
-
-from .scalars import Fp, as_scalar
 
 # Slot sizes in bytes of a packed F_p vector, with the struct codes that
 # read a slot (little-endian, standard sizes, no padding): one unsigned
@@ -92,16 +91,12 @@ def _bareiss(rows: list[list[int]]) -> tuple[int, int, int]:
     return r, sign, prev
 
 
-def _eliminate_mod_p(rows, p: int) -> tuple[int, int, int]:
-    """Gaussian elimination of the matrix's reduction mod p.
-
-    Returns the rank, the sign of the row swaps and the product of the
-    pivots mod p.
-    """
-    rows = [[as_scalar(x, p).val for x in row] for row in rows]
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank of the reduction mod p of a matrix of ints and Fractions, by
+    Gaussian elimination; ValueError when p divides a denominator."""
+    rows = [[x % p if isinstance(x, int) else x.numerator * pow(x.denominator, -1, p) % p
+             for x in row] for row in rows]
     nrows, ncols = len(rows), len(rows[0])
-    sign = 1
-    product = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -109,11 +104,8 @@ def _eliminate_mod_p(rows, p: int) -> tuple[int, int, int]:
         pivot_row = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            sign = -sign
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         row_r = rows[r]
-        product = product * row_r[c] % p
         inv = pow(row_r[c], -1, p)
         for i in range(r + 1, nrows):
             f = rows[i][c]
@@ -123,7 +115,7 @@ def _eliminate_mod_p(rows, p: int) -> tuple[int, int, int]:
                 for j in range(c, ncols):
                     row_i[j] = (row_i[j] - f * row_r[j]) % p
         r += 1
-    return r, sign, product
+    return r
 
 
 def rank(rows, char: int | None = None) -> int:
@@ -132,21 +124,18 @@ def rank(rows, char: int | None = None) -> int:
     if not rows or not rows[0]:
         return 0
     if char is not None:
-        return _eliminate_mod_p(rows, char)[0]
+        return _rank_mod_p(rows, char)
     return _bareiss(_integer_rows(rows)[0])[0]
 
 
-def det(rows, char: int | None = None):
-    """Exact determinant of a square matrix."""
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix of ints and Fractions."""
     rows = [list(r) for r in rows]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
-        return as_scalar(1, char)
-    if char is not None:
-        r, sign, product = _eliminate_mod_p(rows, char)
-        return Fp(sign * product if r == n else 0, char)
+        return Fraction(1)
     int_rows, scale = _integer_rows(rows)
     r, sign, last = _bareiss(int_rows)
     return Fraction(sign * last, scale) if r == n else Fraction(0)
@@ -155,14 +144,13 @@ def det(rows, char: int | None = None):
 class Echelon:
     """Reduced row basis of a subspace, built one vector at a time.
 
-    Rows are sparse dicts {column: scalar}; each row's pivot (its smallest
+    Rows are sparse dicts {column: Fraction}; each row's pivot (its smallest
     column) has coefficient one and does not occur in any other row, so a
     fresh vector is reduced in a single pass over its pivot hits.
     """
 
-    def __init__(self, ncols: int, char: int | None = None):
+    def __init__(self, ncols: int):
         self.ncols = ncols
-        self.char = char
         self.rows: dict[int, dict] = {}
 
     @property
@@ -176,9 +164,8 @@ class Echelon:
         """Residue of a vector modulo the current span."""
         v = {}
         for c, x in vec.items():
-            x = as_scalar(x, self.char)
             if x:
-                v[c] = x
+                v[c] = x if isinstance(x, Fraction) else Fraction(x)
         for c in sorted(k for k in v if k in self.rows):
             coef = v.pop(c)
             for cc, rv in self.rows[c].items():
@@ -228,7 +215,7 @@ class Echelon:
         """Basis of {x : row . x = 0 for every row}, one vector per free column."""
         out = []
         for j in self.free_columns():
-            vec = {j: as_scalar(1, self.char)}
+            vec = {j: Fraction(1)}
             for p in self.rows:
                 coef = self.rows[p].get(j)
                 if coef:
@@ -240,7 +227,6 @@ class Echelon:
         return (
             isinstance(other, Echelon)
             and self.ncols == other.ncols
-            and self.char == other.char
             and self.canonical_rows() == other.canonical_rows()
         )
 

@@ -1,8 +1,8 @@
-"""Sparse homogeneous polynomials over an exact field.
+"""Sparse homogeneous polynomials over the rationals.
 
 A ``GradedPoly`` is a homogeneous form of fixed degree in ``nvars``
 variables x0, ..., x_{nvars-1}, stored as a dict mapping exponent tuples to
-nonzero scalars (Fraction by default, ``Fp`` when a characteristic is set).
+nonzero ``Fraction`` coefficients.
 
 Monomials of a fixed degree carry one global order, descending graded
 reverse-lexicographic with x0 > x1 > ... > x_{nvars-1}: exponent a precedes
@@ -15,12 +15,12 @@ serialized artifacts reproducible byte for byte.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .macaulay import binomial
-from .scalars import Fp, as_scalar, scalar_zero
 
 
 @lru_cache(maxsize=None)
@@ -51,49 +51,54 @@ def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
 
 
 class GradedPoly:
-    """Homogeneous polynomial with exact coefficients."""
+    """Homogeneous polynomial with rational coefficients."""
 
-    __slots__ = ("nvars", "degree", "coeffs", "char")
+    __slots__ = ("nvars", "degree", "coeffs")
 
-    def __init__(self, nvars: int, degree: int, coeffs=None, char: int | None = None):
+    def __init__(self, nvars: int, degree: int, coeffs=None):
+        try:
+            nvars, degree = operator.index(nvars), operator.index(degree)
+        except TypeError:
+            raise ValueError(f"nvars and degree must be integers: {nvars!r}, {degree!r}") from None
         if nvars < 1:
             raise ValueError("nvars must be positive")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         self.nvars = nvars
         self.degree = degree
-        self.char = char
         clean = {}
         for exp, c in (coeffs or {}).items():
-            exp = tuple(exp)
+            try:
+                exp = tuple(map(operator.index, exp))
+            except TypeError:
+                raise ValueError(f"exponents must be integers, got {exp!r}") from None
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp}")
             if sum(exp) != degree:
                 raise ValueError(f"monomial {exp} is not of degree {degree}")
-            c = as_scalar(c, char)
             if c:
-                clean[exp] = c
+                clean[exp] = c if isinstance(c, Fraction) else Fraction(c)
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars: int, degree: int, char: int | None = None) -> "GradedPoly":
-        return cls(nvars, degree, {}, char)
+    def zero(cls, nvars: int, degree: int) -> "GradedPoly":
+        return cls(nvars, degree, {})
 
     @classmethod
-    def variable(cls, nvars: int, i: int, char: int | None = None) -> "GradedPoly":
+    def variable(cls, nvars: int, i: int) -> "GradedPoly":
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, 1, {tuple(exp): 1}, char)
+        return cls(nvars, 1, {tuple(exp): 1})
 
     @classmethod
-    def monomial(cls, nvars: int, exp, coeff=1, char: int | None = None) -> "GradedPoly":
+    def monomial(cls, nvars: int, exp, coeff=1) -> "GradedPoly":
         exp = tuple(exp)
-        return cls(nvars, sum(exp), {exp: coeff}, char)
+        return cls(nvars, sum(exp), {exp: coeff})
 
     @classmethod
-    def linear_form(cls, coeffs, char: int | None = None) -> "GradedPoly":
+    def linear_form(cls, coeffs) -> "GradedPoly":
         """sum_i coeffs[i] * x_i"""
         n = len(coeffs)
         terms = {}
@@ -101,7 +106,7 @@ class GradedPoly:
             exp = [0] * n
             exp[i] = 1
             terms[tuple(exp)] = c
-        return cls(n, 1, terms, char)
+        return cls(n, 1, terms)
 
     # -- ring structure ------------------------------------------------
 
@@ -110,7 +115,7 @@ class GradedPoly:
         return not self.coeffs
 
     def _check_compatible(self, other: "GradedPoly") -> None:
-        if self.nvars != other.nvars or self.char != other.char:
+        if self.nvars != other.nvars:
             raise ValueError("polynomials live in different rings")
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
@@ -125,23 +130,18 @@ class GradedPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return GradedPoly(self.nvars, self.degree, out, self.char)
+        return GradedPoly(self.nvars, self.degree, out)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(
-            self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()}, self.char
-        )
+        return GradedPoly(self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def scale(self, s) -> "GradedPoly":
-        s = as_scalar(s, self.char)
         if not s:
-            return GradedPoly.zero(self.nvars, self.degree, self.char)
-        return GradedPoly(
-            self.nvars, self.degree, {e: c * s for e, c in self.coeffs.items()}, self.char
-        )
+            return GradedPoly.zero(self.nvars, self.degree)
+        return GradedPoly(self.nvars, self.degree, {e: c * s for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -158,7 +158,7 @@ class GradedPoly:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        return GradedPoly(self.nvars, self.degree + other.degree, out, self.char)
+        return GradedPoly(self.nvars, self.degree + other.degree, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -168,12 +168,11 @@ class GradedPoly:
             isinstance(other, GradedPoly)
             and self.nvars == other.nvars
             and self.degree == other.degree
-            and self.char == other.char
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.nvars, self.degree, self.char, frozenset(self.coeffs.items())))
+        return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
 
     # -- calculus and substitution --------------------------------------
 
@@ -187,7 +186,7 @@ class GradedPoly:
             nxt = list(exp)
             nxt[i] -= 1
             out[tuple(nxt)] = c * exp[i]
-        return GradedPoly(self.nvars, self.degree - 1, out, self.char)
+        return GradedPoly(self.nvars, self.degree - 1, out)
 
     def substitute_zero(self, i: int) -> "GradedPoly":
         """Set x_i = 0 and drop the variable, landing in nvars - 1 variables."""
@@ -198,7 +197,7 @@ class GradedPoly:
             if exp[i] != 0:
                 continue
             out[exp[:i] + exp[i + 1 :]] = c
-        return GradedPoly(self.nvars - 1, self.degree, out, self.char)
+        return GradedPoly(self.nvars - 1, self.degree, out)
 
     def linear_change(self, matrix) -> "GradedPoly":
         """f(M y): substitute x_i -> sum_j M[i][j] y_j.  M must be invertible."""
@@ -207,12 +206,12 @@ class GradedPoly:
         n = self.nvars
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError("matrix shape must match nvars")
-        if not det(matrix, self.char):
+        if not det(matrix):
             raise ValueError("matrix is singular")
-        forms = [GradedPoly.linear_form(row, self.char) for row in matrix]
+        forms = [GradedPoly.linear_form(row) for row in matrix]
         powers: list[list[GradedPoly]] = [[] for _ in range(n)]
-        result = GradedPoly.zero(n, self.degree, self.char)
-        one = GradedPoly(n, 0, {(0,) * n: 1}, self.char)
+        result = GradedPoly.zero(n, self.degree)
+        one = GradedPoly(n, 0, {(0,) * n: 1})
         for exp, c in self.coeffs.items():
             term = one
             for i, e in enumerate(exp):
@@ -231,7 +230,7 @@ class GradedPoly:
             raise ValueError("point has the wrong number of coordinates")
         if not any(point):
             raise ValueError("zero coordinate vector is not a projective point")
-        acc = scalar_zero(self.char)
+        acc = Fraction(0)
         for exp, c in self.coeffs.items():
             term = c
             for coord, e in zip(point, exp):
@@ -247,30 +246,20 @@ class GradedPoly:
         return sorted(self.coeffs.items(), key=lambda t: tuple(reversed(t[0])))
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for exp, c in self.terms():
-            if isinstance(c, Fp):
-                terms.append([list(exp), c.val, 1])
-            else:
-                terms.append([list(exp), c.numerator, c.denominator])
+        terms = [[list(exp), c.numerator, c.denominator] for exp, c in self.terms()]
         return {"nvars": self.nvars, "degree": self.degree, "terms": terms}
 
     @classmethod
-    def from_json_dict(cls, data: dict, char: int | None = None) -> "GradedPoly":
+    def from_json_dict(cls, data: dict) -> "GradedPoly":
         """Inverse of ``to_json_dict``; malformed data raises ValueError."""
         try:
             coeffs = {tuple(exp): Fraction(num, den) for exp, num, den in data["terms"]}
-            return cls(data["nvars"], data["degree"], coeffs, char)
+            return cls(data["nvars"], data["degree"], coeffs)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(
                 "a form must be a dict of nvars, degree and terms "
                 f"[exponents, numerator, denominator]: {exc}"
             ) from exc
-
-    def reduce_mod(self, p: int) -> "GradedPoly":
-        if self.char is not None:
-            raise ValueError("already over a prime field")
-        return GradedPoly(self.nvars, self.degree, dict(self.coeffs), p)
 
     def __repr__(self):
         if self.is_zero:

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, formats, and replayability."""
 
 import json
+from pathlib import Path
 
 from defectk import scenarios
 from defectk.cli import main
@@ -176,6 +177,16 @@ def test_family_probe_prime_warns(capsys):
     assert "warning" in err
 
 
+def test_probe_prime_report_matches_stored_copy(capsys, monkeypatch):
+    """The sweep report of plane d=6 mod 11, byte for byte."""
+    monkeypatch.delenv("DEFECTK_SEED", raising=False)
+    code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "6",
+                             "--probe-prime", "11")
+    assert code == 0
+    assert err == "warning: 12 singular point(s) mod 11 not among the declared nodes\n"
+    assert out == (Path(__file__).parent / "data" / "family-plane-d6-probe-11.json").read_text()
+
+
 def _assert_one_line_error(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -205,7 +216,9 @@ def test_malformed_points_files_exit_one(tmp_path, capsys):
 def test_malformed_generator_files_exit_one(tmp_path, capsys):
     gens_file = tmp_path / "gens.json"
     for data in ([{"nvars": 3}], {"a": 1}, [5],
-                 [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], 1, 0]]}]):
+                 [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], 1, 0]]}],
+                 [{"nvars": 3, "degree": 3, "terms": [[[1.5, 1.5, 0], 1, 1]]}],
+                 [{"nvars": 3.0, "degree": 1, "terms": [[[1, 0, 0], 1, 1]]}]):
         gens_file.write_text(json.dumps(data))
         _assert_one_line_error(*run_cli(capsys, "base-locus", "--generators", str(gens_file)))
     gens_file.write_text("[]")

@@ -23,7 +23,6 @@ from defectk.defect import (
 from defectk.families import GridParams, plane_family, random_points_control
 from defectk.ideals import HilbertProfile, PointSet
 from defectk.polynomials import GradedPoly
-from defectk.scalars import Fp
 from defectk.scenarios import run_plane
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -103,21 +102,6 @@ def test_audit_matches_pointwise_checks():
             with pytest.raises(AuditError) as exc:
                 audit_nodes(f, PointSet([coords]))
             assert str(exc.value) == message
-    # the same integer path over F_p, against the pointwise checks there
-    f101 = f.reduce_mod(101)
-    assert audit_nodes(f101, inst.nodes) == tuple(
-        NodeAudit(p, verify_singular(f101, p), verify_node(f101, p)) for p in inst.nodes
-    )
-
-
-def test_verify_node_prime_field_fallback():
-    # Hessian determinant divisible by p: the mod-p check defers to the rationals
-    f = standard_node_quadric().scale(7)
-    fp = f.reduce_mod(7)
-    from defectk.scalars import Fp
-
-    p = tuple(Fp(c, 7) for c in (0, 0, 0, 0, 1))
-    assert verify_node(fp, p, rational_shadow=f)
 
 
 def test_defect_examples():
@@ -204,25 +188,38 @@ def test_tangent_codim_examples():
 
 def _sweep_at_field_elements(f, p):
     """Every F_p-point of P^{n-1}, normalised at its first nonzero coordinate,
-    where each first partial of f mod p evaluates to zero as an Fp element."""
-    fp = f.reduce_mod(p)
-    partials = [fp.partial_derivative(i) for i in range(f.nvars)]
+    where each first partial of f, evaluated over Q at the integer
+    coordinates, has a rational value that vanishes mod p."""
+    partials = [f.partial_derivative(i) for i in range(f.nvars)]
+
+    def vanishes_mod_p(value):
+        return value.numerator * pow(value.denominator, -1, p) % p == 0
+
     found = []
     for pivot in range(f.nvars):
         tail = f.nvars - pivot - 1
         for code in range(p**tail):
             coords = [0] * pivot + [1] + [code // p**i % p for i in range(tail)]
-            point = tuple(Fp(c, p) for c in coords)
-            if all(not g.evaluate(point) for g in partials):
+            if all(vanishes_mod_p(g.evaluate(coords)) for g in partials):
                 found.append(tuple(coords))
     return found
 
 
-def test_sweep_matches_evaluation_at_field_elements():
+def cuspidal_cubic():
+    """A cuspidal cubic with a rational coefficient, singular at (0:0:1)."""
     x3 = [GradedPoly.variable(3, i) for i in range(3)]
-    # a cuspidal cubic with a rational coefficient, singular at (0:0:1)
-    cusp = x3[1] * x3[1] * x3[2] - x3[0] * x3[0] * x3[0] + (x3[0] * x3[0] * x3[1]).scale(Fraction(2, 3))
+    return x3[1] * x3[1] * x3[2] - x3[0] * x3[0] * x3[0] + (x3[0] * x3[0] * x3[1]).scale(Fraction(2, 3))
+
+
+def test_sweep_matches_evaluation_at_field_elements():
+    cusp = cuspidal_cubic()
     plane = plane_family(GridParams.plane_defaults(3)).f
     for f, p in ((plane, 5), (plane, 7), (cusp, 5), (cusp, 7)):
         assert sweep_singular_points(f, p) == _sweep_at_field_elements(f, p)
     assert sweep_singular_points(cusp, 7) == [(0, 0, 1)]
+
+
+def test_sweep_refuses_a_denominator_divisible_by_p():
+    """The cusp's coefficient 2/3 has no residue mod 3."""
+    with pytest.raises(ValueError, match="divisible by 3"):
+        sweep_singular_points(cuspidal_cubic(), 3)

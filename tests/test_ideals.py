@@ -38,7 +38,7 @@ from defectk.ideals import (
     socle_functional,
 )
 from defectk.ideals import CERTIFY_PRIME, _chart, _kills_at_points
-from defectk.linalg import rank
+from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
 
@@ -314,6 +314,29 @@ def test_chart_has_the_smallest_entries():
     assert _chart(PointSet([(1, 2, 1), (1, 1, 1)]).points, None) == 0  # lowest index on ties
 
 
+def test_chart_rescale_only_when_the_chart_coordinate_is_not_one(monkeypatch):
+    """The chart pass over Z rescales its echelon by x_j(p) in each degree
+    only when x_j is not 1 at every point; the profile is the rank of the
+    evaluation matrices either way."""
+    calls = []
+    original = IntForwardEchelon.scale_columns
+
+    def spy(self, scales):
+        calls.append(scales)
+        return original(self, scales)
+
+    monkeypatch.setattr(IntForwardEchelon, "scale_columns", spy)
+    plane_d6 = PointSet([(0, 0, a, b, 1) for a in range(1, 6) for b in range(1, 6)])
+    assert _chart(plane_d6.points, None) == 4
+    assert points_profile(plane_d6, 8).values == full_evaluation_ranks(plane_d6, 8, None)
+    assert calls == []
+    # x_0 = 3 at every point, and the only coordinate nonzero at all of them
+    weighted = PointSet([(3, a, b) for a in range(3) for b in range(3) if a or b])
+    assert _chart(weighted.points, None) == 0
+    assert points_profile(weighted, 5).values == full_evaluation_ranks(weighted, 5, None)
+    assert calls and all(scales == [3] * len(weighted) for scales in calls)
+
+
 def test_point_ideal_piece_is_evaluation_kernel():
     g = grid9()
     piece = point_ideal_piece(g, 2)
@@ -364,8 +387,8 @@ def test_draw_missing_hyperplane_mod_p():
     nodes = PointSet([(0, 0, a, b, 1) for a in range(1, 8) for b in range(1, 8)])
     over_q, mod_101 = draw_missing_hyperplane(nodes, 1), draw_missing_hyperplane(nodes, 1, 101)
     assert over_q != mod_101
-    assert not all(over_q.reduce_mod(101).evaluate(p) for p in nodes)
-    assert all(mod_101.reduce_mod(101).evaluate(p) for p in nodes)
+    assert not all(over_q.evaluate(p) % 101 for p in nodes)
+    assert all(mod_101.evaluate(p) % 101 for p in nodes)
     # every linear form vanishes at some point of P^1(F_3)
     with pytest.raises(BadReductionError, match="bad reduction mod 3: none of 32"):
         draw_missing_hyperplane(PointSet([(1, 0), (0, 1), (1, 1), (1, 2)]), 1, 3)
@@ -462,22 +485,22 @@ def test_ancestor_contains_restriction_small():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from((None, 3, 7)), st.integers(min_value=0, max_value=2**32))
-def test_ancestor_profile_matches_rank_of_catalecticants(char, seed):
+@given(st.integers(min_value=0, max_value=2**32))
+def test_ancestor_profile_matches_rank_of_catalecticants(seed):
     """The monomial path ranks each catalecticant as linalg.rank does."""
     rng = random.Random(seed)
     nvars, degree = rng.choice(((2, 4), (3, 3), (3, 4), (4, 3)))
     basis = monomial_basis(nvars, degree)
     coeffs = {m: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
               for m in rng.sample(basis, rng.randint(1, len(basis)))}
-    phi = Functional(nvars, degree, coeffs, char)
+    phi = Functional(nvars, degree, coeffs)
     if phi.is_zero:
         return
     want = []
     for e in range(degree + 1):
         rows = [[phi.coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
                  for g in monomial_basis(nvars, e)] for m in monomial_basis(nvars, degree - e)]
-        want.append(rank(rows, char))
+        want.append(rank(rows))
     assert ancestor_profile(phi).values == tuple(want)
 
 
@@ -581,23 +604,22 @@ def test_degree_n_kill_check_matches_ancestor_containment():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from((None, 7)), st.integers(min_value=0, max_value=2**32))
-def test_monomial_kill_check_matches_products(char, seed):
+@given(st.integers(min_value=0, max_value=2**32))
+def test_monomial_kill_check_matches_products(seed):
     """The catalecticant pairing of the monomial path against phi(f * m)
     for every basis form f of the piece and every monomial m of degree
     N - e, on sparse functionals and pieces of one to three sparse forms."""
     rng = random.Random(seed)
     nvars, N = rng.choice(((2, 4), (3, 3), (3, 4)))
     phi = Functional(nvars, N, {m: rng.randint(-2, 2)
-                                for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))},
-                     char)
+                                for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))})
     e = rng.randint(0, N)
     basis = monomial_basis(nvars, e)
     forms = [GradedPoly(nvars, e, {m: rng.randint(-2, 2) for m in
-                                   rng.sample(basis, min(len(basis), rng.randint(1, 2)))}, char)
+                                   rng.sample(basis, min(len(basis), rng.randint(1, 2)))})
              for _ in range(rng.randint(1, 3))]
-    piece = IdealPiece.from_polys(nvars, e, [f for f in forms if not f.is_zero], char)
-    want = all(not phi.of(f * GradedPoly.monomial(nvars, m, 1, char))
+    piece = IdealPiece.from_polys(nvars, e, [f for f in forms if not f.is_zero])
+    want = all(not phi.of(f * GradedPoly.monomial(nvars, m))
                for f in piece.basis_polys() for m in monomial_basis(nvars, N - e))
     assert functional_kills_products(phi, piece) == want
 

@@ -145,10 +145,13 @@ def test_product_degree_additivity(nvars, degree, data):
     assert product([g, g, g]).degree == 3
 
 
-def test_reduce_mod_maps_coefficients():
-    from defectk.scalars import Fp
-
-    f = GradedPoly(2, 2, {(2, 0): Fraction(1, 2), (0, 2): 3})
-    g = f.reduce_mod(7)
-    assert g.char == 7
-    assert g.evaluate((Fp(1, 7),) * 2).val == (4 + 3) % 7  # 1/2 = 4 mod 7
+def test_non_integer_exponents_rejected():
+    """(1.5, 1.5, 0) sums to the degree 3 but names no monomial; a float
+    nvars or degree names no ring."""
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        GradedPoly(3, 3, {(1.5, 1.5, 0): 1})
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        GradedPoly.from_json_dict({"nvars": 3, "degree": 3, "terms": [[[1.5, 1.5, 0], 1, 1]]})
+    for nvars, degree in ((3.0, 1), (3, 1.0)):
+        with pytest.raises(ValueError, match="nvars and degree must be integers"):
+            GradedPoly(nvars, degree, {(1, 0, 0): 1})
