@@ -19,7 +19,13 @@ Conventions used throughout:
   monomial order; the picked (standard) monomials form an order ideal,
   because the order is multiplicative and the column of x_v * m is the
   column of m scaled pointwise by x_v.  So only the products x_v * b with
-  every divisor standard are offered, each column computed from b's.
+  every divisor standard are offered.  As in that paper, the offer is not
+  x_v * b's column but x_v times the vector the echelon stored for b: that
+  vector is col(b) up to a nonzero factor plus columns of standard
+  monomials s before b, and each x_v * s comes before x_v * b, so the two
+  differ by a vector already in the span.  Every pick, rank and kernel is
+  the same, and the offer is zero before the stored vector's pivot, where
+  its reduction starts.
   The pass runs one echelon through every degree when some coordinate x_j
   is nonzero at every point (mod p over F_p): col(x_j * m) =
   diag(x_j(p)) col(m), so the degree-k column space contains x_j times the
@@ -217,22 +223,6 @@ class HilbertProfile:
         return list(self.values)
 
 
-def _pick_standard(ech: IntForwardEchelon, candidates):
-    """Insert (monomial, evaluation column) pairs into a point-indexed
-    echelon in the given order, and yield the pairs whose column enlarges
-    its span: the standard monomials among the candidates.  Over F_char the
-    yielded columns are reduced mod char.
-    """
-    char = ech.char
-    for mono, col in candidates:
-        if char is not None:
-            col = [v % char for v in col]
-        if ech.add(col):
-            yield mono, col
-            if ech.dim == ech.ncols:
-                return
-
-
 def _offers(standard, variables):
     """The products m = x_v * b (v in variables, b in standard) whose every
     divisor m / x_u is standard, as (m, (b, v)) in the fixed monomial order.
@@ -251,11 +241,6 @@ def _offers(standard, variables):
     return sorted(offers.items(), key=lambda t: t[0][::-1])
 
 
-def _scaled_columns(offers, columns, reps):
-    """Evaluation column of each offered x_v * b: b's column times x_v."""
-    return ((m, [x * rep[v] for x, rep in zip(columns[b], reps)]) for m, (b, v) in offers)
-
-
 def _chart(reps, char: int | None) -> int | None:
     """A coordinate that is nonzero (mod char) in every integer vector of
     ``reps``: the one with the smallest largest entry, lowest index on ties;
@@ -266,9 +251,10 @@ def _chart(reps, char: int | None) -> int | None:
 
 
 def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
-    """Yield (echelon, new standard columns) of each degree 0..up_to for the
-    integer vectors ``reps``; the columns map each standard monomial new in
-    the degree to its evaluation column.
+    """Yield (echelon, new standard monomials) of each degree 0..up_to for
+    the integer vectors ``reps``; the monomials map each standard m new in
+    the degree to the (b, v) with m = x_v * b it was offered as, (None,
+    None) for m = 1.
 
     Degree-k offers are the products x_v * b with b new in degree k-1 whose
     every degree-(k-1) divisor is standard, visited in the fixed monomial
@@ -284,6 +270,16 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
     runs on that chart itself, on the residues rep * rep[j]^-1: scaling a
     point multiplies its row of every evaluation matrix by a unit, which
     keeps every rank and every pick, and the echelon is never rescaled.
+
+    The offer of x_v * b is not its column but diag(x_v(p)) u_b, for u_b
+    the vector the echelon stored when it picked b, reduced from u_b's
+    pivot on.  u_b is a nonzero multiple of col(b) plus columns of standard
+    monomials s before b; the order is multiplicative, so every x_v * s
+    comes before x_v * b, and its column is in the span by the time x_v * b
+    is offered (in a chart the earlier degrees come first, as x_j times the
+    previous span).  So the offer and the column differ by a vector of the
+    span: every pick, rank, pivot and kernel is that of the columns, only
+    the stored vectors differ, and the offer is zero before u_b's pivot.
     Offers stop once a degree adds nothing or the rank reaches #points, as
     the rank then stays put.
     """
@@ -293,7 +289,9 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
         reps = [[x * u % char for x in rep] for rep, u in zip(reps, units)]
     others = [v for v in range(nvars) if v != j]
     ech = IntForwardEchelon(n, char)
-    new = dict(_pick_standard(ech, [((0,) * nvars, [1] * n)]))
+    one = (0,) * nvars
+    stored = {one: ech.add([1] * n)}
+    new = {one: (None, None)}
     yield ech, new
     for _ in range(up_to):
         if new and ech.dim < n:
@@ -301,7 +299,14 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
                 ech = IntForwardEchelon(n, char)
             elif char is None and any(rep[j] != 1 for rep in reps):
                 ech.scale_columns([rep[j] for rep in reps])
-            new = dict(_pick_standard(ech, _scaled_columns(_offers(new, others), new, reps)))
+            parents, stored, new = stored, {}, {}
+            for m, (b, v) in _offers(parents, others):
+                pivot, u = parents[b]
+                vector = ech.add([x * rep[v] for x, rep in zip(u, reps)], pivot)
+                if vector:
+                    new[m], stored[m] = (b, v), vector
+                    if ech.dim == n:
+                        break
         else:
             new = {}
         yield ech, new
@@ -325,8 +330,12 @@ class _ColumnBases:
         self.h = []
         self._columns = []
         self.kernel = None
-        for k, (ech, columns) in enumerate(_profile_pass(reps, j, up_to)):
+        columns = {}
+        for k, (ech, new) in enumerate(_profile_pass(reps, j, up_to)):
             self.h.append(ech.dim)
+            # col(x_v * b) = diag(x_v(p)) col(b), for b new in the degree before
+            columns = {m: [x * rep[v] for x, rep in zip(columns[b], reps)] if k
+                       else [1] * len(reps) for m, (b, v) in new.items()}
             self._columns.append(list(columns.values()))
             if k == kernel_at:
                 self.kernel = ech.kernel()

@@ -14,7 +14,10 @@ independent oracle.
 echelon on plain Python ints, over Z (lists, cross-multiplied, content
 stripped) or over F_p (monic residue vectors, each packed into one int of
 byte-aligned slots, so that a reduction step is one big-int multiply-add
-and residues are taken once per insertion).  It serves only matrices
+and residues are taken once per insertion).  ``add`` hands back the
+vector it stored, and takes the index before which a vector is zero, so
+that the profile pass of ``ideals`` can offer x_v times a stored vector
+and reduce it only by the pivots from there on.  It serves only matrices
 indexed by points: every point-set rank, the catalecticant ranks of a
 functional at points (mod p first, kept only when they meet a proven upper
 bound, else over Z), and, through its kernel, the dual weights and socle
@@ -29,6 +32,8 @@ side never uses it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 import struct
@@ -42,16 +47,18 @@ _SLOT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q", 9: "QB", 10: "QH", 12: "QI", 16: 
 
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row by the lcm of its denominators (rank-preserving); also
-    return the product of the scales, by which the determinant grows."""
+    return the product of the scales, by which the determinant grows.  A
+    row of ints is kept as it is."""
     out = []
     scale = 1
     for row in rows:
-        denom = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        scale *= denom
-        out.append([int(x * denom) if isinstance(x, Fraction) else x * denom for x in row])
+        # an int test is cheap; isinstance(x, Fraction) goes through ABCMeta
+        if not all(isinstance(x, int) for x in row):
+            denom = math.lcm(*(x.denominator for x in row if not isinstance(x, int)))
+            row = [x * denom if isinstance(x, int) else x.numerator * (denom // x.denominator)
+                   for x in row]
+            scale *= denom
+        out.append(row)
     return out, scale
 
 
@@ -270,12 +277,18 @@ class IntForwardEchelon:
             return self._rows
         return [(pivot, self._unpack(u)) for pivot, u in self._rows]
 
-    def add(self, vec: list[int]) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
+    def add(self, vec: list[int], start: int = 0) -> tuple[int, list[int]] | None:
+        """Insert a vector that is zero before entry ``start``.  A reduction
+        step changes no entry before its pivot, so the vector stays zero at
+        every earlier pivot, and only the pivots from ``start`` on are
+        visited.  Returns the (pivot, entries) it stored, normalized and
+        unpacked as in ``vectors``, or None when the vector lies in the
+        span."""
         p = self.char
+        rows = itertools.islice(self._rows, bisect.bisect_left(self._rows, (start,)), None)
         if p is None:
             v = list(vec)
-            for pivot, u in self._rows:
+            for pivot, u in rows:
                 if v[pivot]:
                     a, b = u[pivot], v[pivot]
                     v = [a * x - b * y for x, y in zip(v, u)]
@@ -283,32 +296,34 @@ class IntForwardEchelon:
             width = 8 * self._slot
             mask = (1 << width) - 1
             packed = self._pack([x % p for x in vec])
-            for pivot, u in self._rows:
+            for pivot, u in rows:
                 b = (packed >> width * pivot & mask) % p
                 if b:
                     packed += (p - b) * u
             v = self._unpack(packed)
         pivot = next((i for i, x in enumerate(v) if x), None)
         if pivot is None:
-            return False
-        self._rows.append((pivot, self._stored(pivot, v)))
-        self._rows.sort(key=lambda t: t[0])
-        return True
+            return None
+        u = self._normalized(pivot, v)
+        bisect.insort(self._rows, (pivot, self._stored(u)))
+        return pivot, u
 
     def scale_columns(self, scales: list[int]) -> None:
         """Multiply entry c of every vector by scales[c], nonzero (mod char);
         zeros stay zeros, so the pivots and the echelon form are kept."""
         self._rows = [
-            (pivot, self._stored(pivot, [x * s for x, s in zip(u, scales)]))
+            (pivot, self._stored(self._normalized(pivot, [x * s for x, s in zip(u, scales)])))
             for pivot, u in self.vectors
         ]
 
     def kernel(self) -> list[list[int]]:
         """Basis of the vectors orthogonal to every stored vector, one per
-        non-pivot column c: nonzero at c, 0 at the other non-pivot columns,
-        and the pivot entries by back substitution, scaled so that they stay
-        integers (over F_char the pivot entries are 1, so nothing is scaled).
-        Each vector is then normalized like a stored one."""
+        non-pivot column c: positive at c, 0 at the other non-pivot columns,
+        and the pivot entries by back substitution, scaled by positive
+        factors so that they stay integers (over F_char the pivot entries
+        are 1, so nothing is scaled).  Each vector is then normalized like a
+        stored one.  So the basis depends only on the span, not on the
+        stored vectors that hold it."""
         vectors = self.vectors
         pivots = {pivot for pivot, _ in vectors}
         out = []
@@ -320,7 +335,7 @@ class IntForwardEchelon:
             for pivot, u in reversed(vectors):
                 s = sum(map(operator.mul, u[pivot + 1:], x[pivot + 1:]))
                 if s:
-                    g = math.gcd(s, u[pivot])
+                    g = math.gcd(s, u[pivot]) * (-1 if u[pivot] < 0 else 1)
                     if u[pivot] // g != 1:
                         x = [y * (u[pivot] // g) for y in x]
                     x[pivot] = -(s // g)
@@ -337,10 +352,9 @@ class IntForwardEchelon:
         inv = pow(v[pivot], -1, p)
         return [x * inv % p for x in v]
 
-    def _stored(self, pivot: int, v: list[int]):
-        """The normalized vector as it is stored: packed over F_char."""
-        v = self._normalized(pivot, v)
-        return v if self.char is None else self._pack(v)
+    def _stored(self, u: list[int]):
+        """A normalized vector as it is stored: packed over F_char."""
+        return u if self.char is None else self._pack(u)
 
     def _pack(self, v: list[int]) -> int:
         """Residues (below 2^64) as one int, entry c in slot c."""

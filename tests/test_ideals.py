@@ -37,7 +37,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from defectk.ideals import CERTIFY_PRIME, _chart, _kills_at_points
+from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _kills_at_points, _profile_pass
 from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -169,18 +169,28 @@ def full_evaluation_ranks(pts, up_to, char):
 
 @st.composite
 def point_sets(draw):
-    """Small point sets in P^2 or P^3: generic, on a line, on a plane, or
-    congruent mod 3 (so that they collide over F_3)."""
-    nvars = draw(st.sampled_from((3, 4)))
-    kind = draw(st.sampled_from(("generic", "collinear", "coplanar", "mod3")))
+    """Small point sets in P^2 or P^3: generic, on a line, on a plane,
+    congruent mod 3 (so that they collide over F_3), or up to 12 points on
+    a conic or a twisted cubic, where the standard monomials stop growing
+    with the degree and most offers are dependent."""
+    kind = draw(st.sampled_from(("generic", "collinear", "coplanar", "mod3", "conic",
+                                 "twisted cubic")))
+    nvars = 4 if kind == "twisted cubic" else draw(st.sampled_from((3, 4)))
     small = st.integers(min_value=-3, max_value=3)
     vector = st.lists(small, min_size=nvars, max_size=nvars)
-    count = draw(st.integers(min_value=1, max_value=9))
+    curve = kind in ("conic", "twisted cubic")
+    count = draw(st.integers(min_value=1, max_value=12 if curve else 9))
     if kind == "generic":
         coords = [draw(vector) for _ in range(count)]
     elif kind == "mod3":
         base = draw(vector)
         coords = [[b + 3 * s for b, s in zip(base, draw(vector))] for _ in range(count)]
+    elif curve:
+        params = [(draw(small), draw(small)) for _ in range(count)]
+        if kind == "conic":
+            coords = [[s * s, s * t, t * t] + [s * s - 2 * t * t] * (nvars - 3) for s, t in params]
+        else:
+            coords = [[s**3, s * s * t, s * t * t, t**3] for s, t in params]
     else:
         span = [draw(vector) for _ in range(2 if kind == "collinear" else 3)]
         coords = []
@@ -335,6 +345,116 @@ def test_chart_rescale_only_when_the_chart_coordinate_is_not_one(monkeypatch):
     assert _chart(weighted.points, None) == 0
     assert points_profile(weighted, 5).values == full_evaluation_ranks(weighted, 5, None)
     assert calls and all(scales == [3] * len(weighted) for scales in calls)
+
+
+def reference_pass(reps, j, up_to, char):
+    """The profile pass by the rule of offering raw columns, as the pass's
+    own reference: each degree inserts the evaluation column of every
+    monomial into a fresh IntForwardEchelon, in the order that the pass
+    visits them (in the chart of x_j, higher powers of x_j first, then the
+    fixed order; a product x_j * m then stands for m of the degree before).
+    Returns h, the picks new in each degree, as {monomial: column}, and the
+    echelon of each degree.  Without a chart nothing is new once the rank
+    reaches #points."""
+    n, nvars = len(reps), len(reps[0])
+    vanishing = [v for v in range(nvars) if not any(rep[v] for rep in reps)]
+    h, new, echelons = [], [], []
+    for k in range(up_to + 1):
+        ech = IntForwardEchelon(n, char)
+        picks = {}
+        order = sorted(monomial_basis(nvars, k),
+                       key=lambda m: (-m[j] if j is not None else 0, m[::-1]))
+        for m in order:
+            if ech.dim == n or any(m[v] for v in vanishing):
+                continue  # nothing is picked once the rank is full, nor a zero column
+            col = [math.prod(c**e for c, e in zip(rep, m)) for rep in reps]
+            if char is not None:
+                col = [x % char for x in col]
+            if ech.add(col) and (j is None or not m[j]):
+                picks[m] = col
+        full = j is None and h[-1:] == [n]
+        h.append(ech.dim)
+        new.append({} if full else picks)
+        echelons.append(ech)
+    return h, new, echelons
+
+
+def reference_sets():
+    """Grid node sets of the three families, a rational set whose chart
+    coordinate is not 1, points on a conic and on a twisted cubic, and a
+    set without a chart; each with the degree its reference pass goes to."""
+    for d in range(3, 10):
+        yield PointSet([(0, 0, a, b, 1) for a in range(1, d) for b in range(1, d)]), 2 * d - 4
+    for d in range(2, 7):
+        yield PointSet([(1, a, b, 0) for a in range(1, d + 1) for b in range(1, 2 * d)]), 3 * d - 3
+    for d in range(3, 6):
+        axis = range(1, d)
+        cube = [(0, 0, 0, a, b, c, 1) for a in axis for b in axis for c in axis]
+        yield PointSet(cube), 3 * d - 5
+    rational = [(1, Fraction(a, 3), Fraction(b, 2)) for a in range(-2, 3) for b in range(3)]
+    yield PointSet(rational), 6
+    params = [(s, t) for s in (1, 2, 3) for t in range(-3, 4) if math.gcd(s, t) == 1]
+    yield PointSet([(s * s, s * t, t * t) for s, t in params]), len(params) - 1
+    yield PointSet([(s**3, s * s * t, s * t * t, t**3) for s, t in params]), 6
+    yield PointSet([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1),
+                    (1, 2, 3, 4), (2, -1, 1, 3), (5, 1, -2, 1)]), 5
+
+
+def test_profile_pass_matches_the_raw_column_reference():
+    """Offering x_v times b's stored vector picks what offering x_v * b's
+    raw column picks: over Q, _ColumnBases has the reference's h, new
+    columns and kernel (at top - 1 on the grids, where the restriction
+    reads it, else at the last degree short of #points, where it is not
+    empty); mod 7 and mod CERTIFY_PRIME the pass picks the same monomials
+    as the reference at the integer points, and points_profile is its h.
+    The sets reach the rescale path, the pass without a chart and, mod 7,
+    points that collide."""
+    charts = set()
+    for pts, top in reference_sets():
+        reps = pts.points
+        for char in (None, 7, CERTIFY_PRIME):
+            j = _chart(reps, char)
+            charts.add((j is None, j is not None and any(rep[j] != 1 for rep in reps)))
+            h, new, echelons = reference_pass(reps, j, top, char)
+            assert points_profile(pts, top, char).values == tuple(h), (reps, char)
+            picks = [list(columns) for _, columns in _profile_pass(reps, j, top, char)]
+            assert picks == [list(columns) for columns in new], (reps, char)
+            if char is None:
+                at = max(k for k in range(top) if h[k] < len(reps))
+                bases = _ColumnBases(reps, top, at)
+                assert bases.h == h
+                assert bases._columns == [list(columns.values()) for columns in new]
+                assert bases.kernel == echelons[at].kernel()
+    assert charts == {(True, False), (False, False), (False, True)}
+
+
+def test_offers_are_parent_vectors_times_a_variable(monkeypatch):
+    """After degree 0, every vector the pass inserts is x_v times the vector
+    the echelon stored for its parent, and zero before that vector's pivot,
+    which is where the reduction starts."""
+    calls = []
+    original = IntForwardEchelon.add
+
+    def spy(self, vec, start=0):
+        stored = original(self, vec, start)
+        calls.append((vec, start, stored))
+        return stored
+
+    monkeypatch.setattr(IntForwardEchelon, "add", spy)
+    plane_d6 = PointSet([(0, 0, a, b, 1) for a in range(1, 6) for b in range(1, 6)])
+    no_chart = PointSet([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1),
+                         (1, 2, 3, 4), (2, -1, 1, 3)])
+    for pts, char in ((plane_d6, None), (plane_d6, 101), (no_chart, None), (no_chart, 101)):
+        calls.clear()
+        assert points_profile(pts, 8, char).values == full_evaluation_ranks(pts, 8, char)
+        assert calls[0][:2] == ([1] * len(pts), 0)
+        # the chart of plane_d6 is x_4 = 1, so the pass sees the points themselves
+        stored = [u for _, _, u in calls if u]
+        for vec, start, _ in calls[1:]:
+            assert not any(vec[:start])
+            assert any(pivot == start and vec == [x * rep[v] for x, rep in zip(u, pts.points)]
+                       for pivot, u in stored for v in range(pts.nvars)), (vec, start)
+        assert len(calls) > len(stored) > 1
 
 
 def test_point_ideal_piece_is_evaluation_kernel():
