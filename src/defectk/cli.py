@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import macaulay
 from .defect import AuditError, check_sweep_budget, defect as compute_defect
@@ -316,7 +316,9 @@ SUITES = {
 # parser
 
 
+@cache
 def build_parser() -> _Parser:
+    """The parser, built once per process: parsing does not change it."""
     parser = _Parser(prog="defectk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -15,6 +15,7 @@ serialized artifacts reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -225,19 +226,23 @@ class GradedPoly:
         return result
 
     def evaluate(self, point):
-        """Exact value at a point given by a coordinate tuple."""
+        """Exact value at a point of ints or Fractions: the terms are summed
+        as ints, with point and coefficients scaled to integers."""
         if len(point) != self.nvars:
             raise ValueError("point has the wrong number of coordinates")
         if not any(point):
             raise ValueError("zero coordinate vector is not a projective point")
-        acc = Fraction(0)
+        den = math.lcm(*(c.denominator for c in point))
+        ints = [c.numerator * (den // c.denominator) for c in point]
+        scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
+        total = 0
         for exp, c in self.coeffs.items():
-            term = c
-            for coord, e in zip(point, exp):
+            term = c.numerator * (scale // c.denominator)
+            for coord, e in zip(ints, exp):
                 if e:
-                    term = term * coord**e
-            acc = acc + term
-        return acc
+                    term *= coord**e
+            total += term
+        return Fraction(total, scale * den**self.degree)
 
     # -- serialization ---------------------------------------------------
 
@@ -281,3 +286,48 @@ def product(polys) -> GradedPoly:
     for f in it:
         acc = acc * f
     return acc
+
+
+# Points per block of ``values_at``: its columns live for one block only.
+VALUES_BLOCK = 128
+
+
+def values_at(forms, reps) -> list[list[int]]:
+    """``out[i][j]`` is forms[i] at the integer point reps[j], times the lcm
+    of the coefficient denominators of forms[i].  Per block of points each
+    monomial is one column shared by all forms: x_v^e is x_v^(e//2) times
+    x_v^(e - e//2), any other monomial its prefix times a power.  A column of
+    ones is shared, one of zeros dropped with its terms; each other term is
+    one multiply-add into its form's column."""
+    scales = [math.lcm(*(c.denominator for c in g.coeffs.values())) for g in forms]
+    terms = [[(c.numerator * (s // c.denominator), exp) for exp, c in g.coeffs.items()]
+             for g, s in zip(forms, scales)]
+    out = [[] for _ in forms]
+    for start in range(0, len(reps), VALUES_BLOCK):
+        block = reps[start:start + VALUES_BLOCK]
+        nvars = len(block[0])
+        ones = [1] * len(block)
+        monos = {(0,) * nvars: ones}
+        for v in range(nvars):
+            col = [rep[v] for rep in block]
+            col = ones if col == ones else col if any(col) else None
+            monos[(0,) * v + (1,) + (0,) * (nvars - v - 1)] = col
+
+        def monomial(exp):
+            if exp not in monos:
+                v = max(v for v, e in enumerate(exp) if e)
+                a = exp[:v] + ((0,) if any(exp[:v]) else (exp[v] // 2,)) + exp[v + 1:]
+                x, y = monomial(a), monomial(tuple(map(operator.sub, exp, a)))
+                col = x and y and (y if x is ones else x if y is ones else
+                                   [p * q for p, q in zip(x, y)])
+                monos[exp] = col if col and any(col) else None
+            return monos[exp]
+
+        for form_terms, values in zip(terms, out):
+            acc = [0] * len(block)
+            for c, exp in form_terms:
+                col = monomial(exp)
+                if col:
+                    acc = [a + c * x for a, x in zip(acc, col)]
+            values.extend(acc)
+    return out

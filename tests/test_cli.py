@@ -1,10 +1,14 @@
 """CLI surface: subcommands, exit codes, formats, and replayability."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from defectk import scenarios
-from defectk.cli import main
+import defectk
+from defectk.cli import build_parser, main
 from defectk.defect import NodalHypersurface
 from defectk.families import GridParams, plane_family
 from defectk.ideals import PointSet
@@ -25,6 +29,18 @@ def test_expand_prints_growth_table(capsys):
     assert code == 0 and "-1,-1,-1" in out
     code, out, _ = run_cli(capsys, "expand", "--c", "5", "--d", "2")
     assert code == 0 and "1,1" in out
+
+
+def test_one_parser_serves_every_run_in_a_process(capsys):
+    """``main`` reuses one parser; runs of different subcommands in one
+    process, also after a usage error, print what fresh processes print."""
+    env = dict(os.environ, PYTHONPATH=str(Path(defectk.__file__).parents[1]))
+    for argv in (("family", "--name", "plane", "--d", "4"), ("expand", "--c", "10", "--d", "7"),
+                 ("expand", "--c", "x", "--d", "2"), ("family", "--name", "plane", "--d", "4")):
+        fresh = subprocess.run([sys.executable, "-m", "defectk.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser.cache_info().currsize == 1
 
 
 def test_usage_errors_exit_one(capsys):

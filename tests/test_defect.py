@@ -1,8 +1,11 @@
 """Node verification, defect values, and bound certification."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectk.defect import (
     AuditError,
@@ -21,8 +24,8 @@ from defectk.defect import (
     verify_singular,
 )
 from defectk.families import GridParams, plane_family, random_points_control
-from defectk.ideals import HilbertProfile, PointSet
-from defectk.polynomials import GradedPoly
+from defectk.ideals import HilbertProfile, PointSet, format_point, primitive_point
+from defectk.polynomials import GradedPoly, monomial_basis
 from defectk.scenarios import run_plane
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -102,6 +105,64 @@ def test_audit_matches_pointwise_checks():
             with pytest.raises(AuditError) as exc:
                 audit_nodes(f, PointSet([coords]))
             assert str(exc.value) == message
+
+
+def _form_singular_at(rng, point, degree, kind):
+    """A form of the given degree with a node, a degenerate singular point
+    or a smooth point at ``point`` (kind "node", "degenerate" or "smooth").
+    It is written in the forms l_i = p_c x_i - p_i x_c, which vanish at the
+    point (c its chart), and has rational coefficients."""
+    n = len(point)
+    c = next(i for i, x in enumerate(point) if x)
+    x = [GradedPoly.variable(n, i) for i in range(n)]
+    ells = [x[i].scale(point[c]) - x[c].scale(point[i]) for i in range(n) if i != c]
+    # unitriangular combinations, so that the Hessian is not diagonal
+    zero = GradedPoly.zero(n, 1)
+    mixed = [ell + sum((e.scale(rng.randint(-2, 2)) for e in ells[k + 1:]), zero)
+             for k, ell in enumerate(ells)]
+    lead = GradedPoly.monomial(n, [degree - 2 if i == c else 0 for i in range(n)])
+    f = GradedPoly.zero(n, degree)
+    # the quadratic part; a degenerate one leaves out one direction
+    for ell in mixed[:-1] if kind == "degenerate" else mixed:
+        f = f + lead * ell * ell * Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))
+    if kind == "smooth":
+        f = f + lead * x[c] * ells[0]
+    if degree >= 3:  # order 3 at the point: moves neither gradient nor Hessian
+        for _ in range(2):
+            a, b, e = (rng.choice(ells) for _ in range(3))
+            tail = GradedPoly.monomial(n, rng.choice(monomial_basis(n, degree - 3)))
+            f = f + tail * a * b * e * Fraction(1, rng.randint(1, 5))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=4),
+       st.sampled_from(("node", "degenerate", "smooth")), st.integers(min_value=0, max_value=2**32))
+def test_audit_records_match_verify_singular_and_verify_node(nvars, degree, kind, seed):
+    """``audit_nodes`` against the pointwise oracle, at the constructed point
+    and at a few other points, with the text of the first failure."""
+    rng = random.Random(seed)
+    point = [rng.choice((0, 0, 1, -2, 3)) for _ in range(nvars)]
+    if not any(point):
+        point[-1] = 1
+    f = _form_singular_at(rng, point, degree, kind)
+    others = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 3))]
+    pts = PointSet(list(dict.fromkeys(primitive_point(q) for q in [point] + others if any(q))))
+    expected = []
+    for rep in pts:
+        singular = verify_singular(f, rep)
+        expected.append(NodeAudit(rep, singular, singular and verify_node(f, rep)))
+    assert expected[0].singular == (kind != "smooth")
+    assert expected[0].is_node == (kind == "node")
+    bad = [r for r in expected if not r.is_node]
+    if not bad:
+        assert audit_nodes(f, pts) == tuple(expected)
+        return
+    why = "has a degenerate Hessian" if bad[0].singular else "is not singular"
+    with pytest.raises(AuditError) as exc:
+        audit_nodes(f, pts)
+    assert str(exc.value) == (f"{len(bad)} declared node(s) failed the audit, "
+                              f"first: {format_point(bad[0].point)} {why}")
 
 
 def test_defect_examples():

@@ -1,6 +1,7 @@
 """Graded polynomial arithmetic, the monomial order, and serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from defectk.linalg import det
 from defectk.macaulay import binomial
-from defectk.polynomials import GradedPoly, monomial_basis, monomial_index, product
+from defectk.polynomials import (VALUES_BLOCK, GradedPoly, monomial_basis, monomial_index, product,
+                                 values_at)
 
 
 def random_form(rng, nvars, degree, terms=6):
@@ -155,3 +157,58 @@ def test_non_integer_exponents_rejected():
     for nvars, degree in ((3.0, 1), (3, 1.0)):
         with pytest.raises(ValueError, match="nvars and degree must be integers"):
             GradedPoly(nvars, degree, {(1, 0, 0): 1})
+
+
+def _per_term_fraction_value(f, point):
+    """The value of f at a point as one Fraction product per term."""
+    acc = Fraction(0)
+    for exp, c in f.coeffs.items():
+        term = c
+        for coord, e in zip(point, exp):
+            if e:
+                term = term * Fraction(coord) ** e
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=2**32))
+def test_evaluate_at_rational_points_matches_per_term_fractions(nvars, degree, seed):
+    rng = random.Random(seed)
+    f = random_form(rng, nvars, degree)
+    for _ in range(5):
+        point = [Fraction(rng.choice((0, 0, -3, 1, 2, 5)), rng.randint(1, 7)) for _ in range(nvars)]
+        if not any(point):
+            point[0] = Fraction(-1, 3)
+        if rng.random() < 0.5:  # int coordinates take the same path
+            point = [int(c * math.lcm(*(c.denominator for c in point))) for c in point]
+        value = f.evaluate(tuple(point))
+        assert isinstance(value, Fraction)
+        assert value == _per_term_fraction_value(f, point)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=5),
+       st.sampled_from((1, VALUES_BLOCK - 1, VALUES_BLOCK, VALUES_BLOCK + 1, 300)),
+       st.integers(min_value=0, max_value=2**32))
+def test_values_at_matches_evaluate_times_the_lcm(nvars, degree, count, seed):
+    """Across block edges, with a zero form and with coordinates that vanish
+    at some points, or are 0 or 1 at every point (a dropped or a shared
+    column)."""
+    rng = random.Random(seed)
+    forms = [random_form(rng, nvars, degree, terms=rng.randint(1, 8)) for _ in range(3)]
+    forms.append(GradedPoly.zero(nvars, degree))
+    fixed = {v: rng.choice((0, 1)) for v in range(nvars) if rng.random() < 0.4}
+    reps = []
+    for _ in range(count):
+        rep = [fixed.get(v, rng.choice((0, 0, -2, -1, 1, 3, 7))) for v in range(nvars)]
+        if not any(rep):
+            rep[rng.randrange(nvars)] = 1
+        reps.append(tuple(rep))
+    values = values_at(forms, reps)
+    assert [len(col) for col in values] == [count] * len(forms)
+    for g, col in zip(forms, values):
+        scale = math.lcm(*(c.denominator for c in g.coeffs.values()))
+        assert all(type(v) is int for v in col)
+        assert col == [g.evaluate(rep) * scale for rep in reps]
