@@ -19,9 +19,8 @@ from functools import cache, partial
 
 from . import macaulay
 from .defect import AuditError, check_sweep_budget, defect as compute_defect
-from .families import InstanceError, probe_undeclared_singular_points, random_points_control
+from .families import probe_undeclared_singular_points, random_points_control
 from .ideals import (
-    BadReductionError,
     BaseLocus,
     IdealPiece,
     PointSet,
@@ -149,14 +148,7 @@ def _cmd_family(args) -> int:
     if args.probe_prime:
         validate_characteristic(args.probe_prime)
         check_sweep_budget(spec.nvars(*family_args), args.probe_prime)
-    try:
-        run = spec.run(*family_args, seed=seed, char=args.field)
-    except (InstanceError, BadReductionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except (AuditError, ValueError) as exc:
-        print(f"audit failure: {exc}", file=sys.stderr)
-        return FAILURE_EXIT
+    run = spec.run(*family_args, seed=seed, char=args.field)
     instance = run["instance"]
     report = {
         "scenario": run["scenario"].to_dict(),

@@ -11,48 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice, product
 
 from .ideals import HilbertProfile, PointSet, format_point, points_hilbert, primitive_point
 from .linalg import det
-from .polynomials import GradedPoly, values_at
+from .polynomials import VALUES_BLOCK, GradedPoly, values_at
+from .scalars import validate_characteristic
 
 
 class AuditError(ValueError):
-    """A declared node failed its singularity or nondegeneracy check."""
+    """A declared node failed its singularity or nondegeneracy check, or a
+    restricted profile has no defect to certify (exit 2 in the CLI)."""
 
 
 def verify_singular(f: GradedPoly, point) -> bool:
     """True when every partial derivative vanishes at the point."""
     return all(f.partial_derivative(i).evaluate(point) == 0 for i in range(f.nvars))
-
-
-class _IntegerPartials:
-    """The first partials of f times the lcm of its denominators, as term
-    lists mod p; that lcm is a unit unless p divides it (ValueError).  A
-    second evaluator beside ``polynomials.values_at``, for the sweep: it
-    stops at the first nonzero partial, at most points the first one, and
-    ``values_at`` on every partial measured 1.3 to 2.1 times slower (plane
-    d = 3..8 at p = 11 and 13)."""
-
-    def __init__(self, f: GradedPoly, p: int):
-        self.p = p
-        scale = math.lcm(*(c.denominator for c in f.coeffs.values()))
-        if scale % p == 0:
-            raise ValueError(f"a coefficient of the form has a denominator divisible by {p}")
-        self.terms = [
-            [(int(c * scale) % p, [(v, e) for v, e in enumerate(exp) if e])
-             for exp, c in f.partial_derivative(i).coeffs.items()]
-            for i in range(f.nvars)
-        ]
-
-    def value(self, point, i: int) -> int:
-        """d f / d x_i at an integer point, up to the scale, mod p."""
-        acc = 0
-        for c, factors in self.terms[i]:
-            for v, e in factors:
-                c *= point[v] ** e
-            acc += c
-        return acc % self.p
 
 
 def verify_node(f: GradedPoly, point) -> bool:
@@ -250,7 +224,7 @@ def _certify(h_IH, node_count, socle, critical, floors, bound_name, bound_value)
     if len(h_IH) < socle + 1:
         raise ValueError("restricted profile must reach the socle degree")
     if h_IH[socle] == 0:
-        raise ValueError("no defect to certify: restricted profile vanishes at the socle")
+        raise AuditError("no defect to certify: restricted profile vanishes at the socle")
     trace = []
     certified = True
     for k in range(socle + 1):
@@ -328,11 +302,11 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
 # finite-field sweep for undeclared singular points
 
 
-# Points of P^{nvars-1}(F_p) a sweep may visit before it is refused.  Each
-# point evaluates the first partials of f as integer term lists until one is
-# nonzero: 2.4 to 9.7 microseconds for the plane family d = 3..8 at p = 11
-# and p = 13 on a 2-vCPU Xeon, so a sweep at the budget takes up to about
-# two seconds.
+# Points of P^{nvars-1}(F_p) a sweep may visit before it is refused.  The
+# sweep costs 0.8 to 4.0 microseconds per point for the plane family d = 3
+# and 8 at p = 11 and 19, the double solid d = 5 at p = 53 and ci-highdim
+# n = 1, d = 6 at p = 19 on a 2-vCPU Xeon, so a sweep at the budget takes
+# up to about a second.
 SWEEP_BUDGET = 200_000
 
 
@@ -346,26 +320,29 @@ def check_sweep_budget(nvars: int, p: int) -> None:
 
 
 def sweep_singular_points(f: GradedPoly, p: int = 11) -> list[tuple[int, ...]]:
-    """All F_p-rational singular points of the reduction of f mod p.
+    """All F_p-rational singular points of the reduction of f mod p, for p
+    an odd prime (``scalars.validate_characteristic``).
 
     Probe only: finds undeclared singular points over the prime field; a
     clean sweep is evidence, not proof, of node-only singularities.  The
-    first partials are integer term lists of residues (``_IntegerPartials``),
-    evaluated at each point's residues; a form with a denominator divisible
-    by p has no reduction mod p (ValueError).
+    points (0, ..., 0, 1, c_1, c_2, ...) with residues c_i, c_1 varying
+    fastest, stream through in chunks; ``polynomials.values_at`` evaluates
+    each first partial only at the points of the chunk where the partials
+    before it vanish mod p.  It scales a partial by the lcm of its
+    denominators, a unit mod p unless p divides a denominator of f, which
+    has no reduction mod p (ValueError).
     """
+    validate_characteristic(p)
     n = f.nvars
     check_sweep_budget(n, p)
-    partials = _IntegerPartials(f, p)
+    if math.lcm(*(c.denominator for c in f.coeffs.values())) % p == 0:
+        raise ValueError(f"a coefficient of the form has a denominator divisible by {p}")
+    partials = [f.partial_derivative(i) for i in range(n)]
+    points = ((0,) * pivot + (1,) + tail[::-1]
+              for pivot in range(n) for tail in product(range(p), repeat=n - pivot - 1))
     found = []
-    for pivot in range(n):
-        tail = n - pivot - 1
-        for code in range(p**tail):
-            coords = [0] * pivot + [1]
-            rest = code
-            for _ in range(tail):
-                coords.append(rest % p)
-                rest //= p
-            if not any(partials.value(coords, i) for i in range(n)):
-                found.append(tuple(coords))
+    while chunk := list(islice(points, 64 * VALUES_BLOCK)):
+        for g in partials:
+            chunk = [pt for pt, v in zip(chunk, values_at([g], chunk)[0]) if v % p == 0]
+        found += chunk
     return found

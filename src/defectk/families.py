@@ -23,12 +23,6 @@ from .polynomials import GradedPoly, product
 CELL_BUDGET = 5_000_000
 
 
-class InstanceError(ValueError):
-    """The requested instance does not exist (a parameter below the family's
-    minimum) or is over the resource budget: a usage error, not a failed
-    audit."""
-
-
 @dataclass(frozen=True)
 class GridParams:
     """Grid values for the product-of-linear-forms constructions."""
@@ -61,9 +55,9 @@ def plane_family(params: GridParams) -> NodalHypersurface:
     in P^4, with the (d-1)^2 declared nodes (0:0:a_i:b_j:1)."""
     d = params.d
     if d < 3:
-        raise InstanceError("plane family needs d >= 3")
+        raise ValueError("plane family needs d >= 3")
     if len(params.a_values) != d - 1 or len(params.b_values) != d - 1:
-        raise InstanceError("plane family needs d-1 values on each axis")
+        raise ValueError("plane family needs d-1 values on each axis")
     x = [GradedPoly.variable(5, i) for i in range(5)]
     fa = product([x[2] - a * x[4] for a in params.a_values])
     fb = product([x[3] - b * x[4] for b in params.b_values])
@@ -77,9 +71,9 @@ def double_solid_family(params: GridParams) -> DoubleSolid:
     linear forms; the d(2d-1) declared nodes are (1:a_i:b_j:0)."""
     d = params.d
     if d < 2:
-        raise InstanceError("double solid family needs d >= 2")
+        raise ValueError("double solid family needs d >= 2")
     if len(params.a_values) != d or len(params.b_values) != 2 * d - 1:
-        raise InstanceError("double solid family needs d and 2d-1 values")
+        raise ValueError("double solid family needs d and 2d-1 values")
     x = [GradedPoly.variable(4, i) for i in range(4)]
     h = product([x[1] - a * x[0] for a in params.a_values])
     g = product([x[2] - b * x[0] for b in params.b_values])
@@ -96,11 +90,11 @@ def ci_family_highdim(n: int, d: int) -> NodalHypersurface:
     points with x_0..x_n = 0 and each x_{n+1+i} in 1..d-1.
     """
     if n < 1 or d < 3:
-        raise InstanceError("need n >= 1 and d >= 3")
+        raise ValueError("need n >= 1 and d >= 3")
     nvars = 2 * n + 3
     cells = (d - 1) ** (n + 1) * binomial(d + nvars - 1, nvars - 1)
     if cells > CELL_BUDGET:
-        raise InstanceError(
+        raise ValueError(
             f"instance needs {cells} evaluation cells, over the budget {CELL_BUDGET}"
         )
     x = [GradedPoly.variable(nvars, i) for i in range(nvars)]
@@ -154,5 +148,6 @@ def probe_undeclared_singular_points(f: GradedPoly, nodes: PointSet, p: int = 11
     Warn-only evidence: reports F_p-rational singular points of f mod p
     whose classes differ from every declared node's reduction.
     """
+    found = sweep_singular_points(f, p)  # refuses a p that is not an odd prime
     declared = {reduce_point(rep, p) for rep in nodes}
-    return [pt for pt in sweep_singular_points(f, p) if pt not in declared]
+    return [pt for pt in found if pt not in declared]

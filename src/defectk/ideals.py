@@ -78,7 +78,7 @@ from fractions import Fraction
 
 from .linalg import Echelon, IntForwardEchelon
 from .macaulay import binomial, expand, upper_growth
-from .polynomials import GradedPoly, monomial_basis, monomial_index
+from .polynomials import GradedPoly, monomial_basis, monomial_index, values_at
 
 
 class NonGenericHyperplaneError(ValueError):
@@ -182,18 +182,10 @@ class PointSet:
         return cls(coords_list)
 
 
-def _evaluation_columns(int_points, nvars: int, degree: int):
-    """Yield, per monomial of the degree in basis order, its values at the points."""
-    tables = [[[c**e for e in range(degree + 1)] for c in p] for p in int_points]
-    for exp in monomial_basis(nvars, degree):
-        nz = [(v, e) for v, e in enumerate(exp) if e]
-        col = []
-        for tab in tables:
-            val = 1
-            for v, e in nz:
-                val *= tab[v][e]
-            col.append(val)
-        yield col
+def _evaluation_columns(int_points, nvars: int, degree: int) -> list[list[int]]:
+    """Per monomial of the degree in basis order, its values at the points."""
+    basis = monomial_basis(nvars, degree)
+    return values_at([GradedPoly.monomial(nvars, exp) for exp in basis], int_points)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +483,7 @@ def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
     With ``restrict_to_hyperplane`` this is the independent oracle that the
     tests check ``restricted_point_pieces`` against.
     """
-    cols = list(_evaluation_columns(points.points, points.nvars, k))
+    cols = _evaluation_columns(points.points, points.nvars, k)
     # one row per point, columns indexed by monomials
     ech = Echelon(len(cols))
     for i in range(len(points)):
@@ -666,7 +658,7 @@ class _Restriction:
 
     def kernel_echelon(self, e: int) -> Echelon:
         """(I_H)_e over the monomial basis: the forms every dual weight kills."""
-        cols = list(_evaluation_columns(self.small, self.nvars, e))
+        cols = _evaluation_columns(self.small, self.nvars, e)
         cond = Echelon(len(cols))
         for psi in self.dual_weights(e):
             cond.add({m: v for m, v in enumerate(_dot(psi, col) for col in cols) if v})

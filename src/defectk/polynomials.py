@@ -298,7 +298,13 @@ def values_at(forms, reps) -> list[list[int]]:
     monomial is one column shared by all forms: x_v^e is x_v^(e//2) times
     x_v^(e - e//2), any other monomial its prefix times a power.  A column of
     ones is shared, one of zeros dropped with its terms; each other term is
-    one multiply-add into its form's column."""
+    one multiply-add into its form's column.
+
+    The one evaluator of forms at integer points beside ``evaluate``; its
+    callers are ``defect.audit_nodes`` (every first and second partial at
+    the nodes), ``defect.sweep_singular_points`` (one first partial at a
+    time, at the points of F_p) and ``ideals._evaluation_columns`` (the
+    monomials of a degree)."""
     scales = [math.lcm(*(c.denominator for c in g.coeffs.values())) for g in forms]
     terms = [[(c.numerator * (s // c.denominator), exp) for exp, c in g.coeffs.items()]
              for g, s in zip(forms, scales)]

@@ -67,6 +67,17 @@ def test_value_errors_exit_one_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_bounds_prints_the_floor_table(capsys):
+    head = ("c=3, d=2\n  upper_growth     4\n  hyperplane_bound 1\n"
+            "  lower_shift      2 strict=False\n")
+    code, out, err = run_cli(capsys, "bounds", "--c", "3", "--d", "2")
+    assert (code, err) == (0, "")
+    assert out == head + "  floor h(0) >= 1\n  floor h(1) >= 2\n  floor h(2) >= 3\n"
+    code, out, err = run_cli(capsys, "bounds", "--c", "3", "--d", "2", "--k", "1")
+    assert (code, err) == (0, "")
+    assert out == head + "  floor h(1) >= 2\n"
+
+
 def test_family_report_fields(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4")
     assert code == 0
@@ -178,7 +189,7 @@ def test_base_locus_command(tmp_path, capsys):
 
 
 def test_verify_suites_exit_zero(capsys):
-    for suite in ("gotzmann", "highdim"):
+    for suite in ("gotzmann", "highdim", "plane", "double-solid"):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         assert "checks passed" in out and "FAIL" not in out

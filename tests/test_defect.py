@@ -23,7 +23,8 @@ from defectk.defect import (
     verify_node,
     verify_singular,
 )
-from defectk.families import GridParams, plane_family, random_points_control
+from defectk.families import (GridParams, plane_family, probe_undeclared_singular_points,
+                              random_points_control)
 from defectk.ideals import HilbertProfile, PointSet, format_point, primitive_point
 from defectk.polynomials import GradedPoly, monomial_basis
 from defectk.scenarios import run_plane
@@ -284,3 +285,13 @@ def test_sweep_refuses_a_denominator_divisible_by_p():
     """The cusp's coefficient 2/3 has no residue mod 3."""
     with pytest.raises(ValueError, match="divisible by 3"):
         sweep_singular_points(cuspidal_cubic(), 3)
+
+
+def test_sweep_refuses_a_modulus_that_is_not_an_odd_prime():
+    """Z/4 and Z/9 are not fields, and 1 is no modulus at all."""
+    plane = plane_family(GridParams.plane_defaults(3))
+    for p in (1, 4, 9):
+        with pytest.raises(ValueError, match="characteristic must be an odd prime"):
+            sweep_singular_points(plane.f, p)
+        with pytest.raises(ValueError, match="characteristic must be an odd prime"):
+            probe_undeclared_singular_points(plane.f, plane.nodes, p)

@@ -79,6 +79,8 @@ def test_point_set_validation():
         PointSet([(0, 0, 0, 0, 0)])
     with pytest.raises(ValueError):
         PointSet([(1, 2, 0, 0, 0), (2, 4, 0, 0, 0)])  # same point twice
+    with pytest.raises(ValueError, match="inconsistent coordinate counts"):
+        PointSet([(1, 2, 0), (1, 2, 0, 0, 0)])
     ps = PointSet([(0, 0, 2, 4, 2)])
     assert ps.points[0] == (0, 0, 1, 2, 1)
     assert ps.int_reps()[0] == (0, 0, 1, 2, 1)
