@@ -9,14 +9,12 @@ solids, and grid families in higher dimension.  All arithmetic is exact.
 from .defect import (
     AuditError,
     DefectReport,
-    DoubleSolid,
     NodalHypersurface,
     NodeAudit,
     certify_min_nodes_double_solid,
     certify_min_nodes_p4,
     critical_degree_double_solid,
     critical_degree_highdim,
-    critical_degree_p4,
     defect,
     sweep_singular_points,
     tangent_codim,
@@ -24,10 +22,8 @@ from .defect import (
     verify_singular,
 )
 from .families import (
-    GridParams,
     ci_family_highdim,
     double_solid_family,
-    instance_to_json,
     plane_family,
     probe_undeclared_singular_points,
     random_points_control,

@@ -57,7 +57,12 @@ def _parse_field(text: str) -> int | None:
 
 def _default_seed() -> int:
     env = os.environ.get("DEFECTK_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"DEFECTK_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +280,7 @@ def suite_family(spec):
         nodes, defect = len(run["instance"].nodes), run["defect_report"].defect
         ok = nodes == spec.node_count(*case) and defect == 1
         detail = f"nodes={nodes} defect={defect}"
-        if spec.certified:
+        if "certify_report" in run:
             cert = run["certify_report"]
             ok = (ok and cert.certified and cert.bound_value == nodes
                   and cert.meets_bound_with_equality)

@@ -100,31 +100,8 @@ class NodalHypersurface:
         return cls(f.nvars, f.degree, f, nodes, audit_nodes(f, nodes))
 
 
-@dataclass(frozen=True)
-class DoubleSolid:
-    """Double cover of P^3 branched along a degree-2d nodal surface."""
-
-    d: int
-    f: GradedPoly  # branch surface equation, degree 2d in 4 variables
-    nodes: PointSet
-    audit: tuple[NodeAudit, ...]
-
-    @classmethod
-    def build(cls, d: int, f: GradedPoly, nodes: PointSet) -> "DoubleSolid":
-        if f.nvars != 4 or f.degree != 2 * d:
-            raise ValueError("branch surface must have degree 2d in 4 variables")
-        return cls(d, f, nodes, audit_nodes(f, nodes))
-
-
 # ---------------------------------------------------------------------------
 # critical degrees
-
-
-def critical_degree_p4(d: int) -> int:
-    """Threefolds in P^4: 2d - 5."""
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    return 2 * d - 5
 
 
 def critical_degree_double_solid(d: int) -> int:
@@ -135,7 +112,8 @@ def critical_degree_double_solid(d: int) -> int:
 
 
 def critical_degree_highdim(n: int, d: int) -> int:
-    """Hypersurfaces in P^{2n+2}: (n+1)d - (2n+3)."""
+    """Hypersurfaces in P^{2n+2}: (n+1)d - (2n+3); 2d - 5 for threefolds in
+    P^4 (n = 1)."""
     if n < 1 or d < 3:
         raise ValueError("need n >= 1 and d >= 3")
     return (n + 1) * d - (2 * n + 3)
@@ -216,11 +194,13 @@ def tangent_codim(nodes: PointSet, d: int, char: int | None = None) -> int:
     return points_hilbert(nodes, d, char)
 
 
-def _certify(h_IH, node_count, socle, critical, floors, bound_name, bound_value) -> DefectReport:
-    """Check each floor and the bound.  The floors bound the sum of h_IH up
-    to the socle, which is the node count only when the nodes impose
-    independent conditions there; a sum that differs from the declared
-    count fails the certification."""
+def _certify(h_IH, node_count, critical, floors, bound_name, bound_value) -> DefectReport:
+    """Check each floor and the bound up to the socle degree, critical + 1 for
+    both certified families.  The floors bound the sum of h_IH up to the
+    socle, which is the node count only when the nodes impose independent
+    conditions there; a sum that differs from the declared count fails the
+    certification."""
+    socle = critical + 1
     if len(h_IH) < socle + 1:
         raise ValueError("restricted profile must reach the socle degree")
     if h_IH[socle] == 0:
@@ -253,32 +233,27 @@ def certify_min_nodes_p4(d: int, h_IH: HilbertProfile, node_count: int) -> Defec
 
     Degrees k <= d-2 get the duality floor k+1 (Gorenstein symmetry sends
     them to the strict-decrease range); degrees d-2 <= k <= 2d-4 get the
-    strict-decrease floor 2d-3-k.  The floors sum to (d-1)^2.
+    strict-decrease floor 2d-3-k, up to the socle 2d-4.  The floors sum to
+    (d-1)^2.
     """
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    socle = 2 * d - 4
+    critical = critical_degree_highdim(1, d)  # refuses d < 3
 
     def floors(k: int):
         if k <= d - 2:
             return k + 1, "duality"
         return 2 * d - 3 - k, "strict-decrease"
 
-    return _certify(
-        h_IH, node_count, socle, critical_degree_p4(d), floors, "p4-defect-min-nodes", (d - 1) ** 2
-    )
+    return _certify(h_IH, node_count, critical, floors, "p4-defect-min-nodes", (d - 1) ** 2)
 
 
 def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int) -> DefectReport:
     """Replay the floor chain for defective double solids.
 
     Duality gives k+1 up to d-1, maximal-growth descent gives d on the
-    middle range, strict decrease gives 3d-2-k at the top; the floors sum
-    to d(2d-1).
+    middle range, strict decrease gives 3d-2-k up to the socle 3d-3; the
+    floors sum to d(2d-1).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    socle = 3 * d - 3
+    critical = critical_degree_double_solid(d)  # refuses d < 2
 
     def floors(k: int):
         if k <= d - 1:
@@ -287,15 +262,8 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
             return d, "macaulay"
         return 3 * d - 2 - k, "strict-decrease"
 
-    return _certify(
-        h_IH,
-        node_count,
-        socle,
-        critical_degree_double_solid(d),
-        floors,
-        "double-solid-min-nodes",
-        d * (2 * d - 1),
-    )
+    return _certify(h_IH, node_count, critical, floors, "double-solid-min-nodes",
+                    d * (2 * d - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -670,6 +670,10 @@ class _Restriction:
         functional is nonzero."""
         basis = monomial_basis(self.nvars, e)
         for weights in self.dual_weights(e):
+            # one monomial at a time, not ``values_at`` over the basis: the
+            # scan stops at the first nonzero value, which on the grid chains
+            # (plane d = 8 and 20, double solid d = 5 and 6) is the first
+            # monomial it reads, so whole columns would only add work
             for m in reversed(basis):
                 value = _dot(weights, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:

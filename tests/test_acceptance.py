@@ -146,6 +146,7 @@ def test_criterion_05_p4_min_nodes(plane_data):
         assert all(r.is_node for r in run["instance"].audit)
         rep = run["defect_report"]
         assert rep.critical_degree == 2 * d - 5 and rep.defect == 1
+        assert len(run["h_IH"]) == rep.critical_degree + 2  # up to the socle 2d - 4
         cert = run["certify_report"]
         assert cert.bound_value == (d - 1) ** 2
         assert cert.certified and cert.meets_bound_with_equality
@@ -167,6 +168,7 @@ def test_criterion_07_double_solid_min_nodes(double_solid_data):
         assert all(r.is_node for r in run["instance"].audit)
         rep = run["defect_report"]
         assert rep.critical_degree == 3 * d - 4 and rep.defect == 1
+        assert len(run["h_IH"]) == rep.critical_degree + 2  # up to the socle 3d - 3
         cert = run["certify_report"]
         assert cert.bound_value == d * (2 * d - 1)
         assert cert.certified and cert.meets_bound_with_equality

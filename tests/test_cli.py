@@ -10,7 +10,7 @@ from defectk import scenarios
 import defectk
 from defectk.cli import build_parser, main
 from defectk.defect import NodalHypersurface
-from defectk.families import GridParams, plane_family
+from defectk.families import plane_family
 from defectk.ideals import PointSet
 from defectk.polynomials import GradedPoly
 
@@ -134,6 +134,15 @@ def test_env_seed_override(capsys, monkeypatch):
     assert json.loads(out)["scenario"]["params"]["seed"] == 99
 
 
+def test_env_seed_that_is_not_an_integer_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("DEFECTK_SEED", "abc")
+    for argv in (("family", "--name", "plane", "--d", "3"),
+                 ("defect", "--random", "3", "--degree", "1")):
+        code, out, err = run_cli(capsys, *argv)
+        _assert_one_line_error(code, out, err)
+        assert err == "error: DEFECTK_SEED must be an integer, got 'abc'\n"
+
+
 def test_field_flag(capsys):
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4",
                            "--field", "fp=1000003")
@@ -147,7 +156,7 @@ def test_field_flag(capsys):
 
 
 def test_defect_command_with_points_file(tmp_path, capsys):
-    inst = plane_family(GridParams.plane_defaults(4))
+    inst = plane_family(4)
     points_file = tmp_path / "points.json"
     points_file.write_text(json.dumps(inst.nodes.to_json_list()))
     code, out, _ = run_cli(capsys, "defect", "--points", str(points_file), "--degree", "3")
@@ -264,15 +273,15 @@ def test_probe_prime_must_be_an_odd_prime(capsys):
 def test_family_usage_and_budget_errors_exit_one(capsys):
     for argv in (("--name", "double-solid", "--d", "1"),
                  ("--name", "ci-highdim", "--n", "0", "--d", "3"),
-                 ("--name", "ci-highdim", "--d", "12")):  # over families.CELL_BUDGET
+                 ("--name", "ci-highdim", "--d", "12")):  # over scenarios.CELL_BUDGET
         _assert_one_line_error(*run_cli(capsys, "family", *argv))
 
 
 def test_family_certification_failure_exits_two(capsys, monkeypatch):
     # eight of the nine plane d=4 nodes impose independent conditions on
     # cubics, so the restricted profile vanishes at the socle
-    def eight_nodes(params):
-        inst = plane_family(params)
+    def eight_nodes(d):
+        inst = plane_family(d)
         return NodalHypersurface.build(inst.f, PointSet(list(inst.nodes)[:-1]))
 
     monkeypatch.setattr(scenarios, "plane_family", eight_nodes)

@@ -16,17 +16,16 @@ from defectk.defect import (
     certify_min_nodes_p4,
     critical_degree_double_solid,
     critical_degree_highdim,
-    critical_degree_p4,
     defect,
     sweep_singular_points,
     tangent_codim,
     verify_node,
     verify_singular,
 )
-from defectk.families import (GridParams, plane_family, probe_undeclared_singular_points,
-                              random_points_control)
+from defectk.families import plane_family, probe_undeclared_singular_points, random_points_control
 from defectk.ideals import HilbertProfile, PointSet, format_point, primitive_point
-from defectk.polynomials import GradedPoly, monomial_basis
+from defectk.macaulay import ci_pnd
+from defectk.polynomials import GradedPoly, monomial_basis, product
 from defectk.scenarios import run_plane
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -40,7 +39,7 @@ def test_verify_singular_examples():
     f = standard_node_quadric()
     assert verify_singular(f, (0, 0, 0, 0, 1))
     assert not verify_singular(f, (1, 0, 0, 0, 0))
-    inst = plane_family(GridParams.plane_defaults(4))
+    inst = plane_family(4)
     assert verify_singular(inst.f, (0, 0, 1, 1, 1))
 
 
@@ -62,7 +61,7 @@ def test_verify_node_examples():
 
 
 def test_plane_family_nodes_all_verify():
-    inst = plane_family(GridParams.plane_defaults(4))
+    inst = plane_family(4)
     for p in inst.nodes:
         assert verify_node(inst.f, p)
     records = audit_nodes(inst.f, inst.nodes)
@@ -83,8 +82,8 @@ def test_audit_error_on_non_node():
 def test_audit_matches_pointwise_checks():
     """audit_nodes reads the partials of f once, at integer representatives;
     each record is the one the pointwise checks give at the stored point."""
-    inst = plane_family(GridParams(4, (2, 3, 5), (7, 11, 13)))
-    f = inst.f
+    f = (X5[0] * product([X5[2] - a * X5[4] for a in (2, 3, 5)])
+         + X5[1] * product([X5[3] - b * X5[4] for b in (7, 11, 13)]))
     cases = (
         ((0, 0, 3, 11, 1), True, True, None),  # a node, at (0:0:1:11/3:1/3)
         # on the singular line x2 = x3 = x4 = 0
@@ -167,8 +166,8 @@ def test_audit_records_match_verify_singular_and_verify_node(nvars, degree, kind
 
 
 def test_defect_examples():
-    inst = plane_family(GridParams.plane_defaults(4))
-    rep = defect(inst.nodes, critical_degree_p4(4))
+    inst = plane_family(4)
+    rep = defect(inst.nodes, critical_degree_highdim(1, 4))
     assert (rep.node_count, rep.eval_rank, rep.defect) == (9, 8, 1)
 
     rnd = random_points_control(8, 5, seed=1)
@@ -187,12 +186,18 @@ def test_defect_report_invariants():
 
 
 def test_critical_degrees():
-    assert critical_degree_p4(4) == 3
     assert critical_degree_double_solid(2) == 2
     assert critical_degree_highdim(2, 4) == 5
-    assert critical_degree_highdim(1, 4) == critical_degree_p4(4)
     with pytest.raises(ValueError):
-        critical_degree_p4(2)
+        critical_degree_highdim(1, 2)
+
+
+def test_grid_at_n1_gives_the_plane_closed_forms():
+    """The plane family's critical degree 2d - 5 and tangent codimension
+    (d^2 + 3d - 10) / 2 are the grid family's at n = 1."""
+    for d in range(3, 41):
+        assert critical_degree_highdim(1, d) == 2 * d - 5
+        assert 2 * ci_pnd(1, d) == d * d + 3 * d - 10
 
 
 def test_certify_p4_examples():
@@ -241,7 +246,7 @@ def test_certify_fails_when_profile_sum_differs_from_node_count():
 
 def test_tangent_codim_examples():
     for d in (4, 5):
-        inst = plane_family(GridParams.plane_defaults(d))
+        inst = plane_family(d)
         assert tangent_codim(inst.nodes, d) == (d * d + 3 * d - 10) // 2
     single = PointSet([(1, 2, 3, 4, 5)])
     for d in (1, 2, 5):
@@ -275,7 +280,7 @@ def cuspidal_cubic():
 
 def test_sweep_matches_evaluation_at_field_elements():
     cusp = cuspidal_cubic()
-    plane = plane_family(GridParams.plane_defaults(3)).f
+    plane = plane_family(3).f
     for f, p in ((plane, 5), (plane, 7), (cusp, 5), (cusp, 7)):
         assert sweep_singular_points(f, p) == _sweep_at_field_elements(f, p)
     assert sweep_singular_points(cusp, 7) == [(0, 0, 1)]
@@ -289,7 +294,7 @@ def test_sweep_refuses_a_denominator_divisible_by_p():
 
 def test_sweep_refuses_a_modulus_that_is_not_an_odd_prime():
     """Z/4 and Z/9 are not fields, and 1 is no modulus at all."""
-    plane = plane_family(GridParams.plane_defaults(3))
+    plane = plane_family(3)
     for p in (1, 4, 9):
         with pytest.raises(ValueError, match="characteristic must be an odd prime"):
             sweep_singular_points(plane.f, p)

@@ -5,45 +5,42 @@ import json
 
 import pytest
 
+from defectk import scenarios
 from defectk.defect import defect, tangent_codim
 from defectk.families import (
-    GridParams,
     ci_family_highdim,
     double_solid_family,
-    instance_to_json,
     plane_family,
     probe_undeclared_singular_points,
     random_points_control,
 )
 from defectk.macaulay import ci_pnd
+from defectk.polynomials import GradedPoly, product
+from defectk.scenarios import run_highdim
 
 
 def test_plane_family_examples():
-    inst = plane_family(GridParams(4, (1, 2, 3), (1, 2, 3)))
+    inst = plane_family(4)
     assert len(inst.nodes) == 9
     assert all(r.is_node for r in inst.audit)
-    inst = plane_family(GridParams(3, (1, 2), (1, 2)))
+    inst = plane_family(3)
     assert len(inst.nodes) == 4
-    with pytest.raises(ValueError):
-        GridParams(4, (1, 1, 3), (1, 2, 3))  # duplicate a-values
-    with pytest.raises(ValueError):
-        plane_family(GridParams(2, (1,), (1,)))  # d >= 3
-    with pytest.raises(ValueError):
-        plane_family(GridParams(4, (1, 2), (1, 2, 3)))  # |a| != d-1
+    with pytest.raises(ValueError, match="plane family needs d >= 3"):
+        plane_family(2)
 
 
 def test_double_solid_family_examples():
-    inst = double_solid_family(GridParams(2, (1, 2), (1, 2, 3)))
+    inst = double_solid_family(2)
     assert len(inst.nodes) == 6
     assert all(r.is_node for r in inst.audit)
     assert inst.f.degree == 4 and inst.f.nvars == 4
-    inst = double_solid_family(GridParams.double_solid_defaults(3))
+    inst = double_solid_family(3)
     assert len(inst.nodes) == 15
-    with pytest.raises(ValueError):
-        double_solid_family(GridParams(2, (1, 2, 3), (1, 2, 3)))  # |a| != d
+    with pytest.raises(ValueError, match="double solid family needs d >= 2"):
+        double_solid_family(1)
 
 
-def test_ci_family_highdim_examples():
+def test_ci_family_highdim_examples(monkeypatch):
     inst = ci_family_highdim(2, 3)
     assert inst.nvars == 7 and len(inst.nodes) == 8
     assert tangent_codim(inst.nodes, 3) == ci_pnd(2, 3) == 8
@@ -52,23 +49,35 @@ def test_ci_family_highdim_examples():
     assert len(inst.nodes) == 27
     assert defect(inst.nodes, 3 * 4 - 7).defect == 1
 
-    with pytest.raises(ValueError):
-        ci_family_highdim(2, 12)  # 24,708,684 evaluation cells
+    # the run refuses 24,708,684 evaluation cells before it builds anything
+    def no_construction(n, d):
+        raise AssertionError("constructed an instance over the cell budget")
+
+    monkeypatch.setattr(scenarios, "ci_family_highdim", no_construction)
+    with pytest.raises(ValueError, match="24708684 evaluation cells"):
+        run_highdim(2, 12)
 
 
 def test_ci_family_matches_plane_shape_at_n1():
-    inst = ci_family_highdim(1, 4)
-    plane = plane_family(GridParams.plane_defaults(4))
-    assert inst.f == plane.f
-    assert inst.nodes == plane.nodes
+    """The grid family at n = 1 is the plane family's threefold
+    x0 * prod(x2 - a x4) + x1 * prod(x3 - b x4), built here from its factors."""
+    x = [GradedPoly.variable(5, i) for i in range(5)]
+    for d in (3, 4, 6):
+        grid = range(1, d)
+        f = (x[0] * product([x[2] - a * x[4] for a in grid])
+             + x[1] * product([x[3] - b * x[4] for b in grid]))
+        inst = ci_family_highdim(1, d)
+        assert inst.f == f
+        assert list(inst.nodes) == [(0, 0, a, b, 1) for a in grid for b in grid]
 
 
 def test_constructors_deterministic_serialization():
-    a = instance_to_json(plane_family(GridParams.plane_defaults(5)), "plane",
-                         GridParams.plane_defaults(5))
-    b = instance_to_json(plane_family(GridParams.plane_defaults(5)), "plane",
-                         GridParams.plane_defaults(5))
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    for build in (lambda: plane_family(5), lambda: double_solid_family(3),
+                  lambda: ci_family_highdim(2, 3)):
+        a, b = build(), build()
+        assert (json.dumps(a.f.to_json_dict(), sort_keys=True)
+                == json.dumps(b.f.to_json_dict(), sort_keys=True))
+        assert a.nodes.to_json_list() == b.nodes.to_json_list()
 
 
 def test_random_points_control():
@@ -106,13 +115,13 @@ def test_random_nine_points_have_no_defect():
 def test_probe_reports_undeclared_singular_line():
     # the product construction leaves the line x2=x3=x4=0 singular; the
     # mod-11 sweep must find exactly its 12 rational points and nothing else
-    inst = plane_family(GridParams.plane_defaults(4))
+    inst = plane_family(4)
     findings = probe_undeclared_singular_points(inst.f, inst.nodes, 11)
     assert len(findings) == 12
     assert all(pt[2] == pt[3] == pt[4] == 0 for pt in findings)
 
 
 def test_probe_double_solid_small():
-    inst = double_solid_family(GridParams.double_solid_defaults(2))
+    inst = double_solid_family(2)
     findings = probe_undeclared_singular_points(inst.f, inst.nodes, 11)
     assert findings == [(0, 0, 0, 1)]
