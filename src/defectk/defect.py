@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import islice, product
 
 from .ideals import HilbertProfile, PointSet, format_point, points_hilbert, primitive_point
-from .linalg import det
+from .linalg import det, dets
 from .polynomials import VALUES_BLOCK, GradedPoly, values_at
 from .scalars import validate_characteristic
 
@@ -62,21 +62,29 @@ def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[NodeAudit, ...]:
     coefficients, are taken once and evaluated at every node's primitive
     integer representative by one ``polynomials.values_at`` call.  Scaling
     a point by lambda scales a degree-e form by lambda^e there, so a zero
-    stays zero and the chart Hessian determinant (``linalg.det``) changes
-    by lambda^((deg-2)(nvars-1)) != 0."""
+    stays zero and the chart Hessian determinant changes by
+    lambda^((deg-2)(nvars-1)) != 0.  The nodes are grouped by chart, their
+    first nonzero coordinate, and ``linalg.dets`` takes the chart Hessian
+    determinants of each group in one batched elimination."""
     n = f.nvars
     f = f.scale(math.lcm(*(c.denominator for c in f.coeffs.values())))
     first = [f.partial_derivative(i) for i in range(n)]
     second = {(a, b): first[a].partial_derivative(b) for a in range(n) for b in range(a, n)}
     row = {k: i for i, (a, b) in enumerate(second, n) for k in ((a, b), (b, a))}
     values = values_at(first + list(second.values()), points.points)
+    charts: dict[int, list[int]] = {}
+    for j, rep in enumerate(points):
+        charts.setdefault(next(i for i, c in enumerate(rep) if c), []).append(j)
+    hessian_nonzero = [False] * len(points)
+    for chart, group in charts.items():
+        idxs = [i for i in range(n) if i != chart]
+        entries = [[[values[row[a, b]][j] for j in group] for b in idxs] for a in idxs]
+        for j, value in zip(group, dets(entries, len(group))):
+            hessian_nonzero[j] = bool(value)
     records = []
     for j, rep in enumerate(points):
         singular = not any(values[i][j] for i in range(n))
-        chart = next(i for i, c in enumerate(rep) if c)
-        idxs = [i for i in range(n) if i != chart]
-        hess = singular and bool(det([[values[row[a, b]][j] for b in idxs] for a in idxs]))
-        records.append(NodeAudit(rep, singular, hess))
+        records.append(NodeAudit(rep, singular, singular and hessian_nonzero[j]))
     bad = [r for r in records if not r.is_node]
     if bad:
         why = "has a degenerate Hessian" if bad[0].singular else "is not singular"

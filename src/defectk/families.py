@@ -18,6 +18,17 @@ from .ideals import PointSet, primitive_point, reduce_point
 from .polynomials import GradedPoly, product
 
 
+def grid_values(d: int) -> range:
+    """The values 1..d-1 of each grid coordinate of the grid family, and of
+    a and b in the plane family."""
+    return range(1, d)
+
+
+def double_solid_values(d: int) -> tuple[range, range]:
+    """The values 1..d of a and 1..2d-1 of b in the double solid family."""
+    return range(1, d + 1), range(1, 2 * d)
+
+
 def plane_family(d: int) -> NodalHypersurface:
     """Degree-d threefold x0 * prod(x2 - a x4) + x1 * prod(x3 - b x4) in P^4,
     a and b in 1..d-1, with the (d-1)^2 declared nodes (0:0:a:b:1): the grid
@@ -33,7 +44,7 @@ def double_solid_family(d: int) -> NodalHypersurface:
     nodes are (1:a:b:0)."""
     if d < 2:
         raise ValueError("double solid family needs d >= 2")
-    a_values, b_values = range(1, d + 1), range(1, 2 * d)
+    a_values, b_values = double_solid_values(d)
     x = [GradedPoly.variable(4, i) for i in range(4)]
     h = product([x[1] - a * x[0] for a in a_values])
     g = product([x[2] - b * x[0] for b in b_values])
@@ -54,12 +65,13 @@ def ci_family_highdim(n: int, d: int) -> NodalHypersurface:
     nvars = 2 * n + 3
     x = [GradedPoly.variable(nvars, i) for i in range(nvars)]
     f = GradedPoly.zero(nvars, d)
+    values = grid_values(d)
     for i in range(n + 1):
-        fi = product([x[n + 1 + i] - c * x[nvars - 1] for c in range(1, d)])
+        fi = product([x[n + 1 + i] - c * x[nvars - 1] for c in values])
         f = f + x[i] * fi
     grid = [()]
     for _ in range(n + 1):
-        grid = [g + (c,) for g in grid for c in range(1, d)]
+        grid = [g + (c,) for g in grid for c in values]
     nodes = PointSet([(0,) * (n + 1) + combo + (1,) for combo in grid])
     return NodalHypersurface.build(f, nodes)
 

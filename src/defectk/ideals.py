@@ -504,7 +504,7 @@ def draw_missing_hyperplane(points: PointSet, seed: int, char: int | None = None
     rng = random.Random(seed)
     for _ in range(_HYPERPLANE_TRIES):
         ell = GradedPoly.linear_form([rng.randint(1, 997) for _ in range(points.nvars)])
-        values = (ell.evaluate(rep) for rep in points.points)
+        values = values_at([ell], points.points)[0]
         if all(v % char if char else v for v in values):
             return ell
     if char:
@@ -548,8 +548,10 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
     """
     if ell.degree != 1 or ell.is_zero:
         raise ValueError("need a nonzero linear form")
-    for p in points:
-        if not ell.evaluate(p):
+    if ell.nvars != points.nvars:
+        raise ValueError("hyperplane and points live in different spaces")
+    for p, v in zip(points, values_at([ell], points.points)[0]):
+        if not v:
             raise NonGenericHyperplaneError(f"hyperplane contains the point {format_point(p)}")
     vals = [1]
     for k in range(1, len(h_I)):

@@ -8,7 +8,11 @@ coefficient growth polynomial.  A rank over F_p reduces the entries to
 residues and runs an ordinary Gaussian elimination, where division is
 cheap and there is no growth.  ``rank`` shares no code with the evaluation
 echelons of ``ideals``, so tests and the benchmark use it as their
-independent oracle.
+independent oracle.  ``det`` is the oracle of ``defect.verify_node`` and
+checks ``polynomials.linear_change``.  ``dets`` runs the same elimination
+on many integer matrices of one size at once, each step one list
+comprehension over the matrices, with a row lift in place of row swaps:
+the node audit takes every chart Hessian of a chart with one call.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
 echelon on plain Python ints, over Z (lists, cross-multiplied, content
@@ -146,6 +150,43 @@ def det(rows) -> Fraction:
     int_rows, scale = _integer_rows(rows)
     r, sign, last = _bareiss(int_rows)
     return Fraction(sign * last, scale) if r == n else Fraction(0)
+
+
+def dets(entries, count: int) -> list[int]:
+    """Determinants of ``count`` square integer matrices of one size m at
+    once: ``entries[a][b]`` is the list of entry (a, b) over the matrices.
+
+    One Bareiss elimination runs on all of them, each step a list
+    comprehension over the matrices, without row swaps.  Where a pivot is
+    zero, the first later row that is nonzero in the pivot column is added
+    to the pivot row.  That keeps the determinant, and keeps every division
+    exact: each intermediate Bareiss row is linear in its original row, so
+    the sum is the intermediate row of a matrix whose original pivot row
+    had that row added.  A matrix with no such row is singular; it gets
+    its previous pivot as a stand-in, which leaves its later rows as they
+    are (still exact), and its determinant is reported as 0."""
+    rows = [list(row) for row in entries]  # entry lists are replaced, never changed
+    m = len(rows)
+    prev = [1] * count
+    singular = [False] * count
+    for c in range(m):
+        rc = rows[c]
+        for ri in rows[c + 1:]:
+            if all(rc[c]):
+                break
+            lift = [not p and bool(x) for p, x in zip(rc[c], ri[c])]
+            if any(lift):
+                for j in range(c, m):
+                    rc[j] = [x + y if s else x for x, y, s in zip(rc[j], ri[j], lift)]
+        singular = [s or not p for s, p in zip(singular, rc[c])]
+        piv = rc[c] = [p or q for p, q in zip(rc[c], prev)]
+        for ri in rows[c + 1:]:
+            ric = ri[c]
+            for j in range(c + 1, m):
+                ri[j] = [(p * x - r * y) // q
+                         for p, x, r, y, q in zip(piv, ri[j], ric, rc[j], prev)]
+        prev = piv
+    return [0 if s else p for s, p in zip(singular, prev)]
 
 
 class Echelon:

@@ -84,6 +84,15 @@ class GradedPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _unchecked(cls, nvars: int, degree: int, coeffs: dict) -> "GradedPoly":
+        """A ring result of valid forms, built without the checks of
+        ``__init__``: the caller guarantees that coeffs maps exponent tuples
+        of length nvars and sum degree to nonzero ``Fraction``s."""
+        poly = object.__new__(cls)
+        poly.nvars, poly.degree, poly.coeffs = nvars, degree, coeffs
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int, degree: int) -> "GradedPoly":
         return cls(nvars, degree, {})
 
@@ -131,10 +140,11 @@ class GradedPoly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return GradedPoly(self.nvars, self.degree, out)
+        return GradedPoly._unchecked(self.nvars, self.degree, out)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()})
+        return GradedPoly._unchecked(self.nvars, self.degree,
+                                     {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
@@ -142,7 +152,9 @@ class GradedPoly:
     def scale(self, s) -> "GradedPoly":
         if not s:
             return GradedPoly.zero(self.nvars, self.degree)
-        return GradedPoly(self.nvars, self.degree, {e: c * s for e, c in self.coeffs.items()})
+        s = Fraction(s)
+        return GradedPoly._unchecked(self.nvars, self.degree,
+                                     {e: c * s for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, GradedPoly):
@@ -159,7 +171,7 @@ class GradedPoly:
                     out[exp] = s
                 else:
                     out.pop(exp, None)
-        return GradedPoly(self.nvars, self.degree + other.degree, out)
+        return GradedPoly._unchecked(self.nvars, self.degree + other.degree, out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -187,7 +199,7 @@ class GradedPoly:
             nxt = list(exp)
             nxt[i] -= 1
             out[tuple(nxt)] = c * exp[i]
-        return GradedPoly(self.nvars, self.degree - 1, out)
+        return GradedPoly._unchecked(self.nvars, self.degree - 1, out)
 
     def substitute_zero(self, i: int) -> "GradedPoly":
         """Set x_i = 0 and drop the variable, landing in nvars - 1 variables."""
@@ -303,8 +315,9 @@ def values_at(forms, reps) -> list[list[int]]:
     The one evaluator of forms at integer points beside ``evaluate``; its
     callers are ``defect.audit_nodes`` (every first and second partial at
     the nodes), ``defect.sweep_singular_points`` (one first partial at a
-    time, at the points of F_p) and ``ideals._evaluation_columns`` (the
-    monomials of a degree)."""
+    time, at the points of F_p), ``ideals._evaluation_columns`` (the
+    monomials of a degree) and the hyperplane checks of
+    ``ideals.draw_missing_hyperplane`` and ``ideals.difference_profile``."""
     scales = [math.lcm(*(c.denominator for c in g.coeffs.values())) for g in forms]
     terms = [[(c.numerator * (s // c.denominator), exp) for exp, c in g.coeffs.items()]
              for g, s in zip(forms, scales)]

@@ -40,7 +40,13 @@ from .defect import (
     critical_degree_highdim,
     defect_at,
 )
-from .families import ci_family_highdim, double_solid_family, plane_family
+from .families import (
+    ci_family_highdim,
+    double_solid_family,
+    double_solid_values,
+    grid_values,
+    plane_family,
+)
 from .ideals import (
     HilbertProfile,
     check_reduction,
@@ -92,7 +98,8 @@ def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: 
 
 def run_plane(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
     """Construct, audit, and certify a plane-family instance."""
-    params = {"d": d, "a_values": list(range(1, d)), "b_values": list(range(1, d))}
+    values = list(grid_values(d))
+    params = {"d": d, "a_values": values, "b_values": values}
     return _run_family({"name": "plane", "d": d, "params": params},
                        plane_family(d), d, critical_degree_highdim(1, d), seed, char,
                        certify=certify_min_nodes_p4, tangent=True)
@@ -100,7 +107,8 @@ def run_plane(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict
 
 def run_double_solid(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
     """Construct, audit, and certify a double-solid instance."""
-    params = {"d": d, "a_values": list(range(1, d + 1)), "b_values": list(range(1, 2 * d))}
+    a_values, b_values = double_solid_values(d)
+    params = {"d": d, "a_values": list(a_values), "b_values": list(b_values)}
     return _run_family({"name": "double-solid", "d": d, "params": params},
                        double_solid_family(d), d, critical_degree_double_solid(d),
                        seed, char, certify=certify_min_nodes_double_solid)

@@ -107,6 +107,26 @@ def test_audit_matches_pointwise_checks():
             assert str(exc.value) == message
 
 
+def test_audit_across_charts_with_one_degenerate_point():
+    """Nodes in charts 0, 1 and 2 (their first nonzero coordinate), audited
+    by one batched determinant pass per chart, and a degenerate singular
+    point of chart 0 among them: the grid form x3 * prod(x0 + x3 - a x2) +
+    x4 * prod(x1 - b x2), singular along the line x0 + x3 = x1 = x2 = 0."""
+    y = [GradedPoly.variable(5, i) for i in range(5)]
+    f = (y[3] * product([y[0] + y[3] - a * y[2] for a in (0, 1, 2)])
+         + y[4] * product([y[1] - b * y[2] for b in (0, 1, 2)]))
+    nodes = [(a, b, 1, 0, 0) for a in (0, 1, 2) for b in (0, 1, 2)]
+    degenerate = (1, 0, 0, -1, -1)
+    assert {next(i for i, c in enumerate(p) if c) for p in nodes} == {0, 1, 2}
+    assert all(verify_node(f, p) for p in nodes)
+    assert verify_singular(f, degenerate) and not verify_node(f, degenerate)
+    assert audit_nodes(f, PointSet(nodes)) == tuple(NodeAudit(p, True, True) for p in nodes)
+    with pytest.raises(AuditError) as exc:
+        audit_nodes(f, PointSet(nodes[:4] + [degenerate] + nodes[4:]))
+    assert str(exc.value) == ("1 declared node(s) failed the audit, "
+                              "first: (1:0:0:-1:-1) has a degenerate Hessian")
+
+
 def _form_singular_at(rng, point, degree, kind):
     """A form of the given degree with a node, a degenerate singular point
     or a smooth point at ``point`` (kind "node", "degenerate" or "smooth").

@@ -487,6 +487,12 @@ def test_difference_profile_examples():
     with pytest.raises(NonGenericHyperplaneError) as exc:
         difference_profile(h_I, g, bad)
     assert str(exc.value) == "hyperplane contains the point (0:0:1:1:1)"
+    with pytest.raises(ValueError, match="different spaces"):
+        difference_profile(h_I, g, GradedPoly.linear_form((1, 1, 1, 7)))
+    # a rational form: its values are taken times the lcm of its denominators
+    halves = GradedPoly.linear_form((Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(-1, 2)))
+    with pytest.raises(NonGenericHyperplaneError):
+        difference_profile(h_I, g, halves)
 
 
 def test_difference_profile_telescopes():

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defectk.linalg import Echelon, IntForwardEchelon, det, rank
+from defectk.linalg import Echelon, IntForwardEchelon, det, dets, rank
 from defectk.scalars import is_prime, validate_characteristic
 
 
@@ -122,6 +124,53 @@ def test_det_values():
     assert det([[1, 2], [3, 4]]) == -2
     assert det([[Fraction(1, 2), 0], [0, 4]]) == 2
     assert det([[1, 2], [2, 4]]) == 0
+
+
+def _square_matrix(rng, m, kind):
+    """A random m x m integer matrix: "dense", "sparse", "singular" (one row
+    a combination of the others), "zero-pivot" (zero diagonal, so Bareiss
+    needs a row lift at every step it reaches with that zero) or
+    "zero-column" (singular, with no row to lift at that column)."""
+    if kind == "sparse":
+        return [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(m)] for _ in range(m)]
+    rows = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)]
+    if kind == "singular" and m:
+        r = rng.randrange(m)
+        weights = [rng.randint(-2, 2) for _ in range(m)]
+        rows[r] = [sum(w * row[j] for w, row in zip(weights, rows) if row is not rows[r])
+                   for j in range(m)]
+    elif kind == "zero-pivot":
+        for a in range(m):
+            rows[a][a] = 0
+    elif kind == "zero-column" and m:
+        c = rng.randrange(m)
+        for row in rows:
+            row[c] = 0
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.sampled_from((1, 5, 130)),
+       st.integers(min_value=0, max_value=2**32))
+def test_batched_dets_match_det(m, count, seed):
+    """``dets`` against ``det`` one matrix at a time, on batches that mix
+    dense, sparse, singular and zero-pivot matrices."""
+    rng = random.Random(seed)
+    kinds = ("dense", "sparse", "singular", "zero-pivot", "zero-column")
+    mats = [_square_matrix(rng, m, rng.choice(kinds)) for _ in range(count)]
+    entries = [[[rows[a][b] for rows in mats] for b in range(m)] for a in range(m)]
+    got = dets(entries, count)
+    assert all(type(x) is int for x in got)
+    assert got == [det(rows) for rows in mats]
+
+
+def test_batched_dets_lift_and_singular_examples():
+    """[[0, 1], [1, 0]] needs the row lift (det -1); a zero column and a
+    repeated row are singular; the empty matrix has det 1."""
+    mats = [[[0, 1], [1, 0]], [[0, 2], [0, 3]], [[1, 2], [1, 2]], [[2, 0], [0, 3]]]
+    entries = [[[rows[a][b] for rows in mats] for b in range(2)] for a in range(2)]
+    assert dets(entries, 4) == [-1, 0, 0, 6]
+    assert dets([], 3) == [1, 1, 1]
 
 
 def test_rank_independent_of_row_order_and_transpose():

@@ -147,6 +147,27 @@ def test_product_degree_additivity(nvars, degree, data):
     assert product([g, g, g]).degree == 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2**32))
+def test_ring_results_equal_validated_forms(nvars, degree, seed):
+    """Sums, differences, products, scalings and partials are built without
+    the checks of ``__init__``; each equals the form that ``GradedPoly``
+    validates from its coefficients, and every coefficient is a nonzero
+    Fraction."""
+    rng = random.Random(seed)
+    f, g = (random_form(rng, nvars, degree, terms=rng.randint(0, 8)) for _ in range(2))
+    h = random_form(rng, nvars, rng.randint(0, 3), terms=rng.randint(1, 5))
+    results = [f + g, f - g, f - f, -f, f * g, f * h, f * 0,
+               f.scale(rng.randint(-5, 5)), f.scale(Fraction(rng.randint(-5, 5), 3)), 3 * f]
+    if degree:
+        results += [f.partial_derivative(i) for i in range(nvars)]
+    for r in results:
+        assert r == GradedPoly(r.nvars, r.degree, r.coeffs)
+        assert all(type(c) is Fraction and c for c in r.coeffs.values())
+        assert all(len(e) == r.nvars and sum(e) == r.degree for e in r.coeffs)
+
+
 def test_non_integer_exponents_rejected():
     """(1.5, 1.5, 0) sums to the degree 3 but names no monomial; a float
     nvars or degree names no ring."""
