@@ -50,18 +50,16 @@ Conventions used throughout:
   ev_{q'_i}, and by the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
   its catalecticant is Cat_e(phi) = E_{N-e}^T diag(c) E_e for the
   evaluation matrices E at the q'_i, so every rank and kernel has the size
-  of the point set, and runs on ``IntForwardEchelon``.  The kill checks at
-  the points are one sufficient test at degree N, by the ideal property:
-  (I_H)_e * S_{N-e} lies in (I_H)_N, so phi kills every such product once
-  its weights are dual weights of (I_H)_N, an exact orthogonality to the
-  degree-(N-1) columns, checked once per functional and restriction.  The
-  socle functional always passes it; when it fails, the monomial path
-  decides, pairing the rows of the monomial catalecticant with the piece's
-  basis.  A passed check proves Ann(phi) contains I_H, so rank Cat_e <=
-  codim (I_H)_e: each ancestor rank is taken mod CERTIFY_PRIME, kept when
-  it meets that cap (without the check, the matrix size) and rerun over Z
-  otherwise.  The monomial-indexed computations stay as the tests'
-  independent oracles, on ``Echelon``: ``point_ideal_piece`` with
+  of the point set, and runs on ``IntForwardEchelon``.  The socle
+  functional records the restriction it was built from.  It vanishes on
+  (I_H)_N by construction, and (I_H)_e * S_{N-e} lies in (I_H)_N, so it
+  kills every piece's products there: Ann(phi) contains I_H, and rank
+  Cat_e <= codim (I_H)_e.  Each ancestor rank is taken mod CERTIFY_PRIME,
+  kept when it meets that cap (for a functional without a restriction,
+  the matrix size) and rerun over Z otherwise.  Every other kill check
+  takes the monomial path, pairing the rows of the monomial catalecticant
+  with the piece's basis.  The monomial-indexed computations stay as the
+  tests' independent oracles, on ``Echelon``: ``point_ideal_piece`` with
   ``restrict_to_hyperplane`` for the pieces, and the monomial
   catalecticant for a functional given by coefficients, whose kernel is
   ``gorenstein_ancestor`` and whose ranks are the monomial
@@ -78,7 +76,7 @@ from fractions import Fraction
 
 from .linalg import Echelon, IntForwardEchelon
 from .macaulay import binomial, expand, upper_growth
-from .polynomials import GradedPoly, monomial_basis, monomial_index, values_at
+from .polynomials import GradedPoly, json_number, monomial_basis, monomial_index, values_at
 
 
 class NonGenericHyperplaneError(ValueError):
@@ -170,7 +168,8 @@ class PointSet:
         """Points given as lists of [numerator, denominator] pairs, any nonzero
         representative of each; malformed data raises ValueError."""
         try:
-            pairs = [[(operator.index(num), operator.index(den)) for num, den in p] for p in data]
+            pairs = [[(operator.index(json_number(num)), operator.index(json_number(den)))
+                      for num, den in p] for p in data]
             if any(den == 0 for p in pairs for _, den in p):
                 raise ZeroDivisionError("zero denominator")
             lcms = [math.lcm(*(den for _, den in p)) for p in pairs]
@@ -635,10 +634,10 @@ class _Restriction:
         self.top = top
         self.columns = _ColumnBases(reps, top, top - 1 if top else None)
         self.codims = difference_profile(HilbertProfile(tuple(self.columns.h)), points, ell)
-        # ell(p_i) and 1 / ell(p_i) as ints, each up to one common factor
-        self.ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
-        lcm = math.lcm(*self.ells)
-        self.inverse_ells = [lcm // v for v in self.ells]
+        # 1 / ell(p_i) as ints, up to one common factor
+        ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
+        lcm = math.lcm(*ells)
+        self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
         j = max(exp.index(1) for exp in ell.coeffs)
         order = [self.nvars if v == j else v for v in range(self.nvars)]
@@ -669,7 +668,8 @@ class _Restriction:
     def socle_functional(self, e: int) -> "Functional":
         """The functional vanishing on (I_H)_e, for e >= 1 and codim 1, at the
         points: the dual weight scaled to 1 at the last monomial where its
-        functional is nonzero."""
+        functional is nonzero.  It records this restriction as its
+        ``restriction``."""
         basis = monomial_basis(self.nvars, e)
         for weights in self.dual_weights(e):
             # one monomial at a time, not ``values_at`` over the basis: the
@@ -679,8 +679,10 @@ class _Restriction:
             for m in reversed(basis):
                 value = _dot(weights, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:
-                    return Functional.at_points(self.nvars, e, self.small,
-                                                [Fraction(w, value) for w in weights])
+                    phi = Functional.at_points(self.nvars, e, self.small,
+                                               [Fraction(w, value) for w in weights])
+                    phi.restriction = self
+                    return phi
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
 
 
@@ -738,11 +740,12 @@ class Functional:
     It is given by dual coefficients phi(m) on the monomials, or by weights
     at points, phi = sum_i w_i ev_{points_i}.  A functional at points
     computes its coefficients only when they are read, and the apolarity
-    lemma (Iarrobino-Kanev 1999, Lemma 1.15) runs its ranks and kill checks
-    on point-indexed matrices.
+    lemma (Iarrobino-Kanev 1999, Lemma 1.15) runs its ranks on
+    point-indexed matrices.  ``restriction`` is the ``_Restriction`` a
+    socle functional was built from, None for every other functional.
     """
 
-    __slots__ = ("nvars", "degree", "points", "weights", "_coeffs", "_columns", "_kills")
+    __slots__ = ("nvars", "degree", "points", "weights", "_coeffs", "restriction")
 
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
@@ -755,7 +758,7 @@ class Functional:
             if c:
                 clean[exp] = c if isinstance(c, Fraction) else Fraction(c)
         self._coeffs = clean
-        self.points = self.weights = self._columns = self._kills = None
+        self.points = self.weights = self.restriction = None
 
     @classmethod
     def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
@@ -797,24 +800,17 @@ class Functional:
                 acc = acc + phi * c
         return acc
 
-    def _point_columns(self) -> _ColumnBases:
-        """Column bases of the evaluation matrices at the points, degrees 0..N."""
-        if self._columns is None:
-            self._columns = _ColumnBases(self.points, self.degree)
-        return self._columns
-
 
 def socle_functional(piece: IdealPiece) -> Functional:
     """First dual basis vector vanishing on the piece, in the monomial order.
 
     For a restricted piece of codim 1 this is the unique functional that
     vanishes on it, normalised to 1 at the last monomial where it is
-    nonzero; it is computed at the points, without the piece's kernel.
+    nonzero; it is computed at the points, without the piece's kernel, and
+    carries the piece's restriction.
     """
     if isinstance(piece, RestrictedPiece) and piece.codim == 1 and piece.degree:
-        phi = piece.restriction.socle_functional(piece.degree)
-        _kills_at_points(phi, piece)  # its verdict caps the ancestor ranks
-        return phi
+        return piece.restriction.socle_functional(piece.degree)
     kernel = piece.echelon.kernel_of_rows()
     if not kernel:
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
@@ -857,14 +853,13 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows())
 
 
-def _catalecticant_rank(phi: Functional, e: int, cap: int, char: int | None) -> int:
-    """Rank of S_{N-e}^T diag(w) S_e over Z or F_char, adding rows only until
-    it reaches ``cap``."""
-    columns = phi._point_columns()
-    w = [x % char if char else x for x in _scaled_to_integers(phi.weights)[0]]
+def _catalecticant_rank(columns, weights, e: int, N: int, cap: int, char: int | None) -> int:
+    """Rank of S_{N-e}^T diag(weights) S_e over Z or F_char, for integer
+    weights and column bases S, adding rows only until it reaches ``cap``."""
+    w = [x % char if char else x for x in weights]
     right = list(columns.degree(e, char))
     ech = IntForwardEchelon(len(right), char)
-    for a in columns.degree(phi.degree - e, char):
+    for a in columns.degree(N - e, char):
         if ech.dim == cap:
             break
         wa = [x * y for x, y in zip(w, a)]
@@ -872,80 +867,51 @@ def _catalecticant_rank(phi: Functional, e: int, cap: int, char: int | None) -> 
     return ech.dim
 
 
-def _ancestor_profile_at_points(phi: Functional) -> HilbertProfile:
-    """Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
+def ancestor_profile(phi: Functional) -> HilbertProfile:
+    """h(0..N) of the quotient by the ancestor ideal: the ranks of the
+    catalecticants, over the monomial basis for a functional given by
+    coefficients, else on point-indexed matrices.
+
+    Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
     on column bases S.  Cat_{N-e} is its transpose, of the same rank.  Each
-    rank is capped by the matrix size and, once phi has passed the kill
-    check at a restriction, by codim (I_H)_e and codim (I_H)_{N-e}; a rank
-    mod CERTIFY_PRIME that meets its cap is exact, any other is rerun over Z.
+    rank is capped by the matrix size and, for a socle functional, by
+    codim (I_H)_e and codim (I_H)_{N-e} of its restriction; a rank mod
+    CERTIFY_PRIME that meets its cap is exact, any other is rerun over Z.
     """
-    N = phi.degree
-    restriction, certified = phi._kills or (None, False)
+    if phi.points is None:
+        if phi.is_zero:
+            raise ValueError("functional must be nonzero")
+        return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
+    N, restriction = phi.degree, phi.restriction
+    columns = _ColumnBases(phi.points, N)
+    weights = _scaled_to_integers(phi.weights)[0]
     vals = [0] * (N + 1)
     for e in range(N // 2 + 1):
-        cap = phi._point_columns().h[e]
-        if certified:
-            cap = min([cap] + [restriction.codims[k] for k in (e, N - e) if k <= restriction.top])
-        rank = _catalecticant_rank(phi, e, cap, CERTIFY_PRIME)
+        cap = columns.h[e]
+        if restriction is not None:
+            cap = min(cap, restriction.codims[e], restriction.codims[N - e])
+        rank = _catalecticant_rank(columns, weights, e, N, cap, CERTIFY_PRIME)
         if rank < cap:
-            rank = _catalecticant_rank(phi, e, cap, None)
+            rank = _catalecticant_rank(columns, weights, e, N, cap, None)
         vals[e] = vals[N - e] = rank
     if not vals[0]:
         raise ValueError("functional must be nonzero")
     return HilbertProfile(tuple(vals))
 
 
-def ancestor_profile(phi: Functional) -> HilbertProfile:
-    """h(0..N) of the quotient by the ancestor ideal: ranks of the
-    catalecticants, on point-indexed matrices for a functional at points,
-    else over the monomial basis."""
-    if phi.points is not None:
-        return _ancestor_profile_at_points(phi)
-    if phi.is_zero:
-        raise ValueError("functional must be nonzero")
-    return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
-
-
-def _kills_at_points(phi: Functional, piece: RestrictedPiece) -> bool:
-    """A sufficient test that phi kills (I_H)_e * S_{N-e}, for phi at the
-    restriction's points.
-
-    Those products lie in (I_H)_N, so one test serves every e >= 1: phi
-    vanishes on (I_H)_N when its weights w are dual weights there, i.e. when
-    w * ell(p) is orthogonal to the degree-(N-1) columns at the p_i, which is
-    checked exactly, once per restriction, and memoised on phi.  That implies
-    the test at e, w * ell(p) * m(q') orthogonal to the degree-(e-1) columns
-    for m of degree N - e: q' is linear in p, so m(q') times such a column
-    lies in the degree-(N-1) column space.  The socle functional always
-    passes: its chi is orthogonal to every degree-(N-1) column.  The test
-    fails, and the monomial path decides, when the restriction has no
-    degree-(N-1) columns.
-    """
-    restriction = piece.restriction
-    if not piece.degree:
-        return True
-    if phi._kills is None or phi._kills[0] is not restriction:
-        N = phi.degree
-        passes = phi.points == restriction.small and N <= restriction.top + 1
-        if passes:
-            omega = [x * v for x, v in zip(_scaled_to_integers(phi.weights)[0], restriction.ells)]
-            passes = not any(_dot(omega, u) for u in restriction.columns.degree(N - 1))
-        phi._kills = (restriction, passes)
-    return phi._kills[1]
-
-
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
-    membership test for the ancestor ideal: at the points for a functional
-    at a restricted piece's points when that test passes, else by pairing
-    each row of Cat_e(phi), phi(- * m), with each form of the piece's basis,
-    which stops at the first nonzero pairing.  A zero functional kills
-    everything."""
+    membership test for the ancestor ideal.  A socle functional kills every
+    piece of its own restriction, by construction: (I_H)_e * S_{N-e} lies
+    in (I_H)_N, on which it vanishes.  Every other pair is decided by
+    pairing each row of Cat_e(phi), phi(- * m), with each form of the
+    piece's basis, which stops at the first nonzero pairing.  A zero
+    functional kills everything."""
     e = piece.degree
     if e > phi.degree:
         return False
-    if isinstance(piece, RestrictedPiece) and _kills_at_points(phi, piece):
+    if isinstance(piece, RestrictedPiece) and piece.restriction is phi.restriction:
         return True
     basis = piece.echelon.rows.values()
     return not any(sum(c * f[j] for j, c in row.items() if j in f)

@@ -24,6 +24,13 @@ from itertools import combinations
 from .macaulay import binomial
 
 
+def json_number(x):
+    """x, unless it is a bool: JSON's true and false, which Python takes for 1 and 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{str(x).lower()} is not a number")
+    return x
+
+
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
     """All exponent tuples of the given total degree, in the fixed order."""
@@ -270,8 +277,9 @@ class GradedPoly:
     def from_json_dict(cls, data: dict) -> "GradedPoly":
         """Inverse of ``to_json_dict``; malformed data raises ValueError."""
         try:
-            coeffs = {tuple(exp): Fraction(num, den) for exp, num, den in data["terms"]}
-            return cls(data["nvars"], data["degree"], coeffs)
+            coeffs = {tuple(map(json_number, exp)): Fraction(json_number(num), json_number(den))
+                      for exp, num, den in data["terms"]}
+            return cls(json_number(data["nvars"]), json_number(data["degree"]), coeffs)
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(
                 "a form must be a dict of nvars, degree and terms "

@@ -237,7 +237,10 @@ def test_random_control_without_enough_points_exits_one(capsys):
 
 def test_malformed_points_files_exit_one(tmp_path, capsys):
     points_file = tmp_path / "points.json"
-    for data in ([[1, 2]], [[[1, 0], [1, 1]]], 5, [[[1, 1, 1]]], {"a": [[1, 1]]}):
+    for data in ([[1, 2]], [[[1, 0], [1, 1]]], 5, [[[1, 1, 1]]], {"a": [[1, 1]]},
+                 # JSON booleans, which Python would read as 1 and 0
+                 [[[True, 1], [False, 1], [1, 1]], [[1, True], [2, 1], [3, 1]]],
+                 [[[1, 1], [2, 1]], [[1, 1], [True, 1]]], [[[1, 1], [2, True]]]):
         points_file.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "defect", "--points", str(points_file), "--degree", "1")
         _assert_one_line_error(code, out, err)
@@ -254,7 +257,14 @@ def test_malformed_generator_files_exit_one(tmp_path, capsys):
     for data in ([{"nvars": 3}], {"a": 1}, [5],
                  [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], 1, 0]]}],
                  [{"nvars": 3, "degree": 3, "terms": [[[1.5, 1.5, 0], 1, 1]]}],
-                 [{"nvars": 3.0, "degree": 1, "terms": [[[1, 0, 0], 1, 1]]}]):
+                 [{"nvars": 3.0, "degree": 1, "terms": [[[1, 0, 0], 1, 1]]}],
+                 # JSON booleans, which Python would read as 1 and 0
+                 [{"nvars": 3, "degree": 1, "terms": [[[True, 0, 0], True, True]]}],
+                 [{"nvars": True, "degree": 0, "terms": [[[0], 1, 1]]}],
+                 [{"nvars": 3, "degree": True, "terms": [[[1, 0, 0], 1, 1]]}],
+                 [{"nvars": 3, "degree": 1, "terms": [[[True, 0, 0], 1, 1]]}],
+                 [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], True, 1]]}],
+                 [{"nvars": 3, "degree": 1, "terms": [[[1, 0, 0], 1, True]]}]):
         gens_file.write_text(json.dumps(data))
         _assert_one_line_error(*run_cli(capsys, "base-locus", "--generators", str(gens_file)))
     gens_file.write_text("[]")

@@ -37,7 +37,7 @@ from defectk.ideals import (
     restricted_point_pieces,
     socle_functional,
 )
-from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _kills_at_points, _profile_pass
+from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _profile_pass
 from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
 from defectk.polynomials import GradedPoly, monomial_basis
@@ -682,12 +682,14 @@ def test_point_form_chain_matches_monomial_oracles(data):
     assert restriction.dual_weights(N) == reeliminated_dual_weights(restriction, N)
     phi = socle_functional(pieces[N])
     assert phi.coeffs == socle_functional(explicit[N]).coeffs
+    # a socle functional at the points carries its restriction, which
+    # settles its kill checks; a monomial one has none
     if pieces[N].codim == 1:
-        # the socle functional at the points never needs the monomial kill check
-        assert phi.points == pieces[0].restriction.small
-        assert all(_kills_at_points(phi, piece) for piece in pieces)
+        assert phi.points == restriction.small and phi.restriction is restriction
+    else:
+        assert phi.points is None and phi.restriction is None
     # weights that need not be orthogonal to the degree-(N-1) columns
-    other = Functional.at_points(phi.nvars, N, pieces[0].restriction.small, weights)
+    other = Functional.at_points(phi.nvars, N, restriction.small, weights)
     for psi in (phi, other):
         if psi.is_zero:
             continue
@@ -698,11 +700,11 @@ def test_point_form_chain_matches_monomial_oracles(data):
 
 
 def test_degree_n_kill_check_matches_ancestor_containment():
-    """The one degree-N test at the points against containment in the
-    monomial ancestor piece, on socle functionals (which pass it at every
-    degree) and on socle functionals with one weight perturbed (which fail
-    it, so the catalecticant pairing decides), and on a functional whose
-    degree N - 1 lies above the restriction's top degree."""
+    """Kill checks against containment in the monomial ancestor piece, on
+    socle functionals (which settle them by their restriction), on socle
+    functionals with one weight perturbed (which have no restriction, so
+    the catalecticant pairing decides), and on a functional whose degree
+    N - 1 lies above the restriction's top degree."""
     grids = (
         (grid9(), 4),
         (PointSet([(0, 0, a, b, 1) for a in range(1, 5) for b in range(1, 5)]), 6),
@@ -714,8 +716,7 @@ def test_degree_n_kill_check_matches_ancestor_containment():
         phi = socle_functional(pieces[N])
         perturbed = Functional.at_points(phi.nvars, N, phi.points,
                                          [phi.weights[0] + 1, *phi.weights[1:]])
-        assert all(_kills_at_points(phi, piece) for piece in pieces)
-        assert not any(_kills_at_points(perturbed, piece) for piece in pieces[1:])
+        assert phi.restriction is pieces[0].restriction and perturbed.restriction is None
         for psi in (phi, perturbed):
             rebuilt = Functional(psi.nvars, N, psi.coeffs)
             want = [gorenstein_ancestor(rebuilt, e).contains(oracle)
@@ -723,10 +724,10 @@ def test_degree_n_kill_check_matches_ancestor_containment():
             assert [functional_kills_products(psi, piece) for piece in pieces] == want
             assert [functional_kills_products(rebuilt, oracle) for oracle in oracles] == want
         assert not all(functional_kills_products(perturbed, piece) for piece in pieces)
-        # degree N + 2: no degree-(N + 1) columns, so the monomial path decides
+        # degree N + 2, past the restriction's top: the monomial path decides
         high = Functional.at_points(phi.nvars, N + 2, phi.points, phi.weights)
         rebuilt = Functional(high.nvars, N + 2, high.coeffs)
-        assert not any(_kills_at_points(high, piece) for piece in pieces[1:])
+        assert high.restriction is None
         assert [functional_kills_products(high, piece) for piece in pieces] == [
             gorenstein_ancestor(rebuilt, e).contains(oracle) for e, oracle in enumerate(oracles)]
 
@@ -790,9 +791,9 @@ def spy_catalecticant_ranks(monkeypatch):
     fields = []
     original = ideals._catalecticant_rank
 
-    def spy(phi, e, cap, char):
+    def spy(columns, weights, e, N, cap, char):
         fields.append(char)
-        return original(phi, e, cap, char)
+        return original(columns, weights, e, N, cap, char)
 
     monkeypatch.setattr(ideals, "_catalecticant_rank", spy)
     return fields
@@ -806,9 +807,9 @@ def test_functional_at_points_refuses_rational_coordinates():
 
 
 def test_certified_ancestor_profile_matches_monomial_oracle():
-    """Socle functionals, whose kill check caps every rank by the restricted
-    codims, and the same functionals with one weight perturbed, which have
-    no such cap, against the monomial catalecticant ranks."""
+    """Socle functionals, whose restriction caps every rank by its codims,
+    and the same functionals with one weight perturbed, which have no
+    restriction and no such cap, against the monomial catalecticant ranks."""
     for name, d in SMALL_CHAINS:
         _, phi = socle_chain(name, d)
         N = phi.degree
@@ -817,7 +818,27 @@ def test_certified_ancestor_profile_matches_monomial_oracle():
         for psi in (phi, perturbed):
             oracle = ancestor_profile(Functional(psi.nvars, N, psi.coeffs))
             assert ancestor_profile(psi) == oracle, (name, d)
-        assert phi._kills[1] and perturbed._kills is None
+        assert phi.restriction is not None and perturbed.restriction is None
+
+
+def test_copy_of_socle_functional_matches_it_in_either_order():
+    """A copy of the socle functional, at its points with its weights, has
+    no restriction: the matrix sizes cap its ranks and the monomial path
+    decides its kill checks.  It gets the socle functional's ancestor
+    profile and kill verdicts, whichever of the two runs first."""
+    for name, d in SMALL_CHAINS:
+        pieces, phi = socle_chain(name, d)
+        want = ancestor_profile(phi), [functional_kills_products(phi, p) for p in pieces]
+        assert all(want[1]), (name, d)
+        for profile_first in (True, False):
+            copy = Functional.at_points(phi.nvars, phi.degree, phi.points, phi.weights)
+            assert copy.restriction is None
+            if profile_first:
+                profile = ancestor_profile(copy)
+            kills = [functional_kills_products(copy, piece) for piece in pieces]
+            if not profile_first:
+                profile = ancestor_profile(copy)
+            assert (profile, kills) == want, (name, d, profile_first)
 
 
 def test_ancestor_ranks_fall_back_over_z_when_the_prime_collapses_the_grid(monkeypatch):
