@@ -223,6 +223,30 @@ def test_probe_prime_report_matches_stored_copy(capsys, monkeypatch):
     assert out == (Path(__file__).parent / "data" / "family-plane-d6-probe-11.json").read_text()
 
 
+STORED_REPORTS = {
+    # certification trace, probe points and scenario lists, flattened
+    "family-double-solid-d3-probe-11.csv": ("family", "--name", "double-solid", "--d", "3",
+                                            "--probe-prime", "11", "--format", "csv"),
+    # tangent codimension, no certification
+    "family-ci-highdim-n2-d4.md": ("family", "--name", "ci-highdim", "--n", "2", "--d", "4",
+                                   "--format", "markdown"),
+    "defect-random-20-k3-seed1.csv": ("defect", "--random", "20", "--degree", "3",
+                                      "--seed", "1", "--format", "csv"),
+    "defect-random-20-k3-seed1-fp101.json": ("defect", "--random", "20", "--degree", "3",
+                                             "--seed", "1", "--field", "fp=101"),
+}
+
+
+def test_reports_match_stored_copies(capsys, monkeypatch):
+    """JSON, CSV and markdown reports of both commands, byte for byte."""
+    monkeypatch.delenv("DEFECTK_SEED", raising=False)
+    for name, argv in STORED_REPORTS.items():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # read_bytes: CSV rows end in \r\n, which read_text would translate
+        assert out == (Path(__file__).parent / "data" / name).read_bytes().decode(), name
+
+
 def _assert_one_line_error(code, out, err):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
