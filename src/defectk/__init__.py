@@ -10,7 +10,6 @@ from .defect import (
     AuditError,
     DefectReport,
     NodalHypersurface,
-    NodeAudit,
     certify_min_nodes_double_solid,
     certify_min_nodes_p4,
     critical_degree_double_solid,
@@ -71,7 +70,7 @@ from .macaulay import (
     upper_growth,
 )
 from .polynomials import GradedPoly, monomial_basis, monomial_index, product
-from .scenarios import Scenario, run_double_solid, run_highdim, run_plane
+from .scenarios import run_double_solid, run_highdim, run_plane
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -30,7 +31,7 @@ from .ideals import (
 )
 from .polynomials import GradedPoly
 from .scalars import validate_characteristic
-from .scenarios import DEFAULT_SEED, FAMILIES, Scenario
+from .scenarios import DEFAULT_SEED, FAMILIES
 
 USAGE_EXIT = 1
 FAILURE_EXIT = 2
@@ -47,7 +48,10 @@ def _parse_field(text: str) -> int | None:
     if text in ("qp", "qq"):
         return None
     if text.startswith("fp="):
-        p = int(text[3:])
+        try:
+            p = int(text[3:])
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected qp or fp=<prime>") from None
         try:
             return validate_characteristic(p)
         except ValueError as exc:
@@ -93,13 +97,15 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
 
 
 def _flatten(data, prefix: str = "") -> dict:
+    """Nested keys joined by dots; a list or tuple becomes its JSON text."""
     out = {}
     if isinstance(data, dict):
         for k, v in data.items():
-            out.update(_flatten(v, f"{prefix}{k}." if prefix or isinstance(v, (dict, list)) else k))
-            if not isinstance(v, (dict, list)):
+            nested = isinstance(v, (dict, list, tuple))
+            out.update(_flatten(v, f"{prefix}{k}." if prefix or nested else k))
+            if not nested:
                 out[f"{prefix}{k}"] = v
-    elif isinstance(data, list):
+    elif isinstance(data, (list, tuple)):
         out[prefix.rstrip(".")] = json.dumps(data)
     return out
 
@@ -156,12 +162,12 @@ def _cmd_family(args) -> int:
     run = spec.run(*family_args, seed=seed, char=args.field)
     instance = run["instance"]
     report = {
-        "scenario": run["scenario"].to_dict(),
+        "scenario": run["scenario"],
         "node_count": len(instance.nodes),
-        "defect": run["defect_report"].to_dict(),
+        "defect": dataclasses.asdict(run["defect_report"]),
     }
     if "certify_report" in run:
-        report["certification"] = run["certify_report"].to_dict()
+        report["certification"] = dataclasses.asdict(run["certify_report"])
         report["restricted_profile"] = run["h_IH"].to_json_list()
     if "tangent_codim" in run:
         report["tangent_codim"] = run["tangent_codim"]
@@ -197,8 +203,8 @@ def _cmd_defect(args) -> int:
         check_reduction(points, args.field)
     rep = compute_defect(points, args.degree, args.field)
     report = {
-        "scenario": Scenario("defect", {**source, "degree": args.degree}).to_dict(),
-        **rep.to_dict(),
+        "scenario": {"command": "defect", "params": {**source, "degree": args.degree}},
+        **dataclasses.asdict(rep),
         "tangent_codim_at_degree": rep.eval_rank,
     }
     _emit(report, args.format, args.out)

@@ -44,19 +44,10 @@ def verify_node(f: GradedPoly, point) -> bool:
                      for a in idxs]))
 
 
-@dataclass(frozen=True)
-class NodeAudit:
-    point: tuple[int, ...]  # the primitive integer representative
-    singular: bool
-    hessian_nonzero: bool
-
-    @property
-    def is_node(self) -> bool:
-        return self.singular and self.hessian_nonzero
-
-
-def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[NodeAudit, ...]:
-    """Verify every declared node; raise AuditError on the first failure.
+def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[tuple[int, ...], ...]:
+    """Verify every declared node and return the primitive integer
+    representatives, ``points.points``; raise AuditError naming the first
+    node that is not singular or has a degenerate Hessian.
 
     The n first and n(n+1)/2 second partials of f, scaled to integer
     coefficients, are taken once and evaluated at every node's primitive
@@ -81,31 +72,27 @@ def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[NodeAudit, ...]:
         entries = [[[values[row[a, b]][j] for j in group] for b in idxs] for a in idxs]
         for j, value in zip(group, dets(entries, len(group))):
             hessian_nonzero[j] = bool(value)
-    records = []
-    for j, rep in enumerate(points):
-        singular = not any(values[i][j] for i in range(n))
-        records.append(NodeAudit(rep, singular, singular and hessian_nonzero[j]))
-    bad = [r for r in records if not r.is_node]
+    singular = [not any(values[i][j] for i in range(n)) for j in range(len(points))]
+    bad = [j for j in range(len(points)) if not (singular[j] and hessian_nonzero[j])]
     if bad:
-        why = "has a degenerate Hessian" if bad[0].singular else "is not singular"
+        why = "has a degenerate Hessian" if singular[bad[0]] else "is not singular"
         raise AuditError(f"{len(bad)} declared node(s) failed the audit, "
-                         f"first: {format_point(bad[0].point)} {why}")
-    return tuple(records)
+                         f"first: {format_point(points.points[bad[0]])} {why}")
+    return points.points
 
 
 @dataclass(frozen=True)
 class NodalHypersurface:
-    """Hypersurface with a verified list of nodes (A_1 points)."""
+    """Hypersurface f = 0 with its declared nodes (A_1 points); ``build``
+    audits every node before it constructs the instance."""
 
-    nvars: int
-    degree: int
     f: GradedPoly
     nodes: PointSet
-    audit: tuple[NodeAudit, ...]
 
     @classmethod
     def build(cls, f: GradedPoly, nodes: PointSet) -> "NodalHypersurface":
-        return cls(f.nvars, f.degree, f, nodes, audit_nodes(f, nodes))
+        audit_nodes(f, nodes)
+        return cls(f, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -138,29 +125,24 @@ class TraceStep:
     actual: int
     rule: str
 
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "floor": self.floor,
-            "actual": self.actual,
-            "rule": self.rule,
-        }
-
 
 @dataclass(frozen=True)
 class DefectReport:
+    """Defect of a node scheme at the critical degree, node_count minus
+    eval_rank, derived on construction; a certified report also carries
+    its bound and floor trace.  Its fields are the report the CLI prints."""
+
     node_count: int
     critical_degree: int
     eval_rank: int
-    defect: int
+    defect: int = field(init=False)
     bound_name: str | None = None
     bound_value: int | None = None
     certified: bool | None = None
     trace: tuple[TraceStep, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.defect != self.node_count - self.eval_rank:
-            raise ValueError("defect must equal node count minus evaluation rank")
+        object.__setattr__(self, "defect", self.node_count - self.eval_rank)
         if self.defect < 0:
             raise ValueError("defect cannot be negative")
 
@@ -168,32 +150,11 @@ class DefectReport:
     def meets_bound_with_equality(self) -> bool:
         return self.bound_value is not None and self.node_count == self.bound_value
 
-    def to_dict(self) -> dict:
-        return {
-            "node_count": self.node_count,
-            "critical_degree": self.critical_degree,
-            "eval_rank": self.eval_rank,
-            "defect": self.defect,
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "certified": self.certified,
-            "trace": [s.to_dict() for s in self.trace],
-        }
-
-
-def defect_at(node_count: int, critical_degree: int, eval_rank: int) -> DefectReport:
-    """Defect report from an evaluation rank already computed."""
-    return DefectReport(
-        node_count=node_count,
-        critical_degree=critical_degree,
-        eval_rank=eval_rank,
-        defect=node_count - eval_rank,
-    )
-
 
 def defect(nodes: PointSet, critical_degree: int, char: int | None = None) -> DefectReport:
     """Defect of the declared node scheme at the critical degree."""
-    return defect_at(len(nodes), critical_degree, points_hilbert(nodes, critical_degree, char))
+    return DefectReport(len(nodes), critical_degree,
+                        points_hilbert(nodes, critical_degree, char))
 
 
 def tangent_codim(nodes: PointSet, d: int, char: int | None = None) -> int:
@@ -221,19 +182,10 @@ def _certify(h_IH, node_count, critical, floors, bound_name, bound_value) -> Def
             certified = False
         trace.append(TraceStep(k, floor, h_IH[k], rule))
     total = sum(h_IH[k] for k in range(socle + 1))
-    defect_val = h_IH[socle]
     if total < bound_value or total != node_count:
         certified = False
-    return DefectReport(
-        node_count=total,
-        critical_degree=critical,
-        eval_rank=total - defect_val,
-        defect=defect_val,
-        bound_name=bound_name,
-        bound_value=bound_value,
-        certified=certified,
-        trace=tuple(trace),
-    )
+    return DefectReport(total, critical, total - h_IH[socle], bound_name, bound_value,
+                        certified, tuple(trace))
 
 
 def certify_min_nodes_p4(d: int, h_IH: HilbertProfile, node_count: int) -> DefectReport:

@@ -76,14 +76,22 @@ def ci_family_highdim(n: int, d: int) -> NodalHypersurface:
     return NodalHypersurface.build(f, nodes)
 
 
+# Points of P^1 with a primitive representative in [-997, 997]^2:
+# 1 + sum over a = 1..997 of #{b in [-997, 997] : gcd(a, |b|) = 1}.
+P1_BOX_POINTS = 1_210_584
+
+
 def random_points_control(count: int, nvars: int, seed: int) -> PointSet:
-    """Seeded, reproducible random rational points, pairwise distinct."""
+    """Seeded, reproducible random rational points, pairwise distinct, each
+    drawn with integer coordinates in [-997, 997]."""
     if count < 1:
         raise ValueError("need at least one point")
     if nvars < 1:
         raise ValueError("need at least one coordinate")
     if nvars == 1 and count > 1:
         raise ValueError("P^0 has only one point")
+    if nvars == 2 and count > P1_BOX_POINTS:
+        raise ValueError(f"P^1 has only {P1_BOX_POINTS} points with coordinates in [-997, 997]")
     rng = random.Random(seed)
     points = {}  # primitive representatives, in order of first draw
     while len(points) < count:

@@ -1,9 +1,10 @@
 """End-to-end pipelines shared by the CLI, the verification suites and the
 acceptance tests.
 
-A scenario bundles a command name with its fully serializable parameters;
-every emitted report embeds its scenario, and re-running the scenario
-reproduces the report byte for byte (seeded draws, fixed monomial order).
+A scenario is the dict ``{"command": ..., "params": ...}`` of a command
+name and its fully serializable parameters; every emitted report embeds
+its scenario, and re-running the scenario reproduces the report byte for
+byte (seeded draws, fixed monomial order).
 
 Every family runs one pipeline: construct and audit the nodes, take the
 Hilbert profile h_I once, read the defect at the critical degree and, where
@@ -34,11 +35,11 @@ from functools import partial
 from typing import Callable
 
 from .defect import (
+    DefectReport,
     certify_min_nodes_double_solid,
     certify_min_nodes_p4,
     critical_degree_double_solid,
     critical_degree_highdim,
-    defect_at,
 )
 from .families import (
     ci_family_highdim,
@@ -63,15 +64,6 @@ DEFAULT_SEED = 1
 CELL_BUDGET = 5_000_000
 
 
-@dataclass(frozen=True)
-class Scenario:
-    command: str
-    params: dict
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "params": dict(self.params)}
-
-
 def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: int | None,
                 certify=None, tangent: bool = False) -> dict:
     """The pipeline of the module docstring; certified families pass a
@@ -83,9 +75,9 @@ def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: 
     socle = critical + 1  # the socle degree of both certifiers
     profile = points_profile(nodes, max(critical if certify is None else socle, d), char)
     run = {
-        "scenario": Scenario("family", {**params, "seed": seed, "char": char}),
+        "scenario": {"command": "family", "params": {**params, "seed": seed, "char": char}},
         "instance": instance,
-        "defect_report": defect_at(len(nodes), critical, profile[critical]),
+        "defect_report": DefectReport(len(nodes), critical, profile[critical]),
     }
     if tangent:
         run["tangent_codim"] = profile[d]

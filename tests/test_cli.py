@@ -153,6 +153,11 @@ def test_field_flag(capsys):
         "error: argument --field: characteristic must be an odd prime <= 2^31, got 4")
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4", "--field", "qp")
     assert code == 0
+    for field in ("fp=abc", "fp=", "fp=7.0"):  # no integer: the malformed-field error
+        code, out, err = run_cli(capsys, "defect", "--random", "3", "--degree", "2",
+                                 "--field", field)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: argument --field: expected qp or fp=<prime>"
 
 
 def test_defect_command_with_points_file(tmp_path, capsys):
@@ -253,8 +258,9 @@ def _assert_one_line_error(code, out, err):
 
 
 def test_random_control_without_enough_points_exits_one(capsys):
-    # P^0 has one point and no point has zero coordinates: both used to hang
-    for count, nvars in (("2", "1"), ("3", "0")):
+    # P^0 has one point, no point has zero coordinates, and P^1 has 1,210,584
+    # points with coordinates in [-997, 997]: all three used to hang
+    for count, nvars in (("2", "1"), ("3", "0"), ("1210585", "2")):
         _assert_one_line_error(*run_cli(capsys, "defect", "--random", count,
                                         "--nvars", nvars, "--degree", "1"))
 

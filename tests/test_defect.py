@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from defectk.defect import (
     AuditError,
     DefectReport,
-    NodeAudit,
     audit_nodes,
     certify_min_nodes_double_solid,
     certify_min_nodes_p4,
@@ -64,8 +63,7 @@ def test_plane_family_nodes_all_verify():
     inst = plane_family(4)
     for p in inst.nodes:
         assert verify_node(inst.f, p)
-    records = audit_nodes(inst.f, inst.nodes)
-    assert all(r.is_node for r in records) and len(records) == 9
+    assert audit_nodes(inst.f, inst.nodes) == inst.nodes.points and len(inst.nodes) == 9
 
 
 def test_audit_error_on_non_node():
@@ -81,7 +79,8 @@ def test_audit_error_on_non_node():
 
 def test_audit_matches_pointwise_checks():
     """audit_nodes reads the partials of f once, at integer representatives;
-    each record is the one the pointwise checks give at the stored point."""
+    it passes a point exactly when the pointwise checks call it a node
+    there."""
     f = (X5[0] * product([X5[2] - a * X5[4] for a in (2, 3, 5)])
          + X5[1] * product([X5[3] - b * X5[4] for b in (7, 11, 13)]))
     cases = (
@@ -93,14 +92,13 @@ def test_audit_matches_pointwise_checks():
         ((0, 0, Fraction(7, 3), Fraction(2, 3), 1), False, False,
          "1 declared node(s) failed the audit, first: (0:0:7:2:3) is not singular"),
     )
-    for coords, singular, hessian_nonzero, message in cases:
+    for coords, singular, node, message in cases:
         (p,) = PointSet([coords])
         assert verify_singular(f, p) == singular
         if singular:
-            assert verify_node(f, p) == hessian_nonzero
-        record = NodeAudit(p, singular, hessian_nonzero)
-        if record.is_node:
-            assert audit_nodes(f, PointSet([coords])) == (record,)
+            assert verify_node(f, p) == node
+        if node:
+            assert audit_nodes(f, PointSet([coords])) == (p,)
         else:
             with pytest.raises(AuditError) as exc:
                 audit_nodes(f, PointSet([coords]))
@@ -120,7 +118,7 @@ def test_audit_across_charts_with_one_degenerate_point():
     assert {next(i for i, c in enumerate(p) if c) for p in nodes} == {0, 1, 2}
     assert all(verify_node(f, p) for p in nodes)
     assert verify_singular(f, degenerate) and not verify_node(f, degenerate)
-    assert audit_nodes(f, PointSet(nodes)) == tuple(NodeAudit(p, True, True) for p in nodes)
+    assert audit_nodes(f, PointSet(nodes)) == tuple(nodes)
     with pytest.raises(AuditError) as exc:
         audit_nodes(f, PointSet(nodes[:4] + [degenerate] + nodes[4:]))
     assert str(exc.value) == ("1 declared node(s) failed the audit, "
@@ -168,21 +166,21 @@ def test_audit_records_match_verify_singular_and_verify_node(nvars, degree, kind
     f = _form_singular_at(rng, point, degree, kind)
     others = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 3))]
     pts = PointSet(list(dict.fromkeys(primitive_point(q) for q in [point] + others if any(q))))
-    expected = []
+    checks = []  # (point, singular, node) by the pointwise checks
     for rep in pts:
         singular = verify_singular(f, rep)
-        expected.append(NodeAudit(rep, singular, singular and verify_node(f, rep)))
-    assert expected[0].singular == (kind != "smooth")
-    assert expected[0].is_node == (kind == "node")
-    bad = [r for r in expected if not r.is_node]
+        checks.append((rep, singular, singular and verify_node(f, rep)))
+    assert checks[0][1:] == (kind != "smooth", kind == "node")
+    bad = [(rep, singular) for rep, singular, node in checks if not node]
     if not bad:
-        assert audit_nodes(f, pts) == tuple(expected)
+        assert audit_nodes(f, pts) == pts.points
         return
-    why = "has a degenerate Hessian" if bad[0].singular else "is not singular"
+    first, singular = bad[0]
+    why = "has a degenerate Hessian" if singular else "is not singular"
     with pytest.raises(AuditError) as exc:
         audit_nodes(f, pts)
     assert str(exc.value) == (f"{len(bad)} declared node(s) failed the audit, "
-                              f"first: {format_point(bad[0].point)} {why}")
+                              f"first: {format_point(first)} {why}")
 
 
 def test_defect_examples():
@@ -199,10 +197,11 @@ def test_defect_examples():
 
 
 def test_defect_report_invariants():
+    assert DefectReport(5, 2, 3).defect == 2
+    with pytest.raises(TypeError):  # the defect is derived, never passed
+        DefectReport(node_count=5, critical_degree=2, eval_rank=3, defect=2)
     with pytest.raises(ValueError):
-        DefectReport(node_count=5, critical_degree=2, eval_rank=3, defect=1)
-    with pytest.raises(ValueError):
-        DefectReport(node_count=3, critical_degree=2, eval_rank=4, defect=-1)
+        DefectReport(node_count=3, critical_degree=2, eval_rank=4)
 
 
 def test_critical_degrees():

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
 from defectk import scenarios
 from defectk.defect import defect, tangent_codim
 from defectk.families import (
+    P1_BOX_POINTS,
     ci_family_highdim,
     double_solid_family,
     plane_family,
@@ -22,7 +24,6 @@ from defectk.scenarios import run_highdim
 def test_plane_family_examples():
     inst = plane_family(4)
     assert len(inst.nodes) == 9
-    assert all(r.is_node for r in inst.audit)
     inst = plane_family(3)
     assert len(inst.nodes) == 4
     with pytest.raises(ValueError, match="plane family needs d >= 3"):
@@ -32,7 +33,6 @@ def test_plane_family_examples():
 def test_double_solid_family_examples():
     inst = double_solid_family(2)
     assert len(inst.nodes) == 6
-    assert all(r.is_node for r in inst.audit)
     assert inst.f.degree == 4 and inst.f.nvars == 4
     inst = double_solid_family(3)
     assert len(inst.nodes) == 15
@@ -42,7 +42,7 @@ def test_double_solid_family_examples():
 
 def test_ci_family_highdim_examples(monkeypatch):
     inst = ci_family_highdim(2, 3)
-    assert inst.nvars == 7 and len(inst.nodes) == 8
+    assert inst.f.nvars == 7 and len(inst.nodes) == 8
     assert tangent_codim(inst.nodes, 3) == ci_pnd(2, 3) == 8
 
     inst = ci_family_highdim(2, 4)
@@ -87,6 +87,16 @@ def test_random_points_control():
     assert random_points_control(8, 5, seed=2) != pts
     with pytest.raises(ValueError):
         random_points_control(0, 5, seed=1)
+    # the draws would never stop: P^1 has only P1_BOX_POINTS points to draw,
+    # the classes of the primitive (a, b) with 0 < a or (a, b) = (0, 1)
+    assert P1_BOX_POINTS == 1 + sum(math.gcd(a, b) == 1
+                                    for a in range(1, 998) for b in range(-997, 998))
+    with pytest.raises(ValueError, match="P\\^1 has only 1210584 points"):
+        random_points_control(P1_BOX_POINTS + 1, 2, seed=1)
+    # smaller counts in P^1, and counts in more variables, draw as before
+    assert list(random_points_control(3, 2, seed=1)) == [(361, -84), (369, 323), (81, -124)]
+    assert list(random_points_control(3, 3, seed=1)) == [
+        (361, -84, -369), (646, 567, -868), (475, 756, -17)]
 
 
 def test_random_points_control_files_are_stable():
