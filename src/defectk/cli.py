@@ -23,7 +23,6 @@ from .defect import AuditError, check_sweep_budget, defect as compute_defect
 from .families import probe_undeclared_singular_points, random_points_control
 from .ideals import (
     BaseLocus,
-    IdealPiece,
     PointSet,
     base_locus_dimension,
     check_reduction,
@@ -97,17 +96,15 @@ def _emit(report: dict, fmt: str, out_path: str | None) -> None:
 
 
 def _flatten(data, prefix: str = "") -> dict:
-    """Nested keys joined by dots; a list or tuple becomes its JSON text."""
-    out = {}
+    """Nested keys joined by dots; each leaf but a string, a list included,
+    becomes its JSON text, so CSV and markdown spell true and null as JSON
+    does."""
     if isinstance(data, dict):
+        out = {}
         for k, v in data.items():
-            nested = isinstance(v, (dict, list, tuple))
-            out.update(_flatten(v, f"{prefix}{k}." if prefix or nested else k))
-            if not nested:
-                out[f"{prefix}{k}"] = v
-    elif isinstance(data, (list, tuple)):
-        out[prefix.rstrip(".")] = json.dumps(data)
-    return out
+            out.update(_flatten(v, f"{prefix}{k}."))
+        return out
+    return {prefix[:-1]: data if isinstance(data, str) else json.dumps(data)}
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +264,7 @@ def suite_gotzmann():
     piece = generated_piece([x5[0], x5[1]], 1)
     v = base_locus_dimension(piece)
     checks.append(("two hyperplanes in P^4 cut a plane", v == BaseLocus.of_dim(2), f"{v}"))
-    full = IdealPiece.full(5, 2)
+    full = generated_piece([GradedPoly.monomial(5, (0,) * 5)], 2)
     v = base_locus_dimension(full)
     checks.append(("full degree piece has empty locus", v.is_empty, f"{v}"))
     x4 = [GradedPoly.variable(4, i) for i in range(4)]

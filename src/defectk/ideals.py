@@ -403,40 +403,18 @@ class IdealPiece:
         return self.echelon.codim()
 
     @classmethod
-    def from_polys(cls, nvars: int, degree: int, polys) -> "IdealPiece":
-        ech = Echelon(binomial(degree + nvars - 1, nvars - 1))
-        idx = monomial_index(nvars, degree)
-        for f in polys:
-            if f.nvars != nvars or f.degree != degree:
-                raise ValueError("basis polynomial in the wrong graded component")
-            ech.add({idx[e]: c for e, c in f.coeffs.items()})
-        return cls(nvars, degree, ech)
-
-    @classmethod
     def from_vectors(cls, nvars: int, degree: int, vectors) -> "IdealPiece":
         ech = Echelon(binomial(degree + nvars - 1, nvars - 1))
         for v in vectors:
             ech.add(v)
         return cls(nvars, degree, ech)
 
-    @classmethod
-    def zero_piece(cls, nvars: int, degree: int) -> "IdealPiece":
-        return cls(nvars, degree, Echelon(binomial(degree + nvars - 1, nvars - 1)))
-
-    @classmethod
-    def full(cls, nvars: int, degree: int) -> "IdealPiece":
-        ncols = binomial(degree + nvars - 1, nvars - 1)
-        ech = Echelon(ncols)
-        for i in range(ncols):
-            ech.add({i: 1})
-        return cls(nvars, degree, ech)
-
     def basis_polys(self) -> list[GradedPoly]:
+        """The echelon's rows as forms, in the order it stores them."""
         basis = monomial_basis(self.nvars, self.degree)
-        out = []
-        for _, row in sorted(self.echelon.rows.items()):
-            out.append(GradedPoly(self.nvars, self.degree, {basis[c]: v for c, v in row.items()}))
-        return out
+        return [GradedPoly._unchecked(self.nvars, self.degree,
+                                      {basis[c]: v for c, v in row.items()})
+                for row in self.echelon.rows.values()]
 
     def contains(self, other: "IdealPiece") -> bool:
         if (self.nvars, self.degree) != (other.nvars, other.degree):
@@ -453,7 +431,10 @@ class IdealPiece:
 
 
 def generated_piece(generators, k: int) -> IdealPiece:
-    """Degree-k piece of the ideal generated by homogeneous forms."""
+    """Degree-k piece of the ideal generated by homogeneous forms: the one
+    builder of pieces spanned by forms.  The rows x^a * g are inserted
+    generator by generator, each over the degree-(k - deg g) monomials in
+    the fixed order; zero forms add nothing but fix the ring."""
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -468,11 +449,7 @@ def generated_piece(generators, k: int) -> IdealPiece:
         if g.is_zero:
             continue
         for mono in monomial_basis(nvars, k - g.degree):
-            vec = {}
-            for exp, c in g.coeffs.items():
-                prod = tuple(a + b for a, b in zip(exp, mono))
-                vec[idx[prod]] = c
-            ech.add(vec)
+            ech.add({idx[tuple(map(operator.add, exp, mono))]: c for exp, c in g.coeffs.items()})
     return IdealPiece(nvars, k, ech)
 
 
@@ -561,52 +538,35 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
     return HilbertProfile(tuple(vals))
 
 
-def _hyperplane_change_matrix(ell: GradedPoly):
-    """Invertible M with ell(M y) = y_last, as rows of x_i in terms of y."""
-    n = ell.nvars
-    coeffs = [Fraction(0)] * n
-    for exp, c in ell.coeffs.items():
-        coeffs[exp.index(1)] = c
-    j = max(i for i, c in enumerate(coeffs) if c)
-    last = n - 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        if i == j:
-            continue
-        target = j if i == last else i
-        rows[i][target] = Fraction(1)
-    inv = coeffs[j] ** -1
-    rows[j][last] = inv
-    for i in range(n):
-        if i == j:
-            continue
-        src = j if i == last else i
-        if coeffs[i]:
-            rows[j][src] = -coeffs[i] * inv
-    return rows
-
-
 def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     """Image of (I, ell) in the quotient by the hyperplane, degree by degree.
 
-    Coordinates are changed so the linear form becomes the last variable,
-    which is then set to zero.  It works on full degree pieces; together
-    with ``point_ideal_piece`` it is the independent oracle that the tests
-    check ``restricted_point_pieces`` against.
+    For x_j the last variable with a nonzero coefficient c_j in ell, the
+    hyperplane ell = 0 is the small ring in the other variables, with the
+    last variable in x_j's slot (as ``_Restriction.small`` orders a point):
+    each form is substituted x_j -> -sum_{i != j} (c_i / c_j) x_i there.  It
+    works on full degree pieces; together with ``point_ideal_piece`` it is
+    the independent oracle that the tests check ``restricted_point_pieces``
+    against.
     """
     if ell.degree != 1 or ell.is_zero:
         raise ValueError("need a nonzero linear form")
-    matrix = _hyperplane_change_matrix(ell)
+    n = ell.nvars
+    coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
+    j = max(coeffs)
+    slots = [j if i == n - 1 else i for i in range(n)]
+    solved = [0] * (n - 1)
+    for i, c in coeffs.items():
+        if i != j:
+            solved[slots[i]] = -c / coeffs[j]
+    images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, slots[i])
+              for i in range(n)]
     out = []
     for piece in pieces:
-        if piece.nvars != ell.nvars:
+        if piece.nvars != n:
             raise ValueError("piece and hyperplane live in different rings")
-        polys = [
-            f.linear_change(matrix).substitute_zero(piece.nvars - 1)
-            for f in piece.basis_polys()
-        ]
-        polys = [f for f in polys if not f.is_zero]
-        out.append(IdealPiece.from_polys(piece.nvars - 1, piece.degree, polys))
+        forms = [f.substitute(images) for f in piece.basis_polys()]
+        out.append(generated_piece(forms or [GradedPoly.zero(n - 1, piece.degree)], piece.degree))
     return out
 
 
@@ -614,14 +574,15 @@ class _Restriction:
     """The dual data that the pieces 0..top of a point ideal's hyperplane
     restriction I_H share, every matrix indexed by the points.
 
-    The coordinate change of ``restrict_to_hyperplane`` swaps x_j, the last
-    variable with a nonzero coefficient in ell, with the last variable and
-    makes ell the last coordinate.  The small coordinates q'_i of a point
-    are the others, taken at its primitive representative p_i.  A point
+    For x_j the last variable with a nonzero coefficient in ell, the small
+    coordinates q'_i of a point are the others, with the last one in x_j's
+    slot, taken at its primitive representative p_i: the ring in which
+    ``restrict_to_hyperplane`` solves ell = 0 for x_j.  A point
     functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
     ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
     degree-(e-1) evaluation columns at the p_i.  Those functionals are the
-    dual of S_e / (I, ell)_e, which the change turns into the dual of
+    dual of S_e / (I, ell)_e.  A form of S' read as a form in the variables
+    other than x_j lifts S'_e onto S_e / (ell)_e, so they are the dual of
     S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
     common kernel of point functionals at the q'_i, and its codim is
     h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
@@ -849,7 +810,7 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     if e < 0:
         raise ValueError("degree must be nonnegative")
     if e > phi.degree:
-        return IdealPiece.full(phi.nvars, e)
+        return generated_piece([GradedPoly.monomial(phi.nvars, (0,) * phi.nvars)], e)
     return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows())
 
 
@@ -968,45 +929,30 @@ class BaseLocus:
         return self.kind == "inconclusive"
 
 
-def _multiply_by_variables(ech: Echelon, nvars: int, degree: int) -> Echelon:
-    basis = monomial_basis(nvars, degree)
-    idx = monomial_index(nvars, degree + 1)
-    out = Echelon(binomial(degree + nvars, nvars - 1))
-    for row in ech.rows.values():
-        for var in range(nvars):
-            vec = {}
-            for col, c in row.items():
-                exp = basis[col]
-                nexp = exp[:var] + (exp[var] + 1,) + exp[var + 1 :]
-                vec[idx[nexp]] = c
-            out.add(vec)
-    return out
-
-
 def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> BaseLocus:
     """Dimension of the common zero locus of the ideal generated by a piece.
 
-    Walks degrees upward; once the codimension attains the maximal-growth
-    bound it stays maximal forever, the Hilbert polynomial is pinned, and
-    the top exponent of the current expansion is the dimension.  A zero
-    codimension means the locus is empty.  Past the cap, a nonnegative
-    degree, the verdict is Inconclusive rather than a guess.
+    Walks degrees upward, each the piece generated by the one before; once
+    the codimension attains the maximal-growth bound it stays maximal
+    forever, the Hilbert polynomial is pinned, and the top exponent of the
+    current expansion is the dimension.  A zero codimension means the locus
+    is empty.  Past the cap, a nonnegative degree, the verdict is
+    Inconclusive rather than a guess.
     """
     if piece.dim == 0:
         raise ValueError("piece must be nonzero")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree cap must be nonnegative")
     cap = degree_cap if degree_cap is not None else 4 * piece.degree + 10
-    ech = piece.echelon
     k = piece.degree
-    h_k = binomial(k + piece.nvars - 1, piece.nvars - 1) - ech.dim
+    h_k = piece.codim
     while True:
         if h_k == 0:
             return BaseLocus.empty()
         if k + 1 > cap:
             return BaseLocus.inconclusive()
-        ech = _multiply_by_variables(ech, piece.nvars, k)
-        h_next = binomial(k + piece.nvars, piece.nvars - 1) - ech.dim
+        piece = generated_piece(piece.basis_polys(), k + 1)
+        h_next = piece.codim
         if h_next == 0:
             return BaseLocus.empty()
         if h_next == upper_growth(h_k, k):

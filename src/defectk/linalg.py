@@ -8,11 +8,11 @@ coefficient growth polynomial.  A rank over F_p reduces the entries to
 residues and runs an ordinary Gaussian elimination, where division is
 cheap and there is no growth.  ``rank`` shares no code with the evaluation
 echelons of ``ideals``, so tests and the benchmark use it as their
-independent oracle.  ``det`` is the oracle of ``defect.verify_node`` and
-checks ``polynomials.linear_change``.  ``dets`` runs the same elimination
-on many integer matrices of one size at once, each step one list
-comprehension over the matrices, with a row lift in place of row swaps:
-the node audit takes every chart Hessian of a chart with one call.
+independent oracle.  ``det`` is the oracle of ``defect.verify_node``.
+``dets`` runs the same elimination on many integer matrices of one size at
+once, each step one list comprehension over the matrices, with a row lift
+in place of row swaps: the node audit takes every chart Hessian of a chart
+with one call.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
 echelon on plain Python ints, over Z (lists, cross-multiplied, content
@@ -194,7 +194,12 @@ class Echelon:
 
     Rows are sparse dicts {column: Fraction}; each row's pivot (its smallest
     column) has coefficient one and does not occur in any other row, so a
-    fresh vector is reduced in a single pass over its pivot hits.
+    fresh vector is reduced in a single pass over its pivot hits.  These
+    rows are unique to the span, so ``==`` compares them directly: that is
+    ``IdealPiece`` equality.  ``contains`` and ``kernel_of_rows`` serve the
+    monomial-indexed oracles: piece containment, the kernels of
+    ``ideals.point_ideal_piece`` and ``ideals.gorenstein_ancestor``, and
+    the echelon a restricted piece builds only when it is read.
     """
 
     def __init__(self, ncols: int):
@@ -253,16 +258,12 @@ class Echelon:
         self.rows[p] = row
         return True
 
-    def free_columns(self) -> list[int]:
-        return [c for c in range(self.ncols) if c not in self.rows]
-
-    def canonical_rows(self) -> list[tuple[int, tuple[tuple[int, object], ...]]]:
-        return [(p, tuple(sorted(self.rows[p].items()))) for p in sorted(self.rows)]
-
     def kernel_of_rows(self) -> list[dict]:
         """Basis of {x : row . x = 0 for every row}, one vector per free column."""
         out = []
-        for j in self.free_columns():
+        for j in range(self.ncols):
+            if j in self.rows:
+                continue
             vec = {j: Fraction(1)}
             for p in self.rows:
                 coef = self.rows[p].get(j)
@@ -275,7 +276,7 @@ class Echelon:
         return (
             isinstance(other, Echelon)
             and self.ncols == other.ncols
-            and self.canonical_rows() == other.canonical_rows()
+            and self.rows == other.rows
         )
 
 

@@ -208,39 +208,23 @@ class GradedPoly:
             out[tuple(nxt)] = c * exp[i]
         return GradedPoly._unchecked(self.nvars, self.degree - 1, out)
 
-    def substitute_zero(self, i: int) -> "GradedPoly":
-        """Set x_i = 0 and drop the variable, landing in nvars - 1 variables."""
-        if self.nvars < 2:
-            raise ValueError("cannot drop the only variable")
-        out = {}
-        for exp, c in self.coeffs.items():
-            if exp[i] != 0:
-                continue
-            out[exp[:i] + exp[i + 1 :]] = c
-        return GradedPoly(self.nvars - 1, self.degree, out)
-
-    def linear_change(self, matrix) -> "GradedPoly":
-        """f(M y): substitute x_i -> sum_j M[i][j] y_j.  M must be invertible."""
-        from .linalg import det
-
-        n = self.nvars
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise ValueError("matrix shape must match nvars")
-        if not det(matrix):
-            raise ValueError("matrix is singular")
-        forms = [GradedPoly.linear_form(row) for row in matrix]
-        powers: list[list[GradedPoly]] = [[] for _ in range(n)]
-        result = GradedPoly.zero(n, self.degree)
-        one = GradedPoly(n, 0, {(0,) * n: 1})
+    def substitute(self, forms) -> "GradedPoly":
+        """f(L_0, ..., L_{nvars-1}) for linear forms L_i of one ring, zero
+        forms included; the powers of each L_i are expanded once."""
+        if len(forms) != self.nvars or any(
+            L.degree != 1 or L.nvars != forms[0].nvars for L in forms
+        ):
+            raise ValueError("need one linear form of one ring per variable")
+        m = forms[0].nvars
+        one = GradedPoly._unchecked(m, 0, {(0,) * m: Fraction(1)})
+        powers = [[one] for _ in forms]
+        result = GradedPoly.zero(m, self.degree)
         for exp, c in self.coeffs.items():
             term = one
-            for i, e in enumerate(exp):
-                while len(powers[i]) <= e:
-                    if not powers[i]:
-                        powers[i].append(one)
-                    else:
-                        powers[i].append(powers[i][-1] * forms[i])
-                term = term * powers[i][e]
+            for L, power, e in zip(forms, powers, exp):
+                while len(power) <= e:
+                    power.append(power[-1] * L)
+                term = term * power[e]
             result = result + term.scale(c)
         return result
 

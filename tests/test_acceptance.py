@@ -12,7 +12,6 @@ import pytest
 
 from defectk.families import random_points_control
 from defectk.ideals import (
-    IdealPiece,
     functional_kills_products,
     ancestor_profile,
     base_locus_dimension,
@@ -90,7 +89,7 @@ def _monomial_ci_pieces(nvars, exps, socle):
     out = []
     for k in range(socle + 1):
         usable = [g for g in gens if g.degree <= k]
-        out.append(generated_piece(usable, k) if usable else IdealPiece.zero_piece(nvars, k))
+        out.append(generated_piece(usable or [GradedPoly.zero(nvars, k)], k))
     return out
 
 
@@ -136,7 +135,7 @@ def test_criterion_04_gotzmann_dimension_reads():
     v = base_locus_dimension(generated_piece([q1, q2], 2))
     assert (v.kind, v.dimension) == ("dim", 1)
 
-    assert base_locus_dimension(IdealPiece.full(5, 2)).is_empty
+    assert base_locus_dimension(generated_piece([GradedPoly.monomial(5, (0,) * 5)], 2)).is_empty
     _ok(4, "verdicts Dim(2), Dim(1), Empty on the three test pieces")
 
 

@@ -599,7 +599,7 @@ def test_socle_functional_vanishes_on_piece():
     for f in pieces[4].basis_polys():
         assert phi.of(f) == 0
     with pytest.raises(ValueError):
-        socle_functional(IdealPiece.full(4, 2))
+        socle_functional(generated_piece([GradedPoly.monomial(4, (0,) * 4)], 2))
 
 
 def test_ancestor_contains_restriction_small():
@@ -747,7 +747,7 @@ def test_monomial_kill_check_matches_products(seed):
     forms = [GradedPoly(nvars, e, {m: rng.randint(-2, 2) for m in
                                    rng.sample(basis, min(len(basis), rng.randint(1, 2)))})
              for _ in range(rng.randint(1, 3))]
-    piece = IdealPiece.from_polys(nvars, e, [f for f in forms if not f.is_zero])
+    piece = generated_piece(forms, e)
     want = all(not phi.of(f * GradedPoly.monomial(nvars, m))
                for f in piece.basis_polys() for m in monomial_basis(nvars, N - e))
     assert functional_kills_products(phi, piece) == want
@@ -908,10 +908,10 @@ def test_macaulay_growth_audit_examples():
 
 def test_base_locus_dimension_known_cases():
     assert base_locus_dimension(generated_piece([X5[0], X5[1]], 1)) == BaseLocus.of_dim(2)
-    assert base_locus_dimension(IdealPiece.full(5, 2)).is_empty
+    assert base_locus_dimension(generated_piece([GradedPoly.monomial(5, (0,) * 5)], 2)).is_empty
     assert base_locus_dimension(generated_piece(quadric_pair(), 2)) == BaseLocus.of_dim(1)
     with pytest.raises(ValueError):
-        base_locus_dimension(IdealPiece.zero_piece(5, 2))
+        base_locus_dimension(generated_piece([GradedPoly.zero(5, 2)], 2))
 
 
 def test_base_locus_dimension_linear_subspaces():
@@ -947,9 +947,7 @@ def _monomial_ci_pieces(nvars, exps, socle):
     out = []
     for k in range(socle + 1):
         usable = [g for g in gens if g.degree <= k]
-        out.append(
-            generated_piece(usable, k) if usable else IdealPiece.zero_piece(nvars, k)
-        )
+        out.append(generated_piece(usable or [GradedPoly.zero(nvars, k)], k))
     return out
 
 
@@ -975,7 +973,7 @@ def test_lemdims_small_binary_case():
 
 def test_lemdims_rejects_asymmetric_input():
     # the zero ideal truncated at degree 1 has profile (1, 2), not symmetric
-    pieces = [IdealPiece.zero_piece(2, 0), IdealPiece.zero_piece(2, 1)]
+    pieces = [generated_piece([GradedPoly.zero(2, k)], k) for k in (0, 1)]
     with pytest.raises(ValueError):
         lemdims_check(pieces, 1, 1)
 
@@ -1027,14 +1025,10 @@ def test_persistence_values_follow_pinned_polynomial():
     from defectk.macaulay import gotzmann_polynomial
 
     piece = generated_piece(quadric_pair(), 2)
-    ech, k = piece.echelon, 2
     values = {}
-    from defectk.ideals import _multiply_by_variables
-    from defectk.macaulay import binomial
-
-    for step in range(8):
-        values[k + step] = binomial(k + step + 3, 3) - ech.dim
-        ech = _multiply_by_variables(ech, 4, k + step)
+    for k in range(2, 10):
+        values[k] = piece.codim
+        piece = generated_piece(piece.basis_polys(), k + 1)
     p = gotzmann_polynomial(values[6], 6)  # persistence triggers at degree 6
     assert p.dimension == 1
     for t in range(6, 10):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectk.linalg import det
 from defectk.macaulay import binomial
 from defectk.polynomials import (VALUES_BLOCK, GradedPoly, monomial_basis, monomial_index, product,
                                  values_at)
@@ -70,36 +69,63 @@ def test_euler_identity_on_random_forms():
 
 
 def test_substitute_zero_examples():
+    # a zero form in place of x4 drops it: the image lives in x0..x3
     x = [GradedPoly.variable(5, i) for i in range(5)]
+    y = [GradedPoly.variable(4, i) for i in range(4)]
+    images = [*y, GradedPoly.zero(4, 1)]
     f = x[0] * x[4] + x[1] * x[1]
-    g = f.substitute_zero(4)
+    g = f.substitute(images)
     assert g.nvars == 4 and g.coeffs == {(0, 2, 0, 0): Fraction(1)}
-    assert (x[4] * x[4]).substitute_zero(4).is_zero
+    assert (x[4] * x[4]).substitute(images).is_zero
 
 
-def test_linear_change_examples():
+def test_substitute_examples():
     x = [GradedPoly.variable(3, i) for i in range(3)]
     f = x[0] * x[0] + x[1] * x[2]
-    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert f.linear_change(ident) == f
-    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
-    assert x[0].linear_change(swap) == x[1]
+    assert f.substitute(x) == f
+    assert x[0].substitute([x[1], x[0], x[2]]) == x[1]
+    assert f.substitute([x[1], x[0], x[2]]) == x[1] * x[1] + x[0] * x[2]
     with pytest.raises(ValueError):
-        f.linear_change([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
+        f.substitute(x[:2])
+    with pytest.raises(ValueError):
+        f.substitute([x[0], x[1], f])
 
 
-def test_linear_change_preserves_degree_and_composes():
+def test_substitute_preserves_degree_and_composes():
     rng = random.Random(4)
     f = random_form(rng, 3, 4)
     m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-    while not det(m):
-        m = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]
-    g = f.linear_change(m)
+    g = f.substitute([GradedPoly.linear_form(row) for row in m])
     assert g.degree == f.degree
     # substitution commutes with evaluation: g(y) = f(M y)
     y = (Fraction(2), Fraction(-1), Fraction(3))
     my = tuple(sum(Fraction(m[i][j]) * y[j] for j in range(3)) for i in range(3))
-    assert g.evaluate(y) == f.evaluate(my)
+    if any(my):
+        assert g.evaluate(y) == f.evaluate(my)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_substitute_matches_evaluate(seed):
+    """f(L)(p) = f(L_0(p), ..., L_{n-1}(p)) at integer points p where that
+    vector is nonzero, for 2-5 variables, degrees 0-4 and zero forms among
+    the L_i, which may map into a ring of another size."""
+    rng = random.Random(seed)
+    nvars, small, degree = rng.randint(2, 5), rng.randint(2, 5), rng.randint(0, 4)
+    f = random_form(rng, nvars, degree)
+    forms = [GradedPoly.zero(small, 1) if rng.random() < 0.25 else
+             GradedPoly.linear_form([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                     for _ in range(small)])
+             for _ in range(nvars)]
+    g = f.substitute(forms)
+    assert (g.nvars, g.degree) == (small, degree)
+    for _ in range(4):
+        p = tuple(Fraction(rng.randint(-4, 4)) for _ in range(small))
+        if not any(p):
+            continue
+        image = tuple(L.evaluate(p) for L in forms)
+        if any(image):
+            assert g.evaluate(p) == f.evaluate(image)
 
 
 def test_evaluate_examples():
