@@ -11,8 +11,8 @@ Conventions used throughout:
   points runs fraction-free on these ints.  Only the JSON form is rational,
   normalized at the first nonzero coordinate.
 * A degree piece of an ideal is a subspace of the degree-k coefficient
-  space, held in reduced row-echelon form over the fixed monomial order,
-  so piece equality and containment are plain matrix comparisons.
+  space, held as a forward echelon over the fixed monomial order; pieces
+  are equal when they have one dimension and one contains the other.
 * A point set's Hilbert profile h(0..N) comes from one pass in the style
   of Buchberger-Moeller (Moeller-Buchberger 1982; Abbott-Bigatti-Kreuzer-
   Robbiano 2000).  Evaluation columns are picked greedily in the fixed
@@ -382,7 +382,7 @@ def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:
 
 
 class IdealPiece:
-    """Degree-k piece of a homogeneous ideal, in reduced row-echelon form."""
+    """Degree-k piece of a homogeneous ideal, held as a forward echelon."""
 
     __slots__ = ("nvars", "degree", "echelon")
 
@@ -403,10 +403,17 @@ class IdealPiece:
         return self.echelon.codim()
 
     @classmethod
-    def from_vectors(cls, nvars: int, degree: int, vectors) -> "IdealPiece":
-        ech = Echelon(binomial(degree + nvars - 1, nvars - 1))
-        for v in vectors:
-            ech.add(v)
+    def cut_out(cls, nvars: int, degree: int, conditions) -> "IdealPiece":
+        """The forms of the degree that every condition, a sparse dict row
+        over the monomial basis, kills.  The conditions are eliminated over
+        the columns in reverse, so the kernel vector of free column c is zero
+        before c and goes into the piece's echelon as it is, at pivot c."""
+        last = binomial(degree + nvars - 1, nvars - 1) - 1
+        cond, ech = Echelon(last + 1), Echelon(last + 1)
+        for row in conditions:
+            cond.add({last - c: x for c, x in row.items()})
+        for vec in cond.kernel_of_rows():
+            ech.add({last - c: x for c, x in vec.items()})
         return cls(nvars, degree, ech)
 
     def basis_polys(self) -> list[GradedPoly]:
@@ -426,15 +433,16 @@ class IdealPiece:
             isinstance(other, IdealPiece)
             and self.nvars == other.nvars
             and self.degree == other.degree
-            and self.echelon == other.echelon
+            and self.dim == other.dim
+            and self.contains(other)
         )
 
 
 def generated_piece(generators, k: int) -> IdealPiece:
     """Degree-k piece of the ideal generated by homogeneous forms: the one
-    builder of pieces spanned by forms.  The rows x^a * g are inserted
-    generator by generator, each over the degree-(k - deg g) monomials in
-    the fixed order; zero forms add nothing but fix the ring."""
+    builder of pieces spanned by forms.  The rows x^a * g go in by
+    descending smallest column, so a row whose smallest column is new is
+    stored as it is; zero forms add nothing but fix the ring."""
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
@@ -443,13 +451,13 @@ def generated_piece(generators, k: int) -> IdealPiece:
         raise ValueError("generators live in different rings")
     if any(g.degree > k for g in generators):
         raise ValueError("generator degree exceeds the requested piece degree")
-    ech = Echelon(binomial(k + nvars - 1, nvars - 1))
     idx = monomial_index(nvars, k)
-    for g in generators:
-        if g.is_zero:
-            continue
-        for mono in monomial_basis(nvars, k - g.degree):
-            ech.add({idx[tuple(map(operator.add, exp, mono))]: c for exp, c in g.coeffs.items()})
+    rows = [{idx[tuple(map(operator.add, exp, mono))]: c for exp, c in g.coeffs.items()}
+            for g in generators if not g.is_zero for mono in monomial_basis(nvars, k - g.degree)]
+    rows.sort(key=min, reverse=True)
+    ech = Echelon(len(idx))
+    for row in rows:
+        ech.add(row)
     return IdealPiece(nvars, k, ech)
 
 
@@ -460,11 +468,9 @@ def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
     tests check ``restricted_point_pieces`` against.
     """
     cols = _evaluation_columns(points.points, points.nvars, k)
-    # one row per point, columns indexed by monomials
-    ech = Echelon(len(cols))
-    for i in range(len(points)):
-        ech.add({j: cols[j][i] for j in range(len(cols)) if cols[j][i]})
-    return IdealPiece.from_vectors(points.nvars, k, ech.kernel_of_rows())
+    # one condition per point, columns indexed by monomials
+    rows = ({j: col[i] for j, col in enumerate(cols) if col[i]} for i in range(len(points)))
+    return IdealPiece.cut_out(points.nvars, k, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +627,9 @@ class _Restriction:
     def kernel_echelon(self, e: int) -> Echelon:
         """(I_H)_e over the monomial basis: the forms every dual weight kills."""
         cols = _evaluation_columns(self.small, self.nvars, e)
-        cond = Echelon(len(cols))
-        for psi in self.dual_weights(e):
-            cond.add({m: v for m, v in enumerate(_dot(psi, col) for col in cols) if v})
-        return IdealPiece.from_vectors(self.nvars, e, cond.kernel_of_rows()).echelon
+        rows = ({m: v for m, v in enumerate(_dot(psi, col) for col in cols) if v}
+                for psi in self.dual_weights(e))
+        return IdealPiece.cut_out(self.nvars, e, rows).echelon
 
     def socle_functional(self, e: int) -> "Functional":
         """The functional vanishing on (I_H)_e, for e >= 1 and codim 1, at the
@@ -711,14 +716,7 @@ class Functional:
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
-        clean = {}
-        for exp, c in coeffs.items():
-            exp = tuple(exp)
-            if sum(exp) != degree or len(exp) != nvars:
-                raise ValueError("functional coefficient at a wrong monomial")
-            if c:
-                clean[exp] = c if isinstance(c, Fraction) else Fraction(c)
-        self._coeffs = clean
+        self._coeffs = GradedPoly(nvars, degree, coeffs).coeffs
         self.points = self.weights = self.restriction = None
 
     @classmethod
@@ -791,7 +789,7 @@ def _catalecticant_rows(phi: Functional, e: int):
 
 
 def _catalecticant(phi: Functional, e: int) -> Echelon:
-    """The row space of Cat_e(phi), in reduced echelon form."""
+    """The row space of Cat_e(phi), as an echelon."""
     ech = Echelon(binomial(e + phi.nvars - 1, phi.nvars - 1))
     for row in _catalecticant_rows(phi, e):
         ech.add(row)
@@ -811,7 +809,7 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
         raise ValueError("degree must be nonnegative")
     if e > phi.degree:
         return generated_piece([GradedPoly.monomial(phi.nvars, (0,) * phi.nvars)], e)
-    return IdealPiece.from_vectors(phi.nvars, e, _catalecticant(phi, e).kernel_of_rows())
+    return IdealPiece.cut_out(phi.nvars, e, _catalecticant_rows(phi, e))
 
 
 def _catalecticant_rank(columns, weights, e: int, N: int, cap: int, char: int | None) -> int:
@@ -932,8 +930,9 @@ class BaseLocus:
 def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> BaseLocus:
     """Dimension of the common zero locus of the ideal generated by a piece.
 
-    Walks degrees upward, each the piece generated by the one before; once
-    the codimension attains the maximal-growth bound it stays maximal
+    Walks degrees upward, each generated by the forms of the given piece,
+    read once: P * S_{k+1-k0} is the piece generated by the one before.
+    Once the codimension attains the maximal-growth bound it stays maximal
     forever, the Hilbert polynomial is pinned, and the top exponent of the
     current expansion is the dimension.  A zero codimension means the locus
     is empty.  Past the cap, a nonnegative degree, the verdict is
@@ -946,19 +945,18 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> Ba
     cap = degree_cap if degree_cap is not None else 4 * piece.degree + 10
     k = piece.degree
     h_k = piece.codim
-    while True:
-        if h_k == 0:
-            return BaseLocus.empty()
-        if k + 1 > cap:
-            return BaseLocus.inconclusive()
-        piece = generated_piece(piece.basis_polys(), k + 1)
-        h_next = piece.codim
+    if h_k == 0:
+        return BaseLocus.empty()
+    forms = piece.basis_polys()
+    while k + 1 <= cap:
+        h_next = generated_piece(forms, k + 1).codim
         if h_next == 0:
             return BaseLocus.empty()
         if h_next == upper_growth(h_k, k):
             return BaseLocus.of_dim(expand(h_k, k).eps[0])
         h_k = h_next
         k += 1
+    return BaseLocus.inconclusive()
 
 
 def corgreen_check(profile: HilbertProfile, d: int, bpf_degree: int) -> bool:
@@ -981,12 +979,13 @@ def corgreen_check(profile: HilbertProfile, d: int, bpf_degree: int) -> bool:
     return True
 
 
-def lemdims_check(pieces, N: int, n: int, degree_cap: int = 40):
+def lemdims_check(pieces, N: int, n: int):
     """Generator-degree bound for an Artinian Gorenstein quotient.
 
     d_k is the smallest degree t whose piece has base locus of dimension at
     most k; the sum over k = -1..n-1 is at least N + n + 1.  Returns the
     ascending tuple (d_{n-1}, ..., d_{-1}) and whether the bound holds.
+    Each base-locus probe runs up to degree 40.
     """
     pieces = list(pieces)
     if len(pieces) < N + 1:
@@ -1002,7 +1001,7 @@ def lemdims_check(pieces, N: int, n: int, degree_cap: int = 40):
         if pieces[t].dim == 0:
             dims[t] = n
             continue
-        verdict = base_locus_dimension(pieces[t], degree_cap)
+        verdict = base_locus_dimension(pieces[t], 40)
         if verdict.is_inconclusive:
             raise InconclusiveProbeError(f"base-locus probe inconclusive at degree {t}")
         dims[t] = -1 if verdict.is_empty else verdict.dimension

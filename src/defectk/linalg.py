@@ -1,4 +1,4 @@
-"""Exact linear algebra: fraction-free rank, determinants, reduced echelon.
+"""Exact linear algebra: fraction-free rank, determinants, forward echelons.
 
 Ranks and determinants of rational matrices come from one Bareiss
 elimination (Bareiss 1968): rows are scaled to integers, and every
@@ -27,8 +27,9 @@ functional at points (mod p first, kept only when they meet a proven upper
 bound, else over Z), and, through its kernel, the dual weights and socle
 functional of a restricted ideal.
 ``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
-an incrementally maintained reduced row basis with sparse dict rows of
-``Fraction``s.  It serves generated pieces, base loci, the monomial
+a forward echelon of the same design on sparse dict rows of ``Fraction``s,
+which reduces only the vector it inserts and back-substitutes only when a
+kernel is asked for.  It serves generated pieces, base loci, the monomial
 catalecticant of ``ideals.gorenstein_ancestor`` and of the monomial kill
 check, and the kernels a restricted piece builds only on demand; the point
 side never uses it.
@@ -190,16 +191,15 @@ def dets(entries, count: int) -> list[int]:
 
 
 class Echelon:
-    """Reduced row basis of a subspace, built one vector at a time.
-
-    Rows are sparse dicts {column: Fraction}; each row's pivot (its smallest
-    column) has coefficient one and does not occur in any other row, so a
-    fresh vector is reduced in a single pass over its pivot hits.  These
-    rows are unique to the span, so ``==`` compares them directly: that is
-    ``IdealPiece`` equality.  ``contains`` and ``kernel_of_rows`` serve the
-    monomial-indexed oracles: piece containment, the kernels of
-    ``ideals.point_ideal_piece`` and ``ideals.gorenstein_ancestor``, and
-    the echelon a restricted piece builds only when it is read.
+    """Forward echelon over Q on sparse dict rows {column: Fraction}, keyed
+    by pivot, the design of ``IntForwardEchelon``: each row is monic at its
+    pivot, its smallest column, and may be nonzero at later pivots.  A
+    vector is reduced only until its smallest column is not a pivot, and is
+    stored there; stored rows never change.  So the rows depend on the
+    insertion order, and ``dim``, ``contains`` and ``kernel_of_rows`` only
+    on the span.  They serve the monomial-indexed oracles: piece equality
+    and containment, the kernels of ``ideals.IdealPiece.cut_out``, and the
+    echelon a restricted piece builds only when it is read.
     """
 
     def __init__(self, ncols: int):
@@ -214,23 +214,24 @@ class Echelon:
         return self.ncols - len(self.rows)
 
     def reduce(self, vec: dict) -> dict:
-        """Residue of a vector modulo the current span."""
+        """Residue of a vector modulo the span, reduced until its smallest
+        column is not a pivot: empty exactly when the vector is in the span."""
         v = {}
         for c, x in vec.items():
             if x:
                 v[c] = x if isinstance(x, Fraction) else Fraction(x)
-        for c in sorted(k for k in v if k in self.rows):
+        while v and (c := min(v)) in self.rows:
             coef = v.pop(c)
             for cc, rv in self.rows[c].items():
-                if cc == c:
-                    continue
-                delta = coef * rv
-                cur = v.get(cc)
-                nv = -delta if cur is None else cur - delta
-                if nv:
-                    v[cc] = nv
-                else:
-                    v.pop(cc, None)
+                if cc != c:
+                    delta = coef * rv
+                    cur = v.get(cc)
+                    if cur is None:
+                        v[cc] = -delta
+                    elif cur == delta:
+                        del v[cc]
+                    else:
+                        v[cc] = cur - delta
         return v
 
     def contains(self, vec: dict) -> bool:
@@ -243,41 +244,26 @@ class Echelon:
             return False
         p = min(v)
         inv = v[p] ** -1
-        row = {c: x * inv for c, x in v.items()}
-        for r in self.rows.values():
-            coef = r.get(p)
-            if coef:
-                for cc, rv in row.items():
-                    delta = coef * rv
-                    cur = r.get(cc)
-                    nv = -delta if cur is None else cur - delta
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        r.pop(cc, None)
-        self.rows[p] = row
+        self.rows[p] = {c: x * inv for c, x in v.items()}
         return True
 
     def kernel_of_rows(self) -> list[dict]:
-        """Basis of {x : row . x = 0 for every row}, one vector per free column."""
-        out = []
-        for j in range(self.ncols):
-            if j in self.rows:
-                continue
-            vec = {j: Fraction(1)}
-            for p in self.rows:
-                coef = self.rows[p].get(j)
-                if coef:
-                    vec[p] = -coef
-            out.append(vec)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Echelon)
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
+        """Basis of {x : row . x = 0 for every row}, one vector per free
+        column j: 1 at j, 0 at the other free columns, and at each pivot what
+        the row there forces, so it is unique to the span.  The pivots are
+        solved from the highest down, each as a combination of free columns."""
+        solved = {}
+        for p in sorted(self.rows, reverse=True):
+            x_p = {}
+            for c, a in self.rows[p].items():
+                if c in solved:
+                    for j, y in solved[c].items():
+                        x_p[j] = x_p.get(j, 0) - a * y
+                elif c != p:
+                    x_p[c] = x_p.get(c, 0) - a
+            solved[p] = {j: y for j, y in x_p.items() if y}
+        return [{j: Fraction(1), **{p: x_p[j] for p, x_p in solved.items() if j in x_p}}
+                for j in range(self.ncols) if j not in self.rows]
 
 
 class IntForwardEchelon:

@@ -236,12 +236,12 @@ def test_criterion_12_generator_degree_bound_equality():
         [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 3, 0), (0, 0, 0, 0, 3)],
         4,
     )
-    d_values, ok = lemdims_check(pieces, 4, 4, degree_cap=40)
+    d_values, ok = lemdims_check(pieces, 4, 4)
     assert d_values == (1, 1, 1, 3, 3) and ok
     assert sum(d_values) == 4 + 4 + 1
 
     pieces = _monomial_ci_pieces(4, [(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 5, 0), (0, 0, 0, 6)], 10)
-    d_values, ok = lemdims_check(pieces, 10, 3, degree_cap=40)
+    d_values, ok = lemdims_check(pieces, 10, 3)
     assert d_values == (1, 2, 5, 6) and ok
     assert sum(d_values) == 10 + 3 + 1
     _ok(12, "sum of generator degrees meets N+n+1 with equality on both CI shapes")

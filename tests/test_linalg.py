@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectk.ideals import IdealPiece
 from defectk.linalg import Echelon, IntForwardEchelon, det, dets, rank
 from defectk.scalars import is_prime, validate_characteristic
 
@@ -182,18 +183,17 @@ def test_rank_independent_of_row_order_and_transpose():
     assert rank(m) == rank(shuffled) == rank(transpose)
 
 
-def test_echelon_reduced_invariants():
+def test_echelon_forward_invariants():
     ech = Echelon(5)
     assert ech.add({0: 1, 1: 2})
     assert ech.add({1: 1, 2: 3})
     assert not ech.add({0: 2, 1: 5, 2: 3})  # dependent on the first two
     assert ech.dim == 2 and ech.codim() == 3
-    # rows are fully reduced: no row contains another's pivot
+    # each row is monic at its pivot and nothing comes before it; an insertion
+    # leaves the stored rows as they are, so row 0 keeps column 1, a pivot
     for p, row in ech.rows.items():
-        assert row[p] == 1
-        for q in ech.rows:
-            if q != p:
-                assert q not in row
+        assert row[p] == 1 and min(row) == p and all(row.values())
+    assert ech.rows[0] == {0: 1, 1: 2}
     assert ech.contains({0: 3, 1: 7, 2: 3})
     assert not ech.contains({3: 1})
 
@@ -338,6 +338,64 @@ def test_echelon_membership_fuzz_against_rank():
         dense_probe = [probe.get(c, 0) for c in range(ncols)]
         in_span = rank(dense + [dense_probe]) == rank(dense)
         assert ech.contains(probe) == in_span
+
+
+@st.composite
+def sparse_spans(draw):
+    """Random sparse integer rows, the same rows shuffled, and a second
+    spanning set of their span: each shuffled row plus multiples of the ones
+    before it (an invertible triangular change), then sums of pairs."""
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.integers(min_value=-3, max_value=3)
+    row = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1), entry, max_size=4)
+    rows = draw(st.lists(row, max_size=7))
+    shuffled = draw(st.permutations(rows))
+    other = []
+    for vec in shuffled:
+        vec = dict(vec)
+        for before in other:
+            f = draw(entry)
+            for c, x in before.items():
+                vec[c] = vec.get(c, 0) + f * x
+        other.append(vec)
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(other), st.sampled_from(other)),
+                              max_size=3) if other else st.just([])):
+        other.append({c: a.get(c, 0) + b.get(c, 0) for c in set(a) | set(b)})
+    probe = draw(row)
+    return ncols, rows, shuffled, other, probe
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_spans())
+def test_echelon_depends_only_on_the_span(case):
+    """dim, contains, kernel_of_rows and piece equality agree for every
+    order and every spanning set, and with ``rank``."""
+    ncols, rows, shuffled, other, probe = case
+
+    def dense(vecs):
+        return [[v.get(c, 0) for c in range(ncols)] for v in vecs]
+
+    echelons = []
+    for vecs in (rows, shuffled, other):
+        ech = Echelon(ncols)
+        for v in vecs:
+            ech.add(v)
+        echelons.append(ech)
+    r = rank(dense(rows))
+    in_span = rank(dense(rows + [probe])) == r
+    kernel = echelons[0].kernel_of_rows()
+    assert len(kernel) == ncols - r
+    assert all(sum(x * v.get(c, 0) for c, x in vec.items()) == 0 for vec in kernel for v in rows)
+    sub = Echelon(ncols)
+    for v in rows[:1]:
+        sub.add(v)
+    pieces = [IdealPiece(2, ncols - 1, ech) for ech in echelons]
+    for ech, piece in zip(echelons, pieces):
+        assert ech.dim == r
+        assert ech.contains(probe) == in_span
+        assert ech.kernel_of_rows() == kernel
+        assert piece == pieces[0]
+        assert (piece == IdealPiece(2, ncols - 1, sub)) == (sub.dim == r)
 
 
 def test_bareiss_on_structured_low_rank():
