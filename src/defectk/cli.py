@@ -166,7 +166,7 @@ def _cmd_family(args) -> int:
     if "certify_report" in run:
         report["certification"] = dataclasses.asdict(run["certify_report"])
         report["restricted_profile"] = run["h_IH"].to_json_list()
-    if "tangent_codim" in run:
+    if spec.tangent_codim is not None:
         report["tangent_codim"] = run["tangent_codim"]
     if args.probe_prime:
         findings = probe_undeclared_singular_points(

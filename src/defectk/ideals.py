@@ -307,20 +307,18 @@ class _ColumnBases:
     """Evaluation columns of the standard monomials at integer vectors, per
     degree 0..up_to: a basis of each evaluation matrix's column space, with
     the small entries of monomial values (never echelon combinations), and
-    the profile h(0..up_to) of their ranks over Q.
+    the profile h(0..up_to) of their ranks over Q, for ``ancestor_profile``.
 
     Only the columns new in each degree are stored.  In a chart degree k
     gets the others by scaling with powers of the chart coordinate; without
     one a degree's new columns are all of them, and once the rank reaches
-    #points the last ones span every later degree too.  With ``kernel_at``
-    the pass's own echelon of that degree also gives ``kernel``, its kernel.
+    #points the last ones span every later degree too.
     """
 
-    def __init__(self, reps, up_to: int, kernel_at: int | None = None):
+    def __init__(self, reps, up_to: int):
         j = _chart(reps, None)
         self.h = []
         self._columns = []
-        self.kernel = None
         columns = {}
         for k, (ech, new) in enumerate(_profile_pass(reps, j, up_to)):
             self.h.append(ech.dim)
@@ -328,8 +326,6 @@ class _ColumnBases:
             columns = {m: [x * rep[v] for x, rep in zip(columns[b], reps)] if k
                        else [1] * len(reps) for m, (b, v) in new.items()}
             self._columns.append(list(columns.values()))
-            if k == kernel_at:
-                self.kernel = ech.kernel()
         self._in_chart = j is not None
         self._scales = [rep[j] if self._in_chart else 1 for rep in reps]
 
@@ -592,15 +588,19 @@ class _Restriction:
     S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
     common kernel of point functionals at the q'_i, and its codim is
     h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
-    p_i).  Every kernel here comes from ``IntForwardEchelon.kernel``, the
-    one at degree top - 1 from the profile pass's own echelon.
+    p_i).  The pass keeps h and its own degree-(top - 1) echelon's kernel;
+    only the pieces' monomial echelons rerun it for a lower degree's.
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
-        reps = points.points
+        reps = self.reps = points.points
         self.top = top
-        self.columns = _ColumnBases(reps, top, top - 1 if top else None)
-        self.codims = difference_profile(HilbertProfile(tuple(self.columns.h)), points, ell)
+        h = []
+        for k, (ech, _) in enumerate(_profile_pass(reps, _chart(reps, None), top)):
+            h.append(ech.dim)
+            if k == top - 1:  # before degree top rescales it
+                self.top_kernel = ech.kernel()
+        self.codims = difference_profile(HilbertProfile(tuple(h)), points, ell)
         # 1 / ell(p_i) as ints, up to one common factor
         ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
         lcm = math.lcm(*ells)
@@ -612,15 +612,15 @@ class _Restriction:
 
     def dual_weights(self, e: int) -> list[tuple[int, ...]]:
         """A basis of the weights whose functionals span the dual of
-        (I_H)_e: chi / ell(p) for chi in the integer kernel of the
-        degree-(e-1) columns (none at e = 0), each as a primitive integer
-        vector."""
+        (I_H)_e: chi / ell(p) for chi in the kernel of the profile pass's
+        degree-(e-1) echelon (of no columns at e = 0), which depends only on
+        the span, each as a primitive integer vector."""
         if e and e == self.top:
-            kernel = self.columns.kernel
+            kernel = self.top_kernel
         else:
-            ech = IntForwardEchelon(len(self.small))
-            for col in self.columns.degree(e - 1) if e else []:
-                ech.add(col)
+            ech = IntForwardEchelon(len(self.reps))
+            for ech, _ in _profile_pass(self.reps, _chart(self.reps, None), e - 1) if e else ():
+                pass  # the last one is degree e - 1's, left as it was yielded
             kernel = ech.kernel()
         return [primitive_point(map(operator.mul, chi, self.inverse_ells)) for chi in kernel]
 
@@ -778,9 +778,9 @@ def socle_functional(piece: IdealPiece) -> Functional:
 
 
 def _catalecticant_rows(phi: Functional, e: int):
-    """Yield the rows of Cat_e(phi), 0 <= e <= N, as sparse dicts: one row
-    per monomial m of degree N - e, over the degree-e monomial basis, with
-    phi(g * m) at g."""
+    """Yield the rows of Cat_e(phi), e >= 0, as sparse dicts: one row per
+    monomial m of degree N - e, over the degree-e monomial basis, with
+    phi(g * m) at g.  Past N there is no such monomial, and no row."""
     coeffs = phi.coeffs
     basis_e = monomial_basis(phi.nvars, e)
     for mono in monomial_basis(phi.nvars, phi.degree - e):
@@ -800,15 +800,14 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     """Degree-e piece of the largest ideal whose degree-N products the
     functional kills: the kernel of the catalecticant g |-> (m |-> phi(g*m)).
 
-    It works over the monomial basis, and is the oracle the tests check
-    ``ancestor_profile`` and ``functional_kills_products`` against.
+    Past N that has no rows: the piece is S_e.  It works over the monomial
+    basis, the oracle the tests check ``ancestor_profile`` and
+    ``functional_kills_products`` against.
     """
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
     if e < 0:
         raise ValueError("degree must be nonnegative")
-    if e > phi.degree:
-        return generated_piece([GradedPoly.monomial(phi.nvars, (0,) * phi.nvars)], e)
     return IdealPiece.cut_out(phi.nvars, e, _catalecticant_rows(phi, e))
 
 
@@ -865,16 +864,13 @@ def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     piece of its own restriction, by construction: (I_H)_e * S_{N-e} lies
     in (I_H)_N, on which it vanishes.  Every other pair is decided by
     pairing each row of Cat_e(phi), phi(- * m), with each form of the
-    piece's basis, which stops at the first nonzero pairing.  A zero
-    functional kills everything."""
-    e = piece.degree
-    if e > phi.degree:
-        return False
+    piece's basis, which stops at the first nonzero pairing; past N there is
+    no row, and every piece passes.  A zero functional kills everything."""
     if isinstance(piece, RestrictedPiece) and piece.restriction is phi.restriction:
         return True
     basis = piece.echelon.rows.values()
     return not any(sum(c * f[j] for j, c in row.items() if j in f)
-                   for row in _catalecticant_rows(phi, e) for f in basis)
+                   for row in _catalecticant_rows(phi, piece.degree) for f in basis)
 
 
 # ---------------------------------------------------------------------------

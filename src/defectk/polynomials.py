@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .macaulay import binomial
-
 
 def json_number(x):
     """x, unless it is a bool: JSON's true and false, which Python takes for 1 and 0."""
@@ -33,24 +31,16 @@ def json_number(x):
 
 @lru_cache(maxsize=None)
 def monomial_basis(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent tuples of the given total degree, in the fixed order."""
+    """All exponent tuples of the given total degree in the fixed order, none
+    below degree 0: bar positions in lexicographic order, whose gaps read from
+    the right are the exponents of x_{nvars-1} down to x0 (stars and bars)."""
     if nvars < 1:
         raise ValueError("nvars must be positive")
     if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    out = []
-    # stars and bars: bar positions in a row of degree + nvars - 1 slots
-    for bars in combinations(range(degree + nvars - 1), nvars - 1):
-        prev = -1
-        exp = []
-        for b in bars:
-            exp.append(b - prev - 1)
-            prev = b
-        exp.append(degree + nvars - 1 - prev - 1)
-        out.append(tuple(exp))
-    out.sort(key=lambda e: tuple(reversed(e)))
-    assert len(out) == binomial(degree + nvars - 1, nvars - 1)
-    return tuple(out)
+        return ()
+    slots = degree + nvars - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))[::-1]
+                 for bars in combinations(range(slots), nvars - 1))
 
 
 @lru_cache(maxsize=None)
@@ -261,14 +251,19 @@ class GradedPoly:
     def from_json_dict(cls, data: dict) -> "GradedPoly":
         """Inverse of ``to_json_dict``; malformed data raises ValueError."""
         try:
-            coeffs = {tuple(map(json_number, exp)): Fraction(json_number(num), json_number(den))
-                      for exp, num, den in data["terms"]}
-            return cls(json_number(data["nvars"]), json_number(data["degree"]), coeffs)
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            coeffs = {}
+            for exp, num, den in data["terms"]:
+                exp = tuple(map(json_number, exp))
+                if exp in coeffs:
+                    raise ValueError(f"the exponents {list(exp)} occur in two terms")
+                coeffs[exp] = Fraction(json_number(num), json_number(den))
+            nvars, degree = json_number(data["nvars"]), json_number(data["degree"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 "a form must be a dict of nvars, degree and terms "
                 f"[exponents, numerator, denominator]: {exc}"
             ) from exc
+        return cls(nvars, degree, coeffs)
 
     def __repr__(self):
         if self.is_zero:

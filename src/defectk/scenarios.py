@@ -7,14 +7,14 @@ its scenario, and re-running the scenario reproduces the report byte for
 byte (seeded draws, fixed monomial order).
 
 Every family runs one pipeline: construct and audit the nodes, take the
-Hilbert profile h_I once, read the defect at the critical degree and, where
-the family reports it, the tangent codimension h_I(d); a certified family
-then restricts to a seeded hyperplane and replays its floor chain up to the
-socle degree, critical + 1.  ``run_plane``, ``run_double_solid`` and
-``run_highdim`` only supply each family's constructor, critical degree and
-certifier.  The plane family is the grid family at n = 1: it shares the
-grid's constructor, critical degree and tangent closed form, and adds the
-certifier.
+Hilbert profile h_I once, read the defect at the critical degree and the
+tangent codimension h_I(d) (reported where ``FAMILIES`` has its closed
+form); a certified family then restricts to a seeded hyperplane and
+replays its floor chain up to the socle degree, critical + 1.
+``run_plane``, ``run_double_solid`` and ``run_highdim`` only supply each
+family's constructor, critical degree and certifier.  The plane family is
+the grid family at n = 1: it shares the grid's constructor, critical
+degree and tangent closed form, and adds the certifier.
 
 ``FAMILIES`` holds, per ``family --name``, what the family promises in
 closed form: node count, tangent codimension, and the cases its verify
@@ -65,9 +65,9 @@ CELL_BUDGET = 5_000_000
 
 
 def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: int | None,
-                certify=None, tangent: bool = False) -> dict:
+                certify=None) -> dict:
     """The pipeline of the module docstring; certified families pass a
-    certifier, and ``tangent`` reports h_I(d)."""
+    certifier.  Every run records the tangent codimension h_I(d)."""
     nodes = instance.nodes
     if char is not None:
         check_reduction(nodes, char)
@@ -78,9 +78,8 @@ def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: 
         "scenario": {"command": "family", "params": {**params, "seed": seed, "char": char}},
         "instance": instance,
         "defect_report": DefectReport(len(nodes), critical, profile[critical]),
+        "tangent_codim": profile[d],
     }
-    if tangent:
-        run["tangent_codim"] = profile[d]
     if certify is not None:
         h_I = HilbertProfile(profile.values[: socle + 1])
         h_IH = difference_profile(h_I, nodes, ell)
@@ -94,7 +93,7 @@ def run_plane(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict
     params = {"d": d, "a_values": values, "b_values": values}
     return _run_family({"name": "plane", "d": d, "params": params},
                        plane_family(d), d, critical_degree_highdim(1, d), seed, char,
-                       certify=certify_min_nodes_p4, tangent=True)
+                       certify=certify_min_nodes_p4)
 
 
 def run_double_solid(d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
@@ -115,7 +114,7 @@ def run_highdim(n: int, d: int, seed: int = DEFAULT_SEED, char: int | None = Non
     if cells > CELL_BUDGET:
         raise ValueError(f"instance needs {cells} evaluation cells, over the budget {CELL_BUDGET}")
     return _run_family({"name": "ci-highdim", "n": n, "d": d}, ci_family_highdim(n, d), d,
-                       critical, seed, char, tangent=True)
+                       critical, seed, char)
 
 
 @dataclass(frozen=True)

@@ -404,11 +404,12 @@ def reference_sets():
 
 def test_profile_pass_matches_the_raw_column_reference():
     """Offering x_v times b's stored vector picks what offering x_v * b's
-    raw column picks: over Q, _ColumnBases has the reference's h, new
-    columns and kernel (at top - 1 on the grids, where the restriction
-    reads it, else at the last degree short of #points, where it is not
-    empty); mod 7 and mod CERTIFY_PRIME the pass picks the same monomials
-    as the reference at the integer points, and points_profile is its h.
+    raw column picks: over Q, _ColumnBases has the reference's h and new
+    columns, and the pass's own echelon the reference's kernel (at top - 1
+    on the grids, where the restriction reads it, else at the last degree
+    short of #points, where it is not empty); mod 7 and mod CERTIFY_PRIME
+    the pass picks the same monomials as the reference at the integer
+    points, and points_profile is its h.
     The sets reach the rescale path, the pass without a chart and, mod 7,
     points that collide."""
     charts = set()
@@ -419,14 +420,18 @@ def test_profile_pass_matches_the_raw_column_reference():
             charts.add((j is None, j is not None and any(rep[j] != 1 for rep in reps)))
             h, new, echelons = reference_pass(reps, j, top, char)
             assert points_profile(pts, top, char).values == tuple(h), (reps, char)
-            picks = [list(columns) for _, columns in _profile_pass(reps, j, top, char)]
+            at = max(k for k in range(top) if h[k] < len(reps))
+            picks, kernel = [], None
+            for k, (ech, columns) in enumerate(_profile_pass(reps, j, top, char)):
+                picks.append(list(columns))
+                if k == at:
+                    kernel = ech.kernel()
             assert picks == [list(columns) for columns in new], (reps, char)
             if char is None:
-                at = max(k for k in range(top) if h[k] < len(reps))
-                bases = _ColumnBases(reps, top, at)
+                bases = _ColumnBases(reps, top)
                 assert bases.h == h
                 assert bases._columns == [list(columns.values()) for columns in new]
-                assert bases.kernel == echelons[at].kernel()
+                assert kernel == echelons[at].kernel()
     assert charts == {(True, False), (False, False), (False, True)}
 
 
@@ -565,7 +570,9 @@ def test_gorenstein_ancestor_rank_two_quadric():
     assert prof.values == (1, 2, 1)
     assert gorenstein_ancestor(phi, 1).dim == 0
     assert gorenstein_ancestor(phi, 0).dim == 0  # h(0) = 1
-    assert gorenstein_ancestor(phi, 3).dim == len(monomial_basis(2, 3))  # all of S_e past N
+    for e in (3, 4):  # all of S_e past N, whose products phi kills
+        full = generated_piece([GradedPoly.monomial(2, (0, 0))], e)
+        assert gorenstein_ancestor(phi, e) == full and functional_kills_products(phi, full)
     with pytest.raises(ValueError):
         gorenstein_ancestor(Functional(2, 2, {}), 1)
 
@@ -744,12 +751,14 @@ def test_degree_n_kill_check_matches_ancestor_containment():
 def test_monomial_kill_check_matches_products(seed):
     """The catalecticant pairing of the monomial path against phi(f * m)
     for every basis form f of the piece and every monomial m of degree
-    N - e, on sparse functionals and pieces of one to three sparse forms."""
+    N - e, on sparse functionals and pieces of one to three sparse forms;
+    past N there is no such monomial, and every piece's products are
+    killed."""
     rng = random.Random(seed)
     nvars, N = rng.choice(((2, 4), (3, 3), (3, 4)))
     phi = Functional(nvars, N, {m: rng.randint(-2, 2)
                                 for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))})
-    e = rng.randint(0, N)
+    e = rng.randint(0, N + 2)
     basis = monomial_basis(nvars, e)
     forms = [GradedPoly(nvars, e, {m: rng.randint(-2, 2) for m in
                                    rng.sample(basis, min(len(basis), rng.randint(1, 2)))})
@@ -873,9 +882,10 @@ def test_benchmark_chains_take_no_rank_over_z(monkeypatch):
 
 def reeliminated_dual_weights(restriction, e):
     """Dual weights of degree e >= 1 from a fresh echelon of the degree-(e-1)
-    columns."""
-    ech = ideals.IntForwardEchelon(len(restriction.small))
-    for col in restriction.columns.degree(e - 1):
+    evaluation columns of every monomial."""
+    reps = restriction.reps
+    ech = ideals.IntForwardEchelon(len(reps))
+    for col in ideals._evaluation_columns(reps, len(reps[0]), e - 1):
         ech.add(col)
     return [primitive_point(x * y for x, y in zip(chi, restriction.inverse_ells))
             for chi in ech.kernel()]
@@ -893,6 +903,20 @@ def test_top_dual_weights_reuse_the_profile_pass(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(ideals, "IntForwardEchelon", None)
                 assert restriction.dual_weights(top) == want, (name, d, top)
+
+
+def test_lower_dual_weights_rerun_the_profile_pass():
+    """Below top the dual weights come from the kernel of a rerun profile
+    pass's echelon; they equal the re-eliminated ones, and at e = 0 every
+    point's weight is free."""
+    for name, d in (("plane", 6), ("double-solid", 3)):
+        pts, N = grid_points(name, d)
+        ell = draw_missing_hyperplane(pts, 1)
+        restriction = restricted_point_pieces(pts, ell, N)[0].restriction
+        assert len(restriction.dual_weights(0)) == len(pts)
+        for e in range(1, N):
+            want = reeliminated_dual_weights(restriction, e)
+            assert restriction.dual_weights(e) == want, (name, e)
 
 
 # ---------------------------------------------------------------------------

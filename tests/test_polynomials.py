@@ -1,8 +1,10 @@
 """Graded polynomial arithmetic, the monomial order, and serialization."""
 
+import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,9 +25,19 @@ def random_form(rng, nvars, degree, terms=6):
 
 
 def test_monomial_basis_lengths():
+    """Against every tuple of the degree sorted on the reversed tuple, with
+    none below degree 0."""
     assert len(monomial_basis(5, 3)) == 35 == binomial(7, 4)
     assert monomial_basis(1, 7) == ((7,),)
     assert len(monomial_basis(4, 2)) == 10
+    for nvars in range(1, 7):
+        for degree in range(-2, 11):
+            heads = itertools.product(range(degree + 1), repeat=nvars - 1)
+            reference = [h + (degree - sum(h),) for h in heads if sum(h) <= degree]
+            basis = monomial_basis(nvars, degree)
+            assert basis == tuple(sorted(reference, key=lambda t: t[::-1])), (nvars, degree)
+            assert len(basis) == binomial(degree + nvars - 1, nvars - 1)
+    assert monomial_index(3, -1) == {}
 
 
 def test_monomial_order_is_documented_grevlex():
@@ -204,6 +216,17 @@ def test_non_integer_exponents_rejected():
     for nvars, degree in ((3.0, 1), (3, 1.0)):
         with pytest.raises(ValueError, match="nvars and degree must be integers"):
             GradedPoly(nvars, degree, {(1, 0, 0): 1})
+
+
+def test_terms_that_repeat_exponents_or_are_not_triples_rejected():
+    """x0 - x0 given as two terms with one exponent list is refused, not read
+    as its last term, and so is a term without a denominator."""
+    prefix = ("a form must be a dict of nvars, degree and terms "
+              "[exponents, numerator, denominator]: ")
+    for terms, detail in (([[[1, 0], 1, 1], [[1, 0], -1, 1]], "the exponents [1, 0] occur in two terms"),
+                          ([[[1, 0], 1]], "not enough values to unpack (expected 3, got 2)")):
+        with pytest.raises(ValueError, match="^" + re.escape(prefix + detail) + "$"):
+            GradedPoly.from_json_dict({"nvars": 2, "degree": 1, "terms": terms})
 
 
 def _per_term_fraction_value(f, point):
