@@ -55,15 +55,14 @@ Conventions used throughout:
   (I_H)_N by construction, and (I_H)_e * S_{N-e} lies in (I_H)_N, so it
   kills every piece's products there: Ann(phi) contains I_H, and rank
   Cat_e <= codim (I_H)_e.  Each ancestor rank is taken mod CERTIFY_PRIME,
-  kept when it meets that cap (for a functional without a restriction,
-  the matrix size) and rerun over Z otherwise.  Every other kill check
-  takes the monomial path, pairing the rows of the monomial catalecticant
-  with the piece's basis.  The monomial-indexed computations stay as the
-  tests' independent oracles, on ``Echelon``: ``point_ideal_piece`` with
-  ``restrict_to_hyperplane`` for the pieces, and the monomial
-  catalecticant for a functional given by coefficients, whose kernel is
-  ``gorenstein_ancestor`` and whose ranks are the monomial
-  ``ancestor_profile``.
+  kept when it meets that cap and rerun over Z otherwise.  Every other
+  functional, one given at points included, and every other kill check
+  take the monomial path: the ranks of the monomial catalecticant, and its
+  rows paired with the piece's basis.  The monomial-indexed computations
+  also stay as the tests' independent oracles, on ``Echelon``:
+  ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces,
+  and the monomial catalecticant, whose kernel is ``gorenstein_ancestor``
+  and whose ranks are the monomial ``ancestor_profile``.
 """
 
 from __future__ import annotations
@@ -274,6 +273,8 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
     Offers stop once a degree adds nothing or the rank reaches #points, as
     the rank then stays put.
     """
+    if up_to < 0:
+        return
     n, nvars = len(reps), len(reps[0])
     if j is not None and char is not None:
         units = [pow(rep[j], -1, char) for rep in reps]
@@ -306,8 +307,8 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
 class _ColumnBases:
     """Evaluation columns of the standard monomials at integer vectors, per
     degree 0..up_to: a basis of each evaluation matrix's column space, with
-    the small entries of monomial values (never echelon combinations), and
-    the profile h(0..up_to) of their ranks over Q, for ``ancestor_profile``.
+    the small entries of monomial values (never echelon combinations), for
+    the point path of ``ancestor_profile``.
 
     Only the columns new in each degree are stored.  In a chart degree k
     gets the others by scaling with powers of the chart coordinate; without
@@ -317,11 +318,9 @@ class _ColumnBases:
 
     def __init__(self, reps, up_to: int):
         j = _chart(reps, None)
-        self.h = []
         self._columns = []
         columns = {}
-        for k, (ech, new) in enumerate(_profile_pass(reps, j, up_to)):
-            self.h.append(ech.dim)
+        for k, (_, new) in enumerate(_profile_pass(reps, j, up_to)):
             # col(x_v * b) = diag(x_v(p)) col(b), for b new in the degree before
             columns = {m: [x * rep[v] for x, rep in zip(columns[b], reps)] if k
                        else [1] * len(reps) for m, (b, v) in new.items()}
@@ -531,7 +530,7 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
     for p, v in zip(points, values_at([ell], points.points)[0]):
         if not v:
             raise NonGenericHyperplaneError(f"hyperplane contains the point {format_point(p)}")
-    vals = [1]
+    vals = [1] if len(h_I) else []
     for k in range(1, len(h_I)):
         step = h_I[k] - h_I[k - 1]
         if step < 0:
@@ -619,7 +618,7 @@ class _Restriction:
             kernel = self.top_kernel
         else:
             ech = IntForwardEchelon(len(self.reps))
-            for ech, _ in _profile_pass(self.reps, _chart(self.reps, None), e - 1) if e else ():
+            for ech, _ in _profile_pass(self.reps, _chart(self.reps, None), e - 1):
                 pass  # the last one is degree e - 1's, left as it was yielded
             kernel = ech.kernel()
         return [primitive_point(map(operator.mul, chi, self.inverse_ells)) for chi in kernel]
@@ -632,8 +631,8 @@ class _Restriction:
         return IdealPiece.cut_out(self.nvars, e, rows).echelon
 
     def socle_functional(self, e: int) -> "Functional":
-        """The functional vanishing on (I_H)_e, for e >= 1 and codim 1, at the
-        points: the dual weight scaled to 1 at the last monomial where its
+        """The functional vanishing on (I_H)_e, of codim 1, at the points:
+        the dual weight scaled to 1 at the last monomial where its
         functional is nonzero.  It records this restriction as its
         ``restriction``."""
         basis = monomial_basis(self.nvars, e)
@@ -704,11 +703,11 @@ class Functional:
     """Linear functional on the degree-N graded piece.
 
     It is given by dual coefficients phi(m) on the monomials, or by weights
-    at points, phi = sum_i w_i ev_{points_i}.  A functional at points
-    computes its coefficients only when they are read, and the apolarity
-    lemma (Iarrobino-Kanev 1999, Lemma 1.15) runs its ranks on
-    point-indexed matrices.  ``restriction`` is the ``_Restriction`` a
-    socle functional was built from, None for every other functional.
+    at points, phi = sum_i w_i ev_{points_i}, with coefficients computed
+    only when read.  ``restriction`` is the ``_Restriction`` a socle
+    functional was built from, None for every other functional; exactly a
+    functional that carries one runs its ranks on point-indexed matrices by
+    the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15).
     """
 
     __slots__ = ("nvars", "degree", "points", "weights", "_coeffs", "restriction")
@@ -763,12 +762,12 @@ class Functional:
 def socle_functional(piece: IdealPiece) -> Functional:
     """First dual basis vector vanishing on the piece, in the monomial order.
 
-    For a restricted piece of codim 1 this is the unique functional that
-    vanishes on it, normalised to 1 at the last monomial where it is
-    nonzero; it is computed at the points, without the piece's kernel, and
-    carries the piece's restriction.
+    For a restricted piece of codim 1, of any degree, this is the unique
+    functional that vanishes on it, normalised to 1 at the last monomial
+    where it is nonzero; it is computed at the points, without the piece's
+    kernel, and carries the piece's restriction.
     """
-    if isinstance(piece, RestrictedPiece) and piece.codim == 1 and piece.degree:
+    if isinstance(piece, RestrictedPiece) and piece.codim == 1:
         return piece.restriction.socle_functional(piece.degree)
     kernel = piece.echelon.kernel_of_rows()
     if not kernel:
@@ -827,34 +826,31 @@ def _catalecticant_rank(columns, weights, e: int, N: int, cap: int, char: int | 
 
 def ancestor_profile(phi: Functional) -> HilbertProfile:
     """h(0..N) of the quotient by the ancestor ideal: the ranks of the
-    catalecticants, over the monomial basis for a functional given by
-    coefficients, else on point-indexed matrices.
+    catalecticants, on point-indexed matrices for a functional that carries
+    its restriction, else over the monomial basis.
 
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
     on column bases S.  Cat_{N-e} is its transpose, of the same rank.  Each
-    rank is capped by the matrix size and, for a socle functional, by
-    codim (I_H)_e and codim (I_H)_{N-e} of its restriction; a rank mod
-    CERTIFY_PRIME that meets its cap is exact, any other is rerun over Z.
+    rank is capped by codim (I_H)_e and codim (I_H)_{N-e}, within the matrix
+    size: a form of S'_e zero at every q'_i is, read in the other variables,
+    zero at every point, so in (I_H)_e.  A rank mod CERTIFY_PRIME that
+    meets its cap is exact, any other is rerun over Z.
     """
-    if phi.points is None:
+    if phi.restriction is None:
         if phi.is_zero:
             raise ValueError("functional must be nonzero")
         return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
-    N, restriction = phi.degree, phi.restriction
+    N, codims = phi.degree, phi.restriction.codims
     columns = _ColumnBases(phi.points, N)
     weights = _scaled_to_integers(phi.weights)[0]
     vals = [0] * (N + 1)
     for e in range(N // 2 + 1):
-        cap = columns.h[e]
-        if restriction is not None:
-            cap = min(cap, restriction.codims[e], restriction.codims[N - e])
+        cap = min(codims[e], codims[N - e])
         rank = _catalecticant_rank(columns, weights, e, N, cap, CERTIFY_PRIME)
         if rank < cap:
             rank = _catalecticant_rank(columns, weights, e, N, cap, None)
         vals[e] = vals[N - e] = rank
-    if not vals[0]:
-        raise ValueError("functional must be nonzero")
     return HilbertProfile(tuple(vals))
 
 

@@ -149,6 +149,10 @@ def test_points_hilbert_examples():
     g = grid9()
     assert points_hilbert(g, 3) == 8  # = 1 + 2 + 3 + 2 from the slice decomposition
     assert points_hilbert(g, 4) == 9
+    # an empty range of degrees has an empty profile, over Q and mod p
+    assert points_profile(g, -1).values == points_profile(g, -1, 7).values == ()
+    with pytest.raises(ValueError, match="nonnegative"):
+        points_hilbert(g, -1)
 
 
 def test_points_hilbert_monotone_and_saturates():
@@ -404,8 +408,8 @@ def reference_sets():
 
 def test_profile_pass_matches_the_raw_column_reference():
     """Offering x_v times b's stored vector picks what offering x_v * b's
-    raw column picks: over Q, _ColumnBases has the reference's h and new
-    columns, and the pass's own echelon the reference's kernel (at top - 1
+    raw column picks: over Q, _ColumnBases has the reference's new columns,
+    and the pass's own echelon the reference's kernel (at top - 1
     on the grids, where the restriction reads it, else at the last degree
     short of #points, where it is not empty); mod 7 and mod CERTIFY_PRIME
     the pass picks the same monomials as the reference at the integer
@@ -429,7 +433,6 @@ def test_profile_pass_matches_the_raw_column_reference():
             assert picks == [list(columns) for columns in new], (reps, char)
             if char is None:
                 bases = _ColumnBases(reps, top)
-                assert bases.h == h
                 assert bases._columns == [list(columns.values()) for columns in new]
                 assert kernel == echelons[at].kernel()
     assert charts == {(True, False), (False, False), (False, True)}
@@ -487,6 +490,8 @@ def test_difference_profile_examples():
     single = PointSet([(1, 2, 3, 4, 5)])
     prof = difference_profile(points_profile(single, 3), single, ell)
     assert prof.values == (1, 0, 0, 0)
+    assert difference_profile(HilbertProfile(()), g, ell).values == ()
+    assert restricted_point_pieces(g, ell, -1) == []
 
     bad = GradedPoly.linear_form((0, 0, 1, 0, -1))  # x2 - x4 hits (0:0:1:b:1) at b rows
     with pytest.raises(NonGenericHyperplaneError) as exc:
@@ -700,8 +705,13 @@ def test_point_form_chain_matches_monomial_oracles(data):
     # settles its kill checks; a monomial one has none
     if pieces[N].codim == 1:
         assert phi.points == restriction.small and phi.restriction is restriction
+        assert_codims_within_column_ranks(phi)
     else:
         assert phi.points is None and phi.restriction is None
+    # degree 0 has codim 1, so its socle functional carries the restriction too
+    unit = socle_functional(pieces[0])
+    assert unit.restriction is restriction and unit.coeffs == {(0,) * unit.nvars: 1}
+    assert ancestor_profile(unit).values == (1,)
     # weights that need not be orthogonal to the degree-(N-1) columns
     other = Functional.at_points(phi.nvars, N, restriction.small, weights)
     for psi in (phi, other):
@@ -802,6 +812,15 @@ def socle_chain(name, d, seed=1):
 SMALL_CHAINS = [("plane", d) for d in range(3, 9)] + [("double-solid", d) for d in range(2, 6)]
 
 
+def assert_codims_within_column_ranks(phi):
+    """codim (I_H)_e is at most the rank of the evaluation matrix at the
+    small points, so the restriction's codims cap every ancestor rank
+    within the matrix size."""
+    columns = _ColumnBases(phi.points, phi.degree)
+    for e in range(phi.degree + 1):
+        assert phi.restriction.codims[e] <= len(list(columns.degree(e))), e
+
+
 def spy_catalecticant_ranks(monkeypatch):
     """Record the field (None for Z) of every catalecticant rank taken."""
     fields = []
@@ -824,10 +843,11 @@ def test_functional_at_points_refuses_rational_coordinates():
 
 def test_certified_ancestor_profile_matches_monomial_oracle():
     """Socle functionals, whose restriction caps every rank by its codims,
-    and the same functionals with one weight perturbed, which have no
-    restriction and no such cap, against the monomial catalecticant ranks."""
+    against the monomial catalecticant ranks; the same functionals with one
+    weight perturbed have no restriction and take the monomial path."""
     for name, d in SMALL_CHAINS:
         _, phi = socle_chain(name, d)
+        assert_codims_within_column_ranks(phi)
         N = phi.degree
         perturbed = Functional.at_points(phi.nvars, N, phi.points,
                                          [phi.weights[0] + 1, *phi.weights[1:]])
@@ -837,16 +857,19 @@ def test_certified_ancestor_profile_matches_monomial_oracle():
         assert phi.restriction is not None and perturbed.restriction is None
 
 
-def test_copy_of_socle_functional_matches_it_in_either_order():
+def test_copy_of_socle_functional_matches_it_in_either_order(monkeypatch):
     """A copy of the socle functional, at its points with its weights, has
-    no restriction: the matrix sizes cap its ranks and the monomial path
-    decides its kill checks.  It gets the socle functional's ancestor
-    profile and kill verdicts, whichever of the two runs first."""
+    no restriction: the monomial path ranks its catalecticants, with no
+    rank at the points, and decides its kill checks.  It gets the socle
+    functional's ancestor profile and kill verdicts, whichever of the two
+    runs first."""
+    fields = spy_catalecticant_ranks(monkeypatch)
     for name, d in SMALL_CHAINS:
         pieces, phi = socle_chain(name, d)
         want = ancestor_profile(phi), [functional_kills_products(phi, p) for p in pieces]
-        assert all(want[1]), (name, d)
+        assert all(want[1]) and fields, (name, d)
         for profile_first in (True, False):
+            fields.clear()
             copy = Functional.at_points(phi.nvars, phi.degree, phi.points, phi.weights)
             assert copy.restriction is None
             if profile_first:
@@ -854,7 +877,7 @@ def test_copy_of_socle_functional_matches_it_in_either_order():
             kills = [functional_kills_products(copy, piece) for piece in pieces]
             if not profile_first:
                 profile = ancestor_profile(copy)
-            assert (profile, kills) == want, (name, d, profile_first)
+            assert (profile, kills) == want and not fields, (name, d, profile_first)
 
 
 def test_ancestor_ranks_fall_back_over_z_when_the_prime_collapses_the_grid(monkeypatch):
