@@ -26,17 +26,10 @@ Conventions used throughout:
   differ by a vector already in the span.  Every pick, rank and kernel is
   the same, and the offer is zero before the stored vector's pivot, where
   its reduction starts.
-  The pass runs one echelon through every degree when some coordinate x_j
-  is nonzero at every point (mod p over F_p): col(x_j * m) =
-  diag(x_j(p)) col(m), so the degree-k column space contains x_j times the
-  degree-(k-1) one.  Each degree rescales the stored vectors by x_j(p)
-  (unless x_j is 1 at every point) and offers only x_v * b with v != j and
-  b new in degree k-1, the affine pass in the chart x_j = 1, and every
-  point is inserted once.  Without such a chart each degree restarts its
-  echelon and offers the products over all variables.  Over F_p the chart
-  pass runs on the dehomogenised residues rep * rep[j]^-1, so its echelon
-  is never rescaled.  The ranks stay exact (integers, or F_p) either way,
-  on plain ints, and the pass stops offering once the rank reaches #points.
+  The pass runs one echelon through every degree, the affine pass in the
+  chart of a coordinate nonzero at every point (mod p over F_p), and one
+  echelon per degree without such a chart (see ``_profile_pass``).  Its
+  ranks are exact (integers, or F_p) on plain ints.
 * ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
   Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
   min(#points, #monomials) is certified exact, because a modular rank
@@ -54,19 +47,22 @@ Conventions used throughout:
   functional records the restriction it was built from.  It vanishes on
   (I_H)_N by construction, and (I_H)_e * S_{N-e} lies in (I_H)_N, so it
   kills every piece's products there: Ann(phi) contains I_H, and rank
-  Cat_e <= codim (I_H)_e.  Each ancestor rank is taken mod CERTIFY_PRIME,
-  kept when it meets that cap and rerun over Z otherwise.  Every other
-  functional, one given at points included, and every other kill check
-  take the monomial path: the ranks of the monomial catalecticant, and its
-  rows paired with the piece's basis.  The monomial-indexed computations
-  also stay as the tests' independent oracles, on ``Echelon``:
-  ``point_ideal_piece`` with ``restrict_to_hyperplane`` for the pieces,
-  and the monomial catalecticant, whose kernel is ``gorenstein_ancestor``
-  and whose ranks are the monomial ``ancestor_profile``.
+  Cat_e <= codim (I_H)_e.  Each ancestor rank is taken mod CERTIFY_PRIME
+  on the vectors a profile pass at the q'_i stored, and kept when it meets
+  that cap; only a rank short of it builds those bases over Z and reruns.
+  Every other functional, one given at points included, and every other
+  kill check take the monomial path: the ranks of the monomial
+  catalecticant, and its rows paired with the piece's basis.  The
+  monomial-indexed computations also stay as the tests' independent
+  oracles, on ``Echelon``: ``point_ideal_piece`` with
+  ``restrict_to_hyperplane`` for the pieces, and the monomial
+  catalecticant, whose kernel is ``gorenstein_ancestor`` and whose ranks
+  are the monomial ``ancestor_profile``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -241,10 +237,10 @@ def _chart(reps, char: int | None) -> int | None:
 
 
 def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
-    """Yield (echelon, new standard monomials) of each degree 0..up_to for
-    the integer vectors ``reps``; the monomials map each standard m new in
-    the degree to the (b, v) with m = x_v * b it was offered as, (None,
-    None) for m = 1.
+    """Yield (echelon, stored) of each degree 0..up_to for the integer
+    vectors ``reps``; ``stored`` maps each standard monomial new in the
+    degree to the (pivot, vector) the echelon stored for it, {} when the
+    degree stored nothing.
 
     Degree-k offers are the products x_v * b with b new in degree k-1 whose
     every degree-(k-1) divisor is standard, visited in the fixed monomial
@@ -281,61 +277,56 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
         reps = [[x * u % char for x in rep] for rep, u in zip(reps, units)]
     others = [v for v in range(nvars) if v != j]
     ech = IntForwardEchelon(n, char)
-    one = (0,) * nvars
-    stored = {one: ech.add([1] * n)}
-    new = {one: (None, None)}
-    yield ech, new
+    stored = {(0,) * nvars: ech.add([1] * n)}
+    yield ech, stored
     for _ in range(up_to):
-        if new and ech.dim < n:
+        parents, stored = stored, {}
+        if parents and ech.dim < n:
             if j is None:
                 ech = IntForwardEchelon(n, char)
             elif char is None and any(rep[j] != 1 for rep in reps):
                 ech.scale_columns([rep[j] for rep in reps])
-            parents, stored, new = stored, {}, {}
             for m, (b, v) in _offers(parents, others):
                 pivot, u = parents[b]
                 vector = ech.add([x * rep[v] for x, rep in zip(u, reps)], pivot)
                 if vector:
-                    new[m], stored[m] = (b, v), vector
+                    stored[m] = vector
                     if ech.dim == n:
                         break
-        else:
-            new = {}
-        yield ech, new
+        yield ech, stored
 
 
 class _ColumnBases:
-    """Evaluation columns of the standard monomials at integer vectors, per
-    degree 0..up_to: a basis of each evaluation matrix's column space, with
-    the small entries of monomial values (never echelon combinations), for
-    the point path of ``ancestor_profile``.
+    """Bases of the column spaces of the evaluation matrices E_k at integer
+    vectors, k = 0..up_to, over Z or F_char, for the point path of
+    ``ancestor_profile``: the vectors the profile pass stored, kept once.
 
-    Only the columns new in each degree are stored.  In a chart degree k
-    gets the others by scaling with powers of the chart coordinate; without
-    one a degree's new columns are all of them, and once the rank reaches
-    #points the last ones span every later degree too.
+    In the chart of x_j the degree-k basis is x_j^(k-b) times each vector
+    stored in degree b <= k, as the pass rescales its echelon over Z; over
+    F_char the pass runs on rep * rep[j]^-1, so the factor is 1 and the
+    bases are those of diag(rep[j])^-k E_k, with ``chart`` the rep[j].
+    Without a chart (``chart`` None) the basis is the last degree <= k that
+    stored vectors: its whole echelon, of rank #points once nothing is new.
     """
 
-    def __init__(self, reps, up_to: int):
-        j = _chart(reps, None)
-        self._columns = []
-        columns = {}
-        for k, (_, new) in enumerate(_profile_pass(reps, j, up_to)):
-            # col(x_v * b) = diag(x_v(p)) col(b), for b new in the degree before
-            columns = {m: [x * rep[v] for x, rep in zip(columns[b], reps)] if k
-                       else [1] * len(reps) for m, (b, v) in new.items()}
-            self._columns.append(list(columns.values()))
-        self._in_chart = j is not None
-        self._scales = [rep[j] if self._in_chart else 1 for rep in reps]
+    def __init__(self, reps, up_to: int, char: int | None):
+        j = _chart(reps, char)
+        passes = [stored.values() for _, stored in _profile_pass(reps, j, up_to, char)]
+        # (pivot, degree stored in, vector), in pivot order
+        self._vectors = sorted((pivot, b, u) for b, stored in enumerate(passes)
+                               for pivot, u in stored)
+        self.chart = None if j is None else [rep[j] for rep in reps]
+        self._scales = self.chart if char is None else None
 
-    def degree(self, k: int, char: int | None = None):
-        """Yield the columns of degree k, their entries reduced mod char if given."""
-        last = max(b for b in range(k + 1) if self._columns[b])
-        for b in range(k + 1) if self._in_chart else (last,):
-            powers = [pow(s, k - b, char) for s in self._scales]
-            for col in self._columns[b]:
-                col = [x * s for x, s in zip(col, powers)]
-                yield col if char is None else [x % char for x in col]
+    def degree(self, k: int):
+        """Yield the basis of degree k, in pivot order."""
+        last = max(b for _, b, _ in self._vectors if b <= k)
+        powers = functools.cache(lambda t: [s**t for s in self._scales])
+        for _, b, u in self._vectors:
+            if b == last or self.chart and b < last:
+                if self._scales:
+                    u = list(map(operator.mul, u, powers(k - b)))
+                yield u
 
 
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
@@ -810,16 +801,16 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     return IdealPiece.cut_out(phi.nvars, e, _catalecticant_rows(phi, e))
 
 
-def _catalecticant_rank(columns, weights, e: int, N: int, cap: int, char: int | None) -> int:
+def _catalecticant_rank(left, right, weights, cap: int, char: int | None) -> int:
     """Rank of S_{N-e}^T diag(weights) S_e over Z or F_char, for integer
-    weights and column bases S, adding rows only until it reaches ``cap``."""
-    w = [x % char if char else x for x in weights]
-    right = list(columns.degree(e, char))
+    weights and column bases ``left`` and ``right``, adding rows in the
+    order of ``left`` only until the rank reaches ``cap``."""
+    right = list(right)
     ech = IntForwardEchelon(len(right), char)
-    for a in columns.degree(N - e, char):
+    for a in left:
         if ech.dim == cap:
             break
-        wa = [x * y for x, y in zip(w, a)]
+        wa = [x * y for x, y in zip(weights, a)]
         ech.add([_dot(wa, b) for b in right])
     return ech.dim
 
@@ -831,25 +822,31 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
 
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
-    on column bases S.  Cat_{N-e} is its transpose, of the same rank.  Each
-    rank is capped by codim (I_H)_e and codim (I_H)_{N-e}, within the matrix
-    size: a form of S'_e zero at every q'_i is, read in the other variables,
-    zero at every point, so in (I_H)_e.  A rank mod CERTIFY_PRIME that
-    meets its cap is exact, any other is rerun over Z.
+    on column bases S (Cat_{N-e} is its transpose).  Each rank is capped by
+    codim (I_H)_e and codim (I_H)_{N-e}, within the matrix size: a form of
+    S'_e zero at every q'_i is, read in the other variables, zero at every
+    point, so in (I_H)_e.  Rows go in pivot order, which on the double
+    solid d=12 chain meets the caps with a fifth of the products of degree
+    order.  The ranks run mod CERTIFY_PRIME first, on the chart's bases, so
+    each weight is multiplied by rep[j]^N; a modular rank that meets its
+    cap is exact, and only when one falls short are bases built over Z.
     """
     if phi.restriction is None:
         if phi.is_zero:
             raise ValueError("functional must be nonzero")
         return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
     N, codims = phi.degree, phi.restriction.codims
-    columns = _ColumnBases(phi.points, N)
     weights = _scaled_to_integers(phi.weights)[0]
+    p = CERTIFY_PRIME
+    modular, exact = _ColumnBases(phi.points, N, p), None
+    w = [x * pow(s, N, p) % p for x, s in zip(weights, modular.chart or [1] * len(weights))]
     vals = [0] * (N + 1)
     for e in range(N // 2 + 1):
         cap = min(codims[e], codims[N - e])
-        rank = _catalecticant_rank(columns, weights, e, N, cap, CERTIFY_PRIME)
+        rank = _catalecticant_rank(modular.degree(N - e), modular.degree(e), w, cap, p)
         if rank < cap:
-            rank = _catalecticant_rank(columns, weights, e, N, cap, None)
+            exact = exact or _ColumnBases(phi.points, N, None)
+            rank = _catalecticant_rank(exact.degree(N - e), exact.degree(e), weights, cap, None)
         vals[e] = vals[N - e] = rank
     return HilbertProfile(tuple(vals))
 
@@ -862,6 +859,8 @@ def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
     pairing each row of Cat_e(phi), phi(- * m), with each form of the
     piece's basis, which stops at the first nonzero pairing; past N there is
     no row, and every piece passes.  A zero functional kills everything."""
+    if piece.nvars != phi.nvars:
+        raise ValueError("functional and piece live in different rings")
     if isinstance(piece, RestrictedPiece) and piece.restriction is phi.restriction:
         return True
     basis = piece.echelon.rows.values()

@@ -408,12 +408,14 @@ def reference_sets():
 
 def test_profile_pass_matches_the_raw_column_reference():
     """Offering x_v times b's stored vector picks what offering x_v * b's
-    raw column picks: over Q, _ColumnBases has the reference's new columns,
-    and the pass's own echelon the reference's kernel (at top - 1
-    on the grids, where the restriction reads it, else at the last degree
-    short of #points, where it is not empty); mod 7 and mod CERTIFY_PRIME
-    the pass picks the same monomials as the reference at the integer
-    points, and points_profile is its h.
+    raw column picks: over Q, mod 7 and mod CERTIFY_PRIME the pass picks the
+    same monomials as the reference at the integer points, points_profile
+    is its h, and each degree's _ColumnBases basis is h(k) independent
+    vectors in pivot order that, with the factor rep[j]^k of a modular
+    chart undone, lie in the span of the reference's columns.  Over Q the
+    pass's own echelon has the reference's kernel (at top - 1 on the grids,
+    where the restriction reads it, else at the last degree short of
+    #points, where it is not empty).
     The sets reach the rescale path, the pass without a chart and, mod 7,
     points that collide."""
     charts = set()
@@ -432,9 +434,15 @@ def test_profile_pass_matches_the_raw_column_reference():
                     kernel = ech.kernel()
             assert picks == [list(columns) for columns in new], (reps, char)
             if char is None:
-                bases = _ColumnBases(reps, top)
-                assert bases._columns == [list(columns.values()) for columns in new]
                 assert kernel == echelons[at].kernel()
+            bases = _ColumnBases(reps, top, char)
+            for k in range(top + 1):
+                basis = list(bases.degree(k))
+                pivots = [next(i for i, x in enumerate(u) if x) for u in basis]
+                assert len(basis) == h[k] and pivots == sorted(set(pivots)), (reps, char, k)
+                if char is not None and j is not None:
+                    basis = [[x * pow(rep[j], k, char) for x, rep in zip(u, reps)] for u in basis]
+                assert not any(echelons[k].add(u) for u in basis), (reps, char, k)
     assert charts == {(True, False), (False, False), (False, True)}
 
 
@@ -779,6 +787,16 @@ def test_monomial_kill_check_matches_products(seed):
     assert functional_kills_products(phi, piece) == want
 
 
+def test_kill_check_refuses_a_piece_of_another_ring():
+    """A piece in more variables than the functional is refused, as
+    ``contains`` refuses it, whichever variable spans it."""
+    phi = Functional(3, 2, {(1, 1, 0): 1})
+    for v in (0, 2):
+        piece = generated_piece([GradedPoly.variable(4, v)], 1)
+        with pytest.raises(ValueError, match="different rings"):
+            functional_kills_products(phi, piece)
+
+
 def test_kill_check_at_points_can_fail():
     """The evaluation at one point kills no nonzero piece's products."""
     g = grid9()
@@ -816,7 +834,7 @@ def assert_codims_within_column_ranks(phi):
     """codim (I_H)_e is at most the rank of the evaluation matrix at the
     small points, so the restriction's codims cap every ancestor rank
     within the matrix size."""
-    columns = _ColumnBases(phi.points, phi.degree)
+    columns = _ColumnBases(phi.points, phi.degree, None)
     for e in range(phi.degree + 1):
         assert phi.restriction.codims[e] <= len(list(columns.degree(e))), e
 
@@ -826,11 +844,24 @@ def spy_catalecticant_ranks(monkeypatch):
     fields = []
     original = ideals._catalecticant_rank
 
-    def spy(columns, weights, e, N, cap, char):
+    def spy(left, right, weights, cap, char):
         fields.append(char)
-        return original(columns, weights, e, N, cap, char)
+        return original(left, right, weights, cap, char)
 
     monkeypatch.setattr(ideals, "_catalecticant_rank", spy)
+    return fields
+
+
+def spy_column_bases(monkeypatch):
+    """Record the field (None for Z) of every _ColumnBases built."""
+    fields = []
+
+    class Spy(_ColumnBases):
+        def __init__(self, reps, up_to, char):
+            fields.append(char)
+            super().__init__(reps, up_to, char)
+
+    monkeypatch.setattr(ideals, "_ColumnBases", Spy)
     return fields
 
 
@@ -885,22 +916,63 @@ def test_ancestor_ranks_fall_back_over_z_when_the_prime_collapses_the_grid(monke
     their caps and the reruns over Z decide, with the same profiles."""
     want = {chain: ancestor_profile(socle_chain(*chain)[1]) for chain in SMALL_CHAINS}
     monkeypatch.setattr(ideals, "CERTIFY_PRIME", 3)
-    fields = spy_catalecticant_ranks(monkeypatch)
+    fields, bases = spy_catalecticant_ranks(monkeypatch), spy_column_bases(monkeypatch)
     for chain in SMALL_CHAINS:
         assert ancestor_profile(socle_chain(*chain)[1]) == want[chain], chain
     assert None in fields and 3 in fields
+    assert None in bases and 3 in bases
 
 
 def test_benchmark_chains_take_no_rank_over_z(monkeypatch):
     """On the benchmark's gorenstein-chain instances every ancestor rank is a
-    modular rank that meets its certified cap."""
-    fields = spy_catalecticant_ranks(monkeypatch)
+    modular rank that meets its certified cap, so no column bases over Z
+    are built."""
+    fields, bases = spy_catalecticant_ranks(monkeypatch), spy_column_bases(monkeypatch)
     for name, d in (("plane", 8), ("double-solid", 5), ("double-solid", 6)):
         _, phi = socle_chain(name, d)
         degrees = (d - 1, d - 1) if name == "plane" else (d, 2 * d - 1)
         want = tuple(ci_hilbert(degrees, 2, e) for e in range(phi.degree + 1))
         assert ancestor_profile(phi).values == want
     assert set(fields) == {CERTIFY_PRIME}
+    assert bases == [CERTIFY_PRIME] * 3
+
+
+def test_ancestor_ranks_need_no_cap(monkeypatch):
+    """With the cap lifted, every rank of a socle functional is still its
+    catalecticant's: the bases mod CERTIFY_PRIME, with each weight times
+    rep[j]^N in a chart, give the catalecticant itself, not only some
+    matrix whose rank meets the cap.  Seeded small point sets in P^2..P^4,
+    generic or on a line; the grid chains cannot tell, since their chart
+    values are 1 or their profiles are those of generic weights."""
+    original = ideals._catalecticant_rank
+
+    def uncapped(left, right, weights, cap, char):
+        return original(left, right, weights, math.inf, char)
+
+    monkeypatch.setattr(ideals, "_catalecticant_rank", uncapped)
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(150):
+        nvars = rng.randint(3, 5)
+        coords = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(rng.randint(2, 12))]
+        if rng.random() < 0.3:
+            coords = [c[:2] + [0] * (nvars - 2) for c in coords]
+        distinct = sorted({primitive_point(c) for c in coords if any(c)})
+        N = rng.randint(1, 5)
+        if len(distinct) < 2:
+            continue
+        pts = PointSet(distinct)
+        try:
+            piece = restricted_point_pieces(pts, draw_missing_hyperplane(pts, seed), N)[N]
+        except NonGenericHyperplaneError:
+            continue
+        if piece.codim != 1:
+            continue
+        phi = socle_functional(piece)
+        oracle = ancestor_profile(Functional(phi.nvars, N, phi.coeffs))
+        assert ancestor_profile(phi) == oracle, pts.points
+        checked += 1
+    assert checked >= 20
 
 
 def reeliminated_dual_weights(restriction, e):
