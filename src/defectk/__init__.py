@@ -29,7 +29,6 @@ from .families import (
 )
 from .ideals import (
     BadReductionError,
-    BaseLocus,
     Functional,
     GrowthViolation,
     HilbertProfile,
@@ -56,14 +55,12 @@ from .ideals import (
 )
 from .linalg import Echelon, rank
 from .macaulay import (
-    HilbertPolynomial,
     MacaulayExpansion,
     binomial,
     c0_expansion_identity,
     ci_hilbert,
     ci_pnd,
     expand,
-    gotzmann_polynomial,
     hyperplane_bound,
     low_degree_floor,
     lower_shift,

@@ -534,9 +534,9 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     """Image of (I, ell) in the quotient by the hyperplane, degree by degree.
 
     For x_j the last variable with a nonzero coefficient c_j in ell, the
-    hyperplane ell = 0 is the small ring in the other variables, with the
-    last variable in x_j's slot (as ``_Restriction.small`` orders a point):
-    each form is substituted x_j -> -sum_{i != j} (c_i / c_j) x_i there.  It
+    hyperplane ell = 0 is the small ring in the other variables, in their
+    order (as ``_Restriction.small`` orders a point): each form is
+    substituted x_j -> -sum_{i != j} (c_i / c_j) x_i there.  It
     works on full degree pieces; together with ``point_ideal_piece`` it is
     the independent oracle that the tests check ``restricted_point_pieces``
     against.
@@ -546,12 +546,8 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     n = ell.nvars
     coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
     j = max(coeffs)
-    slots = [j if i == n - 1 else i for i in range(n)]
-    solved = [0] * (n - 1)
-    for i, c in coeffs.items():
-        if i != j:
-            solved[slots[i]] = -c / coeffs[j]
-    images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, slots[i])
+    solved = [-coeffs.get(i, 0) / coeffs[j] for i in range(n) if i != j]
+    images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, i - (i > j))
               for i in range(n)]
     out = []
     for piece in pieces:
@@ -567,8 +563,8 @@ class _Restriction:
     restriction I_H share, every matrix indexed by the points.
 
     For x_j the last variable with a nonzero coefficient in ell, the small
-    coordinates q'_i of a point are the others, with the last one in x_j's
-    slot, taken at its primitive representative p_i: the ring in which
+    coordinates q'_i of a point are the others, in their order, taken at
+    its primitive representative p_i: the ring in which
     ``restrict_to_hyperplane`` solves ell = 0 for x_j.  A point
     functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
     ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
@@ -597,8 +593,7 @@ class _Restriction:
         self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
         j = max(exp.index(1) for exp in ell.coeffs)
-        order = [self.nvars if v == j else v for v in range(self.nvars)]
-        self.small = tuple(tuple(rep[v] for v in order) for rep in reps)
+        self.small = tuple(rep[:j] + rep[j + 1 :] for rep in reps)
 
     def dual_weights(self, e: int) -> list[tuple[int, ...]]:
         """A basis of the weights whose functionals span the dual of
@@ -740,6 +735,8 @@ class Functional:
         return not self.coeffs
 
     def of(self, f: GradedPoly):
+        """phi(f), from the coefficients: the tests' oracle of the monomial
+        kill check in ``functional_kills_products``."""
         if f.nvars != self.nvars or f.degree != self.degree:
             raise ValueError("functional applied outside its graded piece")
         acc = Fraction(0)
@@ -890,64 +887,38 @@ def macaulay_growth_audit(profile: HilbertProfile) -> list[GrowthViolation]:
     return out
 
 
-@dataclass(frozen=True)
-class BaseLocus:
-    kind: str  # "empty" | "dim" | "inconclusive"
-    dimension: int | None = None
-
-    @classmethod
-    def empty(cls) -> "BaseLocus":
-        return cls("empty")
-
-    @classmethod
-    def of_dim(cls, m: int) -> "BaseLocus":
-        if m < 0:
-            return cls("empty")
-        return cls("dim", m)
-
-    @classmethod
-    def inconclusive(cls) -> "BaseLocus":
-        return cls("inconclusive")
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-    @property
-    def is_inconclusive(self) -> bool:
-        return self.kind == "inconclusive"
-
-
-def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> BaseLocus:
-    """Dimension of the common zero locus of the ideal generated by a piece.
+def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> int:
+    """Dimension of the common zero locus of the ideal generated by a piece:
+    -1 when it is empty, nvars - 1 for the zero piece, which cuts out the
+    whole space.
 
     Walks degrees upward, each generated by the forms of the given piece,
     read once: P * S_{k+1-k0} is the piece generated by the one before.
     Once the codimension attains the maximal-growth bound it stays maximal
-    forever, the Hilbert polynomial is pinned, and the top exponent of the
-    current expansion is the dimension.  A zero codimension means the locus
-    is empty.  Past the cap, a nonnegative degree, the verdict is
-    Inconclusive rather than a guess.
+    forever (Gotzmann persistence), and the top exponent of the current
+    expansion is the dimension.  A zero codimension means the locus is
+    empty.  Past the cap, a nonnegative degree, InconclusiveProbeError is
+    raised rather than a guess.
     """
-    if piece.dim == 0:
-        raise ValueError("piece must be nonzero")
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree cap must be nonnegative")
+    if piece.dim == 0:
+        return piece.nvars - 1
     cap = degree_cap if degree_cap is not None else 4 * piece.degree + 10
     k = piece.degree
     h_k = piece.codim
     if h_k == 0:
-        return BaseLocus.empty()
+        return -1
     forms = piece.basis_polys()
     while k + 1 <= cap:
         h_next = generated_piece(forms, k + 1).codim
         if h_next == 0:
-            return BaseLocus.empty()
+            return -1
         if h_next == upper_growth(h_k, k):
-            return BaseLocus.of_dim(expand(h_k, k).eps[0])
+            return expand(h_k, k).eps[0]
         h_k = h_next
         k += 1
-    return BaseLocus.inconclusive()
+    raise InconclusiveProbeError(f"no base-locus verdict by degree {cap}")
 
 
 def corgreen_check(profile: HilbertProfile, d: int, bpf_degree: int) -> bool:
@@ -976,7 +947,8 @@ def lemdims_check(pieces, N: int, n: int):
     d_k is the smallest degree t whose piece has base locus of dimension at
     most k; the sum over k = -1..n-1 is at least N + n + 1.  Returns the
     ascending tuple (d_{n-1}, ..., d_{-1}) and whether the bound holds.
-    Each base-locus probe runs up to degree 40.
+    Each base-locus probe runs up to degree 40, and raises
+    InconclusiveProbeError past it.
     """
     pieces = list(pieces)
     if len(pieces) < N + 1:
@@ -989,13 +961,7 @@ def lemdims_check(pieces, N: int, n: int):
         raise ValueError("pieces are not Gorenstein-symmetric with the given socle degree")
     dims = {}
     for t in range(1, N + 1):
-        if pieces[t].dim == 0:
-            dims[t] = n
-            continue
-        verdict = base_locus_dimension(pieces[t], 40)
-        if verdict.is_inconclusive:
-            raise InconclusiveProbeError(f"base-locus probe inconclusive at degree {t}")
-        dims[t] = -1 if verdict.is_empty else verdict.dimension
+        dims[t] = base_locus_dimension(pieces[t], 40)
         if dims[t] == -1:
             break
     d_values = []

@@ -12,9 +12,7 @@ the codimension-growth bounds used everywhere else in the package:
 * ``lower_shift(c, d)``      smallest codimension in degree d-1,
 * ``low_degree_floor``       the small-c floors obtained by iterating the above.
 
-The module also evaluates complete-intersection Hilbert series exactly and
-builds the Hilbert polynomial attached to ideals with maximal codimension
-growth (Gotzmann persistence).
+The module also evaluates complete-intersection Hilbert series exactly.
 
 All arithmetic is on Python ints, so values never overflow; no floating
 point appears anywhere in this module.
@@ -24,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def binomial(a: int, b: int) -> int:
@@ -128,7 +125,8 @@ def ci_hilbert(multidegree: tuple[int, ...], nvars: int, k: int) -> int:
 
         prod_i (1 - t^{d_i}) / (1 - t)^{nvars},
 
-    computed with exact truncated power series.
+    computed with exact truncated power series: the closed-form oracle
+    that the tests and the benchmark check the grid profiles against.
     """
     multidegree = tuple(multidegree)
     if nvars < 1:
@@ -177,67 +175,3 @@ def c0_expansion_identity(n: int, d: int) -> bool:
     c0 = binomial(d + n + 1, n + 1) - binomial(d + n - 1, n + 1) - tail // 2
     expected = (n,) + (n - 1,) * (d - 4) + (n - 4, n - 7, n - 16)
     return expand(c0, d).eps == expected
-
-
-@dataclass(frozen=True)
-class HilbertPolynomial:
-    """Univariate polynomial with exact rational coefficients (ascending),
-    integer-valued on the integers, plus the dimension of the base locus."""
-
-    coeffs: tuple[Fraction, ...]
-    dimension: int
-
-    def __post_init__(self) -> None:
-        coeffs = self.coeffs
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-        # integer values at deg+1 consecutive points force integrality everywhere
-        for t in range(len(self.coeffs) + 1):
-            if self.evaluate(t).denominator != 1:
-                raise ValueError("polynomial is not integer-valued")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def evaluate(self, t: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def __call__(self, t: int) -> Fraction:
-        return self.evaluate(t)
-
-
-def _binom_poly(shift: int, e: int) -> list[Fraction]:
-    """Coefficients of binom(t + shift, e) as a polynomial in t."""
-    poly = [Fraction(1)]
-    for j in range(e):
-        root = shift - j
-        poly = [Fraction(0)] + poly
-        for i in range(len(poly) - 1):
-            poly[i] += root * poly[i + 1]
-    fact = math.factorial(e)
-    return [c / fact for c in poly]
-
-
-def gotzmann_polynomial(c: int, d: int) -> HilbertPolynomial:
-    """Hilbert polynomial forced by maximal growth from degree d.
-
-    If the codimension c of a linear system in degree d keeps attaining the
-    Macaulay bound, it equals sum_i binom(t - d + i + eps_i, eps_i) forever
-    after, a polynomial of degree eps_d; the base locus has dimension eps_d.
-    """
-    exp = expand(c, d)
-    coeffs: list[Fraction] = []
-    for i, e in exp.positions():
-        if e < 0:
-            continue
-        term = _binom_poly(i - d + e, e)
-        if len(term) > len(coeffs):
-            coeffs.extend([Fraction(0)] * (len(term) - len(coeffs)))
-        for j, v in enumerate(term):
-            coeffs[j] += v
-    return HilbertPolynomial(tuple(coeffs), exp.eps[0])

@@ -200,7 +200,9 @@ class GradedPoly:
 
     def substitute(self, forms) -> "GradedPoly":
         """f(L_0, ..., L_{nvars-1}) for linear forms L_i of one ring, zero
-        forms included; the powers of each L_i are expanded once."""
+        forms included; the powers of each L_i are expanded once.  In the
+        package only ``restrict_to_hyperplane``, the tests' oracle of the
+        restricted pieces, calls it."""
         if len(forms) != self.nvars or any(
             L.degree != 1 or L.nvars != forms[0].nvars for L in forms
         ):

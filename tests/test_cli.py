@@ -196,6 +196,11 @@ def test_base_locus_command(tmp_path, capsys):
                            "--degree-cap", "0")
     assert code == 2 and "inconclusive" in out
 
+    # the zero quadric cuts out all of P^3
+    gens_file.write_text(json.dumps([GradedPoly.zero(4, 2).to_json_dict()]))
+    code, out, _ = run_cli(capsys, "base-locus", "--generators", str(gens_file))
+    assert code == 0 and out == "dimension 3\n"
+
     code, out, err = run_cli(capsys, "base-locus", "--generators", str(gens_file),
                              "--degree-cap", "-1")
     assert code == 1 and out == ""

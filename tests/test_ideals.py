@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from defectk import ideals
 from defectk.ideals import (
     BadReductionError,
-    BaseLocus,
     Functional,
     HilbertProfile,
     IdealPiece,
+    InconclusiveProbeError,
     NonGenericHyperplaneError,
     PointSet,
     ancestor_profile,
@@ -1033,11 +1033,11 @@ def test_macaulay_growth_audit_examples():
 
 
 def test_base_locus_dimension_known_cases():
-    assert base_locus_dimension(generated_piece([X5[0], X5[1]], 1)) == BaseLocus.of_dim(2)
-    assert base_locus_dimension(generated_piece([GradedPoly.monomial(5, (0,) * 5)], 2)).is_empty
-    assert base_locus_dimension(generated_piece(quadric_pair(), 2)) == BaseLocus.of_dim(1)
-    with pytest.raises(ValueError):
-        base_locus_dimension(generated_piece([GradedPoly.zero(5, 2)], 2))
+    assert base_locus_dimension(generated_piece([X5[0], X5[1]], 1)) == 2
+    assert base_locus_dimension(generated_piece([GradedPoly.monomial(5, (0,) * 5)], 2)) == -1
+    assert base_locus_dimension(generated_piece(quadric_pair(), 2)) == 1
+    # the zero piece cuts out all of P^4
+    assert base_locus_dimension(generated_piece([GradedPoly.zero(5, 2)], 2)) == 4
 
 
 def test_base_locus_dimension_linear_subspaces():
@@ -1046,7 +1046,7 @@ def test_base_locus_dimension_linear_subspaces():
         gens = [X5[i] for i in range(4 - m)]
         for e in (1, 2, 3):
             piece = generated_piece(gens, e)
-            assert base_locus_dimension(piece) == BaseLocus.of_dim(m), (m, e)
+            assert base_locus_dimension(piece) == m, (m, e)
 
 
 def test_coordinate_changed_monomial_cis_match_closed_form():
@@ -1068,14 +1068,14 @@ def test_coordinate_changed_monomial_cis_match_closed_form():
         for k in range(top, top + 3):
             assert generated_piece(gens, k).codim == ci_hilbert(degrees, nvars, k), (degrees, k)
         if set(degrees) == {1} or degrees == [2]:
-            expected = BaseLocus.of_dim(nvars - 1 - len(degrees))
+            expected = nvars - 1 - len(degrees)
             assert base_locus_dimension(generated_piece(gens, top)) == expected, degrees
 
 
 def test_base_locus_inconclusive_at_tiny_cap():
     piece = generated_piece(quadric_pair(), 2)
-    verdict = base_locus_dimension(piece, degree_cap=3)
-    assert verdict.is_inconclusive
+    with pytest.raises(InconclusiveProbeError, match="by degree 3"):
+        base_locus_dimension(piece, degree_cap=3)
 
 
 def test_corgreen_check_cases():
@@ -1118,6 +1118,9 @@ def test_lemdims_small_binary_case():
     pieces = _monomial_ci_pieces(2, [(1, 0), (0, 3)], 2)
     d_values, ok = lemdims_check(pieces, 2, 1)
     assert d_values == (1, 3) and ok and sum(d_values) >= 4
+    # only degree-2 generators: the zero piece of degree 1 cuts out all of P^1
+    pieces = _monomial_ci_pieces(2, [(2, 0), (0, 2)], 2)
+    assert lemdims_check(pieces, 2, 1) == ((2, 2), True)
 
 
 def test_lemdims_rejects_asymmetric_input():
@@ -1143,10 +1146,11 @@ def test_restrict_to_hyperplane_nonlast_variable():
     # the eliminated variable need not be the last one
     piece_x1 = generated_piece([X5[1]], 2)
     assert restrict_to_hyperplane([piece_x1], X5[1])[0].dim == 0
-    # x4 becomes the second coordinate of the small ring; its x1-multiple dies
+    # the other variables keep their order: x4 becomes the last coordinate
+    # of the small ring, and its x1-multiple dies
     piece_x4 = generated_piece([X5[4]], 2)
     restricted = restrict_to_hyperplane([piece_x4], X5[1])[0]
-    assert restricted == generated_piece([X4[1]], 2)
+    assert restricted == generated_piece([X4[3]], 2)
     piece_x0 = generated_piece([X5[0]], 1)
     assert restrict_to_hyperplane([piece_x0], X5[1])[0] == generated_piece([X4[0]], 1)
 
@@ -1165,20 +1169,20 @@ def test_restricted_point_pieces_nonlast_hyperplane():
 def test_base_locus_of_two_points_in_plane():
     pts = PointSet([(1, 0, 0), (0, 1, 0)])
     piece = point_ideal_piece(pts, 2)
-    assert base_locus_dimension(piece) == BaseLocus.of_dim(0)
+    assert base_locus_dimension(piece) == 0
 
 
 def test_persistence_values_follow_pinned_polynomial():
-    # once growth is maximal, the computed values follow the Hilbert
-    # polynomial read off from the expansion (two quadrics in P^3: p(t)=4t)
-    from defectk.macaulay import gotzmann_polynomial
+    # once growth is maximal it stays maximal, and the computed values follow
+    # the Hilbert polynomial of the top exponent's degree (two quadrics in
+    # P^3: h(t) = 4t, a curve)
+    from defectk.macaulay import expand, upper_growth
 
     piece = generated_piece(quadric_pair(), 2)
     values = {}
     for k in range(2, 10):
         values[k] = piece.codim
         piece = generated_piece(piece.basis_polys(), k + 1)
-    p = gotzmann_polynomial(values[6], 6)  # persistence triggers at degree 6
-    assert p.dimension == 1
-    for t in range(6, 10):
-        assert p(t) == values[t] == 4 * t
+    assert expand(values[6], 6).eps[0] == 1  # persistence triggers at degree 6
+    assert all(values[t] == 4 * t for t in range(6, 10))
+    assert all(values[t + 1] == upper_growth(values[t], t) for t in range(6, 9))

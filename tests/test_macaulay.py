@@ -1,9 +1,7 @@
 """Expansion combinatorics against brute-force and series oracles."""
 
-from fractions import Fraction
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from defectk.macaulay import (
@@ -12,7 +10,6 @@ from defectk.macaulay import (
     ci_hilbert,
     ci_pnd,
     expand,
-    gotzmann_polynomial,
     hyperplane_bound,
     low_degree_floor,
     lower_shift,
@@ -181,34 +178,3 @@ def test_c0_identity_known_values():
         c0_expansion_identity(15, 10)
     with pytest.raises(ValueError):
         c0_expansion_identity(16, 4)
-
-
-def test_gotzmann_polynomial_known_values():
-    p = gotzmann_polynomial(3, 1)
-    assert p.dimension == 2
-    assert [p(t) for t in range(5)] == [binomial(t + 2, 2) for t in range(5)]
-
-    p = gotzmann_polynomial(0, 3)
-    assert p.dimension == -1
-    assert p.coeffs == () and p(7) == 0
-
-    p = gotzmann_polynomial(3, 2)
-    assert p.dimension == 1
-    assert p.coeffs == (Fraction(1), Fraction(1))  # t + 1
-
-
-def test_gotzmann_polynomial_fixed_point_and_growth():
-    for d in range(1, 8):
-        for c in range(0, 40):
-            p = gotzmann_polynomial(c, d)
-            assert p(d) == c
-            assert p(d + 1) == upper_growth(c, d)
-            assert p.dimension == expand(c, d).eps[0]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=6))
-def test_gotzmann_polynomial_integer_valued(c, d):
-    p = gotzmann_polynomial(c, d)
-    for t in range(0, p.degree + 3):
-        assert p(t).denominator == 1
