@@ -230,11 +230,9 @@ def certify_min_nodes_double_solid(d: int, h_IH: HilbertProfile, node_count: int
 # finite-field sweep for undeclared singular points
 
 
-# Points of P^{nvars-1}(F_p) a sweep may visit before it is refused.  The
-# sweep costs 0.8 to 4.0 microseconds per point for the plane family d = 3
-# and 8 at p = 11 and 19, the double solid d = 5 at p = 53 and ci-highdim
-# n = 1, d = 6 at p = 19 on a 2-vCPU Xeon, so a sweep at the budget takes
-# up to about a second.
+# Points of P^{nvars-1}(F_p) a sweep may visit, a count and not a time: at
+# p = 19 on a 2-vCPU Xeon a point costs 0.7 us for the plane family d = 3,
+# 2.7-5.2 us at d = 8 and 37-68 us at d = 30, 5-9.4 s for all 137,561.
 SWEEP_BUDGET = 200_000
 
 

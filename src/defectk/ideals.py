@@ -56,8 +56,8 @@ Conventions used throughout:
   monomial-indexed computations also stay as the tests' independent
   oracles, on ``Echelon``: ``point_ideal_piece`` with
   ``restrict_to_hyperplane`` for the pieces, and the monomial
-  catalecticant, whose kernel is ``gorenstein_ancestor`` and whose ranks
-  are the monomial ``ancestor_profile``.
+  catalecticant, whose kernel is ``gorenstein_ancestor`` and whose
+  kernel codimensions are the monomial ``ancestor_profile``.
 """
 
 from __future__ import annotations
@@ -775,21 +775,13 @@ def _catalecticant_rows(phi: Functional, e: int):
         yield {j: c for j, c in enumerate(products) if c}
 
 
-def _catalecticant(phi: Functional, e: int) -> Echelon:
-    """The row space of Cat_e(phi), as an echelon."""
-    ech = Echelon(binomial(e + phi.nvars - 1, phi.nvars - 1))
-    for row in _catalecticant_rows(phi, e):
-        ech.add(row)
-    return ech
-
-
 def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     """Degree-e piece of the largest ideal whose degree-N products the
     functional kills: the kernel of the catalecticant g |-> (m |-> phi(g*m)).
 
-    Past N that has no rows: the piece is S_e.  It works over the monomial
-    basis, the oracle the tests check ``ancestor_profile`` and
-    ``functional_kills_products`` against.
+    Past N that has no rows: the piece is S_e.  Its codim, the rank of
+    Cat_e(phi), is the monomial ``ancestor_profile``, the oracle of the point
+    path; the tests check ``functional_kills_products`` against it too.
     """
     if phi.is_zero:
         raise ValueError("functional must be nonzero")
@@ -815,7 +807,7 @@ def _catalecticant_rank(left, right, weights, cap: int, char: int | None) -> int
 def ancestor_profile(phi: Functional) -> HilbertProfile:
     """h(0..N) of the quotient by the ancestor ideal: the ranks of the
     catalecticants, on point-indexed matrices for a functional that carries
-    its restriction, else over the monomial basis.
+    its restriction, else the codimensions of ``gorenstein_ancestor``.
 
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
@@ -829,9 +821,8 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
     cap is exact, and only when one falls short are bases built over Z.
     """
     if phi.restriction is None:
-        if phi.is_zero:
-            raise ValueError("functional must be nonzero")
-        return HilbertProfile(tuple(_catalecticant(phi, e).dim for e in range(phi.degree + 1)))
+        return HilbertProfile(tuple(gorenstein_ancestor(phi, e).codim
+                                    for e in range(phi.degree + 1)))
     N, codims = phi.degree, phi.restriction.codims
     weights = _scaled_to_integers(phi.weights)[0]
     p = CERTIFY_PRIME
@@ -887,6 +878,11 @@ def macaulay_growth_audit(profile: HilbertProfile) -> list[GrowthViolation]:
     return out
 
 
+# Monomials of the largest piece a base-locus walk builds by default (cap
+# 29 in P^3, 16 in P^4): two cubics in P^3 settle a curve in about a second.
+BASE_LOCUS_MONOMIALS = 5_000
+
+
 def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> int:
     """Dimension of the common zero locus of the ideal generated by a piece:
     -1 when it is empty, nvars - 1 for the zero piece, which cuts out the
@@ -898,17 +894,19 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> in
     forever (Gotzmann persistence), and the top exponent of the current
     expansion is the dimension.  A zero codimension means the locus is
     empty.  Past the cap, a nonnegative degree, InconclusiveProbeError is
-    raised rather than a guess.
+    raised rather than a guess; by default the last degree whose piece has
+    at most BASE_LOCUS_MONOMIALS monomials, or the piece's own if later.
     """
     if degree_cap is not None and degree_cap < 0:
         raise ValueError("degree cap must be nonnegative")
     if piece.dim == 0:
         return piece.nvars - 1
-    cap = degree_cap if degree_cap is not None else 4 * piece.degree + 10
-    k = piece.degree
-    h_k = piece.codim
+    k, h_k, n = piece.degree, piece.codim, piece.nvars
     if h_k == 0:
         return -1
+    cap = k if degree_cap is None else degree_cap
+    while degree_cap is None and binomial(cap + n, n - 1) <= BASE_LOCUS_MONOMIALS:
+        cap += 1  # this stops: a piece of positive dim and codim has n >= 2
     forms = piece.basis_polys()
     while k + 1 <= cap:
         h_next = generated_piece(forms, k + 1).codim

@@ -19,7 +19,10 @@ degree and tangent closed form, and adds the certifier.
 ``FAMILIES`` holds, per ``family --name``, what the family promises in
 closed form: node count, tangent codimension, and the cases its verify
 suite checks; a family is certified when its run carries a certifier.  A
-new family is one entry point and one entry.
+new family is one entry point and one entry.  Every ``family`` command and
+verify suite goes through ``FamilySpec.run``, the one size guard: it reads
+the node-count closed form and refuses a run over ``NODE_BUDGET`` nodes
+before anything is built.  The runners themselves guard nothing.
 
 The optional characteristic switches the rank computations to a prime
 field; constructions and node audits stay over the rationals, where the
@@ -55,13 +58,13 @@ from .ideals import (
     draw_missing_hyperplane,
     points_profile,
 )
-from .macaulay import binomial, ci_pnd
+from .macaulay import ci_pnd
 
 DEFAULT_SEED = 1
 
-# Evaluation cells (nodes times degree-d monomials) a ci-highdim run may
-# need before it is refused, checked before the instance is built.
-CELL_BUDGET = 5_000_000
+# The profile pass holds about 19 bytes times nodes^2, so a run at the
+# budget peaks near 4 GB, half of an 8 GB host (measured in CHANGES.md).
+NODE_BUDGET = 14_500
 
 
 def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: int | None,
@@ -106,15 +109,9 @@ def run_double_solid(d: int, seed: int = DEFAULT_SEED, char: int | None = None) 
 
 
 def run_highdim(n: int, d: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
-    """Construct and audit a grid-family instance in P^{2n+2}, unless its
-    rank pass would need more than CELL_BUDGET evaluation cells."""
-    critical = critical_degree_highdim(n, d)  # refuses n < 1 and d < 3
-    nvars = 2 * n + 3
-    cells = (d - 1) ** (n + 1) * binomial(d + nvars - 1, nvars - 1)
-    if cells > CELL_BUDGET:
-        raise ValueError(f"instance needs {cells} evaluation cells, over the budget {CELL_BUDGET}")
+    """Construct and audit a grid-family instance in P^{2n+2}."""
     return _run_family({"name": "ci-highdim", "n": n, "d": d}, ci_family_highdim(n, d), d,
-                       critical, seed, char)
+                       critical_degree_highdim(n, d), seed, char)
 
 
 @dataclass(frozen=True)
@@ -137,6 +134,10 @@ class FamilySpec:
     tangent_codim: Callable[..., int] | None = None
 
     def run(self, *args: int, seed: int = DEFAULT_SEED, char: int | None = None) -> dict:
+        """The runner's result, or ValueError over NODE_BUDGET nodes.  Below 1,
+        where the closed forms count no nodes, the runner's minimum refuses."""
+        if min(args) > 0 and (count := self.node_count(*args)) > NODE_BUDGET:
+            raise ValueError(f"instance has {count} nodes, over the budget {NODE_BUDGET}")
         return globals()[self.runner](*args, seed=seed, char=char)
 
 

@@ -318,7 +318,9 @@ def test_probe_prime_must_be_an_odd_prime(capsys):
 def test_family_usage_and_budget_errors_exit_one(capsys):
     for argv in (("--name", "double-solid", "--d", "1"),
                  ("--name", "ci-highdim", "--n", "0", "--d", "3"),
-                 ("--name", "ci-highdim", "--d", "12")):  # over scenarios.CELL_BUDGET
+                 ("--name", "ci-highdim", "--n", "-2", "--d", "1"),
+                 ("--name", "plane", "--d", "1000"),  # over scenarios.NODE_BUDGET
+                 ("--name", "double-solid", "--d", "1000")):
         _assert_one_line_error(*run_cli(capsys, "family", *argv))
 
 

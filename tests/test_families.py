@@ -18,7 +18,7 @@ from defectk.families import (
 )
 from defectk.macaulay import ci_pnd
 from defectk.polynomials import GradedPoly, product
-from defectk.scenarios import run_highdim
+from defectk.scenarios import FAMILIES, NODE_BUDGET
 
 
 def test_plane_family_examples():
@@ -40,7 +40,7 @@ def test_double_solid_family_examples():
         double_solid_family(1)
 
 
-def test_ci_family_highdim_examples(monkeypatch):
+def test_ci_family_highdim_examples():
     inst = ci_family_highdim(2, 3)
     assert inst.f.nvars == 7 and len(inst.nodes) == 8
     assert tangent_codim(inst.nodes, 3) == ci_pnd(2, 3) == 8
@@ -49,13 +49,52 @@ def test_ci_family_highdim_examples(monkeypatch):
     assert len(inst.nodes) == 27
     assert defect(inst.nodes, 3 * 4 - 7).defect == 1
 
-    # the run refuses 24,708,684 evaluation cells before it builds anything
-    def no_construction(n, d):
-        raise AssertionError("constructed an instance over the cell budget")
+    # 1,331 nodes, well under the node budget
+    run = FAMILIES["ci-highdim"].run(2, 12)
+    assert run["defect_report"].defect == 1
+    assert run["tangent_codim"] == ci_pnd(2, 12)
 
-    monkeypatch.setattr(scenarios, "ci_family_highdim", no_construction)
-    with pytest.raises(ValueError, match="24708684 evaluation cells"):
-        run_highdim(2, 12)
+
+class Constructed(Exception):
+    pass
+
+
+def _no_construction(*args):
+    raise Constructed(args)
+
+
+@pytest.mark.parametrize("name, constructor, args", [
+    ("plane", "plane_family", (1000,)),
+    ("double-solid", "double_solid_family", (1000,)),
+    ("ci-highdim", "ci_family_highdim", (2, 26)),
+])
+def test_family_run_refuses_over_the_node_budget_before_construction(
+        monkeypatch, name, constructor, args):
+    monkeypatch.setattr(scenarios, constructor, _no_construction)
+    spec = FAMILIES[name]
+    count = spec.node_count(*args)
+    assert count > NODE_BUDGET
+    with pytest.raises(ValueError, match=f"instance has {count} nodes, over the budget"):
+        spec.run(*args)
+
+
+def test_node_budget_admits_a_run_at_the_budget(monkeypatch):
+    monkeypatch.setattr(scenarios, "plane_family", _no_construction)
+    monkeypatch.setattr(scenarios, "NODE_BUDGET", 9)
+    with pytest.raises(Constructed):
+        FAMILIES["plane"].run(4)  # 9 nodes
+    with pytest.raises(ValueError, match="instance has 16 nodes, over the budget 9"):
+        FAMILIES["plane"].run(5)
+
+
+def test_family_minimums_come_before_the_node_budget():
+    # closed forms of huge or undefined value below each family's minimum
+    for name, args, message in (("plane", (-1000,), "plane family needs d >= 3"),
+                                ("double-solid", (-1000,), "double solid family needs d >= 2"),
+                                ("ci-highdim", (-2, 1), "need n >= 1 and d >= 3"),
+                                ("ci-highdim", (3, -1000), "need n >= 1 and d >= 3")):
+        with pytest.raises(ValueError, match=message):
+            FAMILIES[name].run(*args)
 
 
 def test_ci_family_matches_plane_shape_at_n1():

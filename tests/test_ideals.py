@@ -1072,6 +1072,16 @@ def test_coordinate_changed_monomial_cis_match_closed_form():
             assert base_locus_dimension(generated_piece(gens, top)) == expected, degrees
 
 
+def test_two_cubics_in_p3_settle_a_curve_at_the_default_cap():
+    # x0^3+x1^3+x2^3+x3^3 and x0*x1*x2 - x3^3 meet in a curve of degree 9:
+    # Hilbert polynomial 9t - 9, Gotzmann number 27, settled at degree 28,
+    # under the default cap 29
+    cube = [GradedPoly.monomial(4, [3 * (i == j) for j in range(4)]) for i in range(4)]
+    cubics = [cube[0] + cube[1] + cube[2] + cube[3],
+              GradedPoly.monomial(4, (1, 1, 1, 0)) - cube[3]]
+    assert base_locus_dimension(generated_piece(cubics, 3)) == 1
+
+
 def test_base_locus_inconclusive_at_tiny_cap():
     piece = generated_piece(quadric_pair(), 2)
     with pytest.raises(InconclusiveProbeError, match="by degree 3"):
