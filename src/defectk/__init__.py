@@ -38,7 +38,6 @@ from .ideals import (
     PointSet,
     ancestor_profile,
     base_locus_dimension,
-    corgreen_check,
     difference_profile,
     draw_missing_hyperplane,
     functional_kills_products,

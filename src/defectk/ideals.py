@@ -26,10 +26,11 @@ Conventions used throughout:
   differ by a vector already in the span.  Every pick, rank and kernel is
   the same, and the offer is zero before the stored vector's pivot, where
   its reduction starts.
-  The pass runs one echelon through every degree, the affine pass in the
-  chart of a coordinate nonzero at every point (mod p over F_p), and one
-  echelon per degree without such a chart (see ``_profile_pass``).  Its
-  ranks are exact (integers, or F_p) on plain ints.
+  The pass picks its own chart, a coordinate nonzero at every point (mod p
+  over F_p), and runs one echelon through every degree there, the affine
+  pass, or one echelon per degree without such a chart (see
+  ``_profile_pass``).  Its ranks are exact (integers, or F_p) on plain
+  ints; only a pass over Z rescales its echelon or gives a kernel.
 * ``points_hilbert`` reads h(k) from that pass at min(k, #points - 1).
   Over Q it first runs the pass mod CERTIFY_PRIME: a rank that reaches
   min(#points, #monomials) is certified exact, because a modular rank
@@ -57,7 +58,9 @@ Conventions used throughout:
   oracles, on ``Echelon``: ``point_ideal_piece`` with
   ``restrict_to_hyperplane`` for the pieces, and the monomial
   catalecticant, whose kernel is ``gorenstein_ancestor`` and whose
-  kernel codimensions are the monomial ``ancestor_profile``.
+  kernel codimensions are the monomial ``ancestor_profile``.  The oracle
+  and the restriction solve ell = 0 for one variable, ``_solved_variable``,
+  so that their pieces live in the same coordinates.
 """
 
 from __future__ import annotations
@@ -167,13 +170,12 @@ class PointSet:
                       for num, den in p] for p in data]
             if any(den == 0 for p in pairs for _, den in p):
                 raise ZeroDivisionError("zero denominator")
-            lcms = [math.lcm(*(den for _, den in p)) for p in pairs]
-            coords_list = [[num * (lcm // den) for num, den in p] for p, lcm in zip(pairs, lcms)]
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(
                 f"points must be lists of [numerator, denominator] pairs: {exc}"
             ) from exc
-        return cls(coords_list)
+        # primitive_point clears the denominators; a whole number stays an int
+        return cls([[num if den == 1 else Fraction(num, den) for num, den in p] for p in pairs])
 
 
 def _evaluation_columns(int_points, nvars: int, degree: int) -> list[list[int]]:
@@ -236,12 +238,13 @@ def _chart(reps, char: int | None) -> int | None:
     return min(charts, key=lambda j: (max(abs(rep[j]) for rep in reps), j), default=None)
 
 
-def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
+def _profile_pass(reps, up_to: int, char: int | None = None):
     """Yield (echelon, stored) of each degree 0..up_to for the integer
     vectors ``reps``; ``stored`` maps each standard monomial new in the
     degree to the (pivot, vector) the echelon stored for it, {} when the
     degree stored nothing.
 
+    The pass runs in the chart of x_j, j = ``_chart(reps, char)``.
     Degree-k offers are the products x_v * b with b new in degree k-1 whose
     every degree-(k-1) divisor is standard, visited in the fixed monomial
     order (see ``_offers``).  Without a chart (``j`` None) each degree starts
@@ -271,7 +274,7 @@ def _profile_pass(reps, j: int | None, up_to: int, char: int | None = None):
     """
     if up_to < 0:
         return
-    n, nvars = len(reps), len(reps[0])
+    n, nvars, j = len(reps), len(reps[0]), _chart(reps, char)
     if j is not None and char is not None:
         units = [pow(rep[j], -1, char) for rep in reps]
         reps = [[x * u % char for x in rep] for rep, u in zip(reps, units)]
@@ -310,8 +313,8 @@ class _ColumnBases:
     """
 
     def __init__(self, reps, up_to: int, char: int | None):
-        j = _chart(reps, char)
-        passes = [stored.values() for _, stored in _profile_pass(reps, j, up_to, char)]
+        j = _chart(reps, char)  # the pass's own chart
+        passes = [stored.values() for _, stored in _profile_pass(reps, up_to, char)]
         # (pivot, degree stored in, vector), in pivot order
         self._vectors = sorted((pivot, b, u) for b, stored in enumerate(passes)
                                for pivot, u in stored)
@@ -332,8 +335,7 @@ class _ColumnBases:
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
     """h(0..up_to) for the ideal of the point set, in one order-ideal pass:
     one nested echelon in a chart, or one echelon per degree without one."""
-    reps = points.points
-    passes = _profile_pass(reps, _chart(reps, char), up_to, char)
+    passes = _profile_pass(points.points, up_to, char)
     return HilbertProfile(tuple(ech.dim for ech, _ in passes))
 
 
@@ -530,10 +532,16 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
     return HilbertProfile(tuple(vals))
 
 
+def _solved_variable(ell: GradedPoly) -> int:
+    """The variable x_j that ell = 0 is solved for, in ``restrict_to_hyperplane``
+    and ``_Restriction`` alike: the last one with a nonzero coefficient."""
+    return max(exp.index(1) for exp in ell.coeffs)
+
+
 def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     """Image of (I, ell) in the quotient by the hyperplane, degree by degree.
 
-    For x_j the last variable with a nonzero coefficient c_j in ell, the
+    For x_j the ``_solved_variable`` of ell, of coefficient c_j, the
     hyperplane ell = 0 is the small ring in the other variables, in their
     order (as ``_Restriction.small`` orders a point): each form is
     substituted x_j -> -sum_{i != j} (c_i / c_j) x_i there.  It
@@ -543,9 +551,8 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
     """
     if ell.degree != 1 or ell.is_zero:
         raise ValueError("need a nonzero linear form")
-    n = ell.nvars
+    n, j = ell.nvars, _solved_variable(ell)
     coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
-    j = max(coeffs)
     solved = [-coeffs.get(i, 0) / coeffs[j] for i in range(n) if i != j]
     images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, i - (i > j))
               for i in range(n)]
@@ -562,9 +569,9 @@ class _Restriction:
     """The dual data that the pieces 0..top of a point ideal's hyperplane
     restriction I_H share, every matrix indexed by the points.
 
-    For x_j the last variable with a nonzero coefficient in ell, the small
-    coordinates q'_i of a point are the others, in their order, taken at
-    its primitive representative p_i: the ring in which
+    For x_j the ``_solved_variable`` of ell, the small coordinates q'_i
+    of a point are the others, in their order, taken at its primitive
+    representative p_i: the ring in which
     ``restrict_to_hyperplane`` solves ell = 0 for x_j.  A point
     functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
     ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
@@ -582,7 +589,7 @@ class _Restriction:
         reps = self.reps = points.points
         self.top = top
         h = []
-        for k, (ech, _) in enumerate(_profile_pass(reps, _chart(reps, None), top)):
+        for k, (ech, _) in enumerate(_profile_pass(reps, top)):
             h.append(ech.dim)
             if k == top - 1:  # before degree top rescales it
                 self.top_kernel = ech.kernel()
@@ -592,7 +599,7 @@ class _Restriction:
         lcm = math.lcm(*ells)
         self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
-        j = max(exp.index(1) for exp in ell.coeffs)
+        j = _solved_variable(ell)
         self.small = tuple(rep[:j] + rep[j + 1 :] for rep in reps)
 
     def dual_weights(self, e: int) -> list[tuple[int, ...]]:
@@ -604,7 +611,7 @@ class _Restriction:
             kernel = self.top_kernel
         else:
             ech = IntForwardEchelon(len(self.reps))
-            for ech, _ in _profile_pass(self.reps, _chart(self.reps, None), e - 1):
+            for ech, _ in _profile_pass(self.reps, e - 1):
                 pass  # the last one is degree e - 1's, left as it was yielded
             kernel = ech.kernel()
         return [primitive_point(map(operator.mul, chi, self.inverse_ells)) for chi in kernel]
@@ -917,26 +924,6 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> in
         h_k = h_next
         k += 1
     raise InconclusiveProbeError(f"no base-locus verdict by degree {cap}")
-
-
-def corgreen_check(profile: HilbertProfile, d: int, bpf_degree: int) -> bool:
-    """Strict decrease of the profile from degree d down to zero.
-
-    The underlying collapse argument needs h at the application degree to
-    be at most that degree (caller-asserted) and the ideal base point free
-    by degree bpf_degree <= d + 1 (validated).
-    """
-    if not 0 <= d < len(profile):
-        raise ValueError("d outside the profile")
-    if bpf_degree > d + 1:
-        raise ValueError("base-point-freeness must be established by degree d + 1")
-    k = d
-    while k < len(profile) and profile[k] > 0:
-        nxt = profile[k + 1] if k + 1 < len(profile) else 0
-        if nxt >= profile[k]:
-            return False
-        k += 1
-    return True
 
 
 def lemdims_check(pieces, N: int, n: int):

@@ -25,7 +25,8 @@ and reduce it only by the pivots from there on.  It serves only matrices
 indexed by points: every point-set rank, the catalecticant ranks of a
 functional at points (mod p first, kept only when they meet a proven upper
 bound, else over Z), and, through its kernel, the dual weights and socle
-functional of a restricted ideal.
+functional of a restricted ideal.  Over F_p it only ranks: rescaling (the
+chart pass of ``ideals``) and kernels run over Z.
 ``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
 a forward echelon of the same design on sparse dict rows of ``Fraction``s,
 which reduces only the vector it inserts and back-substitutes only when a
@@ -280,7 +281,8 @@ class IntForwardEchelon:
     at most (char - 1)^2, so W with char + ncols * (char - 1)^2 < 2^W keeps
     every slot nonnegative and carry-free: the smallest slot of
     ``_SLOT_CODES`` that fits.  Residues are taken once per insertion, on
-    unpacking.
+    unpacking.  An F_char echelon only ranks: ``scale_columns`` and
+    ``kernel`` serve Z only.
     """
 
     def __init__(self, ncols: int, char: int | None = None):
@@ -298,20 +300,13 @@ class IntForwardEchelon:
     def dim(self) -> int:
         return len(self._rows)
 
-    @property
-    def vectors(self) -> list[tuple[int, list[int]]]:
-        """The stored vectors as (pivot, entries), sorted by pivot."""
-        if self.char is None:
-            return self._rows
-        return [(pivot, self._unpack(u)) for pivot, u in self._rows]
-
     def add(self, vec: list[int], start: int = 0) -> tuple[int, list[int]] | None:
         """Insert a vector that is zero before entry ``start``.  A reduction
         step changes no entry before its pivot, so the vector stays zero at
         every earlier pivot, and only the pivots from ``start`` on are
-        visited.  Returns the (pivot, entries) it stored, normalized and
-        unpacked as in ``vectors``, or None when the vector lies in the
-        span."""
+        visited.  Returns the (pivot, entries) it stored, over Z without
+        content, over F_char monic with residues in [0, char) and unpacked,
+        or None when the vector lies in the span."""
         p = self.char
         rows = itertools.islice(self._rows, bisect.bisect_left(self._rows, (start,)), None)
         if p is None:
@@ -333,34 +328,30 @@ class IntForwardEchelon:
         if pivot is None:
             return None
         u = self._normalized(pivot, v)
-        bisect.insort(self._rows, (pivot, self._stored(u)))
+        bisect.insort(self._rows, (pivot, u if p is None else self._pack(u)))
         return pivot, u
 
     def scale_columns(self, scales: list[int]) -> None:
-        """Multiply entry c of every vector by scales[c], nonzero (mod char);
+        """Multiply entry c of every vector by scales[c], nonzero, over Z;
         zeros stay zeros, so the pivots and the echelon form are kept."""
-        self._rows = [
-            (pivot, self._stored(self._normalized(pivot, [x * s for x, s in zip(u, scales)])))
-            for pivot, u in self.vectors
-        ]
+        self._rows = [(pivot, self._normalized(pivot, [x * s for x, s in zip(u, scales)]))
+                      for pivot, u in self._rows]
 
     def kernel(self) -> list[list[int]]:
-        """Basis of the vectors orthogonal to every stored vector, one per
-        non-pivot column c: positive at c, 0 at the other non-pivot columns,
-        and the pivot entries by back substitution, scaled by positive
-        factors so that they stay integers (over F_char the pivot entries
-        are 1, so nothing is scaled).  Each vector is then normalized like a
-        stored one.  So the basis depends only on the span, not on the
-        stored vectors that hold it."""
-        vectors = self.vectors
-        pivots = {pivot for pivot, _ in vectors}
+        """Basis of the vectors orthogonal to every stored vector, over Z,
+        one per non-pivot column c: positive at c, 0 at the other non-pivot
+        columns, and the pivot entries by back substitution, scaled by
+        positive factors so that they stay integers.  Each vector is then
+        divided by its content, so the basis depends only on the span, not
+        on the stored vectors that hold it."""
+        pivots = {pivot for pivot, _ in self._rows}
         out = []
         for free in range(self.ncols):
             if free in pivots:
                 continue
             x = [0] * self.ncols
             x[free] = 1
-            for pivot, u in reversed(vectors):
+            for pivot, u in reversed(self._rows):
                 s = sum(map(operator.mul, u[pivot + 1:], x[pivot + 1:]))
                 if s:
                     g = math.gcd(s, u[pivot]) * (-1 if u[pivot] < 0 else 1)
@@ -379,10 +370,6 @@ class IntForwardEchelon:
             return [x // g for x in v] if g > 1 else v
         inv = pow(v[pivot], -1, p)
         return [x * inv % p for x in v]
-
-    def _stored(self, u: list[int]):
-        """A normalized vector as it is stored: packed over F_char."""
-        return u if self.char is None else self._pack(u)
 
     def _pack(self, v: list[int]) -> int:
         """Residues (below 2^64) as one int, entry c in slot c."""

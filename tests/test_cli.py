@@ -5,8 +5,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
-from defectk import scenarios
+from defectk import macaulay, scenarios
 import defectk
 from defectk.cli import build_parser, main
 from defectk.defect import NodalHypersurface
@@ -212,6 +213,30 @@ def test_verify_suites_exit_zero(capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         assert "checks passed" in out and "FAIL" not in out
+
+
+def test_verify_macaulay_fails_on_a_wrong_or_refused_expansion(capsys, monkeypatch):
+    """An expansion that does not sum to c, or one the expansion type
+    refuses, is a FAIL line and exit 2, not a traceback."""
+    original = macaulay.expand
+
+    def wrong(c, d):
+        return SimpleNamespace(eps=(c,) + (-1,) * (d - 1)) if c == 3000 else original(c, d)
+
+    def refused(c, d):
+        if c == 3000:
+            raise ValueError("exponent list does not reconstruct c")
+        return original(c, d)
+
+    for patched in (wrong, refused):
+        monkeypatch.setattr(macaulay, "expand", patched)
+        code, out, err = run_cli(capsys, "verify", "--suite", "macaulay")
+        assert code == 2 and err == ""
+        assert out.splitlines() == [
+            "FAIL  expansion reconstructs c for c<=3000, d<=12  exact",
+            "PASS  piecewise growth values for c<=2d+1, d<=50  exact",
+            "macaulay: 1/2 checks passed",
+        ]
 
 
 def test_family_probe_prime_warns(capsys):

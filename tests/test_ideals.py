@@ -21,7 +21,6 @@ from defectk.ideals import (
     ancestor_profile,
     base_locus_dimension,
     check_reduction,
-    corgreen_check,
     difference_profile,
     draw_missing_hyperplane,
     functional_kills_products,
@@ -428,9 +427,9 @@ def test_profile_pass_matches_the_raw_column_reference():
             assert points_profile(pts, top, char).values == tuple(h), (reps, char)
             at = max(k for k in range(top) if h[k] < len(reps))
             picks, kernel = [], None
-            for k, (ech, columns) in enumerate(_profile_pass(reps, j, top, char)):
+            for k, (ech, columns) in enumerate(_profile_pass(reps, top, char)):
                 picks.append(list(columns))
-                if k == at:
+                if k == at and char is None:
                     kernel = ech.kernel()
             assert picks == [list(columns) for columns in new], (reps, char)
             if char is None:
@@ -610,11 +609,15 @@ def test_gorenstein_ancestor_symmetry_random_functionals():
 
 
 def test_ancestor_pieces_match_functional_kill():
+    """Each ancestor piece passes the kill check, and its codim is the rank
+    of the catalecticant, by linalg.rank."""
     phi = Functional(3, 4, {(2, 2, 0): 1, (0, 2, 2): -2, (1, 1, 2): 3})
     for e in range(5):
         piece = gorenstein_ancestor(phi, e)
         assert functional_kills_products(phi, piece)
-        assert piece.codim == ancestor_profile(phi)[e]
+        rows = [[phi.coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
+                 for g in monomial_basis(3, e)] for m in monomial_basis(3, 4 - e)]
+        assert piece.codim == rank(rows)
 
 
 def test_socle_functional_vanishes_on_piece():
@@ -634,6 +637,7 @@ def test_ancestor_contains_restriction_small():
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
     phi = socle_functional(pieces[4])
+    assert ancestor_profile(phi).values == (1, 2, 3, 2, 1)
     for e in range(5):
         assert gorenstein_ancestor(phi, e).contains(pieces[e])
         assert functional_kills_products(phi, pieces[e])
@@ -1088,19 +1092,6 @@ def test_base_locus_inconclusive_at_tiny_cap():
         base_locus_dimension(piece, degree_cap=3)
 
 
-def test_corgreen_check_cases():
-    g = grid9()
-    ell = draw_missing_hyperplane(g, seed=1)
-    pieces = restricted_point_pieces(g, ell, 4)
-    prof = ancestor_profile(socle_functional(pieces[4]))
-    assert prof.values == (1, 2, 3, 2, 1)
-    assert corgreen_check(prof, 2, 3)  # strict decrease from d-2 = 2
-    assert corgreen_check(HilbertProfile((1, 1, 0, 0)), 2, 3)
-    assert not corgreen_check(HilbertProfile((1, 2, 3, 3, 1)), 2, 3)  # flat step
-    with pytest.raises(ValueError):
-        corgreen_check(prof, 2, 9)
-
-
 def _monomial_ci_pieces(nvars, exps, socle):
     gens = [GradedPoly.monomial(nvars, e) for e in exps]
     out = []
@@ -1174,6 +1165,23 @@ def test_restricted_point_pieces_nonlast_hyperplane():
         assert fast[k] == explicit[k]
     h_IH = difference_profile(points_profile(pts, 3), pts, ell)
     assert tuple(p.codim for p in fast) == h_IH.values
+
+
+def test_one_rule_solves_ell_for_the_oracle_and_the_restriction(monkeypatch):
+    """restrict_to_hyperplane and the restricted pieces read the solved
+    variable from one function: solving for the first variable in place of
+    the last moves both, and the pieces still agree."""
+    g = grid9()
+    ell = draw_missing_hyperplane(g, seed=1)
+    assert ideals._solved_variable(ell) == 4
+    monkeypatch.setattr(ideals, "_solved_variable", lambda ell: 0)
+    fast = restricted_point_pieces(g, ell, 4)
+    assert fast[0].restriction.small[0] == g.points[0][1:]
+    explicit = restrict_to_hyperplane([point_ideal_piece(g, k) for k in range(5)], ell)
+    assert all(fast[k] == explicit[k] for k in range(5))
+    # x_4 is no longer solved for: it stays the last variable of the small ring
+    x4_image = restrict_to_hyperplane([generated_piece([X5[4]], 1)], ell)[0]
+    assert x4_image == generated_piece([X4[3]], 1)
 
 
 def test_base_locus_of_two_points_in_plane():
