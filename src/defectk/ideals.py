@@ -48,9 +48,13 @@ Conventions used throughout:
   functional records the restriction it was built from.  It vanishes on
   (I_H)_N by construction, and (I_H)_e * S_{N-e} lies in (I_H)_N, so it
   kills every piece's products there: Ann(phi) contains I_H, and rank
-  Cat_e <= codim (I_H)_e.  Each ancestor rank is taken mod CERTIFY_PRIME
-  on the vectors a profile pass at the q'_i stored, and kept when it meets
-  that cap; only a rank short of it builds those bases over Z and reruns.
+  Cat_e <= codim (I_H)_e.  The ranks do not depend on which lift of
+  S / (ell) carries phi, so they are read at the nodes with their chart
+  coordinate dropped when ell allows it (``_rank_points``), where the
+  double solid's bases collapse to binary forms.  Each ancestor rank is
+  taken mod CERTIFY_PRIME, with packed products, on the vectors a profile
+  pass at those points stored, and kept when it meets that cap; only a
+  rank short of it builds those bases over Z and reruns.
   Every other functional, one given at points included, and every other
   kill check take the monomial path: the ranks of the monomial
   catalecticant, and its rows paired with the piece's basis.  The
@@ -65,6 +69,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -72,7 +77,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Echelon, IntForwardEchelon
+from .linalg import Echelon, IntForwardEchelon, SlotPacking
 from .macaulay import binomial, expand, upper_growth
 from .polynomials import GradedPoly, json_number, monomial_basis, monomial_index, values_at
 
@@ -303,6 +308,9 @@ class _ColumnBases:
     """Bases of the column spaces of the evaluation matrices E_k at integer
     vectors, k = 0..up_to, over Z or F_char, for the point path of
     ``ancestor_profile``: the vectors the profile pass stored, kept once.
+    The vectors (``_rank_points``) may repeat, and one may be 0; without a
+    chart a degree k >= 1 then still stores vectors unless all are 0, which
+    takes a single node, of socle degree 0.
 
     In the chart of x_j the degree-k basis is x_j^(k-b) times each vector
     stored in degree b <= k, as the pass rescales its echelon over Z; over
@@ -319,6 +327,7 @@ class _ColumnBases:
         self._vectors = sorted((pivot, b, u) for b, stored in enumerate(passes)
                                for pivot, u in stored)
         self.chart = None if j is None else [rep[j] for rep in reps]
+        self._char = char
         self._scales = self.chart if char is None else None
 
     def degree(self, k: int):
@@ -330,6 +339,22 @@ class _ColumnBases:
                 if self._scales:
                     u = list(map(operator.mul, u, powers(k - b)))
                 yield u
+
+    def packed(self, top: int, weights):
+        """Over F_char, yield the ``_packed_columns`` of each degree's basis,
+        k = 0..top, packing each vector once: in the order of the degree it
+        was stored in, a basis is one run of slots (from the first vector in
+        a chart, from the last degree <= k that stored without one), which a
+        shift and a mask cut out."""
+        order = sorted((b, pivot, u) for pivot, b, u in self._vectors if b <= top)
+        degrees = [b for b, _, _ in order]
+        whole, columns = _packed_columns([u for _, _, u in order], weights, self._char)
+        for k in range(top + 1):
+            end = bisect.bisect_right(degrees, k)
+            start = 0 if self.chart else bisect.bisect_left(degrees, degrees[end - 1])
+            packing = SlotPacking(end - start, whole.bound, self._char)
+            shift, mask = whole.width * start, (1 << whole.width * (end - start)) - 1
+            yield packing, [x >> shift & mask for x in columns]
 
 
 def points_profile(points: PointSet, up_to: int, char: int | None = None) -> HilbertProfile:
@@ -599,6 +624,7 @@ class _Restriction:
         lcm = math.lcm(*ells)
         self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
+        self.ell = ell
         j = _solved_variable(ell)
         self.small = tuple(rep[:j] + rep[j + 1 :] for rep in reps)
 
@@ -797,18 +823,60 @@ def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
     return IdealPiece.cut_out(phi.nvars, e, _catalecticant_rows(phi, e))
 
 
-def _catalecticant_rank(left, right, weights, cap: int, char: int | None) -> int:
-    """Rank of S_{N-e}^T diag(weights) S_e over Z or F_char, for integer
-    weights and column bases ``left`` and ``right``, adding rows in the
-    order of ``left`` only until the rank reaches ``cap``."""
-    right = list(right)
-    ech = IntForwardEchelon(len(right), char)
+def _products(left, right, weights):
+    """Yield the rows a^T diag(weights) S over Z, a in ``left``, for S the
+    list ``right``: one dot product per entry."""
     for a in left:
-        if ech.dim == cap:
-            break
-        wa = [x * y for x, y in zip(weights, a)]
-        ech.add([_dot(wa, b) for b in right])
+        wa = list(map(operator.mul, weights, a))
+        yield [_dot(wa, b) for b in right]
+
+
+def _packed_columns(vectors, weights, char: int):
+    """(packing, columns) for residue vectors S over F_char: columns[i]
+    packs w_i u[i] mod char for u in ``vectors``, one slot each, so that a
+    row a^T diag(w) S, for residues a, is sum_i a_i columns[i]
+    (``_packed_products``), one big-int multiply-add per point in place of
+    one dot product per entry.  A slot of that sum holds at most
+    #points (char - 1)^2, the bound that sets the slot width."""
+    packing = SlotPacking(len(vectors), len(weights) * (char - 1) ** 2, char)
+    return packing, [packing.pack([w * x % char for x in entries])
+                     for w, entries in zip(weights, zip(*vectors))]
+
+
+def _packed_products(left, packing, columns):
+    """Yield the rows a^T diag(w) S mod char, a in ``left``, from the
+    ``_packed_columns`` of S."""
+    for a in left:
+        yield packing.unpack(sum(map(operator.mul, a, columns)))
+
+
+def _catalecticant_rank(rows, ncols: int, cap: int, char: int | None) -> int:
+    """Rank over Z or F_char of S_{N-e}^T diag(w) S_e, taking its rows,
+    ``ncols`` wide, from the iterator ``rows`` only until the rank reaches
+    ``cap``."""
+    ech = IntForwardEchelon(ncols, char)
+    while ech.dim < cap and (row := next(rows, None)) is not None:
+        ech.add(row)
     return ech.dim
+
+
+def _rank_points(phi: Functional):
+    """The points at which ``ancestor_profile`` ranks a socle functional:
+    the nodes with their chart coordinate x_k (``_chart``) dropped when
+    ell's coefficient at x_k is nonzero, else the small points q'_i.
+
+    phi = sum_i c_i ev_{p_i} vanishes on ell * S_{N-1} (c = chi / ell(p),
+    chi orthogonal to the degree-(N-1) columns), so it is a functional on
+    S / (ell), onto which the forms in the variables other than x_k map
+    isomorphically, as those other than the solved x_j do; its
+    catalecticant ranks do not depend on the lift.  On the double solid x3
+    is solved for and zero at every node, so the q'_i = (1, a, b) keep up
+    to h_I(e) columns per degree, where (a, b, 0) keep at most e + 1."""
+    restriction = phi.restriction
+    k = _chart(restriction.reps, None)
+    if k is None or not any(exp[k] for exp in restriction.ell.coeffs):
+        return phi.points
+    return tuple(rep[:k] + rep[k + 1 :] for rep in restriction.reps)
 
 
 def ancestor_profile(phi: Functional) -> HilbertProfile:
@@ -818,30 +886,37 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
 
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
     matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
-    on column bases S (Cat_{N-e} is its transpose).  Each rank is capped by
-    codim (I_H)_e and codim (I_H)_{N-e}, within the matrix size: a form of
-    S'_e zero at every q'_i is, read in the other variables, zero at every
-    point, so in (I_H)_e.  Rows go in pivot order, which on the double
-    solid d=12 chain meets the caps with a fifth of the products of degree
-    order.  The ranks run mod CERTIFY_PRIME first, on the chart's bases, so
-    each weight is multiplied by rep[j]^N; a modular rank that meets its
-    cap is exact, and only when one falls short are bases built over Z.
+    on column bases S (Cat_{N-e} is its transpose).  The points are those
+    of ``_rank_points``: the nodes in their chart coordinate's lift where
+    ell allows it, else the q'_i.  Each rank is capped by codim (I_H)_e and
+    codim (I_H)_{N-e}, within the matrix size: a form of S'_e zero at every
+    such point is, read in the other variables, zero at every node, so in
+    (I_H)_e.  Rows go in pivot order, which on the double solid d=12 chain
+    meets the caps with a fifth of the products of degree order.  The ranks
+    run mod CERTIFY_PRIME first, on the bases in the points' own chart, so
+    each weight is multiplied by rep[j]^N, and with packed products
+    (``_packed_columns``); a modular rank that meets its cap is exact, and
+    only when one falls short are bases built over Z.
     """
     if phi.restriction is None:
         return HilbertProfile(tuple(gorenstein_ancestor(phi, e).codim
                                     for e in range(phi.degree + 1)))
     N, codims = phi.degree, phi.restriction.codims
+    points = _rank_points(phi)
     weights = _scaled_to_integers(phi.weights)[0]
     p = CERTIFY_PRIME
-    modular, exact = _ColumnBases(phi.points, N, p), None
+    modular, exact = _ColumnBases(points, N, p), None
     w = [x * pow(s, N, p) % p for x, s in zip(weights, modular.chart or [1] * len(weights))]
     vals = [0] * (N + 1)
-    for e in range(N // 2 + 1):
+    for e, (packing, columns) in enumerate(modular.packed(N // 2, w)):
         cap = min(codims[e], codims[N - e])
-        rank = _catalecticant_rank(modular.degree(N - e), modular.degree(e), w, cap, p)
+        rows = _packed_products(modular.degree(N - e), packing, columns)
+        rank = _catalecticant_rank(rows, packing.count, cap, p)
         if rank < cap:
-            exact = exact or _ColumnBases(phi.points, N, None)
-            rank = _catalecticant_rank(exact.degree(N - e), exact.degree(e), weights, cap, None)
+            exact = exact or _ColumnBases(points, N, None)
+            right = list(exact.degree(e))
+            rows = _products(exact.degree(N - e), right, weights)
+            rank = _catalecticant_rank(rows, len(right), cap, None)
         vals[e] = vals[N - e] = rank
     return HilbertProfile(tuple(vals))
 

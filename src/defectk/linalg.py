@@ -191,6 +191,44 @@ def dets(entries, count: int) -> list[int]:
     return [0 if s else p for s, p in zip(singular, prev)]
 
 
+class SlotPacking:
+    """Vectors of ``count`` nonnegative ints as one int, entry c in slot c
+    (Kronecker substitution; Dumas-Fousse-Salvy, JSC 2011).  A slot is the
+    smallest byte-aligned field of ``_SLOT_CODES`` that holds ``bound``, so
+    a sum of packed vectors times nonnegative ints is carry-free, slot by
+    slot the sum of the entries, as long as no slot exceeds ``bound``.
+    ``pack`` takes entries below 2^64; ``unpack`` reads every slot with one
+    ``struct`` call, mod ``modulus``.  It serves the F_p vectors of
+    ``IntForwardEchelon`` and the modular catalecticant products of
+    ``ideals``.
+    """
+
+    def __init__(self, count: int, bound: int, modulus: int):
+        bits = bound.bit_length()
+        size = next((size for size in _SLOT_CODES if 8 * size >= bits), None)
+        if size is None:
+            raise ValueError(f"no slot of at most 128 bits holds {bound}")
+        self.count, self.bound, self.width = count, bound, 8 * size
+        self._modulus = modulus
+        self._struct = struct.Struct("<" + _SLOT_CODES[size] * count)
+
+    def pack(self, v) -> int:
+        """Entries below 2^64 as one int, entry c in slot c."""
+        if self.width > 64:
+            flat = [0] * (2 * self.count)
+            flat[::2] = v
+            v = flat
+        return int.from_bytes(self._struct.pack(*v), "little")
+
+    def unpack(self, packed: int) -> list[int]:
+        """The slots of a packed vector, each mod ``modulus``."""
+        p = self._modulus
+        fields = self._struct.unpack(packed.to_bytes(self._struct.size, "little"))
+        if self.width > 64:
+            return [(low | high << 64) % p for low, high in zip(fields[::2], fields[1::2])]
+        return [x % p for x in fields]
+
+
 class Echelon:
     """Forward echelon over Q on sparse dict rows {column: Fraction}, keyed
     by pivot, the design of ``IntForwardEchelon``: each row is monic at its
@@ -279,10 +317,9 @@ class IntForwardEchelon:
     reduced by V += (char - b) * U, one big-int step per pivot, with b the
     pivot slot of V mod char.  Entries start below char and each step adds
     at most (char - 1)^2, so W with char + ncols * (char - 1)^2 < 2^W keeps
-    every slot nonnegative and carry-free: the smallest slot of
-    ``_SLOT_CODES`` that fits.  Residues are taken once per insertion, on
-    unpacking.  An F_char echelon only ranks: ``scale_columns`` and
-    ``kernel`` serve Z only.
+    every slot nonnegative and carry-free: the ``SlotPacking`` of that
+    bound.  Residues are taken once per insertion, on unpacking.  An F_char
+    echelon only ranks: ``scale_columns`` and ``kernel`` serve Z only.
     """
 
     def __init__(self, ncols: int, char: int | None = None):
@@ -290,11 +327,8 @@ class IntForwardEchelon:
         self.char = char
         self._rows: list[tuple[int, object]] = []  # sorted by pivot index
         if char is not None:
-            bits = (char + ncols * (char - 1) ** 2).bit_length()
-            self._slot = next((size for size in _SLOT_CODES if 8 * size >= bits), None)
-            if self._slot is None:
-                raise ValueError(f"characteristic {char} too large for {ncols} packed columns")
-            self._struct = struct.Struct("<" + _SLOT_CODES[self._slot] * ncols)
+            packing = SlotPacking(ncols, char + ncols * (char - 1) ** 2, char)
+            self._width, self._pack, self._unpack = packing.width, packing.pack, packing.unpack
 
     @property
     def dim(self) -> int:
@@ -316,7 +350,7 @@ class IntForwardEchelon:
                     a, b = u[pivot], v[pivot]
                     v = [a * x - b * y for x, y in zip(v, u)]
         else:
-            width = 8 * self._slot
+            width = self._width
             mask = (1 << width) - 1
             packed = self._pack([x % p for x in vec])
             for pivot, u in rows:
@@ -370,19 +404,3 @@ class IntForwardEchelon:
             return [x // g for x in v] if g > 1 else v
         inv = pow(v[pivot], -1, p)
         return [x * inv % p for x in v]
-
-    def _pack(self, v: list[int]) -> int:
-        """Residues (below 2^64) as one int, entry c in slot c."""
-        if self._slot > 8:
-            flat = [0] * (2 * self.ncols)
-            flat[::2] = v
-            v = flat
-        return int.from_bytes(self._struct.pack(*v), "little")
-
-    def _unpack(self, packed: int) -> list[int]:
-        """The residues mod char of the slots of a packed vector."""
-        p = self.char
-        fields = self._struct.unpack(packed.to_bytes(self._struct.size, "little"))
-        if self._slot > 8:
-            return [(low | high << 64) % p for low, high in zip(fields[::2], fields[1::2])]
-        return [x % p for x in fields]

@@ -848,9 +848,9 @@ def spy_catalecticant_ranks(monkeypatch):
     fields = []
     original = ideals._catalecticant_rank
 
-    def spy(left, right, weights, cap, char):
+    def spy(rows, ncols, cap, char):
         fields.append(char)
-        return original(left, right, weights, cap, char)
+        return original(rows, ncols, cap, char)
 
     monkeypatch.setattr(ideals, "_catalecticant_rank", spy)
     return fields
@@ -950,8 +950,8 @@ def test_ancestor_ranks_need_no_cap(monkeypatch):
     values are 1 or their profiles are those of generic weights."""
     original = ideals._catalecticant_rank
 
-    def uncapped(left, right, weights, cap, char):
-        return original(left, right, weights, math.inf, char)
+    def uncapped(rows, ncols, cap, char):
+        return original(rows, ncols, math.inf, char)
 
     monkeypatch.setattr(ideals, "_catalecticant_rank", uncapped)
     rng = random.Random(5)
@@ -977,6 +977,155 @@ def test_ancestor_ranks_need_no_cap(monkeypatch):
         assert ancestor_profile(phi) == oracle, pts.points
         checked += 1
     assert checked >= 20
+
+
+def spy_column_base_points(monkeypatch):
+    """Record the points of every _ColumnBases built."""
+    points = []
+
+    class Spy(_ColumnBases):
+        def __init__(self, reps, up_to, char):
+            points.append(tuple(map(tuple, reps)))
+            super().__init__(reps, up_to, char)
+
+    monkeypatch.setattr(ideals, "_ColumnBases", Spy)
+    return points
+
+
+def socle_of(pts, ell):
+    """The socle functional of the last degree where the restriction has
+    codim 1 and the next degree has codim 0, or None if there is none."""
+    h = points_profile(pts, len(pts))
+    codims = difference_profile(h, pts, ell)
+    N = max((e for e in range(len(codims) - 1) if codims[e] == 1 and not codims[e + 1]),
+            default=None)
+    if N is None:
+        return None
+    return socle_functional(restricted_point_pieces(pts, ell, N)[N])
+
+
+def dropped(pts, k):
+    return tuple(rep[:k] + rep[k + 1:] for rep in pts.points)
+
+
+def test_ancestor_ranks_read_in_the_chart_coordinates_lift(monkeypatch):
+    """Seeded small point sets in P^2..P^4 whose chart coordinate is not the
+    variable ell is solved for: the ranks are read at the nodes with the
+    chart coordinate dropped, and equal the monomial oracle's.  Some sets
+    hold the chart's coordinate point, which drops to 0, so the points
+    there have no chart of their own."""
+    seen = spy_column_base_points(monkeypatch)
+    rng = random.Random(11)
+    checked = zeros = 0
+    for seed in range(300):
+        nvars = rng.randint(3, 5)
+        k = rng.randrange(nvars - 1)
+        coords = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(2, 9))]
+        for c in coords:
+            c[k] = c[k] or 1
+        if rng.random() < 0.3:
+            coords.append([int(i == k) for i in range(nvars)])
+        pts = PointSet(list({primitive_point(c): c for c in coords}.values()))
+        if len(pts) < 2 or _chart(pts.points, None) != k:
+            continue
+        try:
+            ell = draw_missing_hyperplane(pts, seed)
+        except NonGenericHyperplaneError:
+            continue
+        phi = socle_of(pts, ell)
+        if phi is None or phi.degree < 2:
+            continue
+        assert ideals._solved_variable(ell) == nvars - 1 != k
+        seen.clear()
+        oracle = ancestor_profile(Functional(phi.nvars, phi.degree, phi.coeffs))
+        assert not seen
+        assert ancestor_profile(phi) == oracle, pts.points
+        assert seen and set(seen) == {dropped(pts, k)}, pts.points
+        checked += 1
+        zeros += not all(map(any, seen[0]))
+    assert checked >= 40 and zeros >= 5, (checked, zeros)
+
+
+def test_ancestor_ranks_fall_back_to_the_small_points_when_ell_misses_the_chart(monkeypatch):
+    """A hand-made ell whose coefficient at the nodes' chart coordinate is 0
+    gives no lift there: the ranks are read at the small points q'_i, and
+    equal the monomial oracle's."""
+    seen = spy_column_base_points(monkeypatch)
+    cases = (
+        (grid_points("double-solid", 3)[0], GradedPoly.linear_form((0, 1, 3, 5)), 0),
+        (grid_points("plane", 5)[0], GradedPoly.linear_form((1, 1, 1, 2, 0)), 4),
+    )
+    for pts, ell, chart in cases:
+        assert _chart(pts.points, None) == chart
+        phi = socle_of(pts, ell)
+        seen.clear()
+        assert ancestor_profile(phi) == ancestor_profile(Functional(phi.nvars, phi.degree,
+                                                                    phi.coeffs))
+        assert phi.points == phi.restriction.small and set(seen) == {phi.points}
+
+
+def test_ancestor_ranks_in_the_lift_weigh_chart_values_that_are_not_one(monkeypatch):
+    """Nodes (7:a:b:0) of the double solid's grid: in the chart
+    coordinate's lift the points' own chart values mod CERTIFY_PRIME are
+    not all 1, so each weight is multiplied by rep[j]^N there.  With the
+    caps lifted, so that a wrong factor cannot hide behind them, every rank
+    still equals the monomial oracle's."""
+    original = ideals._catalecticant_rank
+    monkeypatch.setattr(ideals, "_catalecticant_rank",
+                        lambda rows, ncols, cap, char: original(rows, ncols, math.inf, char))
+    seen = spy_column_base_points(monkeypatch)
+    for d in (3, 4):
+        pts = PointSet([(7, a, b, 0) for a in range(1, d + 1) for b in range(1, 2 * d)])
+        phi = socle_of(pts, draw_missing_hyperplane(pts, 1))
+        k = _chart(pts.points, None)
+        lifted = dropped(pts, k)
+        j = _chart(lifted, CERTIFY_PRIME)
+        assert j is not None and any(rep[j] != 1 for rep in lifted)
+        seen.clear()
+        want = tuple(ci_hilbert((d, 2 * d - 1), 2, e) for e in range(phi.degree + 1))
+        assert ancestor_profile(phi).values == want
+        assert set(seen) == {lifted}
+        assert ancestor_profile(Functional(phi.nvars, phi.degree, phi.coeffs)).values == want
+
+
+def test_packed_products_at_the_slot_bound():
+    """Weights p - 1, right entries 1 and left entries p - 1 put
+    #points (p - 1)^2 in every slot of a packed product row, the bound that
+    sets the slot width; point counts at and just past the capacity of each
+    slot size, for small p and CERTIFY_PRIME.  The packed rows equal the
+    dot-product rows mod p, also with every entry p - 1."""
+    sizes = (1, 2, 4, 8, 9, 10)
+    for p in (3, 7, CERTIFY_PRIME):
+        counts = set()
+        for size in sizes:
+            full = (2 ** (8 * size) - 1) // (p - 1) ** 2
+            counts.update(n for n in (full, full + 1) if 1 <= n <= 2000)
+        assert counts
+        for n in sorted(counts):
+            weights = [p - 1] * n
+            right = [[1] * n, [p - 1] * n, [p - 2] * n]
+            left = [[p - 1] * n, [1] * n, [p - 1] * (n - 1) + [0]]
+            packing, columns = ideals._packed_columns(right, weights, p)
+            want = [[sum(w * x * y for w, x, y in zip(weights, a, b)) % p for b in right]
+                    for a in left]
+            assert list(ideals._packed_products(left, packing, columns)) == want, (p, n)
+
+
+def test_packed_degrees_cut_each_degree_basis():
+    """Each degree's packed columns hold the weighted entries of exactly
+    that degree's basis, in a chart, without one, and at points that
+    collide mod 7."""
+    for pts, top in reference_sets():
+        reps = pts.points
+        weights = [3 * i + 1 for i in range(len(reps))]
+        for char in (7, CERTIFY_PRIME):
+            bases = _ColumnBases(reps, top, char)
+            for k, (packing, columns) in enumerate(bases.packed(top, weights)):
+                slots = [packing.unpack(x) for x in columns]
+                got = sorted(map(list, zip(*slots))) if slots else []
+                want = sorted([w * x % char for w, x in zip(weights, u)]
+                              for u in bases.degree(k))
+                assert got == want, (reps, char, k)
 
 
 def reeliminated_dual_weights(restriction, e):
