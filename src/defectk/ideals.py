@@ -40,9 +40,9 @@ Conventions used throughout:
   of a restricted piece (I_H)_e is spanned by point-evaluation functionals,
   and its codim is h_I(e) - h_I(e-1) from the profile pass, whose own
   degree-(N-1) echelon also gives the kernel that the socle functional's
-  weights come from.  That functional is a point sum phi = sum_i c_i
-  ev_{q'_i}, and by the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15)
-  its catalecticant is Cat_e(phi) = E_{N-e}^T diag(c) E_e for the
+  weights come from.  That functional is in the point form of
+  ``Functional`` at the q'_i, and by the apolarity lemma (Iarrobino-Kanev
+  1999, Lemma 1.15) its catalecticant is E_{N-e}^T diag(w) E_e / D for the
   evaluation matrices E at the q'_i, so every rank and kernel has the size
   of the point set, and runs on ``IntForwardEchelon``.  The socle
   functional records the restriction it was built from.  It vanishes on
@@ -102,11 +102,11 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
-def _scaled_to_integers(values) -> tuple[list[int], int]:
+def _scaled_to_integers(values) -> tuple[tuple[int, ...], int]:
     """Ints or rationals times the lcm of their denominators, and that lcm."""
-    values = list(values)
+    values = tuple(values)
     denom = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
 
 def primitive_point(coords) -> tuple[int, ...]:
@@ -650,10 +650,10 @@ class _Restriction:
         return IdealPiece.cut_out(self.nvars, e, rows).echelon
 
     def socle_functional(self, e: int) -> "Functional":
-        """The functional vanishing on (I_H)_e, of codim 1, at the points:
-        the dual weight scaled to 1 at the last monomial where its
-        functional is nonzero.  It records this restriction as its
-        ``restriction``."""
+        """The functional vanishing on (I_H)_e, of codim 1, in the point form
+        at the q'_i (see ``Functional``): the dual weight over its value at
+        the last monomial where that is nonzero.  It records this restriction
+        as its ``restriction``."""
         basis = monomial_basis(self.nvars, e)
         for weights in self.dual_weights(e):
             # one monomial at a time, not ``values_at`` over the basis: the
@@ -663,9 +663,8 @@ class _Restriction:
             for m in reversed(basis):
                 value = _dot(weights, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:
-                    phi = Functional.at_points(self.nvars, e, self.small,
-                                               [Fraction(w, value) for w in weights])
-                    phi.restriction = self
+                    phi = Functional.at_points(self.nvars, e, self.small, weights)
+                    phi.denominator, phi.restriction = value, self
                     return phi
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
 
@@ -721,46 +720,48 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 class Functional:
     """Linear functional on the degree-N graded piece.
 
-    It is given by dual coefficients phi(m) on the monomials, or by weights
-    at points, phi = sum_i w_i ev_{points_i}, with coefficients computed
-    only when read.  ``restriction`` is the ``_Restriction`` a socle
-    functional was built from, None for every other functional; exactly a
-    functional that carries one runs its ranks on point-indexed matrices by
-    the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15).
+    It is given by dual coefficients phi(m) on the monomials, or in the
+    point form: int ``weights`` w_i at int ``points`` over one nonzero int
+    ``denominator`` D, phi = sum_i w_i ev_{points_i} / D, its coefficients
+    computed only when read.  Ranks do not change under scaling, so the
+    point path reads the w_i alone and builds no Fraction.  ``restriction``
+    is the ``_Restriction`` a socle functional was built from, None for
+    every other functional; exactly a functional that carries one runs its
+    ranks on point-indexed matrices by the apolarity lemma (Iarrobino-Kanev
+    1999, Lemma 1.15).
     """
 
-    __slots__ = ("nvars", "degree", "points", "weights", "_coeffs", "restriction")
+    __slots__ = ("nvars", "degree", "points", "weights", "denominator", "_coeffs", "restriction")
 
     def __init__(self, nvars: int, degree: int, coeffs):
         self.nvars = nvars
         self.degree = degree
         self._coeffs = GradedPoly(nvars, degree, coeffs).coeffs
-        self.points = self.weights = self.restriction = None
+        self.points = self.weights = self.denominator = self.restriction = None
 
     @classmethod
     def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
-        """sum_i weights[i] * ev_{points[i]}, at integer points: the
-        functional is not scale-invariant, so a rational point is refused."""
+        """sum_i weights[i] * ev_{points[i]} for rational weights, at integer
+        points: it is not scale-invariant, so a rational point is refused."""
         given = tuple(map(tuple, points))
         points = tuple(tuple(map(int, p)) for p in given)
         if points != given:
             raise ValueError("points of a functional must have integer coordinates")
-        weights = tuple(Fraction(w) for w in weights)
+        weights, denominator = _scaled_to_integers(
+            w if isinstance(w, int) else Fraction(w) for w in weights)
         if len(points) != len(weights) or any(len(p) != nvars for p in points):
             raise ValueError("need one weight per point of the ring's dimension")
         phi = cls(nvars, degree, {})
-        phi.points, phi.weights, phi._coeffs = points, weights, None
+        phi.points, phi.weights, phi.denominator, phi._coeffs = points, weights, denominator, None
         return phi
 
     @property
     def coeffs(self) -> dict:
         if self._coeffs is None:
-            ints, denom = _scaled_to_integers(self.weights)
-            columns = _evaluation_columns(self.points, self.nvars, self.degree)
-            values = (Fraction(_dot(ints, col), denom) for col in columns)
-            self._coeffs = {
-                m: v for m, v in zip(monomial_basis(self.nvars, self.degree), values) if v
-            }
+            basis = monomial_basis(self.nvars, self.degree)
+            values = map(functools.partial(_dot, self.weights),
+                         _evaluation_columns(self.points, self.nvars, self.degree))
+            self._coeffs = {m: Fraction(v, self.denominator) for m, v in zip(basis, values) if v}
         return self._coeffs
 
     @property
@@ -785,8 +786,8 @@ def socle_functional(piece: IdealPiece) -> Functional:
 
     For a restricted piece of codim 1, of any degree, this is the unique
     functional that vanishes on it, normalised to 1 at the last monomial
-    where it is nonzero; it is computed at the points, without the piece's
-    kernel, and carries the piece's restriction.
+    where it is nonzero; it is computed in the point form, without the
+    piece's kernel, and carries the piece's restriction.
     """
     if isinstance(piece, RestrictedPiece) and piece.codim == 1:
         return piece.restriction.socle_functional(piece.degree)
@@ -884,26 +885,25 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
     catalecticants, on point-indexed matrices for a functional that carries
     its restriction, else the codimensions of ``gorenstein_ancestor``.
 
-    Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e for the evaluation
-    matrices E at the points, so its rank is that of S_{N-e}^T diag(w) S_e
-    on column bases S (Cat_{N-e} is its transpose).  The points are those
-    of ``_rank_points``: the nodes in their chart coordinate's lift where
-    ell allows it, else the q'_i.  Each rank is capped by codim (I_H)_e and
-    codim (I_H)_{N-e}, within the matrix size: a form of S'_e zero at every
-    such point is, read in the other variables, zero at every node, so in
-    (I_H)_e.  Rows go in pivot order, which on the double solid d=12 chain
-    meets the caps with a fifth of the products of degree order.  The ranks
-    run mod CERTIFY_PRIME first, on the bases in the points' own chart, so
-    each weight is multiplied by rep[j]^N, and with packed products
-    (``_packed_columns``); a modular rank that meets its cap is exact, and
-    only when one falls short are bases built over Z.
+    Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e / D (see ``Functional``)
+    for the evaluation matrices E at the points, so its rank is that of
+    S_{N-e}^T diag(w) S_e on column bases S (Cat_{N-e} is its transpose).
+    The points are those of ``_rank_points``: the nodes in their chart
+    coordinate's lift where ell allows it, else the q'_i.  Each rank is
+    capped by codim (I_H)_e and codim (I_H)_{N-e}, within the matrix size: a
+    form of S'_e zero at every such point is, read in the other variables,
+    zero at every node, so in (I_H)_e.  Rows go in pivot order, which on the
+    double solid d=12 chain meets the caps with a fifth of the products of
+    degree order.  The ranks run mod CERTIFY_PRIME first, on the bases in the
+    points' own chart, so each weight is multiplied by rep[j]^N, and with
+    packed products (``_packed_columns``); a modular rank that meets its cap
+    is exact, and only when one falls short are bases built over Z.
     """
     if phi.restriction is None:
         return HilbertProfile(tuple(gorenstein_ancestor(phi, e).codim
                                     for e in range(phi.degree + 1)))
     N, codims = phi.degree, phi.restriction.codims
-    points = _rank_points(phi)
-    weights = _scaled_to_integers(phi.weights)[0]
+    points, weights = _rank_points(phi), phi.weights
     p = CERTIFY_PRIME
     modular, exact = _ColumnBases(points, N, p), None
     w = [x * pow(s, N, p) % p for x, s in zip(weights, modular.chart or [1] * len(weights))]

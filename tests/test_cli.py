@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from defectk import macaulay, scenarios
 import defectk
-from defectk.cli import build_parser, main
+from defectk.cli import SUITES, build_parser, main
 from defectk.defect import NodalHypersurface
 from defectk.families import plane_family
 from defectk.ideals import PointSet
@@ -209,7 +209,7 @@ def test_base_locus_command(tmp_path, capsys):
 
 
 def test_verify_suites_exit_zero(capsys):
-    for suite in ("gotzmann", "highdim", "plane", "double-solid"):
+    for suite in SUITES:
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)
         assert code == 0
         assert "checks passed" in out and "FAIL" not in out

@@ -69,6 +69,10 @@ def test_generated_piece_examples():
         assert generated_piece(quadric_pair(), k).codim == ci_hilbert((2, 2), 4, k)
     with pytest.raises(ValueError):
         generated_piece([X5[0] * X5[0]], 1)
+    with pytest.raises(ValueError, match="different rings"):
+        generated_piece([X5[0], X4[0]], 1)
+    with pytest.raises(ValueError, match="different graded components"):
+        generated_piece(quadric_pair(), 3).contains(generated_piece(quadric_pair(), 4))
 
 
 def test_point_set_validation():
@@ -131,10 +135,11 @@ def test_point_set_json_form():
     ]
 
 
-def test_integer_points_build_no_fractions(monkeypatch):
-    def no_fraction(*args):
-        raise AssertionError("a Fraction was built")
+def no_fraction(*args):
+    raise AssertionError("a Fraction was built")
 
+
+def test_integer_points_build_no_fractions(monkeypatch):
     monkeypatch.setattr(ideals, "Fraction", no_fraction)
     ps = PointSet.from_json_list([[[2, 1], [-4, 1], [6, 1]], [[0, 1], [3, 1], [-1, 1]]])
     assert ps.points == ((1, -2, 3), (0, 3, -1))
@@ -506,6 +511,13 @@ def test_difference_profile_examples():
     assert str(exc.value) == "hyperplane contains the point (0:0:1:1:1)"
     with pytest.raises(ValueError, match="different spaces"):
         difference_profile(h_I, g, GradedPoly.linear_form((1, 1, 1, 7)))
+    for form in (GradedPoly.zero(5, 1), X5[0] * X5[1]):
+        with pytest.raises(ValueError, match="nonzero linear form"):
+            difference_profile(h_I, g, form)
+    with pytest.raises(ValueError, match="not nondecreasing"):
+        difference_profile(HilbertProfile((1, 3, 2)), g, ell)
+    with pytest.raises(ValueError, match="nonnegative"):
+        HilbertProfile((1, -1))
     # a rational form: its values are taken times the lcm of its denominators
     halves = GradedPoly.linear_form((Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(-1, 2)))
     with pytest.raises(NonGenericHyperplaneError):
@@ -556,6 +568,10 @@ def test_restrict_to_hyperplane_examples():
 
     piece = generated_piece([X5[4]], 2)
     assert restrict_to_hyperplane([piece], X5[4])[0].dim == 0
+    with pytest.raises(ValueError, match="nonzero linear form"):
+        restrict_to_hyperplane([piece], GradedPoly.zero(5, 1))
+    with pytest.raises(ValueError, match="different rings"):
+        restrict_to_hyperplane([generated_piece([X4[0]], 2)], X5[4])
 
 
 def test_restriction_exact_sequence_cross_check():
@@ -587,6 +603,8 @@ def test_gorenstein_ancestor_rank_two_quadric():
         assert gorenstein_ancestor(phi, e) == full and functional_kills_products(phi, full)
     with pytest.raises(ValueError):
         gorenstein_ancestor(Functional(2, 2, {}), 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gorenstein_ancestor(phi, -1)
 
 
 def test_functional_rejects_exponents_that_are_not_monomials():
@@ -628,6 +646,8 @@ def test_socle_functional_vanishes_on_piece():
     assert not phi.is_zero
     for f in pieces[4].basis_polys():
         assert phi.of(f) == 0
+    with pytest.raises(ValueError, match="outside its graded piece"):
+        phi.of(GradedPoly.monomial(4, (1, 0, 0, 0)))
     with pytest.raises(ValueError):
         socle_functional(generated_piece([GradedPoly.monomial(4, (0,) * 4)], 2))
 
@@ -750,8 +770,8 @@ def test_degree_n_kill_check_matches_ancestor_containment():
         pieces = restricted_point_pieces(pts, draw_missing_hyperplane(pts, 1), N)
         oracles = [IdealPiece(piece.nvars, e, piece.echelon) for e, piece in enumerate(pieces)]
         phi = socle_functional(pieces[N])
-        perturbed = Functional.at_points(phi.nvars, N, phi.points,
-                                         [phi.weights[0] + 1, *phi.weights[1:]])
+        weights = exact_weights(phi)
+        perturbed = Functional.at_points(phi.nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
         assert phi.restriction is pieces[0].restriction and perturbed.restriction is None
         for psi in (phi, perturbed):
             rebuilt = Functional(psi.nvars, N, psi.coeffs)
@@ -761,7 +781,7 @@ def test_degree_n_kill_check_matches_ancestor_containment():
             assert [functional_kills_products(rebuilt, oracle) for oracle in oracles] == want
         assert not all(functional_kills_products(perturbed, piece) for piece in pieces)
         # degree N + 2, past the restriction's top: the monomial path decides
-        high = Functional.at_points(phi.nvars, N + 2, phi.points, phi.weights)
+        high = Functional.at_points(phi.nvars, N + 2, phi.points, weights)
         rebuilt = Functional(high.nvars, N + 2, high.coeffs)
         assert high.restriction is None
         assert [functional_kills_products(high, piece) for piece in pieces] == [
@@ -874,6 +894,18 @@ def test_functional_at_points_refuses_rational_coordinates():
         Functional.at_points(2, 1, [(Fraction(1, 2), 1)], [1])
     phi = Functional.at_points(2, 1, [(Fraction(2, 1), 1)], [1])
     assert phi.points == ((2, 1),) and phi.coeffs == {(1, 0): 2, (0, 1): 1}
+    with pytest.raises(ValueError, match="one weight per point"):
+        Functional.at_points(2, 1, [(2, 1), (1, 1)], [1])
+    # Fraction weights are cleared over the lcm of their denominators
+    phi = Functional.at_points(2, 1, [(2, 1), (1, 1)], [Fraction(1, 2), Fraction(-1, 3)])
+    assert (phi.weights, phi.denominator) == ((3, -2), 6)
+    assert phi.coeffs == {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 6)}
+
+
+def exact_weights(phi):
+    """phi's weights over its denominator: at_points of these at phi's
+    points is phi itself, not phi scaled by its denominator."""
+    return [Fraction(w, phi.denominator) for w in phi.weights]
 
 
 def test_certified_ancestor_profile_matches_monomial_oracle():
@@ -883,9 +915,8 @@ def test_certified_ancestor_profile_matches_monomial_oracle():
     for name, d in SMALL_CHAINS:
         _, phi = socle_chain(name, d)
         assert_codims_within_column_ranks(phi)
-        N = phi.degree
-        perturbed = Functional.at_points(phi.nvars, N, phi.points,
-                                         [phi.weights[0] + 1, *phi.weights[1:]])
+        N, weights = phi.degree, exact_weights(phi)
+        perturbed = Functional.at_points(phi.nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
         for psi in (phi, perturbed):
             oracle = ancestor_profile(Functional(psi.nvars, N, psi.coeffs))
             assert ancestor_profile(psi) == oracle, (name, d)
@@ -893,11 +924,11 @@ def test_certified_ancestor_profile_matches_monomial_oracle():
 
 
 def test_copy_of_socle_functional_matches_it_in_either_order(monkeypatch):
-    """A copy of the socle functional, at its points with its weights, has
-    no restriction: the monomial path ranks its catalecticants, with no
-    rank at the points, and decides its kill checks.  It gets the socle
-    functional's ancestor profile and kill verdicts, whichever of the two
-    runs first."""
+    """A copy of the socle functional, at its points with its weights over
+    its denominator, has the same coefficients and no restriction: the
+    monomial path ranks its catalecticants, with no rank at the points, and
+    decides its kill checks.  It gets the socle functional's ancestor
+    profile and kill verdicts, whichever of the two runs first."""
     fields = spy_catalecticant_ranks(monkeypatch)
     for name, d in SMALL_CHAINS:
         pieces, phi = socle_chain(name, d)
@@ -905,8 +936,8 @@ def test_copy_of_socle_functional_matches_it_in_either_order(monkeypatch):
         assert all(want[1]) and fields, (name, d)
         for profile_first in (True, False):
             fields.clear()
-            copy = Functional.at_points(phi.nvars, phi.degree, phi.points, phi.weights)
-            assert copy.restriction is None
+            copy = Functional.at_points(phi.nvars, phi.degree, phi.points, exact_weights(phi))
+            assert copy.coeffs == phi.coeffs and copy.restriction is None
             if profile_first:
                 profile = ancestor_profile(copy)
             kills = [functional_kills_products(copy, piece) for piece in pieces]
@@ -939,6 +970,21 @@ def test_benchmark_chains_take_no_rank_over_z(monkeypatch):
         assert ancestor_profile(phi).values == want
     assert set(fields) == {CERTIFY_PRIME}
     assert bases == [CERTIFY_PRIME] * 3
+
+
+def test_point_chain_builds_no_fractions(monkeypatch):
+    """Restricted pieces, socle functional, ancestor profile, kill checks and
+    growth audit, on the small chains and the benchmark's gorenstein-chain
+    grids, run on ints: the socle functional keeps its dual weight and its
+    value as the point form's weights and denominator."""
+    monkeypatch.setattr(ideals, "Fraction", no_fraction)
+    for name, d in SMALL_CHAINS + [("plane", 8), ("double-solid", 5), ("double-solid", 6)]:
+        pieces, phi = socle_chain(name, d)
+        profile = ancestor_profile(phi)
+        degrees = (d - 1, d - 1) if name == "plane" else (d, 2 * d - 1)
+        assert profile.values == tuple(ci_hilbert(degrees, 2, e) for e in range(phi.degree + 1))
+        assert all(functional_kills_products(phi, piece) for piece in pieces), (name, d)
+        assert macaulay_growth_audit(profile) == [], (name, d)
 
 
 def test_ancestor_ranks_need_no_cap(monkeypatch):

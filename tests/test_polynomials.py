@@ -147,6 +147,8 @@ def test_evaluate_examples():
     assert x[4].evaluate(p) == 0
     with pytest.raises(ValueError):
         x[0].evaluate((0, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="wrong number of coordinates"):
+        x[0].evaluate((1, 2, 0, 0))
     # homogeneity: scaling coordinates preserves vanishing
     f = x[0] * x[1] - x[2] * x[4]
     q = (1, 3, 1, 3, 1)
