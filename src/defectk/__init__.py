@@ -4,6 +4,8 @@ Macaulay base-d expansions and growth bounds, Gotzmann persistence for
 base-locus dimensions, apolar Gorenstein ideals, and defect computation
 plus minimal-node-count certification for nodal threefolds in P^4, double
 solids, and grid families in higher dimension.  All arithmetic is exact.
+The tests' independent references live in ``defectk.oracles``, which
+neither this package nor any command imports.
 """
 
 from .defect import (
@@ -17,8 +19,6 @@ from .defect import (
     defect,
     sweep_singular_points,
     tangent_codim,
-    verify_node,
-    verify_singular,
 )
 from .families import (
     ci_family_highdim,
@@ -45,10 +45,8 @@ from .ideals import (
     gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
-    point_ideal_piece,
     points_hilbert,
     points_profile,
-    restrict_to_hyperplane,
     restricted_point_pieces,
     socle_functional,
 )

@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_field(text: str) -> int | None:
-    if text in ("qp", "qq"):
+    if text == "qp":
         return None
     if text.startswith("fp="):
         try:

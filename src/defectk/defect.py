@@ -4,7 +4,8 @@ arguments that force the minimal node counts.
 
 The defect of a declared node scheme is the number of nodes minus the rank
 of the evaluation matrix in the critical degree; a positive defect means
-the points fail to impose independent conditions exactly there.
+the points fail to impose independent conditions exactly there.  The tests
+check ``audit_nodes`` against the pointwise node references of ``oracles``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice, product
 
-from .ideals import HilbertProfile, PointSet, format_point, points_hilbert, primitive_point
-from .linalg import det, dets
+from .ideals import HilbertProfile, PointSet, format_point, points_hilbert
+from .linalg import dets
 from .polynomials import VALUES_BLOCK, GradedPoly, values_at
 from .scalars import validate_characteristic
 
@@ -22,26 +23,6 @@ from .scalars import validate_characteristic
 class AuditError(ValueError):
     """A declared node failed its singularity or nondegeneracy check, or a
     restricted profile has no defect to certify (exit 2 in the CLI)."""
-
-
-def verify_singular(f: GradedPoly, point) -> bool:
-    """True when every partial derivative vanishes at the point."""
-    return all(f.partial_derivative(i).evaluate(point) == 0 for i in range(f.nvars))
-
-
-def verify_node(f: GradedPoly, point) -> bool:
-    """A_1 test: nonsingular affine Hessian at a singular point, taken
-    exactly at the point's primitive integer representative.  The tests'
-    independent oracle for ``audit_nodes``: it differentiates and evaluates
-    each second partial with ``GradedPoly.evaluate``, no code of
-    ``polynomials.values_at``."""
-    if not verify_singular(f, point):
-        raise ValueError("point is not singular on the hypersurface")
-    rep = primitive_point(point)
-    chart = next(i for i, c in enumerate(rep) if c)
-    idxs = [i for i in range(f.nvars) if i != chart]
-    return bool(det([[f.partial_derivative(a).partial_derivative(b).evaluate(rep) for b in idxs]
-                     for a in idxs]))
 
 
 def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[tuple[int, ...], ...]:

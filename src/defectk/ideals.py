@@ -56,15 +56,11 @@ Conventions used throughout:
   pass at those points stored, and kept when it meets that cap; only a
   rank short of it builds those bases over Z and reruns.
   Every other functional, one given at points included, and every other
-  kill check take the monomial path: the ranks of the monomial
-  catalecticant, and its rows paired with the piece's basis.  The
-  monomial-indexed computations also stay as the tests' independent
-  oracles, on ``Echelon``: ``point_ideal_piece`` with
-  ``restrict_to_hyperplane`` for the pieces, and the monomial
-  catalecticant, whose kernel is ``gorenstein_ancestor`` and whose
-  kernel codimensions are the monomial ``ancestor_profile``.  The oracle
-  and the restriction solve ell = 0 for one variable, ``_solved_variable``,
-  so that their pieces live in the same coordinates.
+  kill check take the monomial path, on ``Echelon``: the ranks of the
+  monomial catalecticant, whose kernel is ``gorenstein_ancestor``, and its
+  rows paired with the piece's basis.  The tests check the restricted
+  pieces against the references of ``oracles``, which solve ell = 0 for
+  the same variable, ``_solved_variable``.
 """
 
 from __future__ import annotations
@@ -474,18 +470,6 @@ def generated_piece(generators, k: int) -> IdealPiece:
     return IdealPiece(nvars, k, ech)
 
 
-def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
-    """Degree-k piece of the ideal of a point set (evaluation-matrix kernel).
-
-    With ``restrict_to_hyperplane`` this is the independent oracle that the
-    tests check ``restricted_point_pieces`` against.
-    """
-    cols = _evaluation_columns(points.points, points.nvars, k)
-    # one condition per point, columns indexed by monomials
-    rows = ({j: col[i] for j, col in enumerate(cols) if col[i]} for i in range(len(points)))
-    return IdealPiece.cut_out(points.nvars, k, rows)
-
-
 # ---------------------------------------------------------------------------
 # hyperplane restriction
 
@@ -558,36 +542,9 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
 
 
 def _solved_variable(ell: GradedPoly) -> int:
-    """The variable x_j that ell = 0 is solved for, in ``restrict_to_hyperplane``
-    and ``_Restriction`` alike: the last one with a nonzero coefficient."""
+    """The variable x_j that ell = 0 is solved for: the last one with a
+    nonzero coefficient."""
     return max(exp.index(1) for exp in ell.coeffs)
-
-
-def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
-    """Image of (I, ell) in the quotient by the hyperplane, degree by degree.
-
-    For x_j the ``_solved_variable`` of ell, of coefficient c_j, the
-    hyperplane ell = 0 is the small ring in the other variables, in their
-    order (as ``_Restriction.small`` orders a point): each form is
-    substituted x_j -> -sum_{i != j} (c_i / c_j) x_i there.  It
-    works on full degree pieces; together with ``point_ideal_piece`` it is
-    the independent oracle that the tests check ``restricted_point_pieces``
-    against.
-    """
-    if ell.degree != 1 or ell.is_zero:
-        raise ValueError("need a nonzero linear form")
-    n, j = ell.nvars, _solved_variable(ell)
-    coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
-    solved = [-coeffs.get(i, 0) / coeffs[j] for i in range(n) if i != j]
-    images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, i - (i > j))
-              for i in range(n)]
-    out = []
-    for piece in pieces:
-        if piece.nvars != n:
-            raise ValueError("piece and hyperplane live in different rings")
-        forms = [f.substitute(images) for f in piece.basis_polys()]
-        out.append(generated_piece(forms or [GradedPoly.zero(n - 1, piece.degree)], piece.degree))
-    return out
 
 
 class _Restriction:
@@ -596,9 +553,8 @@ class _Restriction:
 
     For x_j the ``_solved_variable`` of ell, the small coordinates q'_i
     of a point are the others, in their order, taken at its primitive
-    representative p_i: the ring in which
-    ``restrict_to_hyperplane`` solves ell = 0 for x_j.  A point
-    functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
+    representative p_i: the ring of the hyperplane ell = 0 solved for x_j.
+    A point functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
     ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
     degree-(e-1) evaluation columns at the p_i.  Those functionals are the
     dual of S_e / (I, ell)_e.  A form of S' read as a form in the variables
@@ -706,8 +662,7 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 
     Each piece is held by its dual, point weights (see ``_Restriction``), so
     only point-indexed matrices appear, and this stays cheap even when the
-    ambient degree pieces are huge.  ``restrict_to_hyperplane`` applied to
-    ``point_ideal_piece`` is the independent oracle of the tests.
+    ambient degree pieces are huge.
     """
     restriction = _Restriction(points, ell, up_to)
     return [RestrictedPiece(restriction, e) for e in range(up_to + 1)]
@@ -767,18 +722,6 @@ class Functional:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def of(self, f: GradedPoly):
-        """phi(f), from the coefficients: the tests' oracle of the monomial
-        kill check in ``functional_kills_products``."""
-        if f.nvars != self.nvars or f.degree != self.degree:
-            raise ValueError("functional applied outside its graded piece")
-        acc = Fraction(0)
-        for exp, c in f.coeffs.items():
-            phi = self.coeffs.get(exp)
-            if phi is not None:
-                acc = acc + phi * c
-        return acc
 
 
 def socle_functional(piece: IdealPiece) -> Functional:

@@ -8,7 +8,7 @@ coefficient growth polynomial.  A rank over F_p reduces the entries to
 residues and runs an ordinary Gaussian elimination, where division is
 cheap and there is no growth.  ``rank`` shares no code with the evaluation
 echelons of ``ideals``, so tests and the benchmark use it as their
-independent oracle.  ``det`` is the oracle of ``defect.verify_node``.
+independent oracle, and ``det`` serves the node references of ``oracles``.
 ``dets`` runs the same elimination on many integer matrices of one size at
 once, each step one list comprehension over the matrices, with a row lift
 in place of row swaps: the node audit takes every chart Hessian of a chart

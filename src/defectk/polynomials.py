@@ -184,7 +184,7 @@ class GradedPoly:
     def __hash__(self):
         return hash((self.nvars, self.degree, frozenset(self.coeffs.items())))
 
-    # -- calculus and substitution --------------------------------------
+    # -- calculus and evaluation ----------------------------------------
 
     def partial_derivative(self, i: int) -> "GradedPoly":
         if self.degree < 1:
@@ -197,28 +197,6 @@ class GradedPoly:
             nxt[i] -= 1
             out[tuple(nxt)] = c * exp[i]
         return GradedPoly._unchecked(self.nvars, self.degree - 1, out)
-
-    def substitute(self, forms) -> "GradedPoly":
-        """f(L_0, ..., L_{nvars-1}) for linear forms L_i of one ring, zero
-        forms included; the powers of each L_i are expanded once.  In the
-        package only ``restrict_to_hyperplane``, the tests' oracle of the
-        restricted pieces, calls it."""
-        if len(forms) != self.nvars or any(
-            L.degree != 1 or L.nvars != forms[0].nvars for L in forms
-        ):
-            raise ValueError("need one linear form of one ring per variable")
-        m = forms[0].nvars
-        one = GradedPoly._unchecked(m, 0, {(0,) * m: Fraction(1)})
-        powers = [[one] for _ in forms]
-        result = GradedPoly.zero(m, self.degree)
-        for exp, c in self.coeffs.items():
-            term = one
-            for L, power, e in zip(forms, powers, exp):
-                while len(power) <= e:
-                    power.append(power[-1] * L)
-                term = term * power[e]
-            result = result + term.scale(c)
-        return result
 
     def evaluate(self, point):
         """Exact value at a point of ints or Fractions: the terms are summed

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, formats, and replayability."""
 
+import ast
 import json
 import os
 import subprocess
@@ -42,6 +43,46 @@ def test_one_parser_serves_every_run_in_a_process(capsys):
                                capture_output=True, text=True, timeout=60)
         assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
     assert build_parser.cache_info().currsize == 1
+
+
+def test_no_command_imports_the_oracles(tmp_path):
+    """``import defectk`` and a run of every command kind in that process
+    leave ``defectk.oracles``, the tests' references, unloaded."""
+    gens_file = tmp_path / "gens.json"
+    gens_file.write_text(json.dumps([GradedPoly.variable(5, 0).to_json_dict()]))
+    script = f"""
+import contextlib, io, json, sys
+import defectk
+from defectk.cli import SUITES, main
+runs = [["family", "--name", "plane", "--d", "4"],
+        ["defect", "--random", "8", "--nvars", "5", "--degree", "3"],
+        ["base-locus", "--generators", {str(gens_file)!r}],
+        *(["verify", "--suite", suite] for suite in SUITES)]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.startswith("defectk"))]))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(defectk.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    codes, modules = json.loads(done.stdout)
+    assert codes == [0] * len(codes) and len(codes) == 3 + len(SUITES)
+    assert "defectk.cli" in modules and "defectk.oracles" not in modules
+
+
+def test_no_module_but_the_oracles_imports_them():
+    for path in Path(defectk.__file__).parent.glob("*.py"):
+        if path.name == "oracles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any("oracles" in name.split(".") for name in names), (path.name, names)
 
 
 def test_usage_errors_exit_one(capsys):
@@ -154,7 +195,7 @@ def test_field_flag(capsys):
         "error: argument --field: characteristic must be an odd prime <= 2^31, got 4")
     code, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4", "--field", "qp")
     assert code == 0
-    for field in ("fp=abc", "fp=", "fp=7.0"):  # no integer: the malformed-field error
+    for field in ("fp=abc", "fp=", "fp=7.0", "qq"):  # neither qp nor fp=<integer>
         code, out, err = run_cli(capsys, "defect", "--random", "3", "--degree", "2",
                                  "--field", field)
         assert code == 1 and out == ""

@@ -18,12 +18,11 @@ from defectk.defect import (
     defect,
     sweep_singular_points,
     tangent_codim,
-    verify_node,
-    verify_singular,
 )
 from defectk.families import plane_family, probe_undeclared_singular_points, random_points_control
 from defectk.ideals import HilbertProfile, PointSet, format_point, primitive_point
 from defectk.macaulay import ci_pnd
+from defectk.oracles import verify_node, verify_singular
 from defectk.polynomials import GradedPoly, monomial_basis, product
 from defectk.scenarios import run_plane
 

@@ -28,17 +28,17 @@ from defectk.ideals import (
     gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
-    point_ideal_piece,
     primitive_point,
     points_hilbert,
     points_profile,
-    restrict_to_hyperplane,
     restricted_point_pieces,
     socle_functional,
 )
 from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _profile_pass
 from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
+from defectk.oracles import (functional_value, point_ideal_piece, restrict_to_hyperplane,
+                              substitute)
 from defectk.polynomials import GradedPoly, monomial_basis
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -645,9 +645,9 @@ def test_socle_functional_vanishes_on_piece():
     phi = socle_functional(pieces[4])
     assert not phi.is_zero
     for f in pieces[4].basis_polys():
-        assert phi.of(f) == 0
+        assert functional_value(phi, f) == 0
     with pytest.raises(ValueError, match="outside its graded piece"):
-        phi.of(GradedPoly.monomial(4, (1, 0, 0, 0)))
+        functional_value(phi, GradedPoly.monomial(4, (1, 0, 0, 0)))
     with pytest.raises(ValueError):
         socle_functional(generated_piece([GradedPoly.monomial(4, (0,) * 4)], 2))
 
@@ -806,7 +806,7 @@ def test_monomial_kill_check_matches_products(seed):
                                    rng.sample(basis, min(len(basis), rng.randint(1, 2)))})
              for _ in range(rng.randint(1, 3))]
     piece = generated_piece(forms, e)
-    want = all(not phi.of(f * GradedPoly.monomial(nvars, m))
+    want = all(not functional_value(phi, f * GradedPoly.monomial(nvars, m))
                for f in piece.basis_polys() for m in monomial_basis(nvars, N - e))
     assert functional_kills_products(phi, piece) == want
 
@@ -1261,7 +1261,7 @@ def test_coordinate_changed_monomial_cis_match_closed_form():
         degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, nvars))]
         images = [GradedPoly.linear_form([int(i == j) if j <= i else rng.randint(-2, 2)
                                           for j in range(nvars)]) for i in range(nvars)]
-        gens = [GradedPoly.monomial(nvars, [a * (v == i) for v in range(nvars)]).substitute(images)
+        gens = [substitute(GradedPoly.monomial(nvars, [a * (v == i) for v in range(nvars)]), images)
                 for i, a in enumerate(degrees)]
         top = max(degrees)
         for k in range(top, top + 3):
