@@ -52,7 +52,6 @@ from .ideals import (
 )
 from .linalg import Echelon, rank
 from .macaulay import (
-    MacaulayExpansion,
     binomial,
     c0_expansion_identity,
     ci_hilbert,

@@ -4,7 +4,7 @@ Subcommands: expand, bounds, family, defect, base-locus, verify.
 Reports are emitted as JSON (canonical), CSV, or markdown; every report
 embeds the scenario that produced it, so a run can be replayed exactly.
 Exit codes: 0 success, 1 usage error, 2 audit or verification failure.
-The DEFECTK_SEED environment variable overrides the default seed.
+A usage error prints one line, starting with "error:", to stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from functools import cache, partial
 
@@ -38,7 +37,6 @@ FAILURE_EXIT = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
 
@@ -56,16 +54,6 @@ def _parse_field(text: str) -> int | None:
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     raise argparse.ArgumentTypeError("expected qp or fp=<prime>")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("DEFECTK_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"DEFECTK_SEED must be an integer, got {env!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +100,11 @@ def _flatten(data, prefix: str = "") -> dict:
 
 
 def _cmd_expand(args) -> int:
-    exp = macaulay.expand(args.c, args.d)
+    eps = macaulay.expand(args.c, args.d)
     growth = macaulay.upper_growth(args.c, args.d)
     green = macaulay.hyperplane_bound(args.c, args.d)
     rows = [
-        ("expansion exponents", ",".join(str(e) for e in exp.eps)),
+        ("expansion exponents", ",".join(str(e) for e in eps)),
         ("growth bound c^<d>", growth),
         ("hyperplane bound c_<d>", green),
     ]
@@ -150,13 +138,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     spec = FAMILIES[args.name]
     family_args = [getattr(args, a) for a in spec.args]
     if args.probe_prime:
         validate_characteristic(args.probe_prime)
         check_sweep_budget(spec.nvars(*family_args), args.probe_prime)
-    run = spec.run(*family_args, seed=seed, char=args.field)
+    run = spec.run(*family_args, seed=args.seed, char=args.field)
     instance = run["instance"]
     report = {
         "scenario": run["scenario"],
@@ -193,9 +180,8 @@ def _cmd_defect(args) -> int:
             points = PointSet.from_json_list(json.load(fh))
         source = {"points": args.points}
     else:
-        seed = args.seed if args.seed is not None else _default_seed()
-        points = random_points_control(args.random, args.nvars, seed)
-        source = {"random": args.random, "nvars": args.nvars, "seed": seed}
+        points = random_points_control(args.random, args.nvars, args.seed)
+        source = {"random": args.random, "nvars": args.nvars, "seed": args.seed}
     if args.field:
         check_reduction(points, args.field)
     rep = compute_defect(points, args.degree, args.field)
@@ -249,13 +235,11 @@ def suite_macaulay():
     ok = True
     for d in range(1, 13):
         for c in range(0, 3001):
-            try:
-                eps = macaulay.expand(c, d).eps
-            except ValueError:  # the expansion type refused what expand built
-                ok = False
-                continue
+            eps = macaulay.expand(c, d)
             total = sum(macaulay.binomial(i + e, i) for i, e in zip(range(d, 0, -1), eps))
-            ok = ok and len(eps) == d and total == c
+            # d exponents, weakly decreasing down to eps_1 >= -1, that sum to c
+            ok = (ok and len(eps) == d and total == c and eps[-1] >= -1
+                  and all(a >= b for a, b in zip(eps, eps[1:])))
     checks.append(("expansion reconstructs c for c<=3000, d<=12", ok, "exact"))
     ok = True
     for d in range(2, 51):
@@ -343,28 +327,28 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int)
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("family", help="construct a nodal family instance and certify it")
+    # the options that family and defect share
+    report = _Parser(add_help=False)
+    report.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    report.add_argument("--field", type=_parse_field, default=None)
+    report.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
+    report.add_argument("--out")
+
+    p = sub.add_parser("family", parents=[report],
+                       help="construct a nodal family instance and certify it")
     p.add_argument("--name", choices=list(FAMILIES), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, default=2, help="only for ci-highdim")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--field", type=_parse_field, default=None)
-    p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
-    p.add_argument("--out")
     p.add_argument("--probe-prime", type=int, default=0,
                    help="sweep P^n(F_p) for undeclared singular points")
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("defect", help="defect of a point set at a degree")
+    p = sub.add_parser("defect", parents=[report], help="defect of a point set at a degree")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", help="JSON file with point coordinates")
     src.add_argument("--random", type=int, help="number of seeded random points")
     p.add_argument("--nvars", type=int, default=5)
-    p.add_argument("--seed", type=int)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--field", type=_parse_field, default=None)
-    p.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_defect)
 
     p = sub.add_parser("base-locus", help="base locus dimension of generated ideal")

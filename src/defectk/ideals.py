@@ -938,7 +938,7 @@ def base_locus_dimension(piece: IdealPiece, degree_cap: int | None = None) -> in
         if h_next == 0:
             return -1
         if h_next == upper_growth(h_k, k):
-            return expand(h_k, k).eps[0]
+            return expand(h_k, k)[0]
         h_k = h_next
         k += 1
     raise InconclusiveProbeError(f"no base-locus verdict by degree {cap}")

@@ -4,8 +4,9 @@ Every nonnegative integer c has a unique representation in "base d"
 
     c = sum_{i=1}^{d} binom(i + eps_i, i),    eps_d >= ... >= eps_1 >= -1,
 
-where a term with eps_i = -1 contributes nothing.  The exponent list drives
-the codimension-growth bounds used everywhere else in the package:
+where a term with eps_i = -1 contributes nothing.  ``expand(c, d)`` returns
+the expansion as its exponent tuple (eps_d, ..., eps_1), which drives the
+codimension-growth bounds used everywhere else in the package:
 
 * ``upper_growth(c, d)``     largest codimension reachable in degree d+1,
 * ``hyperplane_bound(c, d)`` largest codimension after a general hyperplane cut,
@@ -21,7 +22,6 @@ point appears anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def binomial(a: int, b: int) -> int:
@@ -31,36 +31,9 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass(frozen=True)
-class MacaulayExpansion:
-    """The unique base-d expansion of c, exponents stored as (eps_d, ..., eps_1)."""
-
-    c: int
-    d: int
-    eps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.c < 0:
-            raise ValueError("need c >= 0 and d >= 1")
-        if len(self.eps) != self.d:
-            raise ValueError("exponent list must have length d")
-        if any(e < -1 for e in self.eps):
-            raise ValueError("exponents must be >= -1")
-        if any(self.eps[j] < self.eps[j + 1] for j in range(self.d - 1)):
-            raise ValueError("exponents must be weakly decreasing")
-        if self.value() != self.c:
-            raise ValueError("exponent list does not reconstruct c")
-
-    def value(self) -> int:
-        return sum(binomial(i + e, i) for i, e in self.positions())
-
-    def positions(self):
-        """Pairs (i, eps_i) for i = d down to 1."""
-        return zip(range(self.d, 0, -1), self.eps)
-
-
-def expand(c: int, d: int) -> MacaulayExpansion:
-    """Base-d expansion of c, built greedily from the top position down."""
+def expand(c: int, d: int) -> tuple[int, ...]:
+    """Base-d expansion of c as its exponents (eps_d, ..., eps_1), built
+    greedily from the top position down."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     if d < 1:
@@ -79,26 +52,26 @@ def expand(c: int, d: int) -> MacaulayExpansion:
         eps.append(lo)
         rem -= binomial(i + lo, i)
     assert rem == 0
-    return MacaulayExpansion(c, d, tuple(eps))
+    return tuple(eps)
 
 
 def upper_growth(c: int, d: int) -> int:
     """c^<d>: the Macaulay bound on the codimension in degree d+1."""
-    return sum(binomial(i + e + 1, i + 1) for i, e in expand(c, d).positions())
+    return sum(binomial(i + e + 1, i + 1) for i, e in zip(range(d, 0, -1), expand(c, d)))
 
 
 def hyperplane_bound(c: int, d: int) -> int:
     """c_<d>: the bound on the codimension of a general hyperplane restriction."""
-    return sum(binomial(i + e - 1, i) for i, e in expand(c, d).positions())
+    return sum(binomial(i + e - 1, i) for i, e in zip(range(d, 0, -1), expand(c, d)))
 
 
 def lower_shift(c: int, d: int) -> tuple[int, bool]:
     """c_{*d} and whether the degree-(d-1) inequality is strict (eps_1 >= 0)."""
     if d < 2:
         raise ValueError("lower_shift needs d >= 2")
-    exp = expand(c, d)
-    value = sum(binomial(i + e - 1, i - 1) for i, e in exp.positions() if i >= 2)
-    return value, exp.eps[-1] >= 0
+    eps = expand(c, d)
+    value = sum(binomial(i + e - 1, i - 1) for i, e in zip(range(d, 0, -1), eps) if i >= 2)
+    return value, eps[-1] >= 0
 
 
 def low_degree_floor(c: int, d: int, k: int) -> int:
@@ -174,4 +147,4 @@ def c0_expansion_identity(n: int, d: int) -> bool:
     assert tail % 2 == 0
     c0 = binomial(d + n + 1, n + 1) - binomial(d + n - 1, n + 1) - tail // 2
     expected = (n,) + (n - 1,) * (d - 4) + (n - 4, n - 7, n - 16)
-    return expand(c0, d).eps == expected
+    return expand(c0, d) == expected

@@ -3,10 +3,12 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
+
+import pytest
 
 from defectk import macaulay, scenarios
 import defectk
@@ -91,6 +93,40 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys, "nope")[0] == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("family", "--name", "plane", "--d", "4", "--field", "qq"),
+    ("family", "--name", "plane", "--d", "4", "--field", "fp=4"),
+    ("family", "--d", "abc"),
+    ("verify", "--suite", "nope"),
+])
+def test_a_usage_error_is_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument ") and err.count("\n") == 1, err
+
+
+# the options each subcommand's --help lists
+HELP_OPTIONS = {
+    "expand": {"-h", "--c", "--d"},
+    "bounds": {"-h", "--c", "--d", "--k"},
+    "family": {"-h", "--name", "--d", "--n", "--seed", "--field", "--format", "--out",
+               "--probe-prime"},
+    "defect": {"-h", "--points", "--random", "--nvars", "--seed", "--degree", "--field",
+               "--format", "--out"},
+    "base-locus": {"-h", "--generators", "--degree", "--degree-cap"},
+    "verify": {"-h", "--suite"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_OPTIONS))
+def test_help_lists_every_option_of_the_subcommand(capsys, command):
+    code, out, err = run_cli(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    options = out[out.index("\noptions:\n"):]
+    listed = set(re.findall(r"^  (-[-\w]+)", options, flags=re.MULTILINE))
+    assert listed == HELP_OPTIONS[command]
+
+
 def test_value_errors_exit_one_with_one_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "expand", "--c", "-1", "--d", "3")
     assert code == 1 and out == ""
@@ -170,19 +206,13 @@ def test_family_replay_reproduces_report(capsys):
     assert out3 == out1
 
 
-def test_env_seed_override(capsys, monkeypatch):
+def test_the_environment_does_not_move_the_seed(capsys, monkeypatch):
+    """--seed is the only seed source: a variable that once set it is ignored."""
+    argv = ("family", "--name", "plane", "--d", "4")
+    plain = run_cli(capsys, *argv)
     monkeypatch.setenv("DEFECTK_SEED", "99")
-    _, out, _ = run_cli(capsys, "family", "--name", "plane", "--d", "4")
-    assert json.loads(out)["scenario"]["params"]["seed"] == 99
-
-
-def test_env_seed_that_is_not_an_integer_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("DEFECTK_SEED", "abc")
-    for argv in (("family", "--name", "plane", "--d", "3"),
-                 ("defect", "--random", "3", "--degree", "1")):
-        code, out, err = run_cli(capsys, *argv)
-        _assert_one_line_error(code, out, err)
-        assert err == "error: DEFECTK_SEED must be an integer, got 'abc'\n"
+    assert run_cli(capsys, *argv) == plain
+    assert json.loads(plain[1])["scenario"]["params"]["seed"] == scenarios.DEFAULT_SEED
 
 
 def test_field_flag(capsys):
@@ -257,19 +287,18 @@ def test_verify_suites_exit_zero(capsys):
 
 
 def test_verify_macaulay_fails_on_a_wrong_or_refused_expansion(capsys, monkeypatch):
-    """An expansion that does not sum to c, or one the expansion type
-    refuses, is a FAIL line and exit 2, not a traceback."""
+    """An expansion that does not sum to c, or one that sums to c but is
+    not weakly decreasing, is a FAIL line and exit 2, not a traceback."""
     original = macaulay.expand
 
     def wrong(c, d):
-        return SimpleNamespace(eps=(c,) + (-1,) * (d - 1)) if c == 3000 else original(c, d)
+        return (c,) + (-1,) * (d - 1) if c == 3000 else original(c, d)
 
-    def refused(c, d):
-        if c == 3000:
-            raise ValueError("exponent list does not reconstruct c")
-        return original(c, d)
+    def increasing(c, d):
+        # binom(1, 2) + binom(3000, 1) = 3000, but eps_2 < eps_1
+        return (-1, 2999) if (c, d) == (3000, 2) else original(c, d)
 
-    for patched in (wrong, refused):
+    for patched in (wrong, increasing):
         monkeypatch.setattr(macaulay, "expand", patched)
         code, out, err = run_cli(capsys, "verify", "--suite", "macaulay")
         assert code == 2 and err == ""
@@ -289,9 +318,8 @@ def test_family_probe_prime_warns(capsys):
     assert "warning" in err
 
 
-def test_probe_prime_report_matches_stored_copy(capsys, monkeypatch):
+def test_probe_prime_report_matches_stored_copy(capsys):
     """The sweep report of plane d=6 mod 11, byte for byte."""
-    monkeypatch.delenv("DEFECTK_SEED", raising=False)
     code, out, err = run_cli(capsys, "family", "--name", "plane", "--d", "6",
                              "--probe-prime", "11")
     assert code == 0
@@ -313,9 +341,8 @@ STORED_REPORTS = {
 }
 
 
-def test_reports_match_stored_copies(capsys, monkeypatch):
+def test_reports_match_stored_copies(capsys):
     """JSON, CSV and markdown reports of both commands, byte for byte."""
-    monkeypatch.delenv("DEFECTK_SEED", raising=False)
     for name, argv in STORED_REPORTS.items():
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0

@@ -1396,6 +1396,6 @@ def test_persistence_values_follow_pinned_polynomial():
     for k in range(2, 10):
         values[k] = piece.codim
         piece = generated_piece(piece.basis_polys(), k + 1)
-    assert expand(values[6], 6).eps[0] == 1  # persistence triggers at degree 6
+    assert expand(values[6], 6)[0] == 1  # persistence triggers at degree 6
     assert all(values[t] == 4 * t for t in range(6, 10))
     assert all(values[t + 1] == upper_growth(values[t], t) for t in range(6, 9))

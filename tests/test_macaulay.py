@@ -56,13 +56,18 @@ def lex_restriction_codim(c, d, nvars):
     return total - len(image)
 
 
+def expansion_value(eps):
+    """The integer whose base-len(eps) expansion is eps."""
+    return sum(binomial(i + e, i) for i, e in zip(range(len(eps), 0, -1), eps))
+
+
 def test_expand_known_values():
-    assert expand(3, 5).eps == (0, 0, 0, -1, -1)
-    assert expand(0, 3).eps == (-1, -1, -1)
-    assert expand(5, 2).eps == (1, 1)  # 5 = binom(3,2) + binom(2,1)
+    assert expand(3, 5) == (0, 0, 0, -1, -1)
+    assert expand(0, 3) == (-1, -1, -1)
+    assert expand(5, 2) == (1, 1)  # 5 = binom(3,2) + binom(2,1)
     # found by doubling and bisection; a linear scan would not finish
-    assert expand(10**12, 1).eps == (10**12 - 1,)
-    assert expand(10**30, 3).value() == 10**30
+    assert expand(10**12, 1) == (10**12 - 1,)
+    assert expansion_value(expand(10**30, 3)) == 10**30
 
 
 def test_expand_matches_bruteforce_uniqueness():
@@ -70,15 +75,15 @@ def test_expand_matches_bruteforce_uniqueness():
         for c in range(0, 120):
             found = all_expansions(c, d)
             assert len(found) == 1, (c, d, found)
-            assert expand(c, d).eps == found[0]
+            assert expand(c, d) == found[0]
 
 
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=40))
 def test_expand_reconstructs_and_decreases(c, d):
-    exp = expand(c, d)
-    assert exp.value() == c
-    assert all(exp.eps[i] >= exp.eps[i + 1] for i in range(d - 1))
-    assert exp.eps[-1] >= -1
+    eps = expand(c, d)
+    assert len(eps) == d and expansion_value(eps) == c
+    assert all(eps[i] >= eps[i + 1] for i in range(d - 1))
+    assert eps[-1] >= -1
 
 
 def test_upper_growth_known_values():
