@@ -42,7 +42,6 @@ from .ideals import (
     draw_missing_hyperplane,
     functional_kills_products,
     generated_piece,
-    gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
     points_hilbert,

@@ -137,8 +137,20 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _options(args, only: str | None = None, **defaults) -> None:
+    """Give each option of ``defaults`` that the parser left None its default;
+    refuse a given one when ``only`` names the runs that read it instead."""
+    for name, default in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif only:
+            raise ValueError(f"--{name} applies only to {only}")
+
+
 def _cmd_family(args) -> int:
     spec = FAMILIES[args.name]
+    _options(args, seed=DEFAULT_SEED)
+    _options(args, None if "n" in spec.args else "ci-highdim", n=2)
     family_args = [getattr(args, a) for a in spec.args]
     if args.probe_prime:
         validate_characteristic(args.probe_prime)
@@ -175,6 +187,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_defect(args) -> int:
+    _options(args, "--random" if args.points else None, seed=DEFAULT_SEED, nvars=5)
     if args.points:
         with open(args.points, encoding="utf-8") as fh:
             points = PointSet.from_json_list(json.load(fh))
@@ -329,7 +342,7 @@ def build_parser() -> _Parser:
 
     # the options that family and defect share
     report = _Parser(add_help=False)
-    report.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    report.add_argument("--seed", type=int)
     report.add_argument("--field", type=_parse_field, default=None)
     report.add_argument("--format", choices=["json", "csv", "markdown"], default="json")
     report.add_argument("--out")
@@ -338,7 +351,7 @@ def build_parser() -> _Parser:
                        help="construct a nodal family instance and certify it")
     p.add_argument("--name", choices=list(FAMILIES), required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int, default=2, help="only for ci-highdim")
+    p.add_argument("--n", type=int, help="only for ci-highdim")
     p.add_argument("--probe-prime", type=int, default=0,
                    help="sweep P^n(F_p) for undeclared singular points")
     p.set_defaults(func=_cmd_family)
@@ -347,7 +360,7 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--points", help="JSON file with point coordinates")
     src.add_argument("--random", type=int, help="number of seeded random points")
-    p.add_argument("--nvars", type=int, default=5)
+    p.add_argument("--nvars", type=int, help="only for --random")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=_cmd_defect)
 

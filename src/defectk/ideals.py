@@ -55,12 +55,12 @@ Conventions used throughout:
   taken mod CERTIFY_PRIME, with packed products, on the vectors a profile
   pass at those points stored, and kept when it meets that cap; only a
   rank short of it builds those bases over Z and reruns.
-  Every other functional, one given at points included, and every other
-  kill check take the monomial path, on ``Echelon``: the ranks of the
-  monomial catalecticant, whose kernel is ``gorenstein_ancestor``, and its
-  rows paired with the piece's basis.  The tests check the restricted
-  pieces against the references of ``oracles``, which solve ell = 0 for
-  the same variable, ``_solved_variable``.
+  The chain takes nothing else: ``socle_functional`` refuses every piece
+  but a restricted one of codim 1, and ``functional_kills_products`` every
+  piece but one of the functional's own restriction.  The monomial
+  catalecticant, its kernel and its pairing with a piece's basis live in
+  ``oracles``, the references the tests check the chain against; those
+  also solve ell = 0 for the same variable, ``_solved_variable``.
 """
 
 from __future__ import annotations
@@ -98,17 +98,17 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
-def _scaled_to_integers(values) -> tuple[tuple[int, ...], int]:
-    """Ints or rationals times the lcm of their denominators, and that lcm."""
+def _scaled_to_integers(values) -> tuple[int, ...]:
+    """Ints or rationals times the lcm of their denominators."""
     values = tuple(values)
     denom = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
+    return tuple(v.numerator * (denom // v.denominator) for v in values)
 
 
 def primitive_point(coords) -> tuple[int, ...]:
     """Integer representative of a point given by ints or rationals: coprime
     entries, the first nonzero one positive."""
-    ints = _scaled_to_integers(coords)[0]
+    ints = _scaled_to_integers(coords)
     g = math.gcd(*ints)
     if not g:
         raise ValueError("zero vector is not a projective point")
@@ -576,7 +576,7 @@ class _Restriction:
                 self.top_kernel = ech.kernel()
         self.codims = difference_profile(HilbertProfile(tuple(h)), points, ell)
         # 1 / ell(p_i) as ints, up to one common factor
-        ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)[0]
+        ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)
         lcm = math.lcm(*ells)
         self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
@@ -607,20 +607,19 @@ class _Restriction:
 
     def socle_functional(self, e: int) -> "Functional":
         """The functional vanishing on (I_H)_e, of codim 1, in the point form
-        at the q'_i (see ``Functional``): the dual weight over its value at
-        the last monomial where that is nonzero.  It records this restriction
-        as its ``restriction``."""
+        (see ``Functional``): the first dual weight whose functional is not
+        zero, over its value at the last monomial where that is nonzero."""
         basis = monomial_basis(self.nvars, e)
-        for weights in self.dual_weights(e):
+        for w in self.dual_weights(e):
             # one monomial at a time, not ``values_at`` over the basis: the
             # scan stops at the first nonzero value, which on the grid chains
             # (plane d = 8 and 20, double solid d = 5 and 6) is the first
             # monomial it reads, so whole columns would only add work
             for m in reversed(basis):
-                value = _dot(weights, (math.prod(map(pow, q, m)) for q in self.small))
+                value = _dot(w, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:
-                    phi = Functional.at_points(self.nvars, e, self.small, weights)
-                    phi.denominator, phi.restriction = value, self
+                    phi = object.__new__(Functional)  # its constructor refuses
+                    vars(phi).update(restriction=self, degree=e, weights=w, denominator=value)
                     return phi
         raise ValueError("piece spans everything; no nonzero functional vanishes on it")
 
@@ -672,99 +671,41 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 # Gorenstein ancestor (apolar) ideals
 
 
+@dataclass(frozen=True, init=False)
 class Functional:
-    """Linear functional on the degree-N graded piece.
+    """The socle functional of a restricted piece of codim 1, on the
+    degree-N graded piece of the restriction's ring, in its point form: int
+    ``weights`` w_i at the restriction's small points q'_i (``points``)
+    over one nonzero int ``denominator`` D, phi = sum_i w_i ev_{q'_i} / D.
+    Ranks do not change under scaling, so ``ancestor_profile`` reads the
+    w_i alone and builds no Fraction, on point-indexed matrices by the
+    apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15).  The chain trusts
+    it, so only ``socle_functional`` builds one; the constructor refuses."""
 
-    It is given by dual coefficients phi(m) on the monomials, or in the
-    point form: int ``weights`` w_i at int ``points`` over one nonzero int
-    ``denominator`` D, phi = sum_i w_i ev_{points_i} / D, its coefficients
-    computed only when read.  Ranks do not change under scaling, so the
-    point path reads the w_i alone and builds no Fraction.  ``restriction``
-    is the ``_Restriction`` a socle functional was built from, None for
-    every other functional; exactly a functional that carries one runs its
-    ranks on point-indexed matrices by the apolarity lemma (Iarrobino-Kanev
-    1999, Lemma 1.15).
-    """
+    restriction: _Restriction
+    degree: int
+    weights: tuple[int, ...]
+    denominator: int
 
-    __slots__ = ("nvars", "degree", "points", "weights", "denominator", "_coeffs", "restriction")
-
-    def __init__(self, nvars: int, degree: int, coeffs):
-        self.nvars = nvars
-        self.degree = degree
-        self._coeffs = GradedPoly(nvars, degree, coeffs).coeffs
-        self.points = self.weights = self.denominator = self.restriction = None
-
-    @classmethod
-    def at_points(cls, nvars: int, degree: int, points, weights) -> "Functional":
-        """sum_i weights[i] * ev_{points[i]} for rational weights, at integer
-        points: it is not scale-invariant, so a rational point is refused."""
-        given = tuple(map(tuple, points))
-        points = tuple(tuple(map(int, p)) for p in given)
-        if points != given:
-            raise ValueError("points of a functional must have integer coordinates")
-        weights, denominator = _scaled_to_integers(
-            w if isinstance(w, int) else Fraction(w) for w in weights)
-        if len(points) != len(weights) or any(len(p) != nvars for p in points):
-            raise ValueError("need one weight per point of the ring's dimension")
-        phi = cls(nvars, degree, {})
-        phi.points, phi.weights, phi.denominator, phi._coeffs = points, weights, denominator, None
-        return phi
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Functional is built only by socle_functional")
 
     @property
-    def coeffs(self) -> dict:
-        if self._coeffs is None:
-            basis = monomial_basis(self.nvars, self.degree)
-            values = map(functools.partial(_dot, self.weights),
-                         _evaluation_columns(self.points, self.nvars, self.degree))
-            self._coeffs = {m: Fraction(v, self.denominator) for m, v in zip(basis, values) if v}
-        return self._coeffs
+    def nvars(self) -> int:
+        return self.restriction.nvars
 
     @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        return self.restriction.small
 
 
 def socle_functional(piece: IdealPiece) -> Functional:
-    """First dual basis vector vanishing on the piece, in the monomial order.
-
-    For a restricted piece of codim 1, of any degree, this is the unique
-    functional that vanishes on it, normalised to 1 at the last monomial
-    where it is nonzero; it is computed in the point form, without the
-    piece's kernel, and carries the piece's restriction.
-    """
-    if isinstance(piece, RestrictedPiece) and piece.codim == 1:
-        return piece.restriction.socle_functional(piece.degree)
-    kernel = piece.echelon.kernel_of_rows()
-    if not kernel:
-        raise ValueError("piece spans everything; no nonzero functional vanishes on it")
-    basis = monomial_basis(piece.nvars, piece.degree)
-    return Functional(piece.nvars, piece.degree, {basis[c]: v for c, v in kernel[0].items()})
-
-
-def _catalecticant_rows(phi: Functional, e: int):
-    """Yield the rows of Cat_e(phi), e >= 0, as sparse dicts: one row per
-    monomial m of degree N - e, over the degree-e monomial basis, with
-    phi(g * m) at g.  Past N there is no such monomial, and no row."""
-    coeffs = phi.coeffs
-    basis_e = monomial_basis(phi.nvars, e)
-    for mono in monomial_basis(phi.nvars, phi.degree - e):
-        products = (coeffs.get(tuple(map(operator.add, g, mono))) for g in basis_e)
-        yield {j: c for j, c in enumerate(products) if c}
-
-
-def gorenstein_ancestor(phi: Functional, e: int) -> IdealPiece:
-    """Degree-e piece of the largest ideal whose degree-N products the
-    functional kills: the kernel of the catalecticant g |-> (m |-> phi(g*m)).
-
-    Past N that has no rows: the piece is S_e.  Its codim, the rank of
-    Cat_e(phi), is the monomial ``ancestor_profile``, the oracle of the point
-    path; the tests check ``functional_kills_products`` against it too.
-    """
-    if phi.is_zero:
-        raise ValueError("functional must be nonzero")
-    if e < 0:
-        raise ValueError("degree must be nonnegative")
-    return IdealPiece.cut_out(phi.nvars, e, _catalecticant_rows(phi, e))
+    """The functional vanishing on a restricted piece of codim 1, of any
+    degree, normalised to 1 at the last monomial where it is nonzero, in the
+    point form and without the piece's kernel; any other piece is refused."""
+    if not isinstance(piece, RestrictedPiece) or piece.codim != 1:
+        raise ValueError("a socle functional needs a restricted piece of codim 1")
+    return piece.restriction.socle_functional(piece.degree)
 
 
 def _products(left, right, weights):
@@ -824,9 +765,8 @@ def _rank_points(phi: Functional):
 
 
 def ancestor_profile(phi: Functional) -> HilbertProfile:
-    """h(0..N) of the quotient by the ancestor ideal: the ranks of the
-    catalecticants, on point-indexed matrices for a functional that carries
-    its restriction, else the codimensions of ``gorenstein_ancestor``.
+    """h(0..N) of the quotient by the ancestor ideal of a socle functional:
+    the ranks of its catalecticants, on point-indexed matrices.
 
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e / D (see ``Functional``)
     for the evaluation matrices E at the points, so its rank is that of
@@ -842,9 +782,6 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
     packed products (``_packed_columns``); a modular rank that meets its cap
     is exact, and only when one falls short are bases built over Z.
     """
-    if phi.restriction is None:
-        return HilbertProfile(tuple(gorenstein_ancestor(phi, e).codim
-                                    for e in range(phi.degree + 1)))
     N, codims = phi.degree, phi.restriction.codims
     points, weights = _rank_points(phi), phi.weights
     p = CERTIFY_PRIME
@@ -865,20 +802,12 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
 
 
 def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
-    """True when phi vanishes on piece * S_{N - e}, the degree-by-degree
-    membership test for the ancestor ideal.  A socle functional kills every
-    piece of its own restriction, by construction: (I_H)_e * S_{N-e} lies
-    in (I_H)_N, on which it vanishes.  Every other pair is decided by
-    pairing each row of Cat_e(phi), phi(- * m), with each form of the
-    piece's basis, which stops at the first nonzero pairing; past N there is
-    no row, and every piece passes.  A zero functional kills everything."""
-    if piece.nvars != phi.nvars:
-        raise ValueError("functional and piece live in different rings")
-    if isinstance(piece, RestrictedPiece) and piece.restriction is phi.restriction:
-        return True
-    basis = piece.echelon.rows.values()
-    return not any(sum(c * f[j] for j, c in row.items() if j in f)
-                   for row in _catalecticant_rows(phi, piece.degree) for f in basis)
+    """True for every piece of phi's own restriction: phi vanishes on
+    piece * S_{N - e}, the ancestor membership test, as (I_H)_e * S_{N-e}
+    lies in (I_H)_N, on which it vanishes.  Any other piece is refused."""
+    if not (isinstance(piece, RestrictedPiece) and piece.restriction is phi.restriction):
+        raise ValueError("a kill check needs a piece of the functional's own restriction")
+    return True
 
 
 # ---------------------------------------------------------------------------

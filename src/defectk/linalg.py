@@ -27,13 +27,12 @@ functional at points (mod p first, kept only when they meet a proven upper
 bound, else over Z), and, through its kernel, the dual weights and socle
 functional of a restricted ideal.  Over F_p it only ranks: rescaling (the
 chart pass of ``ideals``) and kernels run over Z.
-``Echelon`` holds ideal pieces and catalecticants over the monomial basis:
-a forward echelon of the same design on sparse dict rows of ``Fraction``s,
-which reduces only the vector it inserts and back-substitutes only when a
-kernel is asked for.  It serves generated pieces, base loci, the monomial
-catalecticant of ``ideals.gorenstein_ancestor`` and of the monomial kill
-check, and the kernels a restricted piece builds only on demand; the point
-side never uses it.
+``Echelon`` holds ideal pieces over the monomial basis: a forward echelon
+of the same design on sparse dict rows of ``Fraction``s, which reduces only
+the vector it inserts and back-substitutes only when a kernel is asked
+for.  It serves generated pieces, base loci, the kernels a restricted
+piece builds only on demand, and the monomial catalecticants of
+``oracles``; the point side never uses it.
 """
 
 from __future__ import annotations

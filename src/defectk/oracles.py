@@ -24,19 +24,29 @@ computes, kept only so that the tests can compare the two.
 * ``substitute(f, forms)`` is f(L_0, ..., L_{nvars-1}) for linear forms
   L_i of one ring, zero forms included; the powers of each L_i are
   expanded once.  ``restrict_to_hyperplane`` substitutes with it.
-* ``functional_value(phi, f)`` is phi(f) from the coefficients of the
-  ``ideals.Functional``: the check of the monomial kill test of
-  ``ideals.functional_kills_products``.
+* The monomial side of the Gorenstein chain, plain functions of a
+  functional phi on the degree-N piece given by its dual coefficients
+  phi(m) on the monomials (``coeffs``, checked as a form's are):
+  ``point_sum`` gives those of sum_i w_i ev_{q_i} at integer points;
+  ``monomial_socle_functional(piece)`` those of the first kernel vector of
+  ``piece.echelon``.  ``gorenstein_ancestor`` is the kernel of the
+  catalecticant g |-> (m |-> phi(g * m)), whose codims are
+  ``monomial_ancestor_profile``, the check of ``ideals.ancestor_profile``;
+  ``monomial_kills_products`` pairs its rows with a piece's basis, and
+  ``functional_value(nvars, N, coeffs, f)`` is phi(f), its own check.
+  Together they give the answers ``ideals`` refuses: a functional that is
+  not a socle functional at points, a piece of another restriction.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import ideals
-from .ideals import Functional, IdealPiece, PointSet, generated_piece, primitive_point
+from .ideals import HilbertProfile, IdealPiece, PointSet, generated_piece, primitive_point
 from .linalg import det
-from .polynomials import GradedPoly
+from .polynomials import GradedPoly, monomial_basis
 
 
 def verify_singular(f: GradedPoly, point) -> bool:
@@ -96,12 +106,73 @@ def substitute(f: GradedPoly, forms) -> GradedPoly:
     return result
 
 
-def functional_value(phi: Functional, f: GradedPoly):
-    if f.nvars != phi.nvars or f.degree != phi.degree:
+def point_sum(nvars: int, N: int, points, weights) -> dict:
+    """The coefficients of sum_i weights[i] * ev_{points[i]} for rational
+    weights, at integer points: it is not scale-invariant, so a rational
+    point is refused."""
+    given = tuple(map(tuple, points))
+    points = tuple(tuple(map(int, p)) for p in given)
+    if points != given:
+        raise ValueError("points of a functional must have integer coordinates")
+    weights = tuple(map(Fraction, weights))
+    if len(points) != len(weights) or any(len(p) != nvars for p in points):
+        raise ValueError("need one weight per point of the ring's dimension")
+    values = (sum(map(operator.mul, weights, col))
+              for col in ideals._evaluation_columns(points, nvars, N))
+    return {m: v for m, v in zip(monomial_basis(nvars, N), values) if v}
+
+
+def monomial_socle_functional(piece: IdealPiece) -> dict:
+    kernel = piece.echelon.kernel_of_rows()
+    if not kernel:
+        raise ValueError("piece spans everything; no nonzero functional vanishes on it")
+    basis = monomial_basis(piece.nvars, piece.degree)
+    return {basis[c]: v for c, v in kernel[0].items()}
+
+
+def _catalecticant_rows(nvars: int, N: int, coeffs: dict, e: int):
+    """Yield the rows of Cat_e(phi), e >= 0, as sparse dicts: one row per
+    monomial m of degree N - e, over the degree-e monomial basis, with
+    phi(g * m) at g.  Past N there is no such monomial, and no row."""
+    basis_e = monomial_basis(nvars, e)
+    for mono in monomial_basis(nvars, N - e):
+        products = (coeffs.get(tuple(map(operator.add, g, mono))) for g in basis_e)
+        yield {j: c for j, c in enumerate(products) if c}
+
+
+def gorenstein_ancestor(nvars: int, N: int, coeffs, e: int) -> IdealPiece:
+    coeffs = GradedPoly(nvars, N, coeffs).coeffs
+    if not coeffs:
+        raise ValueError("functional must be nonzero")
+    if e < 0:
+        raise ValueError("degree must be nonnegative")
+    return IdealPiece.cut_out(nvars, e, _catalecticant_rows(nvars, N, coeffs, e))
+
+
+def monomial_ancestor_profile(nvars: int, N: int, coeffs) -> HilbertProfile:
+    return HilbertProfile(tuple(gorenstein_ancestor(nvars, N, coeffs, e).codim
+                                for e in range(N + 1)))
+
+
+def monomial_kills_products(nvars: int, N: int, coeffs, piece: IdealPiece) -> bool:
+    """Whether phi kills piece * S_{N - e}: each row of Cat_e(phi) paired
+    with each form of the piece's basis, stopping at the first nonzero
+    pairing; past N there is no row, and every piece passes."""
+    coeffs = GradedPoly(nvars, N, coeffs).coeffs
+    if piece.nvars != nvars:
+        raise ValueError("functional and piece live in different rings")
+    basis = piece.echelon.rows.values()
+    return not any(sum(c * f[j] for j, c in row.items() if j in f)
+                   for row in _catalecticant_rows(nvars, N, coeffs, piece.degree) for f in basis)
+
+
+def functional_value(nvars: int, N: int, coeffs, f: GradedPoly):
+    coeffs = GradedPoly(nvars, N, coeffs).coeffs
+    if f.nvars != nvars or f.degree != N:
         raise ValueError("functional applied outside its graded piece")
     acc = Fraction(0)
     for exp, c in f.coeffs.items():
-        coeff = phi.coeffs.get(exp)
+        coeff = coeffs.get(exp)
         if coeff is not None:
             acc = acc + coeff * c
     return acc

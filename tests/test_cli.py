@@ -355,6 +355,22 @@ def _assert_one_line_error(code, out, err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("defect", "--points", "{points}", "--degree", "1", "--seed", "5"),
+     "error: --seed applies only to --random"),
+    (("defect", "--points", "{points}", "--degree", "1", "--nvars", "9"),
+     "error: --nvars applies only to --random"),
+    (("family", "--name", "plane", "--d", "5", "--n", "7"),
+     "error: --n applies only to ci-highdim"),
+], ids=["points-with-seed", "points-with-nvars", "plane-with-n"])
+def test_an_option_the_run_does_not_read_is_refused(tmp_path, capsys, argv, message):
+    points_file = tmp_path / "points.json"
+    points_file.write_text(json.dumps(plane_family(4).nodes.to_json_list()))
+    code, out, err = run_cli(capsys, *(a.format(points=points_file) for a in argv))
+    _assert_one_line_error(code, out, err)
+    assert err == message + "\n"
+
+
 def test_random_control_without_enough_points_exits_one(capsys):
     # P^0 has one point, no point has zero coordinates, and P^1 has 1,210,584
     # points with coordinates in [-997, 997]: all three used to hang

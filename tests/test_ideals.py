@@ -1,6 +1,7 @@
 """Ideal pieces, point Hilbert functions, restriction, apolarity, and the
 persistence-based base-locus reader."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,7 +26,6 @@ from defectk.ideals import (
     draw_missing_hyperplane,
     functional_kills_products,
     generated_piece,
-    gorenstein_ancestor,
     lemdims_check,
     macaulay_growth_audit,
     primitive_point,
@@ -37,8 +37,9 @@ from defectk.ideals import (
 from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _profile_pass
 from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
-from defectk.oracles import (functional_value, point_ideal_piece, restrict_to_hyperplane,
-                              substitute)
+from defectk.oracles import (functional_value, gorenstein_ancestor, monomial_ancestor_profile,
+                              monomial_kills_products, monomial_socle_functional,
+                              point_ideal_piece, point_sum, restrict_to_hyperplane, substitute)
 from defectk.polynomials import GradedPoly, monomial_basis
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
@@ -593,25 +594,30 @@ def test_restriction_exact_sequence_cross_check():
 
 
 def test_gorenstein_ancestor_rank_two_quadric():
-    phi = Functional(2, 2, {(1, 1): 1})
-    prof = ancestor_profile(phi)
+    phi = {(1, 1): 1}
+    prof = monomial_ancestor_profile(2, 2, phi)
     assert prof.values == (1, 2, 1)
-    assert gorenstein_ancestor(phi, 1).dim == 0
-    assert gorenstein_ancestor(phi, 0).dim == 0  # h(0) = 1
+    assert gorenstein_ancestor(2, 2, phi, 1).dim == 0
+    assert gorenstein_ancestor(2, 2, phi, 0).dim == 0  # h(0) = 1
     for e in (3, 4):  # all of S_e past N, whose products phi kills
         full = generated_piece([GradedPoly.monomial(2, (0, 0))], e)
-        assert gorenstein_ancestor(phi, e) == full and functional_kills_products(phi, full)
+        assert gorenstein_ancestor(2, 2, phi, e) == full and monomial_kills_products(2, 2, phi, full)
     with pytest.raises(ValueError):
-        gorenstein_ancestor(Functional(2, 2, {}), 1)
+        gorenstein_ancestor(2, 2, {}, 1)
     with pytest.raises(ValueError, match="nonnegative"):
-        gorenstein_ancestor(phi, -1)
+        gorenstein_ancestor(2, 2, phi, -1)
 
 
 def test_functional_rejects_exponents_that_are_not_monomials():
+    """The oracles check a functional's coefficients as a form's, and drop
+    its zero coefficients."""
     for coeffs in ({(-1, 3): 1}, {(1.5, 0.5): 1}, {(1, 1, 0): 1}):
         with pytest.raises(ValueError):
-            Functional(2, 2, coeffs)
-    assert Functional(2, 2, {(1, 1): 0, (2, 0): 3}).coeffs == {(2, 0): 3}
+            monomial_ancestor_profile(2, 2, coeffs)
+    assert (monomial_ancestor_profile(2, 2, {(1, 1): 0, (2, 0): 3})
+            == monomial_ancestor_profile(2, 2, {(2, 0): 3}))
+    with pytest.raises(ValueError, match="nonzero"):
+        gorenstein_ancestor(2, 2, {(1, 1): 0}, 1)
 
 
 def test_gorenstein_ancestor_symmetry_random_functionals():
@@ -619,21 +625,20 @@ def test_gorenstein_ancestor_symmetry_random_functionals():
     basis = monomial_basis(4, 6)
     for _ in range(50):
         coeffs = {e: rng.randint(-5, 5) for e in rng.sample(basis, 12)}
-        phi = Functional(4, 6, coeffs)
-        if phi.is_zero:
+        if not any(coeffs.values()):
             continue
-        prof = ancestor_profile(phi)
+        prof = monomial_ancestor_profile(4, 6, coeffs)
         assert all(prof[e] == prof[6 - e] for e in range(7))
 
 
 def test_ancestor_pieces_match_functional_kill():
     """Each ancestor piece passes the kill check, and its codim is the rank
     of the catalecticant, by linalg.rank."""
-    phi = Functional(3, 4, {(2, 2, 0): 1, (0, 2, 2): -2, (1, 1, 2): 3})
+    phi = {(2, 2, 0): 1, (0, 2, 2): -2, (1, 1, 2): 3}
     for e in range(5):
-        piece = gorenstein_ancestor(phi, e)
-        assert functional_kills_products(phi, piece)
-        rows = [[phi.coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
+        piece = gorenstein_ancestor(3, 4, phi, e)
+        assert monomial_kills_products(3, 4, phi, piece)
+        rows = [[phi.get(tuple(a + b for a, b in zip(g, m)), 0)
                  for g in monomial_basis(3, e)] for m in monomial_basis(3, 4 - e)]
         assert piece.codim == rank(rows)
 
@@ -642,14 +647,17 @@ def test_socle_functional_vanishes_on_piece():
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
-    phi = socle_functional(pieces[4])
-    assert not phi.is_zero
+    coeffs = coefficients(socle_functional(pieces[4]))
+    assert coeffs
     for f in pieces[4].basis_polys():
-        assert functional_value(phi, f) == 0
+        assert functional_value(4, 4, coeffs, f) == 0
     with pytest.raises(ValueError, match="outside its graded piece"):
-        functional_value(phi, GradedPoly.monomial(4, (1, 0, 0, 0)))
-    with pytest.raises(ValueError):
-        socle_functional(generated_piece([GradedPoly.monomial(4, (0,) * 4)], 2))
+        functional_value(4, 4, coeffs, GradedPoly.monomial(4, (1, 0, 0, 0)))
+    full = generated_piece([GradedPoly.monomial(4, (0,) * 4)], 2)
+    with pytest.raises(ValueError, match="codim 1"):
+        socle_functional(full)
+    with pytest.raises(ValueError, match="spans everything"):
+        monomial_socle_functional(full)
 
 
 def test_ancestor_contains_restriction_small():
@@ -657,30 +665,30 @@ def test_ancestor_contains_restriction_small():
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
     phi = socle_functional(pieces[4])
+    coeffs = coefficients(phi)
     assert ancestor_profile(phi).values == (1, 2, 3, 2, 1)
     for e in range(5):
-        assert gorenstein_ancestor(phi, e).contains(pieces[e])
+        assert gorenstein_ancestor(4, 4, coeffs, e).contains(pieces[e])
         assert functional_kills_products(phi, pieces[e])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_ancestor_profile_matches_rank_of_catalecticants(seed):
-    """The monomial path ranks each catalecticant as linalg.rank does."""
+    """The monomial oracle ranks each catalecticant as linalg.rank does."""
     rng = random.Random(seed)
     nvars, degree = rng.choice(((2, 4), (3, 3), (3, 4), (4, 3)))
     basis = monomial_basis(nvars, degree)
     coeffs = {m: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
               for m in rng.sample(basis, rng.randint(1, len(basis)))}
-    phi = Functional(nvars, degree, coeffs)
-    if phi.is_zero:
+    if not any(coeffs.values()):
         return
     want = []
     for e in range(degree + 1):
-        rows = [[phi.coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
+        rows = [[coeffs.get(tuple(a + b for a, b in zip(g, m)), 0)
                  for g in monomial_basis(nvars, e)] for m in monomial_basis(nvars, degree - e)]
         want.append(rank(rows))
-    assert ancestor_profile(phi).values == tuple(want)
+    assert monomial_ancestor_profile(nvars, degree, coeffs).values == tuple(want)
 
 
 @st.composite
@@ -731,36 +739,41 @@ def test_point_form_chain_matches_monomial_oracles(data):
         assert piece == oracle
     restriction = pieces[0].restriction
     assert restriction.dual_weights(N) == reeliminated_dual_weights(restriction, N)
-    phi = socle_functional(pieces[N])
-    assert phi.coeffs == socle_functional(explicit[N]).coeffs
+    nvars, want = restriction.nvars, monomial_socle_functional(explicit[N])
     # a socle functional at the points carries its restriction, which
-    # settles its kill checks; a monomial one has none
+    # settles its kill checks; a piece of codim >= 2 is refused, and the
+    # oracle gives the first kernel vector of its echelon
     if pieces[N].codim == 1:
+        phi = socle_functional(pieces[N])
+        assert coefficients(phi) == want
         assert phi.points == restriction.small and phi.restriction is restriction
         assert_codims_within_column_ranks(phi)
+        assert ancestor_profile(phi) == monomial_ancestor_profile(nvars, N, want)
+        assert [functional_kills_products(phi, piece) for piece in pieces] == [
+            monomial_kills_products(nvars, N, want, oracle) for oracle in explicit]
     else:
-        assert phi.points is None and phi.restriction is None
+        with pytest.raises(ValueError, match="codim 1"):
+            socle_functional(pieces[N])
+        assert monomial_socle_functional(pieces[N]) == want
     # degree 0 has codim 1, so its socle functional carries the restriction too
     unit = socle_functional(pieces[0])
-    assert unit.restriction is restriction and unit.coeffs == {(0,) * unit.nvars: 1}
+    assert unit.restriction is restriction and coefficients(unit) == {(0,) * nvars: 1}
     assert ancestor_profile(unit).values == (1,)
     # weights that need not be orthogonal to the degree-(N-1) columns
-    other = Functional.at_points(phi.nvars, N, restriction.small, weights)
-    for psi in (phi, other):
-        if psi.is_zero:
-            continue
-        rebuilt = Functional(psi.nvars, N, psi.coeffs)
-        assert ancestor_profile(psi) == ancestor_profile(rebuilt)
-        for piece, oracle in zip(pieces, explicit):
-            assert functional_kills_products(psi, piece) == functional_kills_products(rebuilt, oracle)
+    other = point_sum(nvars, N, restriction.small, weights)
+    for coeffs in (want, other):
+        if coeffs:
+            for piece, oracle in zip(pieces, explicit):
+                assert (monomial_kills_products(nvars, N, coeffs, piece)
+                        == monomial_kills_products(nvars, N, coeffs, oracle))
 
 
 def test_degree_n_kill_check_matches_ancestor_containment():
     """Kill checks against containment in the monomial ancestor piece, on
-    socle functionals (which settle them by their restriction), on socle
-    functionals with one weight perturbed (which have no restriction, so
-    the catalecticant pairing decides), and on a functional whose degree
-    N - 1 lies above the restriction's top degree."""
+    socle functionals (which settle them by their restriction), and in the
+    oracle on socle functionals with one weight perturbed (which the
+    catalecticant pairing decides) and on a functional whose degree N + 2
+    lies above the restriction's top degree."""
     grids = (
         (grid9(), 4),
         (PointSet([(0, 0, a, b, 1) for a in range(1, 5) for b in range(1, 5)]), 6),
@@ -770,55 +783,55 @@ def test_degree_n_kill_check_matches_ancestor_containment():
         pieces = restricted_point_pieces(pts, draw_missing_hyperplane(pts, 1), N)
         oracles = [IdealPiece(piece.nvars, e, piece.echelon) for e, piece in enumerate(pieces)]
         phi = socle_functional(pieces[N])
-        weights = exact_weights(phi)
-        perturbed = Functional.at_points(phi.nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
-        assert phi.restriction is pieces[0].restriction and perturbed.restriction is None
-        for psi in (phi, perturbed):
-            rebuilt = Functional(psi.nvars, N, psi.coeffs)
-            want = [gorenstein_ancestor(rebuilt, e).contains(oracle)
+        nvars, weights = phi.nvars, exact_weights(phi)
+        perturbed = point_sum(nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
+        assert phi.restriction is pieces[0].restriction
+        coeffs = coefficients(phi)
+        assert [functional_kills_products(phi, piece) for piece in pieces] == [
+            gorenstein_ancestor(nvars, N, coeffs, e).contains(oracle)
+            for e, oracle in enumerate(oracles)]
+        for psi in (coeffs, perturbed):
+            want = [gorenstein_ancestor(nvars, N, psi, e).contains(oracle)
                     for e, oracle in enumerate(oracles)]
-            assert [functional_kills_products(psi, piece) for piece in pieces] == want
-            assert [functional_kills_products(rebuilt, oracle) for oracle in oracles] == want
-        assert not all(functional_kills_products(perturbed, piece) for piece in pieces)
-        # degree N + 2, past the restriction's top: the monomial path decides
-        high = Functional.at_points(phi.nvars, N + 2, phi.points, weights)
-        rebuilt = Functional(high.nvars, N + 2, high.coeffs)
-        assert high.restriction is None
-        assert [functional_kills_products(high, piece) for piece in pieces] == [
-            gorenstein_ancestor(rebuilt, e).contains(oracle) for e, oracle in enumerate(oracles)]
+            assert [monomial_kills_products(nvars, N, psi, piece) for piece in pieces] == want
+            assert [monomial_kills_products(nvars, N, psi, oracle) for oracle in oracles] == want
+        assert not all(monomial_kills_products(nvars, N, perturbed, piece) for piece in pieces)
+        # degree N + 2, past the restriction's top
+        high = point_sum(nvars, N + 2, phi.points, weights)
+        assert [monomial_kills_products(nvars, N + 2, high, piece) for piece in pieces] == [
+            gorenstein_ancestor(nvars, N + 2, high, e).contains(oracle)
+            for e, oracle in enumerate(oracles)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32))
 def test_monomial_kill_check_matches_products(seed):
-    """The catalecticant pairing of the monomial path against phi(f * m)
+    """The catalecticant pairing of the monomial oracle against phi(f * m)
     for every basis form f of the piece and every monomial m of degree
     N - e, on sparse functionals and pieces of one to three sparse forms;
     past N there is no such monomial, and every piece's products are
     killed."""
     rng = random.Random(seed)
     nvars, N = rng.choice(((2, 4), (3, 3), (3, 4)))
-    phi = Functional(nvars, N, {m: rng.randint(-2, 2)
-                                for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))})
+    phi = {m: rng.randint(-2, 2) for m in rng.sample(monomial_basis(nvars, N), rng.randint(0, 4))}
     e = rng.randint(0, N + 2)
     basis = monomial_basis(nvars, e)
     forms = [GradedPoly(nvars, e, {m: rng.randint(-2, 2) for m in
                                    rng.sample(basis, min(len(basis), rng.randint(1, 2)))})
              for _ in range(rng.randint(1, 3))]
     piece = generated_piece(forms, e)
-    want = all(not functional_value(phi, f * GradedPoly.monomial(nvars, m))
+    want = all(not functional_value(nvars, N, phi, f * GradedPoly.monomial(nvars, m))
                for f in piece.basis_polys() for m in monomial_basis(nvars, N - e))
-    assert functional_kills_products(phi, piece) == want
+    assert monomial_kills_products(nvars, N, phi, piece) == want
 
 
 def test_kill_check_refuses_a_piece_of_another_ring():
     """A piece in more variables than the functional is refused, as
     ``contains`` refuses it, whichever variable spans it."""
-    phi = Functional(3, 2, {(1, 1, 0): 1})
     for v in (0, 2):
         piece = generated_piece([GradedPoly.variable(4, v)], 1)
         with pytest.raises(ValueError, match="different rings"):
-            functional_kills_products(phi, piece)
+            monomial_kills_products(3, 2, {(1, 1, 0): 1}, piece)
 
 
 def test_kill_check_at_points_can_fail():
@@ -827,13 +840,76 @@ def test_kill_check_at_points_can_fail():
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
     small = pieces[0].restriction.small
-    single = Functional.at_points(4, 4, small, [1] + [0] * (len(small) - 1))
-    rebuilt = Functional(4, 4, single.coeffs)
-    verdicts = [functional_kills_products(single, piece) for piece in pieces]
-    assert verdicts == [functional_kills_products(rebuilt, IdealPiece(4, e, piece.echelon))
+    single = point_sum(4, 4, small, [1] + [0] * (len(small) - 1))
+    verdicts = [monomial_kills_products(4, 4, single, piece) for piece in pieces]
+    assert verdicts == [monomial_kills_products(4, 4, single, IdealPiece(4, e, piece.echelon))
                         for e, piece in enumerate(pieces)]
     assert verdicts[0] and not all(verdicts)
-    assert ancestor_profile(single).values == (1, 1, 1, 1, 1)
+    assert monomial_ancestor_profile(4, 4, single).values == (1, 1, 1, 1, 1)
+
+
+def test_socle_functional_refuses_all_but_a_restricted_piece_of_codim_one():
+    """A piece that is not restricted, of codim 1 or not, and a restricted
+    piece of codim 2 are refused; the oracle gives each the functional that
+    ``socle_functional`` returned for it before it refused them."""
+    g = grid9()
+    pieces = restricted_point_pieces(g, draw_missing_hyperplane(g, seed=1), 4)
+    copy = IdealPiece(4, 4, pieces[4].echelon)
+    generated = generated_piece([X4[0], X4[1]], 2)
+    assert (copy.codim, generated.codim, pieces[1].codim) == (1, 3, 2)
+    for piece in (copy, generated, pieces[1]):
+        with pytest.raises(ValueError, match="^a socle functional needs a restricted piece "
+                                             "of codim 1$"):
+            socle_functional(piece)
+    assert monomial_socle_functional(copy) == coefficients(socle_functional(pieces[4]))
+    assert monomial_socle_functional(generated) == {(0, 0, 2, 0): 1}
+    assert monomial_socle_functional(pieces[1]) == {(0, 0, 1, 0): 1}
+
+
+def test_a_functional_is_built_only_by_socle_functional():
+    """The chain trusts a Functional to be its restriction's socle
+    functional, so a hand-built one, with one weight raised (which the
+    oracle shows kills no degree-3 product), or an edited copy, is refused."""
+    g = grid9()
+    pieces = restricted_point_pieces(g, draw_missing_hyperplane(g, seed=1), 4)
+    phi = socle_functional(pieces[4])
+    raised = (phi.weights[0] + 1, *phi.weights[1:])
+    for build in (lambda: Functional(phi.restriction, 4, raised, phi.denominator),
+                  lambda: Functional(),
+                  lambda: dataclasses.replace(phi, weights=raised)):
+        with pytest.raises(TypeError, match="^a Functional is built only by socle_functional$"):
+            build()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        phi.weights = raised
+    perturbed = point_sum(4, 4, phi.points, [Fraction(w, phi.denominator) for w in raised])
+    assert [monomial_kills_products(4, 4, perturbed, piece) for piece in pieces] == [
+        True, True, True, False, False]
+
+
+def test_kill_check_refuses_every_piece_but_one_of_its_own_restriction():
+    """Pieces equal to the functional's own but of a second restriction of
+    the same points and ell, pieces of other points, and a piece of another
+    ring are refused; the oracle gives the verdicts, or the refusal, that
+    ``functional_kills_products`` gave them before."""
+    g = grid9()
+    ell = draw_missing_hyperplane(g, seed=1)
+    pieces = restricted_point_pieces(g, ell, 4)
+    phi = socle_functional(pieces[4])
+    again = restricted_point_pieces(g, ell, 4)
+    h = PointSet([(0, 0, a, b, 1) for a in (1, 2, 4) for b in (1, 3, 5)])
+    others = restricted_point_pieces(h, draw_missing_hyperplane(h, seed=1), 4)
+    wider = generated_piece([GradedPoly.variable(5, 0)], 1)
+    assert again == pieces and all(functional_kills_products(phi, piece) for piece in pieces)
+    for piece in [*again, *others, wider]:
+        with pytest.raises(ValueError, match="^a kill check needs a piece of the functional's "
+                                             "own restriction$"):
+            functional_kills_products(phi, piece)
+    coeffs = coefficients(phi)
+    assert [monomial_kills_products(4, 4, coeffs, piece) for piece in again] == [True] * 5
+    assert [monomial_kills_products(4, 4, coeffs, piece) for piece in others] == [
+        True, True, True, False, False]
+    with pytest.raises(ValueError, match="different rings"):
+        monomial_kills_products(4, 4, coeffs, wider)
 
 
 def grid_points(name, d):
@@ -891,59 +967,39 @@ def spy_column_bases(monkeypatch):
 
 def test_functional_at_points_refuses_rational_coordinates():
     with pytest.raises(ValueError, match="integer coordinates"):
-        Functional.at_points(2, 1, [(Fraction(1, 2), 1)], [1])
-    phi = Functional.at_points(2, 1, [(Fraction(2, 1), 1)], [1])
-    assert phi.points == ((2, 1),) and phi.coeffs == {(1, 0): 2, (0, 1): 1}
+        point_sum(2, 1, [(Fraction(1, 2), 1)], [1])
+    assert point_sum(2, 1, [(Fraction(2, 1), 1)], [1]) == {(1, 0): 2, (0, 1): 1}
     with pytest.raises(ValueError, match="one weight per point"):
-        Functional.at_points(2, 1, [(2, 1), (1, 1)], [1])
-    # Fraction weights are cleared over the lcm of their denominators
-    phi = Functional.at_points(2, 1, [(2, 1), (1, 1)], [Fraction(1, 2), Fraction(-1, 3)])
-    assert (phi.weights, phi.denominator) == ((3, -2), 6)
-    assert phi.coeffs == {(1, 0): Fraction(2, 3), (0, 1): Fraction(1, 6)}
+        point_sum(2, 1, [(2, 1), (1, 1)], [1])
+    assert point_sum(2, 1, [(2, 1), (1, 1)], [Fraction(1, 2), Fraction(-1, 3)]) == {
+        (1, 0): Fraction(2, 3), (0, 1): Fraction(1, 6)}
 
 
 def exact_weights(phi):
-    """phi's weights over its denominator: at_points of these at phi's
+    """phi's weights over its denominator: the point sum of these at phi's
     points is phi itself, not phi scaled by its denominator."""
     return [Fraction(w, phi.denominator) for w in phi.weights]
+
+
+def coefficients(phi):
+    """The dual coefficients of a socle functional, from its point form."""
+    return point_sum(phi.nvars, phi.degree, phi.points, exact_weights(phi))
 
 
 def test_certified_ancestor_profile_matches_monomial_oracle():
     """Socle functionals, whose restriction caps every rank by its codims,
     against the monomial catalecticant ranks; the same functionals with one
-    weight perturbed have no restriction and take the monomial path."""
+    weight perturbed are no socle functional, and only the oracle ranks
+    them: symmetric profiles, as of every nonzero functional."""
     for name, d in SMALL_CHAINS:
         _, phi = socle_chain(name, d)
         assert_codims_within_column_ranks(phi)
         N, weights = phi.degree, exact_weights(phi)
-        perturbed = Functional.at_points(phi.nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
-        for psi in (phi, perturbed):
-            oracle = ancestor_profile(Functional(psi.nvars, N, psi.coeffs))
-            assert ancestor_profile(psi) == oracle, (name, d)
-        assert phi.restriction is not None and perturbed.restriction is None
-
-
-def test_copy_of_socle_functional_matches_it_in_either_order(monkeypatch):
-    """A copy of the socle functional, at its points with its weights over
-    its denominator, has the same coefficients and no restriction: the
-    monomial path ranks its catalecticants, with no rank at the points, and
-    decides its kill checks.  It gets the socle functional's ancestor
-    profile and kill verdicts, whichever of the two runs first."""
-    fields = spy_catalecticant_ranks(monkeypatch)
-    for name, d in SMALL_CHAINS:
-        pieces, phi = socle_chain(name, d)
-        want = ancestor_profile(phi), [functional_kills_products(phi, p) for p in pieces]
-        assert all(want[1]) and fields, (name, d)
-        for profile_first in (True, False):
-            fields.clear()
-            copy = Functional.at_points(phi.nvars, phi.degree, phi.points, exact_weights(phi))
-            assert copy.coeffs == phi.coeffs and copy.restriction is None
-            if profile_first:
-                profile = ancestor_profile(copy)
-            kills = [functional_kills_products(copy, piece) for piece in pieces]
-            if not profile_first:
-                profile = ancestor_profile(copy)
-            assert (profile, kills) == want and not fields, (name, d, profile_first)
+        oracle = monomial_ancestor_profile(phi.nvars, N, coefficients(phi))
+        assert ancestor_profile(phi) == oracle, (name, d)
+        perturbed = point_sum(phi.nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
+        profile = monomial_ancestor_profile(phi.nvars, N, perturbed)
+        assert all(profile[e] == profile[N - e] for e in range(N + 1)), (name, d)
 
 
 def test_ancestor_ranks_fall_back_over_z_when_the_prime_collapses_the_grid(monkeypatch):
@@ -1019,7 +1075,7 @@ def test_ancestor_ranks_need_no_cap(monkeypatch):
         if piece.codim != 1:
             continue
         phi = socle_functional(piece)
-        oracle = ancestor_profile(Functional(phi.nvars, N, phi.coeffs))
+        oracle = monomial_ancestor_profile(phi.nvars, N, coefficients(phi))
         assert ancestor_profile(phi) == oracle, pts.points
         checked += 1
     assert checked >= 20
@@ -1083,7 +1139,7 @@ def test_ancestor_ranks_read_in_the_chart_coordinates_lift(monkeypatch):
             continue
         assert ideals._solved_variable(ell) == nvars - 1 != k
         seen.clear()
-        oracle = ancestor_profile(Functional(phi.nvars, phi.degree, phi.coeffs))
+        oracle = monomial_ancestor_profile(phi.nvars, phi.degree, coefficients(phi))
         assert not seen
         assert ancestor_profile(phi) == oracle, pts.points
         assert seen and set(seen) == {dropped(pts, k)}, pts.points
@@ -1105,8 +1161,8 @@ def test_ancestor_ranks_fall_back_to_the_small_points_when_ell_misses_the_chart(
         assert _chart(pts.points, None) == chart
         phi = socle_of(pts, ell)
         seen.clear()
-        assert ancestor_profile(phi) == ancestor_profile(Functional(phi.nvars, phi.degree,
-                                                                    phi.coeffs))
+        assert ancestor_profile(phi) == monomial_ancestor_profile(phi.nvars, phi.degree,
+                                                                  coefficients(phi))
         assert phi.points == phi.restriction.small and set(seen) == {phi.points}
 
 
@@ -1131,7 +1187,7 @@ def test_ancestor_ranks_in_the_lift_weigh_chart_values_that_are_not_one(monkeypa
         want = tuple(ci_hilbert((d, 2 * d - 1), 2, e) for e in range(phi.degree + 1))
         assert ancestor_profile(phi).values == want
         assert set(seen) == {lifted}
-        assert ancestor_profile(Functional(phi.nvars, phi.degree, phi.coeffs)).values == want
+        assert monomial_ancestor_profile(phi.nvars, phi.degree, coefficients(phi)).values == want
 
 
 def test_packed_products_at_the_slot_bound():
