@@ -242,7 +242,7 @@ def _chart(reps, char: int | None) -> int | None:
 def _profile_pass(reps, up_to: int, char: int | None = None):
     """Yield (echelon, stored) of each degree 0..up_to for the integer
     vectors ``reps``; ``stored`` maps each standard monomial new in the
-    degree to the (pivot, vector) the echelon stored for it, {} when the
+    degree to the (pivot, tail) the echelon stored for it, {} when the
     degree stored nothing.
 
     The pass runs in the chart of x_j, j = ``_chart(reps, char)``.
@@ -262,16 +262,16 @@ def _profile_pass(reps, up_to: int, char: int | None = None):
     keeps every rank and every pick, and the echelon is never rescaled.
 
     The offer of x_v * b is not its column but diag(x_v(p)) u_b, for u_b
-    the vector the echelon stored when it picked b, reduced from u_b's
-    pivot on.  u_b is a nonzero multiple of col(b) plus columns of standard
-    monomials s before b; the order is multiplicative, so every x_v * s
-    comes before x_v * b, and its column is in the span by the time x_v * b
-    is offered (in a chart the earlier degrees come first, as x_j times the
+    the vector the echelon stored when it picked b: a nonzero multiple of
+    col(b) plus columns of standard monomials s before b, whichever rows
+    its insertion hit.  The order is multiplicative, so every x_v * s comes
+    before x_v * b, and its column is in the span by the time x_v * b is
+    offered (in a chart the earlier degrees come first, as x_j times the
     previous span).  So the offer and the column differ by a vector of the
     span: every pick, rank, pivot and kernel is that of the columns, only
-    the stored vectors differ, and the offer is zero before u_b's pivot.
-    Offers stop once a degree adds nothing or the rank reaches #points, as
-    the rank then stays put.
+    the stored vectors differ.  The offer goes in as u_b's tail times the
+    x_v column (taken once per pass) from u_b's pivot on.  Offers stop once
+    a degree adds nothing or the rank reaches #points, as it then stays put.
     """
     if up_to < 0:
         return
@@ -280,6 +280,7 @@ def _profile_pass(reps, up_to: int, char: int | None = None):
         units = [pow(rep[j], -1, char) for rep in reps]
         reps = [[x * u % char for x in rep] for rep, u in zip(reps, units)]
     others = [v for v in range(nvars) if v != j]
+    columns = [list(column) for column in zip(*reps)]
     ech = IntForwardEchelon(n, char)
     stored = {(0,) * nvars: ech.add([1] * n)}
     yield ech, stored
@@ -288,11 +289,11 @@ def _profile_pass(reps, up_to: int, char: int | None = None):
         if parents and ech.dim < n:
             if j is None:
                 ech = IntForwardEchelon(n, char)
-            elif char is None and any(rep[j] != 1 for rep in reps):
-                ech.scale_columns([rep[j] for rep in reps])
+            elif char is None and set(columns[j]) != {1}:
+                ech.scale_columns(columns[j])
             for m, (b, v) in _offers(parents, others):
                 pivot, u = parents[b]
-                vector = ech.add([x * rep[v] for x, rep in zip(u, reps)], pivot)
+                vector = ech.add(list(map(operator.mul, u, columns[v][pivot:])), pivot)
                 if vector:
                     stored[m] = vector
                     if ech.dim == n:
@@ -303,7 +304,7 @@ def _profile_pass(reps, up_to: int, char: int | None = None):
 class _ColumnBases:
     """Bases of the column spaces of the evaluation matrices E_k at integer
     vectors, k = 0..up_to, over Z or F_char, for the point path of
-    ``ancestor_profile``: the vectors the profile pass stored, kept once.
+    ``ancestor_profile``: the tails the profile pass stored, kept once.
     The vectors (``_rank_points``) may repeat, and one may be 0; without a
     chart a degree k >= 1 then still stores vectors unless all are 0, which
     takes a single node, of socle degree 0.
@@ -327,14 +328,14 @@ class _ColumnBases:
         self._scales = self.chart if char is None else None
 
     def degree(self, k: int):
-        """Yield the basis of degree k, in pivot order."""
+        """Yield the basis of degree k, in pivot order, zero-padded."""
         last = max(b for _, b, _ in self._vectors if b <= k)
         powers = functools.cache(lambda t: [s**t for s in self._scales])
-        for _, b, u in self._vectors:
+        for pivot, b, u in self._vectors:
             if b == last or self.chart and b < last:
                 if self._scales:
-                    u = list(map(operator.mul, u, powers(k - b)))
-                yield u
+                    u = list(map(operator.mul, u, powers(k - b)[pivot:]))
+                yield [0] * pivot + u
 
     def packed(self, top: int, weights):
         """Over F_char, yield the ``_packed_columns`` of each degree's basis,
@@ -344,7 +345,7 @@ class _ColumnBases:
         shift and a mask cut out."""
         order = sorted((b, pivot, u) for pivot, b, u in self._vectors if b <= top)
         degrees = [b for b, _, _ in order]
-        whole, columns = _packed_columns([u for _, _, u in order], weights, self._char)
+        whole, columns = _packed_columns([[0] * p + u for _, p, u in order], weights, self._char)
         for k in range(top + 1):
             end = bisect.bisect_right(degrees, k)
             start = 0 if self.chart else bisect.bisect_left(degrees, degrees[end - 1])

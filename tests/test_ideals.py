@@ -452,15 +452,15 @@ def test_profile_pass_matches_the_raw_column_reference():
 
 
 def test_offers_are_parent_vectors_times_a_variable(monkeypatch):
-    """After degree 0, every vector the pass inserts is x_v times the vector
-    the echelon stored for its parent, and zero before that vector's pivot,
-    which is where the reduction starts."""
+    """After degree 0, every tail the pass inserts is x_v times the tail the
+    echelon stored for its parent, and starts at that tail's pivot, which is
+    where the reduction starts."""
     calls = []
     original = IntForwardEchelon.add
 
-    def spy(self, vec, start=0):
-        stored = original(self, vec, start)
-        calls.append((vec, start, stored))
+    def spy(self, tail, start=0):
+        stored = original(self, tail, start)
+        calls.append((tail, start, stored))
         return stored
 
     monkeypatch.setattr(IntForwardEchelon, "add", spy)
@@ -473,10 +473,11 @@ def test_offers_are_parent_vectors_times_a_variable(monkeypatch):
         assert calls[0][:2] == ([1] * len(pts), 0)
         # the chart of plane_d6 is x_4 = 1, so the pass sees the points themselves
         stored = [u for _, _, u in calls if u]
-        for vec, start, _ in calls[1:]:
-            assert not any(vec[:start])
-            assert any(pivot == start and vec == [x * rep[v] for x, rep in zip(u, pts.points)]
-                       for pivot, u in stored for v in range(pts.nvars)), (vec, start)
+        for tail, start, _ in calls[1:]:
+            assert len(tail) == len(pts) - start
+            assert any(pivot == start
+                       and tail == [x * rep[v] for x, rep in zip(u, pts.points[pivot:])]
+                       for pivot, u in stored for v in range(pts.nvars)), (tail, start)
         assert len(calls) > len(stored) > 1
 
 

@@ -244,18 +244,30 @@ P31 = 2**31 - 1
 
 
 def _check_against_rank(rows, ncols, char):
-    """dim equals linalg.rank, and every stored vector, unpacked from the
-    echelon's rows, is zero before its pivot and 1 there, has residues in
-    [0, char), and lies in the span of the rows."""
     ech = IntForwardEchelon(ncols, char)
     for row in rows:
         ech.add(row)
+    _check_tails(ech, rows)
+
+
+def _check_tails(ech, rows):
+    """dim equals linalg.rank of the rows, and every stored tail, zero-padded
+    before its pivot, lies in their span.  Over Z a tail has ncols - pivot
+    entries, no content and a nonzero first one; over F_p it is packed in
+    no more than ncols - pivot slots and, unpacked from the echelon's rows,
+    is 1 at its pivot and has residues in [0, char)."""
+    ncols, char = ech.ncols, ech.char
     r = rank(rows, char)
     assert ech.dim == r
-    stored = [(p, ech._unpack(u)) for p, u in ech._rows]
-    assert [p for p, _ in stored] == sorted({p for p, _ in stored})
-    assert all(not any(u[:p]) and u[p] == 1 and all(0 <= x < char for x in u) for p, u in stored)
-    assert rank(rows + [u for _, u in stored], char) == r
+    if char is None:
+        stored = list(ech._rows.items())
+        assert all(len(u) == ncols - p and u[0] and math.gcd(*u) == 1 for p, u in stored)
+    else:
+        packing = ech._packing
+        assert all(u < 1 << packing.width * (ncols - p) for p, u in ech._rows.items())
+        stored = [(p, packing.unpack(u, ncols - p)) for p, u in ech._rows.items()]
+        assert all(u[0] == 1 and all(0 <= x < char for x in u) for _, u in stored)
+    assert rank(rows + [[0] * p + u for p, u in stored], char) == r
 
 
 def test_packed_echelon_matches_rank_at_wide_widths():
@@ -302,11 +314,46 @@ def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
         fwd = IntForwardEchelon(ncols)
         for v in vecs:
             fwd.add(v)
-        pivots = [p for p, _ in fwd._rows]
+        pivots = sorted(fwd._rows)
         fwd.scale_columns(scales)
-        assert [p for p, _ in fwd._rows] == pivots
+        assert sorted(fwd._rows) == pivots
         assert not any(fwd.add(w) for w in scaled)
-        assert all(math.gcd(*u) == 1 for _, u in fwd._rows)
+        assert all(math.gcd(*u) == 1 for u in fwd._rows.values())
+
+
+def test_tails_at_random_starts_match_rank():
+    """add(tail, start) ranks the rows zero-padded before their starts, over
+    Z, mod 3, mod 7 and mod 2^31 - 1, on random and low-rank tails whose
+    entries may be negative or at least p.  Mod 3 and 7 a reduced slot
+    often lands on a nonzero multiple of p, which is zero, as in
+    [2, 2] against the stored [1, 1] mod 3.  Every stored tail runs from its
+    pivot to the last column and is nonzero at the pivot."""
+    ech = IntForwardEchelon(2, 3)
+    assert ech.add([1, 1]) and ech.add([2, 2]) is None and ech.dim == 1
+    rng = random.Random(43)
+    for char in (None, 3, 7, P31):
+        for _ in range(40):
+            ncols = rng.randint(1, 40)
+            bound = 3 * char if char else 9
+            inner = [[rng.randint(-bound, bound) for _ in range(ncols)]
+                     for _ in range(rng.randint(1, 5))]
+            padded = []
+            for _ in range(rng.randint(1, ncols + 4)):
+                start = rng.randint(0, ncols - 1)
+                if rng.random() < 0.5:
+                    row = [rng.randint(-bound, bound) for _ in range(ncols)]
+                else:
+                    row = [sum(rng.randint(-2, 2) * x for x in col) for col in zip(*inner)]
+                padded.append([0] * start + row[start:])
+            ech = IntForwardEchelon(ncols, char)
+            for row in padded:
+                start = next((i for i, x in enumerate(row) if x), ncols)
+                start = rng.randint(0, start)
+                stored = ech.add(row[start:], start)
+                if stored:
+                    pivot, tail = stored
+                    assert len(tail) == ncols - pivot and tail[0], (char, row)
+            _check_tails(ech, padded)
 
 
 def test_echelon_membership_fuzz_against_rank():
