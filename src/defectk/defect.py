@@ -30,23 +30,28 @@ def audit_nodes(f: GradedPoly, points: PointSet) -> tuple[tuple[int, ...], ...]:
     representatives, ``points.points``; raise AuditError naming the first
     node that is not singular or has a degenerate Hessian.
 
-    The n first and n(n+1)/2 second partials of f, scaled to integer
-    coefficients, are taken once and evaluated at every node's primitive
-    integer representative by one ``polynomials.values_at`` call.  Scaling
-    a point by lambda scales a degree-e form by lambda^e there, so a zero
-    stays zero and the chart Hessian determinant changes by
-    lambda^((deg-2)(nvars-1)) != 0.  The nodes are grouped by chart, their
-    first nonzero coordinate, and ``linalg.dets`` takes the chart Hessian
-    determinants of each group in one batched elimination."""
+    The nodes are grouped by chart, their first nonzero coordinate.  f is
+    scaled to integer coefficients (an int form as it is), and its n first
+    partials and only the second partials that some chart Hessian reads,
+    d_a d_b with a, b != chart, are taken once and evaluated at every
+    node's primitive integer representative by one
+    ``polynomials.values_at`` call.  Scaling a point by lambda scales a
+    degree-e form by lambda^e there, so a zero stays zero and the chart
+    Hessian determinant changes by lambda^((deg-2)(nvars-1)) != 0.
+    ``linalg.dets`` takes the chart Hessian determinants of each group in
+    one batched elimination."""
     n = f.nvars
-    f = f.scale(math.lcm(*(c.denominator for c in f.coeffs.values())))
-    first = [f.partial_derivative(i) for i in range(n)]
-    second = {(a, b): first[a].partial_derivative(b) for a in range(n) for b in range(a, n)}
-    row = {k: i for i, (a, b) in enumerate(second, n) for k in ((a, b), (b, a))}
-    values = values_at(first + list(second.values()), points.points)
     charts: dict[int, list[int]] = {}
     for j, rep in enumerate(points):
         charts.setdefault(next(i for i, c in enumerate(rep) if c), []).append(j)
+    scale = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    if scale != 1:
+        f = f.scale(scale)
+    first = [f.partial_derivative(i) for i in range(n)]
+    second = {(a, b): first[a].partial_derivative(b) for a in range(n) for b in range(a, n)
+              if any(chart not in (a, b) for chart in charts)}
+    row = {k: i for i, (a, b) in enumerate(second, n) for k in ((a, b), (b, a))}
+    values = values_at(first + list(second.values()), points.points)
     hessian_nonzero = [False] * len(points)
     for chart, group in charts.items():
         idxs = [i for i in range(n) if i != chart]

@@ -99,8 +99,11 @@ def _dot(u, v):
 
 
 def _scaled_to_integers(values) -> tuple[int, ...]:
-    """Ints or rationals times the lcm of their denominators."""
+    """Ints or rationals times the lcm of their denominators; plain ints as
+    they are."""
     values = tuple(values)
+    if all(type(v) is int for v in values):
+        return values
     denom = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (denom // v.denominator) for v in values)
 
@@ -114,7 +117,7 @@ def primitive_point(coords) -> tuple[int, ...]:
         raise ValueError("zero vector is not a projective point")
     if next(x for x in ints if x) < 0:
         g = -g
-    return tuple(x // g for x in ints)
+    return ints if g == 1 else tuple(x // g for x in ints)
 
 
 def format_point(rep) -> str:

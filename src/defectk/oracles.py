@@ -75,7 +75,7 @@ def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
         raise ValueError("need a nonzero linear form")
     n, j = ell.nvars, ideals._solved_variable(ell)
     coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
-    solved = [-coeffs.get(i, 0) / coeffs[j] for i in range(n) if i != j]
+    solved = [Fraction(-coeffs.get(i, 0), coeffs[j]) for i in range(n) if i != j]
     images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, i - (i > j))
               for i in range(n)]
     out = []

@@ -2,7 +2,8 @@
 
 A ``GradedPoly`` is a homogeneous form of fixed degree in ``nvars``
 variables x0, ..., x_{nvars-1}, stored as a dict mapping exponent tuples to
-nonzero ``Fraction`` coefficients.
+nonzero coefficients, each an ``int`` or a ``Fraction``: ints for integer
+input, so ring operations on integer forms run on machine-size ints.
 
 Monomials of a fixed degree carry one global order, descending graded
 reverse-lexicographic with x0 > x1 > ... > x_{nvars-1}: exponent a precedes
@@ -48,8 +49,19 @@ def monomial_index(nvars: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: i for i, e in enumerate(monomial_basis(nvars, degree))}
 
 
+def _coefficient(c):
+    """c as an int or a Fraction.  A float is refused: its binary expansion
+    is rarely the rational meant."""
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if isinstance(c, float):
+        raise ValueError(f"coefficient {c!r} is a float; give an int or a Fraction")
+    return int(c) if isinstance(c, int) else Fraction(c)
+
+
 class GradedPoly:
-    """Homogeneous polynomial with rational coefficients."""
+    """Homogeneous polynomial with rational coefficients, each a nonzero int
+    or Fraction: an int stays an int, so integer forms hold only ints."""
 
     __slots__ = ("nvars", "degree", "coeffs")
 
@@ -74,8 +86,9 @@ class GradedPoly:
                 raise ValueError(f"bad exponent tuple {exp}")
             if sum(exp) != degree:
                 raise ValueError(f"monomial {exp} is not of degree {degree}")
+            c = _coefficient(c)
             if c:
-                clean[exp] = c if isinstance(c, Fraction) else Fraction(c)
+                clean[exp] = c
         self.coeffs = clean
 
     # -- constructors -------------------------------------------------
@@ -84,7 +97,7 @@ class GradedPoly:
     def _unchecked(cls, nvars: int, degree: int, coeffs: dict) -> "GradedPoly":
         """A ring result of valid forms, built without the checks of
         ``__init__``: the caller guarantees that coeffs maps exponent tuples
-        of length nvars and sum degree to nonzero ``Fraction``s."""
+        of length nvars and sum degree to nonzero ints or ``Fraction``s."""
         poly = object.__new__(cls)
         poly.nvars, poly.degree, poly.coeffs = nvars, degree, coeffs
         return poly
@@ -147,9 +160,9 @@ class GradedPoly:
         return self + (-other)
 
     def scale(self, s) -> "GradedPoly":
+        s = _coefficient(s)
         if not s:
             return GradedPoly.zero(self.nvars, self.degree)
-        s = Fraction(s)
         return GradedPoly._unchecked(self.nvars, self.degree,
                                      {e: c * s for e, c in self.coeffs.items()})
 
@@ -160,7 +173,7 @@ class GradedPoly:
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+                exp = tuple(map(operator.add, e1, e2))
                 prod = c1 * c2
                 cur = out.get(exp)
                 s = prod if cur is None else cur + prod
@@ -236,7 +249,8 @@ class GradedPoly:
                 exp = tuple(map(json_number, exp))
                 if exp in coeffs:
                     raise ValueError(f"the exponents {list(exp)} occur in two terms")
-                coeffs[exp] = Fraction(json_number(num), json_number(den))
+                c = Fraction(json_number(num), json_number(den))
+                coeffs[exp] = c.numerator if c.denominator == 1 else c
             nvars, degree = json_number(data["nvars"]), json_number(data["degree"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(
@@ -273,7 +287,8 @@ VALUES_BLOCK = 128
 
 def values_at(forms, reps) -> list[list[int]]:
     """``out[i][j]`` is forms[i] at the integer point reps[j], times the lcm
-    of the coefficient denominators of forms[i].  Per block of points each
+    of the coefficient denominators of forms[i], 1 for a form of int
+    coefficients.  Per block of points each
     monomial is one column shared by all forms: x_v^e is x_v^(e//2) times
     x_v^(e - e//2), any other monomial its prefix times a power.  A column of
     ones is shared, one of zeros dropped with its terms; each other term is

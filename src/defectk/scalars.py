@@ -1,7 +1,7 @@
 """The characteristics of the prime fields.
 
 Every form, ideal piece and functional has rational coefficients, held as
-``fractions.Fraction``.  A prime field F_p appears only as residues on
+ints or ``fractions.Fraction``s.  A prime field F_p appears only as residues on
 plain ints: the modular ranks of point sets (``ideals``,
 ``linalg.IntForwardEchelon``, the oracle ``linalg.rank``) and the
 ``--probe-prime`` sweep (``defect.sweep_singular_points``).  This module

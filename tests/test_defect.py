@@ -1,5 +1,6 @@
 """Node verification, defect values, and bound certification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -157,12 +158,18 @@ def _form_singular_at(rng, point, degree, kind):
        st.sampled_from(("node", "degenerate", "smooth")), st.integers(min_value=0, max_value=2**32))
 def test_audit_records_match_verify_singular_and_verify_node(nvars, degree, kind, seed):
     """``audit_nodes`` against the pointwise oracle, at the constructed point
-    and at a few other points, with the text of the first failure."""
+    and at a few other points, with the text of the first failure.  The
+    form is audited as built, with its denominators cleared to int
+    coefficients (which it takes as they are) and as that int form over 7
+    (which it scales back to integers), with one verdict."""
     rng = random.Random(seed)
     point = [rng.choice((0, 0, 1, -2, 3)) for _ in range(nvars)]
     if not any(point):
         point[-1] = 1
     f = _form_singular_at(rng, point, degree, kind)
+    lcm = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    f_int = GradedPoly(nvars, degree, {e: int(c * lcm) for e, c in f.coeffs.items()})
+    assert all(type(c) is int for c in f_int.coeffs.values())
     others = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 3))]
     pts = PointSet(list(dict.fromkeys(primitive_point(q) for q in [point] + others if any(q))))
     checks = []  # (point, singular, node) by the pointwise checks
@@ -171,15 +178,16 @@ def test_audit_records_match_verify_singular_and_verify_node(nvars, degree, kind
         checks.append((rep, singular, singular and verify_node(f, rep)))
     assert checks[0][1:] == (kind != "smooth", kind == "node")
     bad = [(rep, singular) for rep, singular, node in checks if not node]
-    if not bad:
-        assert audit_nodes(f, pts) == pts.points
-        return
-    first, singular = bad[0]
-    why = "has a degenerate Hessian" if singular else "is not singular"
-    with pytest.raises(AuditError) as exc:
-        audit_nodes(f, pts)
-    assert str(exc.value) == (f"{len(bad)} declared node(s) failed the audit, "
-                              f"first: {format_point(first)} {why}")
+    for g in (f, f_int, f_int.scale(Fraction(1, 7))):
+        if not bad:
+            assert audit_nodes(g, pts) == pts.points
+            continue
+        first, singular = bad[0]
+        why = "has a degenerate Hessian" if singular else "is not singular"
+        with pytest.raises(AuditError) as exc:
+            audit_nodes(g, pts)
+        assert str(exc.value) == (f"{len(bad)} declared node(s) failed the audit, "
+                                  f"first: {format_point(first)} {why}")
 
 
 def test_defect_examples():

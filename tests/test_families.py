@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from defectk import scenarios
+from defectk import ideals, polynomials, scenarios
 from defectk.defect import defect, tangent_codim
 from defectk.families import (
     P1_BOX_POINTS,
@@ -19,6 +19,7 @@ from defectk.families import (
 from defectk.macaulay import ci_pnd
 from defectk.polynomials import GradedPoly, product
 from defectk.scenarios import FAMILIES, NODE_BUDGET
+from test_ideals import no_fraction
 
 
 def test_plane_family_examples():
@@ -53,6 +54,15 @@ def test_ci_family_highdim_examples():
     run = FAMILIES["ci-highdim"].run(2, 12)
     assert run["defect_report"].defect == 1
     assert run["tangent_codim"] == ci_pnd(2, 12)
+
+
+def test_grid_families_build_no_fractions(monkeypatch):
+    """The grid forms, their nodes and the node audit run on ints: every
+    family form has int coefficients and every node int coordinates."""
+    monkeypatch.setattr(polynomials, "Fraction", no_fraction)
+    monkeypatch.setattr(ideals, "Fraction", no_fraction)
+    for inst in (plane_family(9), double_solid_family(6), ci_family_highdim(2, 5)):
+        assert inst.f.coeffs and all(type(c) is int for c in inst.f.coeffs.values())
 
 
 class Constructed(Exception):

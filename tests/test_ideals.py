@@ -576,6 +576,20 @@ def test_restrict_to_hyperplane_examples():
         restrict_to_hyperplane([generated_piece([X4[0]], 2)], X5[4])
 
 
+def test_restrict_to_hyperplane_solves_int_coefficients_exactly():
+    """ell = 3 x0 + 7 x2 has int coefficients, and 7 does not divide 3: x2
+    maps to -3/7 x0 exactly, so x1 + x2 restricts to x1 - 3/7 x0, stored
+    monic at x0 as x0 - 7/3 x1."""
+    ell = GradedPoly.linear_form([3, 0, 7])
+    assert all(type(c) is int for c in ell.coeffs.values())
+    restricted = restrict_to_hyperplane([generated_piece([X3[1] + X3[2]], 1)], ell)[0]
+    y = [GradedPoly.variable(2, i) for i in range(2)]
+    assert restricted == generated_piece([y[1] - y[0].scale(Fraction(3, 7))], 1)
+    (form,) = restricted.basis_polys()
+    assert form.coeffs == {(1, 0): 1, (0, 1): Fraction(-7, 3)}
+    assert all(type(c) is Fraction for c in form.coeffs.values())
+
+
 def test_restriction_exact_sequence_cross_check():
     """Three independent computations of the restricted pieces agree:
     explicit substitution, evaluation functionals, and profile differences."""

@@ -195,7 +195,7 @@ def test_ring_results_equal_validated_forms(nvars, degree, seed):
     """Sums, differences, products, scalings and partials are built without
     the checks of ``__init__``; each equals the form that ``GradedPoly``
     validates from its coefficients, and every coefficient is a nonzero
-    Fraction."""
+    int or Fraction: a Fraction here, since the inputs are Fraction forms."""
     rng = random.Random(seed)
     f, g = (random_form(rng, nvars, degree, terms=rng.randint(0, 8)) for _ in range(2))
     h = random_form(rng, nvars, rng.randint(0, 3), terms=rng.randint(1, 5))
@@ -207,6 +207,53 @@ def test_ring_results_equal_validated_forms(nvars, degree, seed):
         assert r == GradedPoly(r.nvars, r.degree, r.coeffs)
         assert all(type(c) is Fraction and c for c in r.coeffs.values())
         assert all(len(e) == r.nvars and sum(e) == r.degree for e in r.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2**32))
+def test_int_forms_match_their_fraction_copies(nvars, degree, seed):
+    """Forms of int coefficients hold ints through sums, differences,
+    products, int scalings and partials, and each result equals, prints and
+    serializes as the result on Fraction copies of the same forms."""
+    rng = random.Random(seed)
+
+    def int_form(degree, terms):
+        basis = monomial_basis(nvars, degree)
+        return GradedPoly(nvars, degree, {rng.choice(basis): rng.randint(-9, 9)
+                                          for _ in range(terms)})
+
+    f, g = (int_form(degree, rng.randint(0, 8)) for _ in range(2))
+    h = int_form(rng.randint(0, 3), rng.randint(1, 5))
+    s = rng.randint(-5, 5)
+
+    def results(f, g, h):
+        out = [f + g, f - g, -f, f * g, f * h, f.scale(s), s * f, f * 0]
+        return out + ([f.partial_derivative(i) for i in range(nvars)] if degree else [])
+
+    copies = (GradedPoly(p.nvars, p.degree, {e: Fraction(c) for e, c in p.coeffs.items()})
+              for p in (f, g, h))
+    for r, q in zip(results(f, g, h), results(*copies), strict=True):
+        assert all(type(c) is int and c for c in r.coeffs.values())
+        assert all(type(c) is Fraction for c in q.coeffs.values())
+        assert r == q and hash(r) == hash(q)
+        assert r.to_json_dict() == q.to_json_dict()
+        assert repr(r) == repr(q)
+
+
+def test_float_coefficients_rejected():
+    """A float is refused as a coefficient or a scale, not read as its
+    binary expansion; a JSON term of denominator 1 is read as an int."""
+    with pytest.raises(ValueError, match="is a float"):
+        GradedPoly(3, 1, {(1, 0, 0): 0.5})
+    f = GradedPoly.variable(3, 0)
+    with pytest.raises(ValueError, match="is a float"):
+        f.scale(0.5)
+    with pytest.raises(ValueError, match="is a float"):
+        f * 0.0
+    g = GradedPoly.from_json_dict({"nvars": 2, "degree": 1, "terms": [[[1, 0], 6, 3], [[0, 1], 1, 2]]})
+    assert g.coeffs == {(1, 0): 2, (0, 1): Fraction(1, 2)}
+    assert type(g.coeffs[1, 0]) is int
 
 
 def test_non_integer_exponents_rejected():
