@@ -364,10 +364,12 @@ def points_profile(points: PointSet, up_to: int, char: int | None = None) -> Hil
     return HilbertProfile(tuple(ech.dim for ech, _ in passes))
 
 
-# The prime of the modular rank that certifies a full-rank evaluation matrix
-# over Q in ``points_hilbert``: the Mersenne prime 2^31 - 1, so residues stay
-# one-word ints and their products two-word ones.
-CERTIFY_PRIME = 2**31 - 1
+# The prime of the modular ranks that certify over Q (``points_hilbert``,
+# ``ancestor_profile``): 2^25 - 39, the largest prime below 2^25, so that
+# p + n (p - 1)^2, the bound of an echelon over n points, and n (p - 1)^2,
+# that of a packed product, stay below 2^64 up to n = 16,384 points, above
+# ``scenarios.NODE_BUDGET``: every slot is one 8-byte word.
+CERTIFY_PRIME = 33_554_393
 
 
 def points_hilbert(points: PointSet, k: int, char: int | None = None) -> int:

@@ -192,7 +192,8 @@ class SlotPacking:
     ``bound``, so a sum of packed vectors times nonnegative ints is
     carry-free, slot by slot the sum of the entries, as long as no slot
     exceeds ``bound``.  ``pack`` takes entries below 2^64; ``unpack`` reads
-    slots with a one-slot ``struct``.  It serves the F_p tails of
+    a run of slots of up to 8 bytes with one ``struct`` call, and a wider
+    slot as a 64-bit low word and a high field.  It serves the F_p tails of
     ``IntForwardEchelon`` and the modular catalecticant products of ``ideals``.
     """
 
@@ -215,13 +216,14 @@ class SlotPacking:
         return int.from_bytes(data, "little")
 
     def unpack(self, packed: int, count: int | None = None, scale: int = 1) -> list[int]:
-        """The first ``count`` slots (all by default) of a packed vector,
-        each times ``scale`` mod ``modulus``."""
+        """The slots of a packed vector of at most ``count`` slots (the
+        packing's count by default), each times ``scale`` mod ``modulus``."""
         p, size = self._modulus, self._slot.size
-        data = packed.to_bytes(size * (self.count if count is None else count), "little")
+        count = self.count if count is None else count
+        data = packed.to_bytes(size * count, "little")
         if size > 8:
             return [(low | high << 64) * scale % p for low, high in self._slot.iter_unpack(data)]
-        return [x * scale % p for x, in self._slot.iter_unpack(data)]
+        return [x * scale % p for x in struct.unpack(f"<{count}{_SLOT_CODES[size]}", data)]
 
 
 class Echelon:

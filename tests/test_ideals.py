@@ -41,6 +41,8 @@ from defectk.oracles import (functional_value, gorenstein_ancestor, monomial_anc
                               monomial_kills_products, monomial_socle_functional,
                               point_ideal_piece, point_sum, restrict_to_hyperplane, substitute)
 from defectk.polynomials import GradedPoly, monomial_basis
+from defectk.scalars import validate_characteristic
+from defectk.scenarios import NODE_BUDGET
 
 X5 = [GradedPoly.variable(5, i) for i in range(5)]
 X4 = [GradedPoly.variable(4, i) for i in range(4)]
@@ -1209,14 +1211,16 @@ def test_packed_products_at_the_slot_bound():
     """Weights p - 1, right entries 1 and left entries p - 1 put
     #points (p - 1)^2 in every slot of a packed product row, the bound that
     sets the slot width; point counts at and just past the capacity of each
-    slot size, for small p and CERTIFY_PRIME.  The packed rows equal the
-    dot-product rows mod p, also with every entry p - 1."""
+    slot size: for small p, for CERTIFY_PRIME at 16,384 points, the most
+    that keep one-word slots, and for 2^31 - 1 at its 8-, 9- and 10-byte
+    slots.  The packed rows equal the dot-product rows mod p, also with
+    every entry p - 1."""
     sizes = (1, 2, 4, 8, 9, 10)
-    for p in (3, 7, CERTIFY_PRIME):
+    for p in (3, 7, CERTIFY_PRIME, 2**31 - 1):
         counts = set()
         for size in sizes:
             full = (2 ** (8 * size) - 1) // (p - 1) ** 2
-            counts.update(n for n in (full, full + 1) if 1 <= n <= 2000)
+            counts.update(n for n in (full, full + 1) if 1 <= n <= 20_000)
         assert counts
         for n in sorted(counts):
             weights = [p - 1] * n
@@ -1226,6 +1230,19 @@ def test_packed_products_at_the_slot_bound():
             want = [[sum(w * x * y for w, x, y in zip(weights, a, b)) % p for b in right]
                     for a in left]
             assert list(ideals._packed_products(left, packing, columns)) == want, (p, n)
+
+
+def test_certify_prime_keeps_one_word_slots_at_the_node_budget():
+    """CERTIFY_PRIME is a valid characteristic, and at NODE_BUDGET points
+    both of its packings keep 8-byte slots: the echelon's, of bound
+    p + n (p - 1)^2, and the packed products', of bound n (p - 1)^2.  A
+    budget past 16,384 points fails here rather than widen every
+    certifying rank's slots."""
+    p, n = CERTIFY_PRIME, NODE_BUDGET
+    assert validate_characteristic(p) == p
+    assert IntForwardEchelon(n, p)._packing.width == 64
+    packing, _ = ideals._packed_columns([[1] * n], [1] * n, p)
+    assert packing.width == 64
 
 
 def test_packed_degrees_cut_each_degree_basis():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectk.ideals import IdealPiece
-from defectk.linalg import Echelon, IntForwardEchelon, det, dets, rank
+from defectk.ideals import CERTIFY_PRIME, IdealPiece
+from defectk.linalg import _SLOT_CODES, Echelon, IntForwardEchelon, SlotPacking, det, dets, rank
 from defectk.scalars import is_prime, validate_characteristic
 
 
@@ -293,8 +293,9 @@ def test_packed_echelon_at_the_slot_bound():
     """Rows whose entries are all p - 1, and a vector that every pivot
     reduces with the largest multiplier p - 1: its last slot reaches
     p - 1 + (ncols - 1)(p - 1)^2, next to the bound that sets the slot
-    width.  Widths cross the byte boundaries of the slots for each p."""
-    for char in (3, 7, P31):
+    width.  Widths cross the byte boundaries of the slots for each p; the
+    certifying prime keeps one-word slots at every width here."""
+    for char in (3, 7, CERTIFY_PRIME, P31):
         for ncols in (1, 2, 3, 4, 5, 8, 9, 16, 63, 64, 65, 200, 300):
             # pivot i, then p - 1 everywhere after it; the vector has v_k = 1 - k
             # mod p, so that each pivot slot reads 1 when it is reached
@@ -302,6 +303,33 @@ def test_packed_echelon_at_the_slot_bound():
             vector = [(1 - k) % char for k in range(ncols - 1)] + [char - 1]
             _check_against_rank(rows + [vector], ncols, char)
             _check_against_rank([[char - 1] * ncols] * 3 + rows[:3], ncols, char)
+
+
+def test_slot_packing_unpack_matches_a_plain_reference():
+    """unpack against a plain reference, the ints x_c whose sum of
+    x_c << (width * c) is the packed vector, times scale mod the modulus:
+    at every slot size of ``_SLOT_CODES``, for a vector of the packing's
+    count and for a shorter one read with a smaller ``count``, with scale 1
+    and not, on entries up to the top of the slot; and pack puts entry c in
+    slot c, and unpack gives back its residues."""
+    rng = random.Random(47)
+    for size in _SLOT_CODES:
+        width = 8 * size
+        for modulus in (7, CERTIFY_PRIME, P31):
+            for count in (1, 2, 3, 9, 40):
+                packing = SlotPacking(count, (1 << width) - 1, modulus)
+                assert packing.width == width
+                slots = [rng.choice((0, 1, (1 << width) - 1, rng.getrandbits(width)))
+                         for _ in range(count)]
+                for head in {count, rng.randint(1, count), 1}:
+                    packed = sum(x << width * c for c, x in enumerate(slots[:head]))
+                    for scale in (1, 2, modulus - 1, rng.randint(2, modulus - 1)):
+                        want = [x * scale % modulus for x in slots[:head]]
+                        got = packing.unpack(packed, None if head == count else head, scale)
+                        assert got == want, (size, modulus, count, head, scale)
+                residues = [rng.randrange(min(modulus, 1 << width)) for _ in range(count)]
+                assert packing.pack(residues) == sum(x << width * c for c, x in enumerate(residues))
+                assert packing.unpack(packing.pack(residues)) == residues
 
 
 def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
