@@ -10,9 +10,10 @@ Conventions used throughout:
   ranks do not depend on the representative, and every computation at the
   points runs fraction-free on these ints.  Only the JSON form is rational,
   normalized at the first nonzero coordinate.
-* A degree piece of an ideal is a subspace of the degree-k coefficient
-  space, held as a forward echelon over the fixed monomial order; pieces
-  are equal when they have one dimension and one contains the other.
+* A degree piece of an ideal spanned by forms is a subspace of the
+  degree-k coefficient space, held as a forward echelon over the fixed
+  monomial order; pieces are equal when they have one dimension and one
+  contains the other.  A restricted piece is held by its dual (below).
 * A point set's Hilbert profile h(0..N) comes from one pass in the style
   of Buchberger-Moeller (Moeller-Buchberger 1982; Abbott-Bigatti-Kreuzer-
   Robbiano 2000).  Evaluation columns are picked greedily in the fixed
@@ -56,11 +57,12 @@ Conventions used throughout:
   pass at those points stored, and kept when it meets that cap; only a
   rank short of it builds those bases over Z and reruns.
   The chain takes nothing else: ``socle_functional`` refuses every piece
-  but a restricted one of codim 1, and ``functional_kills_products`` every
-  piece but one of the functional's own restriction.  The monomial
-  catalecticant, its kernel and its pairing with a piece's basis live in
-  ``oracles``, the references the tests check the chain against; those
-  also solve ell = 0 for the same variable, ``_solved_variable``.
+  but the top restricted one, of codim 1, and ``functional_kills_products``
+  every piece but one of the functional's own restriction.  The monomial
+  side lives in ``oracles``, the references the tests check the chain
+  against: the restricted pieces over the monomial basis, which solve
+  ell = 0 for the same variable, ``_solved_variable``, and the monomial
+  catalecticant, its kernel and its pairing with a piece's basis.
 """
 
 from __future__ import annotations
@@ -180,12 +182,6 @@ class PointSet:
             ) from exc
         # primitive_point clears the denominators; a whole number stays an int
         return cls([[num if den == 1 else Fraction(num, den) for num, den in p] for p in pairs])
-
-
-def _evaluation_columns(int_points, nvars: int, degree: int) -> list[list[int]]:
-    """Per monomial of the degree in basis order, its values at the points."""
-    basis = monomial_basis(nvars, degree)
-    return values_at([GradedPoly.monomial(nvars, exp) for exp in basis], int_points)
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +413,6 @@ class IdealPiece:
     def codim(self) -> int:
         return self.echelon.codim()
 
-    @classmethod
-    def cut_out(cls, nvars: int, degree: int, conditions) -> "IdealPiece":
-        """The forms of the degree that every condition, a sparse dict row
-        over the monomial basis, kills.  The conditions are eliminated over
-        the columns in reverse, so the kernel vector of free column c is zero
-        before c and goes into the piece's echelon as it is, at pivot c."""
-        last = binomial(degree + nvars - 1, nvars - 1) - 1
-        cond, ech = Echelon(last + 1), Echelon(last + 1)
-        for row in conditions:
-            cond.add({last - c: x for c, x in row.items()})
-        for vec in cond.kernel_of_rows():
-            ech.add({last - c: x for c, x in vec.items()})
-        return cls(nvars, degree, ech)
-
     def basis_polys(self) -> list[GradedPoly]:
         """The echelon's rows as forms, in the order it stores them."""
         basis = monomial_basis(self.nvars, self.degree)
@@ -568,13 +550,16 @@ class _Restriction:
     S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
     common kernel of point functionals at the q'_i, and its codim is
     h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
-    p_i).  The pass keeps h and its own degree-(top - 1) echelon's kernel;
-    only the pieces' monomial echelons rerun it for a lower degree's.
+    p_i).  The pass keeps h and the kernel of its own degree-(top - 1)
+    echelon, the socle functional's weights.  No (I_H)_e is built over the
+    monomial basis; ``oracles.restrict_to_hyperplane`` gives those forms.
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
         reps = self.reps = points.points
         self.top = top
+        # at top = 0 the kernel of no columns: every point's weight is free
+        self.top_kernel = IntForwardEchelon(len(reps)).kernel() if top == 0 else None
         h = []
         for k, (ech, _) in enumerate(_profile_pass(reps, top)):
             h.append(ech.dim)
@@ -590,33 +575,14 @@ class _Restriction:
         j = _solved_variable(ell)
         self.small = tuple(rep[:j] + rep[j + 1 :] for rep in reps)
 
-    def dual_weights(self, e: int) -> list[tuple[int, ...]]:
-        """A basis of the weights whose functionals span the dual of
-        (I_H)_e: chi / ell(p) for chi in the kernel of the profile pass's
-        degree-(e-1) echelon (of no columns at e = 0), which depends only on
-        the span, each as a primitive integer vector."""
-        if e and e == self.top:
-            kernel = self.top_kernel
-        else:
-            ech = IntForwardEchelon(len(self.reps))
-            for ech, _ in _profile_pass(self.reps, e - 1):
-                pass  # the last one is degree e - 1's, left as it was yielded
-            kernel = ech.kernel()
-        return [primitive_point(map(operator.mul, chi, self.inverse_ells)) for chi in kernel]
-
-    def kernel_echelon(self, e: int) -> Echelon:
-        """(I_H)_e over the monomial basis: the forms every dual weight kills."""
-        cols = _evaluation_columns(self.small, self.nvars, e)
-        rows = ({m: v for m, v in enumerate(_dot(psi, col) for col in cols) if v}
-                for psi in self.dual_weights(e))
-        return IdealPiece.cut_out(self.nvars, e, rows).echelon
-
-    def socle_functional(self, e: int) -> "Functional":
-        """The functional vanishing on (I_H)_e, of codim 1, in the point form
-        (see ``Functional``): the first dual weight whose functional is not
-        zero, over its value at the last monomial where that is nonzero."""
-        basis = monomial_basis(self.nvars, e)
-        for w in self.dual_weights(e):
+    def socle_functional(self) -> "Functional":
+        """The functional vanishing on (I_H)_top, of codim 1, in the point
+        form (see ``Functional``): chi / ell(p), for the first chi of the top
+        kernel whose functional is not zero, as a primitive integer vector,
+        over its value at the last monomial where that is nonzero."""
+        basis = monomial_basis(self.nvars, self.top)
+        for chi in self.top_kernel:
+            w = primitive_point(map(operator.mul, chi, self.inverse_ells))
             # one monomial at a time, not ``values_at`` over the basis: the
             # scan stops at the first nonzero value, which on the grid chains
             # (plane d = 8 and 20, double solid d = 5 and 6) is the first
@@ -625,44 +591,30 @@ class _Restriction:
                 value = _dot(w, (math.prod(map(pow, q, m)) for q in self.small))
                 if value:
                     phi = object.__new__(Functional)  # its constructor refuses
-                    vars(phi).update(restriction=self, degree=e, weights=w, denominator=value)
+                    vars(phi).update(restriction=self, degree=self.top, weights=w,
+                                     denominator=value)
                     return phi
-        raise ValueError("piece spans everything; no nonzero functional vanishes on it")
 
 
-class RestrictedPiece(IdealPiece):
-    """Degree-e piece of a point ideal's hyperplane restriction, held by its
-    dual: the point weights of a shared ``_Restriction``.  Its codim comes
-    from the point-set profile; its kernel over the monomial basis is built
-    only when ``echelon`` is read (``basis_polys``, ``contains``, ``==``,
-    ``base_locus_dimension``, ``lemdims_check``).
-    """
+class RestrictedPiece:
+    """Degree-e piece of a point ideal's hyperplane restriction, held only
+    by its dual: the point weights of a shared ``_Restriction``, whose
+    profile gives its codim."""
 
-    # ``echelon`` is a lazy property here, in place of IdealPiece's slot
-    __slots__ = ("restriction", "_echelon")
+    __slots__ = ("restriction", "degree", "nvars")
 
     def __init__(self, restriction: _Restriction, degree: int):
-        self.nvars = restriction.nvars
-        self.degree = degree
         self.restriction = restriction
-        self._echelon = None
-
-    @property
-    def echelon(self) -> Echelon:
-        if self._echelon is None:
-            self._echelon = self.restriction.kernel_echelon(self.degree)
-        return self._echelon
+        self.degree = degree
+        self.nvars = restriction.nvars
 
     @property
     def codim(self) -> int:
         return self.restriction.codims[self.degree]
 
-    @property
-    def dim(self) -> int:
-        return binomial(self.degree + self.nvars - 1, self.nvars - 1) - self.codim
 
-
-def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> list[IdealPiece]:
+def restricted_point_pieces(points: PointSet, ell: GradedPoly,
+                            up_to: int) -> list[RestrictedPiece]:
     """Degree pieces 0..up_to of the point ideal's hyperplane restriction.
 
     Each piece is held by its dual, point weights (see ``_Restriction``), so
@@ -679,7 +631,7 @@ def restricted_point_pieces(points: PointSet, ell: GradedPoly, up_to: int) -> li
 
 @dataclass(frozen=True, init=False)
 class Functional:
-    """The socle functional of a restricted piece of codim 1, on the
+    """The socle functional of the top restricted piece, of codim 1, on the
     degree-N graded piece of the restriction's ring, in its point form: int
     ``weights`` w_i at the restriction's small points q'_i (``points``)
     over one nonzero int ``denominator`` D, phi = sum_i w_i ev_{q'_i} / D.
@@ -705,13 +657,15 @@ class Functional:
         return self.restriction.small
 
 
-def socle_functional(piece: IdealPiece) -> Functional:
-    """The functional vanishing on a restricted piece of codim 1, of any
-    degree, normalised to 1 at the last monomial where it is nonzero, in the
-    point form and without the piece's kernel; any other piece is refused."""
-    if not isinstance(piece, RestrictedPiece) or piece.codim != 1:
-        raise ValueError("a socle functional needs a restricted piece of codim 1")
-    return piece.restriction.socle_functional(piece.degree)
+def socle_functional(piece: RestrictedPiece) -> Functional:
+    """The functional vanishing on the top restricted piece, of codim 1,
+    normalised to 1 at the last monomial where it is nonzero, in the point
+    form, from the kernel the profile pass kept; any other piece is
+    refused."""
+    if not (isinstance(piece, RestrictedPiece) and piece.degree == piece.restriction.top
+            and piece.codim == 1):
+        raise ValueError("a socle functional needs the top restricted piece, of codim 1")
+    return piece.restriction.socle_functional()
 
 
 def _products(left, right, weights):
@@ -807,7 +761,7 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
     return HilbertProfile(tuple(vals))
 
 
-def functional_kills_products(phi: Functional, piece: IdealPiece) -> bool:
+def functional_kills_products(phi: Functional, piece: RestrictedPiece) -> bool:
     """True for every piece of phi's own restriction: phi vanishes on
     piece * S_{N - e}, the ancestor membership test, as (I_H)_e * S_{N-e}
     lies in (I_H)_N, on which it vanishes.  Any other piece is refused."""

@@ -22,13 +22,13 @@ tail and the column it starts at and hands back the tail it stored, so
 that the profile pass of ``ideals`` can offer x_v times a stored tail.
 It serves only matrices indexed by points: every point-set rank, the
 catalecticant ranks of a functional at points (mod p first, else over Z),
-and, through its kernel over Z, the dual weights of a restricted ideal.
+and, through its kernel over Z, the weights of a socle functional.
 ``Echelon`` holds ideal pieces over the monomial basis: a forward echelon
 of the same design on sparse dict rows of ``Fraction``s, which reduces only
 the vector it inserts and back-substitutes only when a kernel is asked
-for.  It serves generated pieces, base loci, the kernels a restricted
-piece builds only on demand, and the monomial catalecticants of
-``oracles``; the point side never uses it.
+for.  It serves generated pieces, base loci, and the monomial pieces of
+``oracles``: point ideals, restrictions and catalecticant kernels; the
+point side never uses it.
 """
 
 from __future__ import annotations
@@ -234,8 +234,7 @@ class Echelon:
     stored there; stored rows never change.  So the rows depend on the
     insertion order, and ``dim``, ``contains`` and ``kernel_of_rows`` only
     on the span.  They serve the monomial-indexed oracles: piece equality
-    and containment, the kernels of ``ideals.IdealPiece.cut_out``, and the
-    echelon a restricted piece builds only when it is read.
+    and containment, and the kernels of ``oracles.cut_out``.
     """
 
     def __init__(self, ncols: int):

@@ -11,6 +11,11 @@ computes, kept only so that the tests can compare the two.
   differentiate and evaluate with ``GradedPoly.evaluate``, no code of
   ``polynomials.values_at``.  ``verify_node`` refuses (ValueError) a point
   that is not singular.
+* ``cut_out(nvars, degree, conditions)`` is the piece of the forms of a
+  degree that every condition, a sparse row over the monomial basis, kills;
+  ``evaluation_columns(points, nvars, degree)`` gives each monomial's
+  values at integer points, the conditions of a point ideal.  They build
+  ``point_ideal_piece``, ``point_sum`` and ``gorenstein_ancestor``.
 * ``point_ideal_piece`` is the degree-k piece of a point set's ideal, the
   kernel of its evaluation matrix over the monomial basis.
   ``restrict_to_hyperplane`` maps full degree pieces into the hyperplane
@@ -19,8 +24,10 @@ computes, kept only so that the tests can compare the two.
   order, and each basis form is substituted x_j -> -sum_{i != j}
   (c_i / c_j) x_i there.  It reads the solved variable through ``ideals``
   at call time, so one rule places its pieces and those of
-  ``ideals.restricted_point_pieces``.  Together they check the restricted
-  pieces, which are held by point weights and never build these.
+  ``ideals.restricted_point_pieces``.  Together they are the restricted
+  pieces over the monomial basis, which the product holds only by their
+  duals, point weights: the tests check the product's codims and socle
+  functionals against these.
 * ``substitute(f, forms)`` is f(L_0, ..., L_{nvars-1}) for linear forms
   L_i of one ring, zero forms included; the powers of each L_i are
   expanded once.  ``restrict_to_hyperplane`` substitutes with it.
@@ -45,8 +52,9 @@ from fractions import Fraction
 
 from . import ideals
 from .ideals import HilbertProfile, IdealPiece, PointSet, generated_piece, primitive_point
-from .linalg import det
-from .polynomials import GradedPoly, monomial_basis
+from .linalg import Echelon, det
+from .macaulay import binomial
+from .polynomials import GradedPoly, monomial_basis, values_at
 
 
 def verify_singular(f: GradedPoly, point) -> bool:
@@ -63,11 +71,30 @@ def verify_node(f: GradedPoly, point) -> bool:
                      for a in idxs]))
 
 
+def cut_out(nvars: int, degree: int, conditions) -> IdealPiece:
+    """The conditions are eliminated over the columns in reverse, so the
+    kernel vector of free column c is zero before c and goes into the
+    piece's echelon as it is, at pivot c."""
+    last = binomial(degree + nvars - 1, nvars - 1) - 1
+    cond, ech = Echelon(last + 1), Echelon(last + 1)
+    for row in conditions:
+        cond.add({last - c: x for c, x in row.items()})
+    for vec in cond.kernel_of_rows():
+        ech.add({last - c: x for c, x in vec.items()})
+    return IdealPiece(nvars, degree, ech)
+
+
+def evaluation_columns(int_points, nvars: int, degree: int) -> list[list[int]]:
+    """Per monomial of the degree in basis order, its values at the points."""
+    basis = monomial_basis(nvars, degree)
+    return values_at([GradedPoly.monomial(nvars, exp) for exp in basis], int_points)
+
+
 def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
-    cols = ideals._evaluation_columns(points.points, points.nvars, k)
+    cols = evaluation_columns(points.points, points.nvars, k)
     # one condition per point, columns indexed by monomials
     rows = ({j: col[i] for j, col in enumerate(cols) if col[i]} for i in range(len(points)))
-    return IdealPiece.cut_out(points.nvars, k, rows)
+    return cut_out(points.nvars, k, rows)
 
 
 def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
@@ -118,7 +145,7 @@ def point_sum(nvars: int, N: int, points, weights) -> dict:
     if len(points) != len(weights) or any(len(p) != nvars for p in points):
         raise ValueError("need one weight per point of the ring's dimension")
     values = (sum(map(operator.mul, weights, col))
-              for col in ideals._evaluation_columns(points, nvars, N))
+              for col in evaluation_columns(points, nvars, N))
     return {m: v for m, v in zip(monomial_basis(nvars, N), values) if v}
 
 
@@ -146,7 +173,7 @@ def gorenstein_ancestor(nvars: int, N: int, coeffs, e: int) -> IdealPiece:
         raise ValueError("functional must be nonzero")
     if e < 0:
         raise ValueError("degree must be nonnegative")
-    return IdealPiece.cut_out(nvars, e, _catalecticant_rows(nvars, N, coeffs, e))
+    return cut_out(nvars, e, _catalecticant_rows(nvars, N, coeffs, e))
 
 
 def monomial_ancestor_profile(nvars: int, N: int, coeffs) -> HilbertProfile:

@@ -297,9 +297,9 @@ def values_at(forms, reps) -> list[list[int]]:
     The one evaluator of forms at integer points beside ``evaluate``; its
     callers are ``defect.audit_nodes`` (every first and second partial at
     the nodes), ``defect.sweep_singular_points`` (one first partial at a
-    time, at the points of F_p), ``ideals._evaluation_columns`` (the
-    monomials of a degree) and the hyperplane checks of
-    ``ideals.draw_missing_hyperplane`` and ``ideals.difference_profile``."""
+    time, at the points of F_p), the hyperplane checks of
+    ``ideals.draw_missing_hyperplane`` and ``ideals.difference_profile``,
+    and ``oracles.evaluation_columns`` (the monomials of a degree)."""
     scales = [math.lcm(*(c.denominator for c in g.coeffs.values())) for g in forms]
     terms = [[(c.numerator * (s // c.denominator), exp) for exp, c in g.coeffs.items()]
              for g, s in zip(forms, scales)]

@@ -15,7 +15,6 @@ from defectk.ideals import (
     BadReductionError,
     Functional,
     HilbertProfile,
-    IdealPiece,
     InconclusiveProbeError,
     NonGenericHyperplaneError,
     PointSet,
@@ -37,9 +36,10 @@ from defectk.ideals import (
 from defectk.ideals import CERTIFY_PRIME, _chart, _ColumnBases, _profile_pass
 from defectk.linalg import IntForwardEchelon, rank
 from defectk.macaulay import ci_hilbert
-from defectk.oracles import (functional_value, gorenstein_ancestor, monomial_ancestor_profile,
-                              monomial_kills_products, monomial_socle_functional,
-                              point_ideal_piece, point_sum, restrict_to_hyperplane, substitute)
+from defectk.oracles import (evaluation_columns, functional_value, gorenstein_ancestor,
+                              monomial_ancestor_profile, monomial_kills_products,
+                              monomial_socle_functional, point_ideal_piece, point_sum,
+                              restrict_to_hyperplane, substitute)
 from defectk.polynomials import GradedPoly, monomial_basis
 from defectk.scalars import validate_characteristic
 from defectk.scenarios import NODE_BUDGET
@@ -592,18 +592,25 @@ def test_restrict_to_hyperplane_solves_int_coefficients_exactly():
     assert all(type(c) is Fraction for c in form.coeffs.values())
 
 
+def explicit_pieces(points, ell, N):
+    """The restricted pieces 0..N over the monomial basis, by the oracles:
+    each point ideal piece with ell = 0 substituted in."""
+    return restrict_to_hyperplane([point_ideal_piece(points, k) for k in range(N + 1)], ell)
+
+
 def test_restriction_exact_sequence_cross_check():
     """Three independent computations of the restricted pieces agree:
-    explicit substitution, evaluation functionals, and profile differences."""
+    explicit substitution, evaluation functionals, and profile differences.
+    The pieces held by their duals have the codims of the explicit ones, and
+    the socle functional at the points is the explicit top piece's."""
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
     N = 4
     fast = restricted_point_pieces(g, ell, N)
-    explicit = restrict_to_hyperplane([point_ideal_piece(g, k) for k in range(N + 1)], ell)
+    explicit = explicit_pieces(g, ell, N)
     h_IH = difference_profile(points_profile(g, N), g, ell)
-    for k in range(N + 1):
-        assert fast[k] == explicit[k]
-        assert fast[k].codim == h_IH[k]
+    assert [piece.codim for piece in fast] == [piece.codim for piece in explicit] == list(h_IH)
+    assert coefficients(socle_functional(fast[N])) == monomial_socle_functional(explicit[N])
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +673,7 @@ def test_socle_functional_vanishes_on_piece():
     pieces = restricted_point_pieces(g, ell, 4)
     coeffs = coefficients(socle_functional(pieces[4]))
     assert coeffs
-    for f in pieces[4].basis_polys():
+    for f in explicit_pieces(g, ell, 4)[4].basis_polys():
         assert functional_value(4, 4, coeffs, f) == 0
     with pytest.raises(ValueError, match="outside its graded piece"):
         functional_value(4, 4, coeffs, GradedPoly.monomial(4, (1, 0, 0, 0)))
@@ -681,11 +688,12 @@ def test_ancestor_contains_restriction_small():
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
+    explicit = explicit_pieces(g, ell, 4)
     phi = socle_functional(pieces[4])
     coeffs = coefficients(phi)
     assert ancestor_profile(phi).values == (1, 2, 3, 2, 1)
     for e in range(5):
-        assert gorenstein_ancestor(4, 4, coeffs, e).contains(pieces[e])
+        assert gorenstein_ancestor(4, 4, coeffs, e).contains(explicit[e])
         assert functional_kills_products(phi, pieces[e])
 
 
@@ -737,29 +745,25 @@ def restrictions(draw):
     h = points_profile(pts, len(pts))
     socle = next(k for k in range(len(pts) + 1) if h[k] == len(pts))
     N = draw(st.integers(min_value=1, max_value=min(socle, 4)))
-    weights = draw(st.lists(small, min_size=len(pts), max_size=len(pts)))
-    return pts, ell, N, weights
+    return pts, ell, N
 
 
 @settings(max_examples=50, deadline=None)
 @given(restrictions())
 def test_point_form_chain_matches_monomial_oracles(data):
-    """Restricted pieces, socle functional, ancestor profile and kill checks
-    at the points against the monomial-indexed oracles."""
-    pts, ell, N, weights = data
+    """Restricted codims, the top kernel, socle functional, ancestor profile
+    and kill checks at the points against the monomial-indexed oracles."""
+    pts, ell, N = data
     pieces = restricted_point_pieces(pts, ell, N)
     h_IH = difference_profile(points_profile(pts, N), pts, ell)
+    explicit = explicit_pieces(pts, ell, N)
     assert tuple(piece.codim for piece in pieces) == h_IH.values
-    explicit = restrict_to_hyperplane([point_ideal_piece(pts, k) for k in range(N + 1)], ell)
-    for piece, oracle in zip(pieces, explicit):
-        assert piece.dim == oracle.dim
-        assert piece == oracle
+    assert tuple(oracle.codim for oracle in explicit) == h_IH.values
     restriction = pieces[0].restriction
-    assert restriction.dual_weights(N) == reeliminated_dual_weights(restriction, N)
+    assert restriction.top_kernel == reeliminated_kernel(pts.points, N)
     nvars, want = restriction.nvars, monomial_socle_functional(explicit[N])
     # a socle functional at the points carries its restriction, which
-    # settles its kill checks; a piece of codim >= 2 is refused, and the
-    # oracle gives the first kernel vector of its echelon
+    # settles its kill checks; a top piece of codim >= 2 is refused
     if pieces[N].codim == 1:
         phi = socle_functional(pieces[N])
         assert coefficients(phi) == want
@@ -771,18 +775,6 @@ def test_point_form_chain_matches_monomial_oracles(data):
     else:
         with pytest.raises(ValueError, match="codim 1"):
             socle_functional(pieces[N])
-        assert monomial_socle_functional(pieces[N]) == want
-    # degree 0 has codim 1, so its socle functional carries the restriction too
-    unit = socle_functional(pieces[0])
-    assert unit.restriction is restriction and coefficients(unit) == {(0,) * nvars: 1}
-    assert ancestor_profile(unit).values == (1,)
-    # weights that need not be orthogonal to the degree-(N-1) columns
-    other = point_sum(nvars, N, restriction.small, weights)
-    for coeffs in (want, other):
-        if coeffs:
-            for piece, oracle in zip(pieces, explicit):
-                assert (monomial_kills_products(nvars, N, coeffs, piece)
-                        == monomial_kills_products(nvars, N, coeffs, oracle))
 
 
 def test_degree_n_kill_check_matches_ancestor_containment():
@@ -797,8 +789,9 @@ def test_degree_n_kill_check_matches_ancestor_containment():
         (PointSet([(1, a, b, 0) for a in range(1, 4) for b in range(1, 6)]), 6),
     )
     for pts, N in grids:
-        pieces = restricted_point_pieces(pts, draw_missing_hyperplane(pts, 1), N)
-        oracles = [IdealPiece(piece.nvars, e, piece.echelon) for e, piece in enumerate(pieces)]
+        ell = draw_missing_hyperplane(pts, 1)
+        pieces = restricted_point_pieces(pts, ell, N)
+        oracles = explicit_pieces(pts, ell, N)
         phi = socle_functional(pieces[N])
         nvars, weights = phi.nvars, exact_weights(phi)
         perturbed = point_sum(nvars, N, phi.points, [weights[0] + 1, *weights[1:]])
@@ -810,12 +803,11 @@ def test_degree_n_kill_check_matches_ancestor_containment():
         for psi in (coeffs, perturbed):
             want = [gorenstein_ancestor(nvars, N, psi, e).contains(oracle)
                     for e, oracle in enumerate(oracles)]
-            assert [monomial_kills_products(nvars, N, psi, piece) for piece in pieces] == want
             assert [monomial_kills_products(nvars, N, psi, oracle) for oracle in oracles] == want
-        assert not all(monomial_kills_products(nvars, N, perturbed, piece) for piece in pieces)
+        assert not all(monomial_kills_products(nvars, N, perturbed, oracle) for oracle in oracles)
         # degree N + 2, past the restriction's top
         high = point_sum(nvars, N + 2, phi.points, weights)
-        assert [monomial_kills_products(nvars, N + 2, high, piece) for piece in pieces] == [
+        assert [monomial_kills_products(nvars, N + 2, high, oracle) for oracle in oracles] == [
             gorenstein_ancestor(nvars, N + 2, high, e).contains(oracle)
             for e, oracle in enumerate(oracles)]
 
@@ -855,32 +847,54 @@ def test_kill_check_at_points_can_fail():
     """The evaluation at one point kills no nonzero piece's products."""
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
-    pieces = restricted_point_pieces(g, ell, 4)
-    small = pieces[0].restriction.small
+    small = restricted_point_pieces(g, ell, 4)[0].restriction.small
     single = point_sum(4, 4, small, [1] + [0] * (len(small) - 1))
-    verdicts = [monomial_kills_products(4, 4, single, piece) for piece in pieces]
-    assert verdicts == [monomial_kills_products(4, 4, single, IdealPiece(4, e, piece.echelon))
-                        for e, piece in enumerate(pieces)]
+    verdicts = [monomial_kills_products(4, 4, single, piece)
+                for piece in explicit_pieces(g, ell, 4)]
     assert verdicts[0] and not all(verdicts)
     assert monomial_ancestor_profile(4, 4, single).values == (1, 1, 1, 1, 1)
 
 
-def test_socle_functional_refuses_all_but_a_restricted_piece_of_codim_one():
-    """A piece that is not restricted, of codim 1 or not, and a restricted
-    piece of codim 2 are refused; the oracle gives each the functional that
-    ``socle_functional`` returned for it before it refused them."""
+REFUSED_SOCLE = "^a socle functional needs the top restricted piece, of codim 1$"
+
+
+def test_socle_functional_refuses_all_but_the_top_restricted_piece_of_codim_one():
+    """A piece that is not restricted, of codim 1 (the explicit top piece)
+    or not, a lower restricted piece and a top restricted piece of codim 2
+    are refused; the oracle gives the functionals of the explicit pieces."""
     g = grid9()
-    pieces = restricted_point_pieces(g, draw_missing_hyperplane(g, seed=1), 4)
-    copy = IdealPiece(4, 4, pieces[4].echelon)
+    ell = draw_missing_hyperplane(g, seed=1)
+    pieces = restricted_point_pieces(g, ell, 4)
+    explicit = explicit_pieces(g, ell, 4)
     generated = generated_piece([X4[0], X4[1]], 2)
-    assert (copy.codim, generated.codim, pieces[1].codim) == (1, 3, 2)
-    for piece in (copy, generated, pieces[1]):
-        with pytest.raises(ValueError, match="^a socle functional needs a restricted piece "
-                                             "of codim 1$"):
+    top_one = restricted_point_pieces(g, ell, 1)[1]
+    refused = (explicit[4], generated, pieces[1], top_one)
+    assert [piece.codim for piece in refused] == [1, 3, 2, 2]
+    for piece in refused:
+        with pytest.raises(ValueError, match=REFUSED_SOCLE):
             socle_functional(piece)
-    assert monomial_socle_functional(copy) == coefficients(socle_functional(pieces[4]))
+    assert monomial_socle_functional(explicit[4]) == coefficients(socle_functional(pieces[4]))
     assert monomial_socle_functional(generated) == {(0, 0, 2, 0): 1}
-    assert monomial_socle_functional(pieces[1]) == {(0, 0, 1, 0): 1}
+    assert monomial_socle_functional(explicit[1]) == {(0, 0, 1, 0): 1}
+
+
+def test_socle_functional_at_top_zero():
+    """At top 0 the kernel is that of no columns, every point's weight
+    free, so the socle functional is the evaluation at the first small
+    point, with ancestor profile (1,); under a higher top, degree 0's
+    piece, of codim 1 too, is refused."""
+    g = grid9()
+    ell = draw_missing_hyperplane(g, seed=1)
+    (piece,) = restricted_point_pieces(g, ell, 0)
+    phi = socle_functional(piece)
+    assert (phi.weights, phi.denominator) == ((1,) + (0,) * (len(g) - 1), 1)
+    assert coefficients(phi) == {(0, 0, 0, 0): 1}
+    assert ancestor_profile(phi).values == (1,)
+    assert functional_kills_products(phi, piece)
+    lower = restricted_point_pieces(g, ell, 4)[0]
+    assert lower.codim == 1
+    with pytest.raises(ValueError, match=REFUSED_SOCLE):
+        socle_functional(lower)
 
 
 def test_a_functional_is_built_only_by_socle_functional():
@@ -888,8 +902,8 @@ def test_a_functional_is_built_only_by_socle_functional():
     functional, so a hand-built one, with one weight raised (which the
     oracle shows kills no degree-3 product), or an edited copy, is refused."""
     g = grid9()
-    pieces = restricted_point_pieces(g, draw_missing_hyperplane(g, seed=1), 4)
-    phi = socle_functional(pieces[4])
+    ell = draw_missing_hyperplane(g, seed=1)
+    phi = socle_functional(restricted_point_pieces(g, ell, 4)[4])
     raised = (phi.weights[0] + 1, *phi.weights[1:])
     for build in (lambda: Functional(phi.restriction, 4, raised, phi.denominator),
                   lambda: Functional(),
@@ -899,32 +913,35 @@ def test_a_functional_is_built_only_by_socle_functional():
     with pytest.raises(dataclasses.FrozenInstanceError):
         phi.weights = raised
     perturbed = point_sum(4, 4, phi.points, [Fraction(w, phi.denominator) for w in raised])
-    assert [monomial_kills_products(4, 4, perturbed, piece) for piece in pieces] == [
-        True, True, True, False, False]
+    assert [monomial_kills_products(4, 4, perturbed, piece)
+            for piece in explicit_pieces(g, ell, 4)] == [True, True, True, False, False]
 
 
 def test_kill_check_refuses_every_piece_but_one_of_its_own_restriction():
-    """Pieces equal to the functional's own but of a second restriction of
-    the same points and ell, pieces of other points, and a piece of another
-    ring are refused; the oracle gives the verdicts, or the refusal, that
-    ``functional_kills_products`` gave them before."""
+    """Pieces of a second restriction of the same points and ell, the same
+    pieces over the monomial basis, pieces of other points, and a piece of
+    another ring are refused; the oracle gives the verdicts on the explicit
+    pieces, or the refusal."""
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
     pieces = restricted_point_pieces(g, ell, 4)
     phi = socle_functional(pieces[4])
     again = restricted_point_pieces(g, ell, 4)
+    explicit = explicit_pieces(g, ell, 4)
     h = PointSet([(0, 0, a, b, 1) for a in (1, 2, 4) for b in (1, 3, 5)])
-    others = restricted_point_pieces(h, draw_missing_hyperplane(h, seed=1), 4)
+    ell_h = draw_missing_hyperplane(h, seed=1)
+    others = restricted_point_pieces(h, ell_h, 4)
     wider = generated_piece([GradedPoly.variable(5, 0)], 1)
-    assert again == pieces and all(functional_kills_products(phi, piece) for piece in pieces)
-    for piece in [*again, *others, wider]:
+    assert [piece.codim for piece in again] == [piece.codim for piece in pieces]
+    assert all(functional_kills_products(phi, piece) for piece in pieces)
+    for piece in [*again, *explicit, *others, wider]:
         with pytest.raises(ValueError, match="^a kill check needs a piece of the functional's "
                                              "own restriction$"):
             functional_kills_products(phi, piece)
     coeffs = coefficients(phi)
-    assert [monomial_kills_products(4, 4, coeffs, piece) for piece in again] == [True] * 5
-    assert [monomial_kills_products(4, 4, coeffs, piece) for piece in others] == [
-        True, True, True, False, False]
+    assert [monomial_kills_products(4, 4, coeffs, piece) for piece in explicit] == [True] * 5
+    assert [monomial_kills_products(4, 4, coeffs, piece)
+            for piece in explicit_pieces(h, ell_h, 4)] == [True, True, True, False, False]
     with pytest.raises(ValueError, match="different rings"):
         monomial_kills_products(4, 4, coeffs, wider)
 
@@ -1262,43 +1279,30 @@ def test_packed_degrees_cut_each_degree_basis():
                 assert got == want, (reps, char, k)
 
 
-def reeliminated_dual_weights(restriction, e):
-    """Dual weights of degree e >= 1 from a fresh echelon of the degree-(e-1)
-    evaluation columns of every monomial."""
-    reps = restriction.reps
-    ech = ideals.IntForwardEchelon(len(reps))
-    for col in ideals._evaluation_columns(reps, len(reps[0]), e - 1):
+def reeliminated_kernel(reps, top):
+    """The kernel of a fresh echelon of the degree-(top-1) evaluation columns
+    of every monomial: of no columns at top = 0."""
+    ech = IntForwardEchelon(len(reps))
+    for col in evaluation_columns(reps, len(reps[0]), top - 1):
         ech.add(col)
-    return [primitive_point(x * y for x, y in zip(chi, restriction.inverse_ells))
-            for chi in ech.kernel()]
+    return ech.kernel()
 
 
 def test_top_dual_weights_reuse_the_profile_pass(monkeypatch):
-    """dual_weights(top) reads the kernel that the profile pass kept, which
-    equals the re-eliminated one at every top, and builds no echelon."""
+    """The top kernel, whose vectors give the socle functional's weights, is
+    the one the profile pass kept: it equals the re-eliminated one at every
+    top, 0 included, and the socle functional builds no echelon."""
     for name, d in (("plane", 6), ("double-solid", 3)):
         pts, N = grid_points(name, d)
         ell = draw_missing_hyperplane(pts, 1)
-        for top in range(1, N + 1):
-            restriction = restricted_point_pieces(pts, ell, top)[0].restriction
-            want = reeliminated_dual_weights(restriction, top)
-            with monkeypatch.context() as patch:
-                patch.setattr(ideals, "IntForwardEchelon", None)
-                assert restriction.dual_weights(top) == want, (name, d, top)
-
-
-def test_lower_dual_weights_rerun_the_profile_pass():
-    """Below top the dual weights come from the kernel of a rerun profile
-    pass's echelon; they equal the re-eliminated ones, and at e = 0 every
-    point's weight is free."""
-    for name, d in (("plane", 6), ("double-solid", 3)):
-        pts, N = grid_points(name, d)
-        ell = draw_missing_hyperplane(pts, 1)
-        restriction = restricted_point_pieces(pts, ell, N)[0].restriction
-        assert len(restriction.dual_weights(0)) == len(pts)
-        for e in range(1, N):
-            want = reeliminated_dual_weights(restriction, e)
-            assert restriction.dual_weights(e) == want, (name, e)
+        for top in range(N + 1):
+            pieces = restricted_point_pieces(pts, ell, top)
+            want = reeliminated_kernel(pts.points, top)
+            assert pieces[top].restriction.top_kernel == want, (name, d, top)
+        want = socle_functional(pieces[N])
+        with monkeypatch.context() as patch:
+            patch.setattr(ideals, "IntForwardEchelon", None)
+            assert socle_functional(pieces[N]) == want, (name, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1443,11 +1447,15 @@ def test_restricted_point_pieces_nonlast_hyperplane():
     pts = PointSet([(1, 1, 0, 0, 0), (1, 2, 0, 1, 0), (1, 3, 1, 0, 0), (1, 5, 1, 1, 0)])
     ell = GradedPoly.linear_form((0, 1, 0, 0, 0))  # x1; misses all four points
     fast = restricted_point_pieces(pts, ell, 3)
-    explicit = restrict_to_hyperplane([point_ideal_piece(pts, k) for k in range(4)], ell)
-    for k in range(4):
-        assert fast[k] == explicit[k]
+    explicit = explicit_pieces(pts, ell, 3)
     h_IH = difference_profile(points_profile(pts, 3), pts, ell)
-    assert tuple(p.codim for p in fast) == h_IH.values
+    assert [p.codim for p in fast] == [p.codim for p in explicit] == list(h_IH)
+    # three points on a line, whose top piece of degree 2 has codim 1: the
+    # socle functional sits at the points with x1 dropped, as the oracle's
+    line = PointSet([(1, t, 0, t, 0) for t in (1, 2, 3)])
+    phi = socle_functional(restricted_point_pieces(line, ell, 2)[2])
+    assert phi.points == tuple((1, 0, t, 0) for t in (1, 2, 3))
+    assert coefficients(phi) == monomial_socle_functional(explicit_pieces(line, ell, 2)[2])
 
 
 def test_one_rule_solves_ell_for_the_oracle_and_the_restriction(monkeypatch):
@@ -1460,8 +1468,9 @@ def test_one_rule_solves_ell_for_the_oracle_and_the_restriction(monkeypatch):
     monkeypatch.setattr(ideals, "_solved_variable", lambda ell: 0)
     fast = restricted_point_pieces(g, ell, 4)
     assert fast[0].restriction.small[0] == g.points[0][1:]
-    explicit = restrict_to_hyperplane([point_ideal_piece(g, k) for k in range(5)], ell)
-    assert all(fast[k] == explicit[k] for k in range(5))
+    explicit = explicit_pieces(g, ell, 4)
+    assert [piece.codim for piece in fast] == [piece.codim for piece in explicit]
+    assert coefficients(socle_functional(fast[4])) == monomial_socle_functional(explicit[4])
     # x_4 is no longer solved for: it stays the last variable of the small ring
     x4_image = restrict_to_hyperplane([generated_piece([X5[4]], 1)], ell)[0]
     assert x4_image == generated_piece([X4[3]], 1)
