@@ -37,32 +37,34 @@ Conventions used throughout:
   min(#points, #monomials) is certified exact, because a modular rank
   never exceeds the rational one; any other falls back to the pass over Z.
 * The Gorenstein chain (restricted pieces, socle functional, ancestor
-  profile, kill checks) runs on matrices indexed by the points.  The dual
-  of a restricted piece (I_H)_e is spanned by point-evaluation functionals,
-  and its codim is h_I(e) - h_I(e-1) from the profile pass, whose own
-  degree-(N-1) echelon also gives the kernel that the socle functional's
-  weights come from.  That functional is in the point form of
-  ``Functional`` at the q'_i, and by the apolarity lemma (Iarrobino-Kanev
-  1999, Lemma 1.15) its catalecticant is E_{N-e}^T diag(w) E_e / D for the
-  evaluation matrices E at the q'_i, so every rank and kernel has the size
-  of the point set, and runs on ``IntForwardEchelon``.  The socle
-  functional records the restriction it was built from.  It vanishes on
-  (I_H)_N by construction, and (I_H)_e * S_{N-e} lies in (I_H)_N, so it
-  kills every piece's products there: Ann(phi) contains I_H, and rank
-  Cat_e <= codim (I_H)_e.  The ranks do not depend on which lift of
-  S / (ell) carries phi, so they are read at the nodes with their chart
-  coordinate dropped when ell allows it (``_rank_points``), where the
-  double solid's bases collapse to binary forms.  Each ancestor rank is
-  taken mod CERTIFY_PRIME, with packed products, on the vectors a profile
-  pass at those points stored, and kept when it meets that cap; only a
-  rank short of it builds those bases over Z and reruns.
+  profile, kill checks) runs on matrices indexed by the points, in one
+  ring: ell = 0 solved for ``_solved_variable``, the nodes' chart
+  coordinate when ell's coefficient there is nonzero, else the last
+  variable with a nonzero coefficient, and the small points q'_i are the
+  nodes with that coordinate dropped.  On the double solid they are
+  (a, b, 0), whose bases collapse to binary forms.  The dual of a
+  restricted piece (I_H)_e is spanned by point-evaluation functionals, and
+  its codim is h_I(e) - h_I(e-1) from the profile pass, which keeps a copy
+  of its own degree-(N-1) echelon; the socle functional's weights come
+  from that copy's kernel, taken only when the functional is asked for.
+  That functional is in the point form of ``Functional`` at the q'_i, and
+  by the apolarity lemma (Iarrobino-Kanev 1999, Lemma 1.15) its
+  catalecticant is E_{N-e}^T diag(w) E_e / D for the evaluation matrices E
+  at the q'_i, so every rank and kernel has the size of the point set, and
+  runs on ``IntForwardEchelon``.  The socle functional records the
+  restriction it was built from.  It vanishes on (I_H)_N by construction,
+  and (I_H)_e * S_{N-e} lies in (I_H)_N, so it kills every piece's
+  products there: Ann(phi) contains I_H, and rank Cat_e <= codim (I_H)_e.
+  Each ancestor rank is taken mod CERTIFY_PRIME, with packed products, on
+  the vectors a profile pass at the q'_i stored, and kept when it meets
+  that cap; only a rank short of it builds those bases over Z and reruns.
   The chain takes nothing else: ``socle_functional`` refuses every piece
   but the top restricted one, of codim 1, and ``functional_kills_products``
   every piece but one of the functional's own restriction.  The monomial
   side lives in ``oracles``, the references the tests check the chain
-  against: the restricted pieces over the monomial basis, which solve
-  ell = 0 for the same variable, ``_solved_variable``, and the monomial
-  catalecticant, its kernel and its pairing with a piece's basis.
+  against: the restricted pieces over the monomial basis, for a solved
+  variable they are given, and the monomial catalecticant, its kernel and
+  its pairing with a piece's basis.
 """
 
 from __future__ import annotations
@@ -304,9 +306,9 @@ class _ColumnBases:
     """Bases of the column spaces of the evaluation matrices E_k at integer
     vectors, k = 0..up_to, over Z or F_char, for the point path of
     ``ancestor_profile``: the tails the profile pass stored, kept once.
-    The vectors (``_rank_points``) may repeat, and one may be 0; without a
-    chart a degree k >= 1 then still stores vectors unless all are 0, which
-    takes a single node, of socle degree 0.
+    The vectors (a restriction's small points) may repeat, and one may be
+    0; without a chart a degree k >= 1 then still stores vectors unless all
+    are 0, which takes a single node, of socle degree 0.
 
     In the chart of x_j the degree-k basis is x_j^(k-b) times each vector
     stored in degree b <= k, as the pass rescales its echelon over Z; over
@@ -529,9 +531,13 @@ def difference_profile(h_I: HilbertProfile, points: PointSet, ell: GradedPoly) -
     return HilbertProfile(tuple(vals))
 
 
-def _solved_variable(ell: GradedPoly) -> int:
-    """The variable x_j that ell = 0 is solved for: the last one with a
-    nonzero coefficient."""
+def _solved_variable(ell: GradedPoly, reps) -> int:
+    """The variable x_j that ell = 0 is solved for at the integer vectors
+    ``reps``: their chart coordinate (``_chart``) when ell's coefficient
+    there is nonzero, else the last variable with a nonzero coefficient."""
+    k = _chart(reps, None)
+    if k is not None and any(exp[k] for exp in ell.coeffs):
+        return k
     return max(exp.index(1) for exp in ell.coeffs)
 
 
@@ -539,61 +545,42 @@ class _Restriction:
     """The dual data that the pieces 0..top of a point ideal's hyperplane
     restriction I_H share, every matrix indexed by the points.
 
-    For x_j the ``_solved_variable`` of ell, the small coordinates q'_i
-    of a point are the others, in their order, taken at its primitive
-    representative p_i: the ring of the hyperplane ell = 0 solved for x_j.
-    A point functional sum_i psi_i ev_{p_i} on S_e vanishes on I_e, and on
-    ell * S_{e-1} exactly when psi * ell(p) is orthogonal to the
-    degree-(e-1) evaluation columns at the p_i.  Those functionals are the
-    dual of S_e / (I, ell)_e.  A form of S' read as a form in the variables
-    other than x_j lifts S'_e onto S_e / (ell)_e, so they are the dual of
-    S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.  So (I_H)_e is the
-    common kernel of point functionals at the q'_i, and its codim is
-    h_I(e) - h_I(e-1) (``difference_profile`` of the profile pass at the
-    p_i).  The pass keeps h and the kernel of its own degree-(top - 1)
-    echelon, the socle functional's weights.  No (I_H)_e is built over the
-    monomial basis; ``oracles.restrict_to_hyperplane`` gives those forms.
+    For x_j the ``_solved_variable`` of ell at the points, the small
+    coordinates q'_i of a point are the others, in their order, taken at
+    its primitive representative p_i: the ring of the hyperplane ell = 0
+    solved for x_j.  A point functional sum_i psi_i ev_{p_i} on S_e
+    vanishes on I_e, and on ell * S_{e-1} exactly when psi * ell(p) is
+    orthogonal to the degree-(e-1) evaluation columns at the p_i.  Those
+    functionals are the dual of S_e / (I, ell)_e.  A form of S' read as a
+    form in the variables other than x_j lifts S'_e onto S_e / (ell)_e, so
+    they are the dual of S'_e / (I_H)_e, with ev_{p_i} becoming ev_{q'_i}.
+    So (I_H)_e is the common kernel of point functionals at the q'_i, and
+    its codim is h_I(e) - h_I(e-1) (``difference_profile`` of the profile
+    pass at the p_i).  In the chart coordinate's lift the double solid's
+    q'_i are (a, b, 0), whose bases collapse to binary forms.  The pass
+    keeps h and a copy of its own degree-(top - 1) echelon (``lower``),
+    whose kernel gives the socle functional's weights when one is asked
+    for.  No (I_H)_e is built over the monomial basis;
+    ``oracles.restrict_to_hyperplane`` gives those forms.
     """
 
     def __init__(self, points: PointSet, ell: GradedPoly, top: int):
-        reps = self.reps = points.points
+        reps = points.points
         self.top = top
-        # at top = 0 the kernel of no columns: every point's weight is free
-        self.top_kernel = IntForwardEchelon(len(reps)).kernel() if top == 0 else None
+        self.lower = IntForwardEchelon(len(reps))  # of no columns at top = 0
         h = []
         for k, (ech, _) in enumerate(_profile_pass(reps, top)):
             h.append(ech.dim)
-            if k == top - 1:  # before degree top rescales it
-                self.top_kernel = ech.kernel()
+            if k == top - 1:  # before degree top rescales and extends it
+                self.lower = ech.copy()
         self.codims = difference_profile(HilbertProfile(tuple(h)), points, ell)
         # 1 / ell(p_i) as ints, up to one common factor
         ells = _scaled_to_integers(ell.evaluate(rep) for rep in reps)
         lcm = math.lcm(*ells)
         self.inverse_ells = [lcm // v for v in ells]
         self.nvars = points.nvars - 1
-        self.ell = ell
-        j = _solved_variable(ell)
+        j = _solved_variable(ell, reps)
         self.small = tuple(rep[:j] + rep[j + 1 :] for rep in reps)
-
-    def socle_functional(self) -> "Functional":
-        """The functional vanishing on (I_H)_top, of codim 1, in the point
-        form (see ``Functional``): chi / ell(p), for the first chi of the top
-        kernel whose functional is not zero, as a primitive integer vector,
-        over its value at the last monomial where that is nonzero."""
-        basis = monomial_basis(self.nvars, self.top)
-        for chi in self.top_kernel:
-            w = primitive_point(map(operator.mul, chi, self.inverse_ells))
-            # one monomial at a time, not ``values_at`` over the basis: the
-            # scan stops at the first nonzero value, which on the grid chains
-            # (plane d = 8 and 20, double solid d = 5 and 6) is the first
-            # monomial it reads, so whole columns would only add work
-            for m in reversed(basis):
-                value = _dot(w, (math.prod(map(pow, q, m)) for q in self.small))
-                if value:
-                    phi = object.__new__(Functional)  # its constructor refuses
-                    vars(phi).update(restriction=self, degree=self.top, weights=w,
-                                     denominator=value)
-                    return phi
 
 
 class RestrictedPiece:
@@ -658,14 +645,35 @@ class Functional:
 
 
 def socle_functional(piece: RestrictedPiece) -> Functional:
-    """The functional vanishing on the top restricted piece, of codim 1,
-    normalised to 1 at the last monomial where it is nonzero, in the point
-    form, from the kernel the profile pass kept; any other piece is
+    """The functional vanishing on the top restricted piece, of codim 1, in
+    the point form (see ``Functional``): chi / ell(p), for the first chi of
+    the kernel of the restriction's degree-(top - 1) echelon whose
+    functional is not zero, as a primitive integer vector, over its value
+    at the last monomial where that is nonzero.  Any other piece is
     refused."""
     if not (isinstance(piece, RestrictedPiece) and piece.degree == piece.restriction.top
             and piece.codim == 1):
         raise ValueError("a socle functional needs the top restricted piece, of codim 1")
-    return piece.restriction.socle_functional()
+    restriction = piece.restriction
+    small, top = restriction.small, restriction.top
+    basis = monomial_basis(restriction.nvars, top)
+    dead = [v for v in range(restriction.nvars) if not any(q[v] for q in small)]
+    for chi in restriction.lower.kernel():
+        w = primitive_point(map(operator.mul, chi, restriction.inverse_ells))
+        # one monomial at a time, not ``values_at`` over the basis: the
+        # scan stops at the first nonzero value, which on the grid chains
+        # (plane d = 8, 14 and 20, double solid d = 5, 6, 12, 16 and 30) is
+        # the first monomial it reads past those with a coordinate zero at
+        # every q'_i, so whole columns would only add work
+        for m in reversed(basis):
+            if any(m[v] for v in dead):  # zero at every q'_i
+                continue
+            value = _dot(w, (math.prod(map(pow, q, m)) for q in small))
+            if value:
+                phi = object.__new__(Functional)  # its constructor refuses
+                vars(phi).update(restriction=restriction, degree=top, weights=w,
+                                 denominator=value)
+                return phi
 
 
 def _products(left, right, weights):
@@ -705,25 +713,6 @@ def _catalecticant_rank(rows, ncols: int, cap: int, char: int | None) -> int:
     return ech.dim
 
 
-def _rank_points(phi: Functional):
-    """The points at which ``ancestor_profile`` ranks a socle functional:
-    the nodes with their chart coordinate x_k (``_chart``) dropped when
-    ell's coefficient at x_k is nonzero, else the small points q'_i.
-
-    phi = sum_i c_i ev_{p_i} vanishes on ell * S_{N-1} (c = chi / ell(p),
-    chi orthogonal to the degree-(N-1) columns), so it is a functional on
-    S / (ell), onto which the forms in the variables other than x_k map
-    isomorphically, as those other than the solved x_j do; its
-    catalecticant ranks do not depend on the lift.  On the double solid x3
-    is solved for and zero at every node, so the q'_i = (1, a, b) keep up
-    to h_I(e) columns per degree, where (a, b, 0) keep at most e + 1."""
-    restriction = phi.restriction
-    k = _chart(restriction.reps, None)
-    if k is None or not any(exp[k] for exp in restriction.ell.coeffs):
-        return phi.points
-    return tuple(rep[:k] + rep[k + 1 :] for rep in restriction.reps)
-
-
 def ancestor_profile(phi: Functional) -> HilbertProfile:
     """h(0..N) of the quotient by the ancestor ideal of a socle functional:
     the ranks of its catalecticants, on point-indexed matrices.
@@ -731,19 +720,19 @@ def ancestor_profile(phi: Functional) -> HilbertProfile:
     Apolarity: Cat_e(phi) = E_{N-e}^T diag(w) E_e / D (see ``Functional``)
     for the evaluation matrices E at the points, so its rank is that of
     S_{N-e}^T diag(w) S_e on column bases S (Cat_{N-e} is its transpose).
-    The points are those of ``_rank_points``: the nodes in their chart
-    coordinate's lift where ell allows it, else the q'_i.  Each rank is
-    capped by codim (I_H)_e and codim (I_H)_{N-e}, within the matrix size: a
-    form of S'_e zero at every such point is, read in the other variables,
-    zero at every node, so in (I_H)_e.  Rows go in pivot order, which on the
-    double solid d=12 chain meets the caps with a fifth of the products of
-    degree order.  The ranks run mod CERTIFY_PRIME first, on the bases in the
-    points' own chart, so each weight is multiplied by rep[j]^N, and with
-    packed products (``_packed_columns``); a modular rank that meets its cap
-    is exact, and only when one falls short are bases built over Z.
+    The points are the functional's own q'_i (``Functional.points``).  Each
+    rank is capped by codim (I_H)_e and codim (I_H)_{N-e}, within the
+    matrix size: a form of S'_e zero at every q'_i is, read in the other
+    variables, zero at every node, so in (I_H)_e.  Rows go in pivot order,
+    which on the double solid d=12 chain meets the caps with a fifth of the
+    products of degree order.  The ranks run mod CERTIFY_PRIME first, on the
+    bases in the points' own chart, so each weight is multiplied by
+    rep[j]^N, and with packed products (``_packed_columns``); a modular rank
+    that meets its cap is exact, and only when one falls short are bases
+    built over Z.
     """
     N, codims = phi.degree, phi.restriction.codims
-    points, weights = _rank_points(phi), phi.weights
+    points, weights = phi.points, phi.weights
     p = CERTIFY_PRIME
     modular, exact = _ColumnBases(points, N, p), None
     w = [x * pow(s, N, p) % p for x, s in zip(weights, modular.chart or [1] * len(weights))]

@@ -20,9 +20,11 @@ slots), that keeps each stored vector from its pivot on, its tail, and
 touches only the rows whose pivots an insertion hits.  ``add`` takes a
 tail and the column it starts at and hands back the tail it stored, so
 that the profile pass of ``ideals`` can offer x_v times a stored tail.
-It serves only matrices indexed by points: every point-set rank, the
-catalecticant ranks of a functional at points (mod p first, else over Z),
-and, through its kernel over Z, the weights of a socle functional.
+``copy`` keeps the stored vectors of one degree while the pass rescales
+and extends the echelon into the next.  It serves only matrices indexed
+by points: every point-set rank, the catalecticant ranks of a functional
+at points (mod p first, else over Z), and, through the kernel over Z of
+such a copy, the weights of a socle functional.
 ``Echelon`` holds ideal pieces over the monomial basis: a forward echelon
 of the same design on sparse dict rows of ``Fraction``s, which reduces only
 the vector it inserts and back-substitutes only when a kernel is asked
@@ -367,6 +369,14 @@ class IntForwardEchelon:
             packed >>= width  # the entry is now a multiple of p: drop it
             start += 1
         return None
+
+    def copy(self) -> "IntForwardEchelon":
+        """An echelon of the same stored vectors, which later ``add`` and
+        ``scale_columns`` calls on either one leave alone: both replace tails
+        in the dict and never mutate one, so only the dict is copied."""
+        other = object.__new__(IntForwardEchelon)
+        vars(other).update(vars(self), _rows=dict(self._rows))
+        return other
 
     def scale_columns(self, scales: list[int]) -> None:
         """Multiply entry c of every vector by scales[c], nonzero, over Z;

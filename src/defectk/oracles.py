@@ -18,16 +18,14 @@ computes, kept only so that the tests can compare the two.
   ``point_ideal_piece``, ``point_sum`` and ``gorenstein_ancestor``.
 * ``point_ideal_piece`` is the degree-k piece of a point set's ideal, the
   kernel of its evaluation matrix over the monomial basis.
-  ``restrict_to_hyperplane`` maps full degree pieces into the hyperplane
-  ell = 0: for x_j the ``ideals._solved_variable`` of ell, of coefficient
-  c_j, the hyperplane is the small ring in the other variables, in their
-  order, and each basis form is substituted x_j -> -sum_{i != j}
-  (c_i / c_j) x_i there.  It reads the solved variable through ``ideals``
-  at call time, so one rule places its pieces and those of
-  ``ideals.restricted_point_pieces``.  Together they are the restricted
-  pieces over the monomial basis, which the product holds only by their
-  duals, point weights: the tests check the product's codims and socle
-  functionals against these.
+  ``restrict_to_hyperplane(pieces, ell, j)`` maps full degree pieces into
+  the hyperplane ell = 0 solved for the given x_j, of coefficient c_j
+  (refused when it is 0): the small ring in the other variables, in their
+  order, where each basis form is substituted x_j -> -sum_{i != j}
+  (c_i / c_j) x_i.  Given the ``ideals._solved_variable`` of ell at the
+  points, these are the restricted pieces over the monomial basis, which
+  the product holds only by their duals, point weights: the tests check
+  the product's codims and socle functionals against these.
 * ``substitute(f, forms)`` is f(L_0, ..., L_{nvars-1}) for linear forms
   L_i of one ring, zero forms included; the powers of each L_i are
   expanded once.  ``restrict_to_hyperplane`` substitutes with it.
@@ -50,7 +48,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from . import ideals
 from .ideals import HilbertProfile, IdealPiece, PointSet, generated_piece, primitive_point
 from .linalg import Echelon, det
 from .macaulay import binomial
@@ -97,11 +94,13 @@ def point_ideal_piece(points: PointSet, k: int) -> IdealPiece:
     return cut_out(points.nvars, k, rows)
 
 
-def restrict_to_hyperplane(pieces, ell: GradedPoly) -> list[IdealPiece]:
+def restrict_to_hyperplane(pieces, ell: GradedPoly, j: int) -> list[IdealPiece]:
     if ell.degree != 1 or ell.is_zero:
         raise ValueError("need a nonzero linear form")
-    n, j = ell.nvars, ideals._solved_variable(ell)
+    n = ell.nvars
     coeffs = {exp.index(1): c for exp, c in ell.coeffs.items()}
+    if j not in coeffs:
+        raise ValueError(f"ell has no x{j} term to solve for")
     solved = [Fraction(-coeffs.get(i, 0), coeffs[j]) for i in range(n) if i != j]
     images = [GradedPoly.linear_form(solved) if i == j else GradedPoly.variable(n - 1, i - (i > j))
               for i in range(n)]

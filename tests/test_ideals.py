@@ -566,16 +566,19 @@ def test_check_reduction():
 
 def test_restrict_to_hyperplane_examples():
     piece = generated_piece([X5[0]], 2)
-    restricted = restrict_to_hyperplane([piece], X5[4])[0]
+    restricted = restrict_to_hyperplane([piece], X5[4], 4)[0]
     assert restricted.nvars == 4
     assert restricted == generated_piece([X4[0]], 2)
 
     piece = generated_piece([X5[4]], 2)
-    assert restrict_to_hyperplane([piece], X5[4])[0].dim == 0
+    assert restrict_to_hyperplane([piece], X5[4], 4)[0].dim == 0
     with pytest.raises(ValueError, match="nonzero linear form"):
-        restrict_to_hyperplane([piece], GradedPoly.zero(5, 1))
+        restrict_to_hyperplane([piece], GradedPoly.zero(5, 1), 4)
     with pytest.raises(ValueError, match="different rings"):
-        restrict_to_hyperplane([generated_piece([X4[0]], 2)], X5[4])
+        restrict_to_hyperplane([generated_piece([X4[0]], 2)], X5[4], 4)
+    for j in (0, 5):  # ell = x4 cannot be solved for x0, nor for a variable it lacks
+        with pytest.raises(ValueError, match=f"^ell has no x{j} term to solve for$"):
+            restrict_to_hyperplane([piece], X5[4], j)
 
 
 def test_restrict_to_hyperplane_solves_int_coefficients_exactly():
@@ -584,7 +587,7 @@ def test_restrict_to_hyperplane_solves_int_coefficients_exactly():
     monic at x0 as x0 - 7/3 x1."""
     ell = GradedPoly.linear_form([3, 0, 7])
     assert all(type(c) is int for c in ell.coeffs.values())
-    restricted = restrict_to_hyperplane([generated_piece([X3[1] + X3[2]], 1)], ell)[0]
+    restricted = restrict_to_hyperplane([generated_piece([X3[1] + X3[2]], 1)], ell, 2)[0]
     y = [GradedPoly.variable(2, i) for i in range(2)]
     assert restricted == generated_piece([y[1] - y[0].scale(Fraction(3, 7))], 1)
     (form,) = restricted.basis_polys()
@@ -594,8 +597,10 @@ def test_restrict_to_hyperplane_solves_int_coefficients_exactly():
 
 def explicit_pieces(points, ell, N):
     """The restricted pieces 0..N over the monomial basis, by the oracles:
-    each point ideal piece with ell = 0 substituted in."""
-    return restrict_to_hyperplane([point_ideal_piece(points, k) for k in range(N + 1)], ell)
+    each point ideal piece with ell = 0, solved for the variable the
+    product solves it for, substituted in."""
+    return restrict_to_hyperplane([point_ideal_piece(points, k) for k in range(N + 1)], ell,
+                                  ideals._solved_variable(ell, points.points))
 
 
 def test_restriction_exact_sequence_cross_check():
@@ -760,7 +765,7 @@ def test_point_form_chain_matches_monomial_oracles(data):
     assert tuple(piece.codim for piece in pieces) == h_IH.values
     assert tuple(oracle.codim for oracle in explicit) == h_IH.values
     restriction = pieces[0].restriction
-    assert restriction.top_kernel == reeliminated_kernel(pts.points, N)
+    assert restriction.lower.kernel() == reeliminated_kernel(pts.points, N)
     nvars, want = restriction.nvars, monomial_socle_functional(explicit[N])
     # a socle functional at the points carries its restriction, which
     # settles its kill checks; a top piece of codim >= 2 is refused
@@ -1144,10 +1149,12 @@ def dropped(pts, k):
     return tuple(rep[:k] + rep[k + 1:] for rep in pts.points)
 
 
-def test_ancestor_ranks_read_in_the_chart_coordinates_lift(monkeypatch):
-    """Seeded small point sets in P^2..P^4 whose chart coordinate is not the
-    variable ell is solved for: the ranks are read at the nodes with the
-    chart coordinate dropped, and equal the monomial oracle's.  Some sets
+def test_the_chain_solves_ell_for_the_chart_and_ranks_at_its_own_points(monkeypatch):
+    """Seeded small point sets in P^2..P^4 whose chart coordinate x_k is not
+    the last variable, with a drawn ell, whose every coefficient is
+    nonzero: ell is solved for x_k, the socle functional sits at the nodes
+    with x_k dropped and is the one the oracle restricts to, and its ranks
+    are read at those points and equal the monomial oracle's.  Some sets
     hold the chart's coordinate point, which drops to 0, so the points
     there have no chart of their own."""
     seen = spy_column_base_points(monkeypatch)
@@ -1171,12 +1178,15 @@ def test_ancestor_ranks_read_in_the_chart_coordinates_lift(monkeypatch):
         phi = socle_of(pts, ell)
         if phi is None or phi.degree < 2:
             continue
-        assert ideals._solved_variable(ell) == nvars - 1 != k
+        assert ideals._solved_variable(ell, pts.points) == k
+        assert phi.points == phi.restriction.small == dropped(pts, k)
+        explicit = explicit_pieces(pts, ell, phi.degree)
         seen.clear()
+        assert coefficients(phi) == monomial_socle_functional(explicit[phi.degree])
         oracle = monomial_ancestor_profile(phi.nvars, phi.degree, coefficients(phi))
         assert not seen
         assert ancestor_profile(phi) == oracle, pts.points
-        assert seen and set(seen) == {dropped(pts, k)}, pts.points
+        assert seen and set(seen) == {phi.points}, pts.points
         checked += 1
         zeros += not all(map(any, seen[0]))
     assert checked >= 40 and zeros >= 5, (checked, zeros)
@@ -1184,15 +1194,17 @@ def test_ancestor_ranks_read_in_the_chart_coordinates_lift(monkeypatch):
 
 def test_ancestor_ranks_fall_back_to_the_small_points_when_ell_misses_the_chart(monkeypatch):
     """A hand-made ell whose coefficient at the nodes' chart coordinate is 0
-    gives no lift there: the ranks are read at the small points q'_i, and
-    equal the monomial oracle's."""
+    cannot be solved for it: it is solved for its last variable, and the
+    ranks are read at the small points q'_i, and equal the monomial
+    oracle's."""
     seen = spy_column_base_points(monkeypatch)
     cases = (
-        (grid_points("double-solid", 3)[0], GradedPoly.linear_form((0, 1, 3, 5)), 0),
-        (grid_points("plane", 5)[0], GradedPoly.linear_form((1, 1, 1, 2, 0)), 4),
+        (grid_points("double-solid", 3)[0], GradedPoly.linear_form((0, 1, 3, 5)), 0, 3),
+        (grid_points("plane", 5)[0], GradedPoly.linear_form((1, 1, 1, 2, 0)), 4, 3),
     )
-    for pts, ell, chart in cases:
+    for pts, ell, chart, solved in cases:
         assert _chart(pts.points, None) == chart
+        assert ideals._solved_variable(ell, pts.points) == solved
         phi = socle_of(pts, ell)
         seen.clear()
         assert ancestor_profile(phi) == monomial_ancestor_profile(phi.nvars, phi.degree,
@@ -1215,6 +1227,7 @@ def test_ancestor_ranks_in_the_lift_weigh_chart_values_that_are_not_one(monkeypa
         phi = socle_of(pts, draw_missing_hyperplane(pts, 1))
         k = _chart(pts.points, None)
         lifted = dropped(pts, k)
+        assert phi.points == lifted
         j = _chart(lifted, CERTIFY_PRIME)
         assert j is not None and any(rep[j] != 1 for rep in lifted)
         seen.clear()
@@ -1289,20 +1302,40 @@ def reeliminated_kernel(reps, top):
 
 
 def test_top_dual_weights_reuse_the_profile_pass(monkeypatch):
-    """The top kernel, whose vectors give the socle functional's weights, is
-    the one the profile pass kept: it equals the re-eliminated one at every
-    top, 0 included, and the socle functional builds no echelon."""
+    """The kernel whose vectors give the socle functional's weights is that
+    of the degree-(top - 1) echelon the profile pass kept: it equals the
+    re-eliminated one at every top, 0 included, and the socle functional
+    builds no echelon."""
     for name, d in (("plane", 6), ("double-solid", 3)):
         pts, N = grid_points(name, d)
         ell = draw_missing_hyperplane(pts, 1)
         for top in range(N + 1):
             pieces = restricted_point_pieces(pts, ell, top)
             want = reeliminated_kernel(pts.points, top)
-            assert pieces[top].restriction.top_kernel == want, (name, d, top)
+            assert pieces[top].restriction.lower.kernel() == want, (name, d, top)
         want = socle_functional(pieces[N])
         with monkeypatch.context() as patch:
             patch.setattr(ideals, "IntForwardEchelon", None)
             assert socle_functional(pieces[N]) == want, (name, d)
+
+
+def test_the_dual_weights_kernel_is_taken_only_for_a_socle_functional(monkeypatch):
+    """Restricted pieces take no kernel, even at a top where it is large
+    (the plane d=30 nodes at top 29: 841 points, a kernel of 406 vectors);
+    a socle functional takes one, of its restriction's lower echelon."""
+    calls = []
+    original = IntForwardEchelon.kernel
+
+    def spy(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(IntForwardEchelon, "kernel", spy)
+    pts = PointSet([(0, 0, a, b, 1) for a in range(1, 30) for b in range(1, 30)])
+    restricted_point_pieces(pts, draw_missing_hyperplane(pts, 1), 29)
+    assert calls == []
+    pieces, _ = socle_chain("plane", 6)
+    assert [ech is pieces[0].restriction.lower for ech in calls] == [True]
 
 
 # ---------------------------------------------------------------------------
@@ -1433,14 +1466,14 @@ def test_lower_shift_bounds_real_profiles():
 def test_restrict_to_hyperplane_nonlast_variable():
     # the eliminated variable need not be the last one
     piece_x1 = generated_piece([X5[1]], 2)
-    assert restrict_to_hyperplane([piece_x1], X5[1])[0].dim == 0
+    assert restrict_to_hyperplane([piece_x1], X5[1], 1)[0].dim == 0
     # the other variables keep their order: x4 becomes the last coordinate
     # of the small ring, and its x1-multiple dies
     piece_x4 = generated_piece([X5[4]], 2)
-    restricted = restrict_to_hyperplane([piece_x4], X5[1])[0]
+    restricted = restrict_to_hyperplane([piece_x4], X5[1], 1)[0]
     assert restricted == generated_piece([X4[3]], 2)
     piece_x0 = generated_piece([X5[0]], 1)
-    assert restrict_to_hyperplane([piece_x0], X5[1])[0] == generated_piece([X4[0]], 1)
+    assert restrict_to_hyperplane([piece_x0], X5[1], 1)[0] == generated_piece([X4[0]], 1)
 
 
 def test_restricted_point_pieces_nonlast_hyperplane():
@@ -1464,15 +1497,16 @@ def test_one_rule_solves_ell_for_the_oracle_and_the_restriction(monkeypatch):
     the last moves both, and the pieces still agree."""
     g = grid9()
     ell = draw_missing_hyperplane(g, seed=1)
-    assert ideals._solved_variable(ell) == 4
-    monkeypatch.setattr(ideals, "_solved_variable", lambda ell: 0)
+    assert ideals._solved_variable(ell, g.points) == 4
+    monkeypatch.setattr(ideals, "_solved_variable", lambda ell, reps: 0)
     fast = restricted_point_pieces(g, ell, 4)
     assert fast[0].restriction.small[0] == g.points[0][1:]
     explicit = explicit_pieces(g, ell, 4)
     assert [piece.codim for piece in fast] == [piece.codim for piece in explicit]
     assert coefficients(socle_functional(fast[4])) == monomial_socle_functional(explicit[4])
     # x_4 is no longer solved for: it stays the last variable of the small ring
-    x4_image = restrict_to_hyperplane([generated_piece([X5[4]], 1)], ell)[0]
+    x4_image = restrict_to_hyperplane([generated_piece([X5[4]], 1)], ell,
+                                      ideals._solved_variable(ell, g.points))[0]
     assert x4_image == generated_piece([X4[3]], 1)
 
 

@@ -349,6 +349,31 @@ def test_scale_columns_keeps_an_echelon_of_the_scaled_span():
         assert all(math.gcd(*u) == 1 for u in fwd._rows.values())
 
 
+def test_a_copy_keeps_its_rows_and_kernel_while_the_original_moves_on():
+    """After the original gains a row (over Z and mod p) and is rescaled
+    (over Z), a copy taken before still holds the same stored vectors, dim
+    and, over Z, kernel; a row the copy gains leaves the original alone."""
+    rng = random.Random(31)
+    for char in (None, 7, P31):
+        for _ in range(20):
+            ncols = rng.randint(2, 8)
+            ech = IntForwardEchelon(ncols, char)
+            for _ in range(rng.randint(0, ncols - 1)):
+                ech.add([rng.randint(-5, 5) for _ in range(ncols)])
+            free = [c for c in range(ncols) if c not in ech._rows]
+            rows = {p: list(u) if char is None else u for p, u in ech._rows.items()}
+            kernel = ech.kernel() if char is None else None
+            clone = ech.copy()
+            assert ech.add([0] * free[0] + [1] + [0] * (ncols - free[0] - 1))
+            if char is None:
+                ech.scale_columns([rng.choice((-3, 2, 5)) for _ in range(ncols)])
+                assert clone.kernel() == kernel
+            assert clone._rows == rows and clone.dim == len(rows) == ech.dim - 1
+            after = dict(ech._rows)
+            assert clone.add([0] * free[-1] + [1] + [0] * (ncols - free[-1] - 1))
+            assert ech._rows == after
+
+
 def test_tails_at_random_starts_match_rank():
     """add(tail, start) ranks the rows zero-padded before their starts, over
     Z, mod 3, mod 7 and mod 2^31 - 1, on random and low-rank tails whose

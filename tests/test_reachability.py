@@ -46,13 +46,11 @@ UNREACHED = {
     "ideals._ColumnBases.degree": CHAIN,
     "ideals._ColumnBases.packed": CHAIN,
     "ideals._Restriction.__init__": CHAIN,
-    "ideals._Restriction.socle_functional": CHAIN,
     "ideals._catalecticant_rank": CHAIN,
     "ideals._dot": CHAIN,
     "ideals._packed_columns": CHAIN,
     "ideals._packed_products": CHAIN,
     "ideals._products": CHAIN,
-    "ideals._rank_points": CHAIN,
     "ideals._solved_variable": CHAIN,
     "ideals.ancestor_profile": CHAIN,
     "ideals.functional_kills_products": CHAIN,
@@ -62,6 +60,7 @@ UNREACHED = {
     "ideals.socle_functional": CHAIN,
     "linalg.Echelon.contains": ITEM_20,
     "linalg.Echelon.kernel_of_rows": ITEM_20,
+    "linalg.IntForwardEchelon.copy": CHAIN,
     "linalg.IntForwardEchelon.kernel": CHAIN,
     "linalg._bareiss": BENCH,
     "linalg._integer_rows": BENCH,
